@@ -15,20 +15,12 @@ from .allocation import (
 )
 from .benchmarks import BenchmarkObjective, ObjectiveSpec, evaluate, evaluate_many, suite
 from .core import Candidate, SearchBox, as_search_box, clamp
-from .levy import LevyParams, levy_step, mantegna_sigma
-from .optimizer import (
-    CuckooSearch,
-    EnhancedCuckooSearch,
-    RunTrace,
-    abandon_worst,
-    init_population,
-    levy_update,
-    run,
-)
+from .levy import LevyParams, mantegna_sigma
+from .optimizer import CuckooSearch, EnhancedCuckooSearch, RunTrace, init_population, run
 from .rng import RandomSource, as_random_source, stable_seed
-from .schedule import ScheduleState, advance, constant, cosine_value, ecsa_params
+from .schedule import cosine_schedule
 from .sobol import SobolSequence, sobol_population
-from .stats import TrialSample, decide, rank_sum_p, summarize
+from .stats import decide, rank_sum_p, summarize
 
 __version__ = "0.1.0"
 
@@ -44,26 +36,18 @@ __all__ = [
     "ObjectiveSpec",
     "RandomSource",
     "RunTrace",
-    "ScheduleState",
     "SearchBox",
     "SobolSequence",
-    "TrialSample",
-    "abandon_worst",
-    "advance",
     "as_random_source",
     "as_search_box",
     "clamp",
-    "constant",
-    "cosine_value",
+    "cosine_schedule",
     "decide",
     "decode",
-    "ecsa_params",
     "evaluate",
     "evaluate_many",
     "fitness",
     "init_population",
-    "levy_step",
-    "levy_update",
     "load_instance",
     "load_instance_csv",
     "mantegna_sigma",

@@ -12,7 +12,7 @@ import click
 from . import benchmarks, experiments
 from .allocation import load_instance, load_instance_csv, synth_instance
 from .experiments import ExperimentConfig
-from .schedule import ScheduleState, advance, cosine_value
+from .schedule import cosine_schedule
 from .sobol import SobolSequence
 
 
@@ -85,6 +85,10 @@ def bench(ctx, config_path, out_dir, **flags):
     if ctx.invoked_subcommand is not None:
         return
     config = _experiment_config(ctx, config_path, **flags)
+    if config.trials < 2:
+        raise click.ClickException(
+            f"bench needs --trials >= 2 for the summary std and compare, got {config.trials}"
+        )
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -173,8 +177,6 @@ def allocate(instance_path, blocks_path, areas_path, synthetic, blocks_count,
     except ValueError as exc:
         raise click.ClickException(str(exc))
     config = ExperimentConfig(
-        functions=("F1",),  # unused by the allocation path
-        algorithms=(algorithm,),
         trials=trials,
         base_seed=base_seed,
         population=population,
@@ -220,15 +222,13 @@ def schedule(t0, tmult, iters, pa_min, pa_max, alpha_min, alpha_max):
     if t0 < 1 or tmult < 1.0 or iters < 0:
         raise click.UsageError("need t0 >= 1, tmult >= 1 and iters >= 0")
     try:
-        pa_state = ScheduleState(pa_min, pa_max, t0, 0, tmult)
-        alpha_state = ScheduleState(alpha_min, alpha_max, t0, 0, tmult)
+        pa = cosine_schedule(pa_min, pa_max, t0, tmult, iters + 1)
+        alpha = cosine_schedule(alpha_min, alpha_max, t0, tmult, iters + 1)
     except ValueError as exc:
         raise click.ClickException(str(exc))
     click.echo("iteration,pa,alpha")
-    for iteration in range(iters + 1):
-        click.echo(f"{iteration},{cosine_value(pa_state)!r},{cosine_value(alpha_state)!r}")
-        pa_state = advance(pa_state)
-        alpha_state = advance(alpha_state)
+    for iteration, (p, a) in enumerate(zip(pa.tolist(), alpha.tolist())):
+        click.echo(f"{iteration},{p!r},{a!r}")
 
 
 if __name__ == "__main__":

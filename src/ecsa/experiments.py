@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,11 @@ WORKERS_ENV = "ECSA_WORKERS"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Benchmark experiment settings (defaults reproduce the full protocol)."""
+    """Experiment settings (defaults reproduce the full protocol).
+
+    Every field is also a ``bench`` flag and a ``--config`` key.  The
+    allocation experiment ignores ``functions``, ``algorithms`` and ``dim``.
+    """
 
     functions: tuple = FUNCTION_IDS
     algorithms: tuple = ALGORITHMS
@@ -59,7 +63,6 @@ class ExperimentConfig:
     alpha_max: float = 0.05
     t0: int = 100
     t_mult: float = 2.0
-    update: str = "all_nests"
 
     def __post_init__(self):
         functions = self.functions
@@ -95,7 +98,6 @@ def make_optimizer(algorithm: str, config: ExperimentConfig, seed):
             iterations=config.iterations,
             pa=config.pa,
             alpha=config.alpha,
-            update=config.update,
             seed=seed,
         )
     if algorithm == "ecsa":
@@ -108,7 +110,6 @@ def make_optimizer(algorithm: str, config: ExperimentConfig, seed):
             alpha_max=config.alpha_max,
             t0=config.t0,
             t_mult=config.t_mult,
-            update=config.update,
             seed=seed,
         )
     raise ValueError(f"unknown algorithm {algorithm!r}")

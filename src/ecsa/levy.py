@@ -51,13 +51,6 @@ class LevyParams:
             raise ValueError(f"sigma_u must be positive, got {self.sigma_u}")
 
 
-def levy_step(params: LevyParams, rng: RandomSource, dim: int) -> np.ndarray:
-    """One Levy step: ``dim`` i.i.d. draws of ``u / |v|**(1/beta)``."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    return levy_matrix(params, rng, 1, dim)[0]
-
-
 def levy_matrix(params: LevyParams, rng: RandomSource, rows: int, dim: int) -> np.ndarray:
     """``rows`` independent Levy steps as a ``(rows, dim)`` array.
 

@@ -1,8 +1,11 @@
-"""Cuckoo search loops: the standard algorithm and the enhanced variant.
+"""Cuckoo search: one engine for the standard algorithm and the enhanced variant.
 
-Both algorithms share one engine so that the enhanced variant with
-degenerate constant schedules and random initialization is bit-identical
-to the standard one under the same seed.  Per iteration the engine runs:
+The engine :func:`run` takes the discovery rate ``pa`` and the step size
+``alpha`` as arrays holding one value per iteration.  The standard
+algorithm feeds it constant arrays and random initialization; the
+enhanced variant feeds it cosine warm-restart schedules and Sobol
+initialization.  With constant schedules and random initialization the
+two are bit-identical under the same seed.  Per iteration the engine runs:
 
 1. Levy phase.  Every nest proposes
    ``x' = clamp(x + alpha * L (x - x_best))`` with ``L`` a Mantegna Levy
@@ -17,14 +20,14 @@ to the standard one under the same seed.  Per iteration the engine runs:
    nests and one shared uniform factor ``r`` per iteration.  The walk
    proposal replaces the nest only when strictly better, and the global
    best nest always survives the phase untouched.
-3. The per-iteration best fitness is recorded and the parameter
-   schedules advance (a no-op for constant schedules).
+3. The per-iteration best fitness is recorded.
 
 Per-nest greedy selection plus the best-nest exemption make every
 convergence trace non-increasing.  Evaluation counts are deterministic:
 ``population`` for initialization plus ``2 * population - 1`` per
-iteration in all-nests mode (``population`` per iteration in
-single-cuckoo mode).
+iteration.  A NaN objective value ranks as ``+inf``: initial NaN values
+are replaced by ``+inf``, and later a NaN proposal is never accepted
+because acceptance needs a strict improvement.
 
 Estimators follow the scikit-learn protocol: hyperparameters are stored
 verbatim in ``__init__``, validated in ``fit``, results land in
@@ -40,13 +43,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Candidate, SearchBox, as_search_box, clamp
-from .levy import LevyParams, levy_matrix, levy_step
+from .levy import LevyParams, levy_matrix
 from .rng import RandomSource, as_random_source
-from .schedule import ScheduleState, advance, constant, cosine_value
+from .schedule import cosine_schedule
 from .sobol import sobol_population
 
 INIT_MODES = ("random", "sobol")
-UPDATE_MODES = ("all_nests", "single_cuckoo")
 
 
 @dataclass
@@ -73,12 +75,13 @@ def init_population(
     objective,
     rng: RandomSource,
     init: str = "random",
-) -> list[Candidate]:
-    """Build and evaluate the initial nests.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Build and evaluate the initial nests; returns positions and fitness.
 
     ``random`` draws uniformly inside the box; ``sobol`` takes the first
     ``count`` Sobol points mapped onto the box (the first nest is the box
-    midpoint).
+    midpoint).  A NaN fitness is stored as ``+inf`` so it can never be
+    picked as the best nest.
     """
     if count < 1:
         raise ValueError(f"population must be >= 1, got {count}")
@@ -89,48 +92,7 @@ def init_population(
     else:
         X = box.lower + rng.random((count, box.dim)) * box.width
     F = _batch_evaluator(objective)(X)
-    return [Candidate(X[i].copy(), F[i]) for i in range(count)]
-
-
-def levy_update(
-    nest: Candidate,
-    best: Candidate,
-    alpha: float,
-    rng: RandomSource,
-    box: SearchBox,
-    objective,
-    params: LevyParams | None = None,
-) -> Candidate:
-    """Greedy Levy-flight update of a single nest against the global best."""
-    if nest.position.size != best.position.size:
-        raise ValueError("nest and best must share dimension")
-    params = params or LevyParams()
-    step = levy_step(params, rng, box.dim)
-    if np.array_equal(nest.position, best.position):
-        displacement = alpha * step
-    else:
-        displacement = alpha * step * (nest.position - best.position)
-    proposal = clamp(nest.position + displacement, box)
-    fitness = float(objective(proposal))
-    if fitness < nest.fitness:
-        return Candidate(proposal, fitness)
-    return nest
-
-
-def abandon_worst(
-    population: list[Candidate],
-    pa: float,
-    rng: RandomSource,
-    box: SearchBox,
-    objective,
-) -> list[Candidate]:
-    """Discovery phase over a candidate list (greedy biased random walk)."""
-    if not 0.0 <= pa <= 1.0:
-        raise ValueError(f"pa must be in [0, 1], got {pa}")
-    X = np.array([c.position for c in population])
-    F = np.array([c.fitness for c in population])
-    X, F, accepted = _discovery_phase(X, F, pa, rng, box, _batch_evaluator(objective))
-    return [Candidate(X[i].copy(), F[i]) for i in range(len(population))]
+    return X, np.where(np.isnan(F), np.inf, F)
 
 
 def _discovery_phase(X, F, pa, rng, box, batch):
@@ -138,7 +100,6 @@ def _discovery_phase(X, F, pa, rng, box, batch):
     pop = X.shape[0]
     best = int(np.argmin(F))
     mask = rng.random(X.shape) < pa
-    mask[best] = False
     r = rng.random()
     p = rng.integers(pop, size=pop)
     shifted = rng.integers(pop - 1, size=pop) if pop > 1 else np.zeros(pop, dtype=np.int64)
@@ -160,78 +121,69 @@ def run(
     box: SearchBox,
     *,
     population: int,
-    iterations: int,
-    pa_schedule: ScheduleState,
-    alpha_schedule: ScheduleState,
+    pa,
+    alpha,
     init: str,
     rng: RandomSource,
     levy_params: LevyParams | None = None,
-    update: str = "all_nests",
 ) -> RunTrace:
-    """Execute the full optimization loop and return its trace."""
-    if iterations < 0:
-        raise ValueError(f"iterations must be >= 0, got {iterations}")
-    if update not in UPDATE_MODES:
-        raise ValueError(f"update must be one of {UPDATE_MODES}, got {update!r}")
+    """Execute the optimization loop and return its trace.
+
+    ``pa[t]`` and ``alpha[t]`` are the discovery rate (in ``[0, 1]``) and
+    the positive step size of iteration ``t``; the number of iterations is
+    their common length.  ``population`` and ``init`` are checked by
+    :func:`init_population` before the first evaluation.
+    """
+    pa = np.asarray(pa, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    if pa.ndim != 1 or pa.shape != alpha.shape:
+        raise ValueError(
+            f"pa and alpha must be 1-D arrays of equal length, got shapes {pa.shape} and {alpha.shape}"
+        )
     params = levy_params or LevyParams()
     batch = _batch_evaluator(objective)
 
-    nests = init_population(population, box, objective, rng, init=init)
-    X = np.array([c.position for c in nests])
-    F = np.array([c.fitness for c in nests])
-    evaluations = population
+    X, F = init_population(population, box, objective, rng, init=init)
     walk_replacements = 0
-    trace = np.empty(iterations)
+    trace = np.empty(pa.size)
 
-    for t in range(iterations):
-        pa = cosine_value(pa_schedule)
-        alpha = cosine_value(alpha_schedule)
-
+    for t, (pa_t, alpha_t) in enumerate(zip(pa.tolist(), alpha.tolist())):
         best = int(np.argmin(F))
-        if update == "all_nests":
-            steps = levy_matrix(params, rng, population, box.dim)
-            displacement = alpha * steps * (X - X[best])
-            displacement[best] = alpha * steps[best]
-            P = clamp(X + displacement, box)
-            FP = batch(P)
-            evaluations += population
-            accept = FP < F
-            X[accept] = P[accept]
-            F[accept] = FP[accept]
-        else:
-            i = rng.integers(population)
-            step = levy_step(params, rng, box.dim)
-            if i == best:
-                displacement = alpha * step
-            else:
-                displacement = alpha * step * (X[i] - X[best])
-            proposal = clamp(X[i] + displacement, box)
-            fitness = batch(proposal[None, :])[0]
-            evaluations += 1
-            j = rng.integers(population)
-            if fitness < F[j]:
-                X[j] = proposal
-                F[j] = fitness
+        steps = levy_matrix(params, rng, population, box.dim)
+        displacement = alpha_t * steps * (X - X[best])
+        displacement[best] = alpha_t * steps[best]
+        P = clamp(X + displacement, box)
+        FP = batch(P)
+        accept = FP < F
+        X[accept] = P[accept]
+        F[accept] = FP[accept]
 
-        X, F, accepted = _discovery_phase(X, F, pa, rng, box, batch)
-        evaluations += max(population - 1, 0)
+        X, F, accepted = _discovery_phase(X, F, pa_t, rng, box, batch)
         walk_replacements += accepted
-
         trace[t] = F.min()
-        pa_schedule = advance(pa_schedule)
-        alpha_schedule = advance(alpha_schedule)
 
     best = int(np.argmin(F))
     return RunTrace(
         best_fitness_per_iteration=trace,
         best_candidate=Candidate(X[best].copy(), F[best]),
-        evaluations=evaluations,
+        evaluations=population + pa.size * (2 * population - 1),
         walk_replacements=walk_replacements,
     )
 
 
 class BaseOptimizer:
-    """Minimal scikit-learn style estimator base (get_params/set_params)."""
+    """Scikit-learn style estimator over the shared engine.
+
+    A subclass stores its hyperparameters in ``__init__`` (including
+    ``population``, ``iterations``, ``levy_beta``, ``init`` and ``seed``)
+    and maps them to the engine's inputs: ``_checks`` lists the conditions
+    its own hyperparameters must meet, ``_schedules`` returns the
+    per-iteration ``pa`` and ``alpha`` arrays.
+
+    After ``fit``: ``best_position_``, ``best_fitness_``, ``trace_``
+    (best fitness per iteration), ``n_evaluations_``,
+    ``n_walk_replacements_`` and ``run_trace_``.
+    """
 
     @classmethod
     def _param_names(cls):
@@ -256,16 +208,50 @@ class BaseOptimizer:
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({args})"
 
+    def _validate(self):
+        """Reject hyperparameters ``run`` does not check (it checks ``population`` and ``init``)."""
+        if self.iterations < 0:
+            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        for ok, message in self._checks():
+            if not ok:
+                raise ValueError(message)
+
+    def fit(self, objective, bounds):
+        """Minimize ``objective`` over ``bounds`` and store the results.
+
+        ``objective`` is a callable mapping a position vector to a float;
+        objects additionally exposing ``evaluate_many(X)`` are evaluated
+        in batches.  ``bounds`` is anything :func:`as_search_box`
+        accepts.  Returns ``self``.
+        """
+        box = as_search_box(bounds)
+        self._validate()
+        pa, alpha = self._schedules()
+        result = run(
+            objective,
+            box,
+            population=self.population,
+            pa=pa,
+            alpha=alpha,
+            init=self.init,
+            rng=as_random_source(self.seed),
+            levy_params=LevyParams(beta=self.levy_beta),
+        )
+        self.box_ = box
+        self.run_trace_ = result
+        self.trace_ = result.best_fitness_per_iteration
+        self.best_position_ = result.best_candidate.position
+        self.best_fitness_ = result.best_candidate.fitness
+        self.n_evaluations_ = result.evaluations
+        self.n_walk_replacements_ = result.walk_replacements
+        return self
+
 
 class CuckooSearch(BaseOptimizer):
     """Standard cuckoo search with fixed discovery rate and step size.
 
     Parameters mirror the usual presets: 50 nests, 500 iterations,
     ``pa=0.25``, ``alpha=0.01``, random initialization.
-
-    After ``fit``: ``best_position_``, ``best_fitness_``, ``trace_``
-    (best fitness per iteration), ``n_evaluations_``,
-    ``n_walk_replacements_`` and ``run_trace_``.
     """
 
     algorithm = "csa"
@@ -278,7 +264,6 @@ class CuckooSearch(BaseOptimizer):
         alpha: float = 0.01,
         levy_beta: float = 1.5,
         init: str = "random",
-        update: str = "all_nests",
         seed=None,
     ):
         self.population = population
@@ -287,57 +272,16 @@ class CuckooSearch(BaseOptimizer):
         self.alpha = alpha
         self.levy_beta = levy_beta
         self.init = init
-        self.update = update
         self.seed = seed
 
-    def _validate(self):
-        if self.population < 1:
-            raise ValueError(f"population must be >= 1, got {self.population}")
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if not 0.0 <= self.pa <= 1.0:
-            raise ValueError(f"pa must be in [0, 1], got {self.pa}")
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.init not in INIT_MODES:
-            raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
-        if self.update not in UPDATE_MODES:
-            raise ValueError(f"update must be one of {UPDATE_MODES}, got {self.update!r}")
-
-    def _schedules(self) -> tuple[ScheduleState, ScheduleState]:
-        return constant(self.pa), constant(self.alpha)
-
-    def fit(self, objective, bounds):
-        """Minimize ``objective`` over ``bounds`` and store the results.
-
-        ``objective`` is a callable mapping a position vector to a float;
-        objects additionally exposing ``evaluate_many(X)`` are evaluated
-        in batches.  ``bounds`` is anything :func:`as_search_box`
-        accepts.  Returns ``self``.
-        """
-        box = as_search_box(bounds)
-        self._validate()
-        pa_schedule, alpha_schedule = self._schedules()
-        result = run(
-            objective,
-            box,
-            population=self.population,
-            iterations=self.iterations,
-            pa_schedule=pa_schedule,
-            alpha_schedule=alpha_schedule,
-            init=self.init,
-            rng=as_random_source(self.seed),
-            levy_params=LevyParams(beta=self.levy_beta),
-            update=self.update,
+    def _checks(self):
+        return (
+            (0.0 <= self.pa <= 1.0, f"pa must be in [0, 1], got {self.pa}"),
+            (self.alpha > 0.0, f"alpha must be positive, got {self.alpha}"),
         )
-        self.box_ = box
-        self.run_trace_ = result
-        self.trace_ = result.best_fitness_per_iteration
-        self.best_position_ = result.best_candidate.position
-        self.best_fitness_ = result.best_candidate.fitness
-        self.n_evaluations_ = result.evaluations
-        self.n_walk_replacements_ = result.walk_replacements
-        return self
+
+    def _schedules(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.full(self.iterations, float(self.pa)), np.full(self.iterations, float(self.alpha))
 
 
 class EnhancedCuckooSearch(CuckooSearch):
@@ -365,7 +309,6 @@ class EnhancedCuckooSearch(CuckooSearch):
         t_mult: float = 2.0,
         levy_beta: float = 1.5,
         init: str = "sobol",
-        update: str = "all_nests",
         seed=None,
     ):
         self.population = population
@@ -378,32 +321,23 @@ class EnhancedCuckooSearch(CuckooSearch):
         self.t_mult = t_mult
         self.levy_beta = levy_beta
         self.init = init
-        self.update = update
         self.seed = seed
 
-    def _validate(self):
-        if self.population < 1:
-            raise ValueError(f"population must be >= 1, got {self.population}")
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if not 0.0 <= self.pa_min <= self.pa_max <= 1.0:
-            raise ValueError(
-                f"need 0 <= pa_min <= pa_max <= 1, got [{self.pa_min}, {self.pa_max}]"
-            )
-        if not 0.0 < self.alpha_min <= self.alpha_max:
-            raise ValueError(
-                f"need 0 < alpha_min <= alpha_max, got [{self.alpha_min}, {self.alpha_max}]"
-            )
-        if self.t0 < 1:
-            raise ValueError(f"t0 must be >= 1, got {self.t0}")
-        if self.t_mult < 1.0:
-            raise ValueError(f"t_mult must be >= 1, got {self.t_mult}")
-        if self.init not in INIT_MODES:
-            raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
-        if self.update not in UPDATE_MODES:
-            raise ValueError(f"update must be one of {UPDATE_MODES}, got {self.update!r}")
+    def _checks(self):
+        return (
+            (
+                0.0 <= self.pa_min <= self.pa_max <= 1.0,
+                f"need 0 <= pa_min <= pa_max <= 1, got [{self.pa_min}, {self.pa_max}]",
+            ),
+            (
+                0.0 < self.alpha_min <= self.alpha_max,
+                f"need 0 < alpha_min <= alpha_max, got [{self.alpha_min}, {self.alpha_max}]",
+            ),
+        )
 
-    def _schedules(self) -> tuple[ScheduleState, ScheduleState]:
-        pa = ScheduleState(self.pa_min, self.pa_max, self.t0, 0, self.t_mult)
-        alpha = ScheduleState(self.alpha_min, self.alpha_max, self.t0, 0, self.t_mult)
-        return pa, alpha
+    def _schedules(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both schedules on one clock; ``cosine_schedule`` checks ``t0`` and ``t_mult``."""
+        return (
+            cosine_schedule(self.pa_min, self.pa_max, self.t0, self.t_mult, self.iterations),
+            cosine_schedule(self.alpha_min, self.alpha_max, self.t0, self.t_mult, self.iterations),
+        )

@@ -9,66 +9,39 @@ endpoint is approached but the restart fires before it is emitted, so
 with ``t_i = 100`` the values at iterations 0, 100, 300 (with
 ``t_mult = 2``) are all exactly ``eta_max``.
 
-The standard algorithm is expressed with degenerate constant schedules
-(``eta_min == eta_max``), which makes the enhanced loop with constant
-schedules bit-identical to the standard one.
+The standard algorithm uses constant arrays; a degenerate schedule
+(``eta_min == eta_max``) emits exactly that constant, which makes the
+enhanced variant with constant schedules bit-identical to the standard
+one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+
+import numpy as np
 
 
-@dataclass(frozen=True)
-class ScheduleState:
-    """Cosine-cycle bookkeeping: value range, cycle length and position."""
+def cosine_schedule(eta_min: float, eta_max: float, t0: int, t_mult: float, n: int) -> np.ndarray:
+    """The first ``n`` values ``eta_min + (eta_max - eta_min)(1 + cos(pi t_cur / t_i)) / 2``.
 
-    eta_min: float
-    eta_max: float
-    t_i: int
-    t_cur: int = 0
-    t_mult: float = 1.0
-
-    def __post_init__(self):
-        if self.eta_min > self.eta_max:
-            raise ValueError(
-                f"eta_min={self.eta_min} must be <= eta_max={self.eta_max}"
-            )
-        if self.t_i < 1:
-            raise ValueError(f"cycle length t_i must be >= 1, got {self.t_i}")
-        if not 0 <= self.t_cur <= self.t_i:
-            raise ValueError(f"t_cur={self.t_cur} outside [0, {self.t_i}]")
-        if self.t_mult < 1.0:
-            raise ValueError(f"t_mult must be >= 1, got {self.t_mult}")
-
-
-def constant(value: float) -> ScheduleState:
-    """Degenerate schedule that always emits ``value``."""
-    return ScheduleState(eta_min=value, eta_max=value, t_i=1)
-
-
-def cosine_value(state: ScheduleState) -> float:
-    """Current annealed value: ``eta_min + (eta_max - eta_min)(1 + cos(pi t_cur / t_i)) / 2``."""
-    span = state.eta_max - state.eta_min
-    return state.eta_min + 0.5 * span * (1.0 + math.cos(math.pi * state.t_cur / state.t_i))
-
-
-def advance(state: ScheduleState) -> ScheduleState:
-    """Step the cycle position, restarting when the cycle is exhausted.
-
-    The incremented position wrapping at ``t_i`` (rather than ``t_i + 1``)
-    is what puts the post-restart value exactly at ``eta_max`` on the
-    iteration the previous cycle's length runs out.
+    ``t_cur`` counts up from 0 within a cycle; the first cycle has
+    ``t_i = t0`` and each restart multiplies it by ``t_mult`` (rounded up).
+    Values are computed with the scalar ``math.cos`` so they do not depend
+    on numpy's vectorized kernels.
     """
-    nxt = state.t_cur + 1
-    if nxt >= state.t_i:
-        return replace(
-            state, t_cur=0, t_i=int(math.ceil(state.t_i * state.t_mult))
-        )
-    return replace(state, t_cur=nxt)
-
-
-def ecsa_params(pa_schedule: ScheduleState, alpha_schedule: ScheduleState) -> tuple[float, float]:
-    """Current (discovery rate, step size) pair from two synchronized schedules."""
-    return cosine_value(pa_schedule), cosine_value(alpha_schedule)
+    if eta_min > eta_max:
+        raise ValueError(f"eta_min={eta_min} must be <= eta_max={eta_max}")
+    if t0 < 1:
+        raise ValueError(f"t0 must be >= 1, got {t0}")
+    if t_mult < 1.0:
+        raise ValueError(f"t_mult must be >= 1, got {t_mult}")
+    span = eta_max - eta_min
+    values = np.empty(n)
+    t_i, t_cur = t0, 0
+    for k in range(n):
+        values[k] = eta_min + 0.5 * span * (1.0 + math.cos(math.pi * t_cur / t_i))
+        t_cur += 1
+        if t_cur >= t_i:
+            t_i, t_cur = int(math.ceil(t_i * t_mult)), 0
+    return values

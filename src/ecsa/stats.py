@@ -11,35 +11,19 @@ of one half and the enumeration can count over integers after doubling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 EXACT_LIMIT = 10
+SMALLEST_P = math.ulp(0.0)
 
 COMPARABLE = "comparable"
 SIGNIFICANTLY_DIFFERENT = "significantly_different"
 
 
-@dataclass(frozen=True)
-class TrialSample:
-    """Final best fitness of each trial for one (algorithm, function) cell."""
-
-    values: np.ndarray
-    algorithm: str = ""
-    function: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-
-def _values(sample) -> np.ndarray:
-    return np.asarray(getattr(sample, "values", sample), dtype=float)
-
-
 def summarize(sample) -> tuple[float, float]:
     """Arithmetic mean and sample standard deviation (n - 1 denominator)."""
-    values = _values(sample)
+    values = np.asarray(sample, dtype=float)
     if values.size < 2:
         raise ValueError(f"summarize needs at least 2 values, got {values.size}")
     return float(values.mean()), float(values.std(ddof=1))
@@ -90,7 +74,12 @@ def _exact_two_sided(doubled_ranks: np.ndarray, n: int, observed_doubled: int) -
 
 
 def _normal_two_sided(ranks: np.ndarray, n: int, m: int, observed: float) -> float:
-    """Tie-corrected normal approximation with continuity correction."""
+    """Tie-corrected normal approximation with continuity correction.
+
+    The tail is floored at the smallest positive double: for large,
+    fully separated samples ``erfc`` underflows to 0.0, and a p-value
+    must stay in (0, 1].
+    """
     N = n + m
     expected = n * (N + 1) / 2.0
     _, tie_counts = np.unique(ranks, return_counts=True)
@@ -101,7 +90,7 @@ def _normal_two_sided(ranks: np.ndarray, n: int, m: int, observed: float) -> flo
     z = (abs(observed - expected) - 0.5) / math.sqrt(variance)
     if z <= 0.0:
         return 1.0
-    return min(1.0, math.erfc(z / math.sqrt(2.0)))
+    return min(1.0, max(math.erfc(z / math.sqrt(2.0)), SMALLEST_P))
 
 
 def rank_sum_p(a, b) -> float:
@@ -110,8 +99,8 @@ def rank_sum_p(a, b) -> float:
     Exact enumeration when both samples have at most EXACT_LIMIT values,
     normal approximation otherwise.  Symmetric in its arguments.
     """
-    x = _values(a)
-    y = _values(b)
+    x = np.asarray(a, dtype=float)
+    y = np.asarray(b, dtype=float)
     if x.size == 0 or y.size == 0:
         raise ValueError("rank_sum_p requires non-empty samples")
     pooled = np.concatenate([x, y])

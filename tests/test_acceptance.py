@@ -17,11 +17,9 @@ from ecsa import (
     CuckooSearch,
     EnhancedCuckooSearch,
     RandomSource,
-    ScheduleState,
     SearchBox,
     SobolSequence,
-    advance,
-    cosine_value,
+    cosine_schedule,
     evaluate,
     rank_sum_p,
     suite,
@@ -120,12 +118,8 @@ def test_criterion_3_sobol_exactness():
 
 
 def test_criterion_4_scheduler_exactness():
-    state = ScheduleState(0.25, 0.5, t_i=100, t_cur=0, t_mult=2.0)
-    values = {}
-    for iteration in range(301):
-        if iteration in (0, 50, 100, 300):
-            values[iteration] = cosine_value(state)
-        state = advance(state)
+    schedule = cosine_schedule(0.25, 0.5, 100, 2.0, 301)
+    values = {iteration: float(schedule[iteration]) for iteration in (0, 50, 100, 300)}
     expected = {0: 0.5, 50: 0.375, 100: 0.5, 300: 0.5}
     ok = all(abs(values[i] - expected[i]) <= 1e-12 for i in expected)
     report(4, "scheduler exactness", ok, f"values: {values}")

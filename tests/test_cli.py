@@ -1,9 +1,11 @@
 import json
+from dataclasses import fields
 
 import pytest
 from click.testing import CliRunner
 
-from ecsa.cli import main
+from ecsa.cli import bench, main
+from ecsa.experiments import ExperimentConfig
 
 
 @pytest.fixture
@@ -99,6 +101,26 @@ class TestBenchCommand:
         assert result.exit_code != 0
         assert "nests" in result.output
 
+    def test_every_config_key_is_a_bench_flag(self):
+        # a config key without a flag would be accepted from --config and
+        # then silently dropped; the keys must be exactly the flags
+        flags = {param.name for param in bench.params} - {"config_path", "out_dir"}
+        assert flags == {field.name for field in fields(ExperimentConfig)}
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_single_trial_rejected_before_running(self, runner, tmp_path, source):
+        if source == "flag":
+            args = ["--trials", "1"]
+        else:
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps({"trials": 1}))
+            args = ["--config", str(config_path)]
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["bench", "--functions", "F1", *args, "--out", str(out)])
+        assert result.exit_code != 0
+        assert "--trials >= 2" in result.output
+        assert not (out / "results.csv").exists()
+
     def test_bench_list(self, runner):
         result = runner.invoke(main, ["bench", "list"])
         assert result.exit_code == 0
@@ -148,6 +170,16 @@ class TestAllocateCommand:
         assert "best gap 0.00%" in result.output
         assert (tmp_path / "la" / "allocation_ecsa.csv").exists()
         assert (tmp_path / "la" / "assignment_ecsa.csv").exists()
+
+    def test_single_trial_accepted(self, runner, tmp_path):
+        result = runner.invoke(
+            main,
+            ["allocate", "--synthetic", "--blocks-count", "3", "--areas-count", "2",
+             "--trials", "1", "--iterations", "5", "--population", "4",
+             "--out", str(tmp_path / "la")],
+        )
+        assert result.exit_code == 0, result.output
+        assert "std 0.000000" in result.output
 
     def test_zero_trials_rejected(self, runner, tmp_path):
         result = runner.invoke(

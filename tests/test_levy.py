@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from ecsa import LevyParams, RandomSource, levy_step, mantegna_sigma
+from ecsa import CuckooSearch, LevyParams, RandomSource, SearchBox, mantegna_sigma
 from ecsa.levy import levy_matrix
 
 # Recorded once from the pinned sampling scheme (seed 777, beta 1.5, dim 3).
@@ -38,12 +38,17 @@ class TestMantegnaSigma:
 
 class TestLevyStep:
     def test_pinned_regression_vector(self):
-        step = levy_step(LevyParams(beta=1.5), RandomSource(777), 3)
+        step = levy_matrix(LevyParams(beta=1.5), RandomSource(777), 1, 3)[0]
         assert step.tolist() == pytest.approx(PINNED_STEP_SEED_777, rel=0, abs=0)
 
     def test_dim_validation(self):
+        # a step has the search box's dimension, and a box needs at least one
+        with pytest.raises(ValueError, match="at least one dimension"):
+            SearchBox([], [])
+        calls = []
         with pytest.raises(ValueError):
-            levy_step(LevyParams(), RandomSource(0), 0)
+            CuckooSearch(seed=0).fit(calls.append, ([], []))
+        assert calls == []
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

@@ -1,23 +1,39 @@
+import itertools
+import re
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from ecsa import (
-    Candidate,
     CuckooSearch,
     EnhancedCuckooSearch,
-    LevyParams,
     RandomSource,
     SearchBox,
-    abandon_worst,
+    clamp,
+    cosine_schedule,
     init_population,
-    levy_update,
 )
+from ecsa import optimizer
 from ecsa.optimizer import run
-from ecsa.schedule import ScheduleState, constant
 
 
 def sphere(x):
     return float(np.dot(x, x))
+
+
+def constant_run(objective, box, *, population, iterations, pa, alpha, seed, init="random"):
+    """``run`` with constant schedules, as the standard algorithm uses it."""
+    return run(
+        objective,
+        box,
+        population=population,
+        pa=np.full(iterations, pa),
+        alpha=np.full(iterations, alpha),
+        init=init,
+        rng=RandomSource(seed),
+    )
 
 
 class CountingObjective:
@@ -34,25 +50,72 @@ class CountingObjective:
         return self.fn(x)
 
 
+class RecordingObjective:
+    """Scalar objective that records every evaluated position and value."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.points = []
+        self.values = []
+
+    def __call__(self, x):
+        value = self.fn(x)
+        self.points.append(np.array(x, dtype=float))
+        self.values.append(value)
+        return value
+
+
+def decreasing():
+    """Objective whose every call is strictly better than all earlier ones."""
+    counter = itertools.count()
+    return lambda x: -float(next(counter))
+
+
+@contextmanager
+def observe_discovery():
+    """Record each discovery phase ``run`` performs.
+
+    Yields a list that receives ``(X_before, F_before, pa, X_after, F_after)``
+    per phase.
+    """
+    records = []
+    original = optimizer._discovery_phase
+
+    def wrapped(X, F, pa, *rest):
+        X0, F0 = X.copy(), F.copy()
+        X1, F1, accepted = original(X, F, pa, *rest)
+        records.append((X0, F0, pa, X1.copy(), F1.copy()))
+        return X1, F1, accepted
+
+    with mock.patch.object(optimizer, "_discovery_phase", wrapped):
+        yield records
+
+
 class TestInitPopulation:
     def test_sobol_single_candidate_is_midpoint(self):
         box = SearchBox.cube(15, -100, 100)
-        nests = init_population(1, box, sphere, RandomSource(0), init="sobol")
-        assert np.all(nests[0].position == 0.0)
-        assert nests[0].fitness == 0.0
+        X, F = init_population(1, box, sphere, RandomSource(0), init="sobol")
+        assert np.all(X[0] == 0.0)
+        assert F[0] == 0.0
 
     def test_random_population_inside_box(self):
         box = SearchBox.cube(10, -5, 5)
-        nests = init_population(50, box, sphere, RandomSource(1), init="random")
-        assert len(nests) == 50
-        for nest in nests:
-            assert box.contains(nest.position)
-            assert nest.fitness == sphere(nest.position)
+        X, F = init_population(50, box, sphere, RandomSource(1), init="random")
+        assert X.shape == (50, 10) and F.shape == (50,)
+        for x, f in zip(X, F):
+            assert box.contains(x)
+            assert f == sphere(x)
 
     def test_zero_population_rejected(self):
         box = SearchBox.cube(2, -1, 1)
-        with pytest.raises(ValueError):
-            init_population(0, box, sphere, RandomSource(0))
+        counting = CountingObjective(sphere, box)
+        with pytest.raises(ValueError, match="population must be >= 1, got 0"):
+            init_population(0, box, counting, RandomSource(0))
+        with pytest.raises(ValueError, match="population must be >= 1, got 0"):
+            constant_run(counting, box, population=0, iterations=5, pa=0.25, alpha=0.01, seed=0)
+        with pytest.raises(ValueError, match="init must be one of"):
+            init_population(3, box, counting, RandomSource(0), init="grid")
+        assert counting.calls == 0
 
     def test_objective_failure_propagates(self):
         box = SearchBox.cube(2, -1, 1)
@@ -63,177 +126,168 @@ class TestInitPopulation:
         with pytest.raises(RuntimeError):
             init_population(3, box, broken, RandomSource(0))
 
+    def test_nan_fitness_ranks_as_inf(self):
+        box = SearchBox.cube(2, -1, 1)
+        values = iter([np.nan, 1.0, np.nan])
+        _, F = init_population(3, box, lambda x: next(values), RandomSource(0))
+        assert F.tolist() == [np.inf, 1.0, np.inf]
+
 
 class TestLevyUpdate:
+    """The Levy phase, observed through ``run`` with one nest.
+
+    With ``population=1`` the only nest is the best nest and discovery
+    evaluates nothing, so every evaluation after the first is a Levy
+    proposal for that nest.
+    """
+
     def test_worse_proposal_keeps_nest(self):
+        # proposals alternate between a tie and a worse value: neither replaces the nest
         box = SearchBox.cube(3, -10, 10)
-        best = Candidate(np.zeros(3), 0.0)
-        nest = Candidate(np.array([1e-9, 0.0, 0.0]), sphere([1e-9, 0, 0]))
-        # a nest this close to the optimum is almost never improved by one step
-        result = levy_update(nest, best, 0.01, RandomSource(5), box, sphere)
-        assert result.fitness <= nest.fitness
+        counter = itertools.count()
+        recording = RecordingObjective(lambda x: float(next(counter) % 2))
+        trace = constant_run(recording, box, population=1, iterations=20, pa=0.25, alpha=0.05, seed=5)
+        assert np.array_equal(trace.best_candidate.position, recording.points[0])
+        assert trace.best_candidate.fitness == 0.0
+        assert np.all(trace.best_fitness_per_iteration == 0.0)
 
     def test_greedy_improvement_accepted(self):
+        # a proposal replaces the nest exactly when strictly better, so the
+        # nest's fitness is always the running minimum of all evaluations
         box = SearchBox.cube(3, -10, 10)
-        best = Candidate(np.zeros(3), 0.0)
-        nest = Candidate(np.full(3, 5.0), sphere(np.full(3, 5.0)))
         improved = 0
-        for seed in range(40):
-            result = levy_update(nest, best, 0.05, RandomSource(seed), box, sphere)
-            assert result.fitness <= nest.fitness
-            improved += result.fitness < nest.fitness
+        for seed in range(20):
+            recording = RecordingObjective(sphere)
+            trace = constant_run(recording, box, population=1, iterations=30, pa=0.25, alpha=0.05,
+                                 seed=seed)
+            running_min = np.minimum.accumulate(recording.values)
+            assert np.array_equal(trace.best_fitness_per_iteration, running_min[1:])
+            best = int(np.argmin(recording.values))
+            assert np.array_equal(trace.best_candidate.position, recording.points[best])
+            improved += running_min[-1] < running_min[0]
         assert improved > 0
 
     def test_best_nest_gets_pure_perturbation(self):
         # displacement for the best nest is alpha * step, not zero
         box = SearchBox.cube(3, -10, 10)
-        best = Candidate(np.zeros(3), 0.0)
-        moved = 0
-        for seed in range(20):
-            rng = RandomSource(seed)
-            result = levy_update(best, best, 0.5, rng, box, lambda x: -1.0)
-            moved += not np.array_equal(result.position, best.position)
-        assert moved == 20  # proposal always has nonzero displacement
+        recording = RecordingObjective(lambda x: -1.0)  # nothing is ever accepted
+        constant_run(recording, box, population=1, iterations=20, pa=0.25, alpha=0.5, seed=3)
+        start = recording.points[0]
+        assert all(not np.array_equal(p, start) for p in recording.points[1:])
 
     def test_proposal_clamped_never_evaluated_outside(self):
         box = SearchBox.cube(3, -1, 1)
         counting = CountingObjective(sphere, box)
-        best = Candidate(np.zeros(3), 0.0)
-        nest = Candidate(np.full(3, 0.9), sphere(np.full(3, 0.9)))
-        for seed in range(30):
-            levy_update(nest, best, 100.0, RandomSource(seed), box, counting)
-        assert counting.calls == 30
+        trace = constant_run(counting, box, population=6, iterations=30, pa=0.25, alpha=100.0,
+                             seed=4)
+        assert counting.calls == trace.evaluations == 6 + 30 * 11
 
     def test_dimension_mismatch(self):
+        # every proposal passes through clamp, which rejects a wrong dimension;
+        # bounds of unequal length fail before any evaluation
         box = SearchBox.cube(2, -1, 1)
+        with pytest.raises(ValueError, match="dimension"):
+            clamp(np.zeros(3), box)
+        counting = CountingObjective(sphere, box)
         with pytest.raises(ValueError):
-            levy_update(
-                Candidate(np.zeros(2), 0.0),
-                Candidate(np.zeros(3), 0.0),
-                0.01,
-                RandomSource(0),
-                box,
-                sphere,
-            )
+            CuckooSearch(seed=0).fit(counting, ([-1.0, -1.0], [1.0, 1.0, 1.0]))
+        assert counting.calls == 0
 
 
 class TestAbandonWorst:
-    def make_population(self, rng, box, count=12):
-        return init_population(count, box, sphere, rng, init="random")
+    """The discovery phase, observed on every iteration of ``run``."""
 
     def test_pa_zero_is_identity(self):
         box = SearchBox.cube(4, -5, 5)
-        population = self.make_population(RandomSource(7), box)
-        result = abandon_worst(population, 0.0, RandomSource(8), box, sphere)
-        for before, after in zip(population, result):
-            assert np.array_equal(before.position, after.position)
+        with observe_discovery() as records:
+            constant_run(sphere, box, population=12, iterations=15, pa=0.0, alpha=0.05, seed=7)
+        assert len(records) == 15
+        for X0, F0, pa, X1, F1 in records:
+            assert pa == 0.0
+            assert np.array_equal(X0, X1) and np.array_equal(F0, F1)
 
     def test_best_always_survives(self):
         box = SearchBox.cube(4, -5, 5)
-        for seed in range(20):
-            population = self.make_population(RandomSource(seed), box)
-            best = min(population, key=lambda c: c.fitness)
-            result = abandon_worst(population, 1.0, RandomSource(seed + 100), box, sphere)
-            surviving_best = min(result, key=lambda c: c.fitness)
-            assert surviving_best.fitness <= best.fitness
-            best_index = int(np.argmin([c.fitness for c in population]))
-            assert np.array_equal(result[best_index].position, population[best_index].position)
+        for seed in range(10):
+            with observe_discovery() as records:
+                constant_run(sphere, box, population=12, iterations=10, pa=1.0, alpha=0.05,
+                             seed=seed)
+            for X0, F0, _, X1, F1 in records:
+                best = int(np.argmin(F0))
+                assert np.array_equal(X1[best], X0[best]) and F1[best] == F0[best]
+                assert F1.min() <= F0.min()
 
     def test_greedy_never_worsens_any_nest(self):
         box = SearchBox.cube(4, -5, 5)
-        population = self.make_population(RandomSource(3), box)
-        result = abandon_worst(population, 1.0, RandomSource(4), box, sphere)
-        for before, after in zip(population, result):
-            assert after.fitness <= before.fitness
+        with observe_discovery() as records:
+            constant_run(sphere, box, population=12, iterations=20, pa=1.0, alpha=0.05, seed=3)
+        for _, F0, _, _, F1 in records:
+            assert np.all(F1 <= F0)
+        # a tie is not an improvement: under a flat objective no walk is accepted
+        with observe_discovery() as records:
+            constant_run(lambda x: 1.0, box, population=12, iterations=5, pa=1.0, alpha=0.05, seed=3)
+        for X0, _, _, X1, _ in records:
+            assert np.array_equal(X1, X0)
 
     def test_discovery_fraction_matches_pa(self):
         # fraction of coordinates receiving a walk perturbation ~ pa
         box = SearchBox.cube(10, -5, 5)
         pa = 0.25
         touched = total = 0
-        for seed in range(300):
-            rng = RandomSource(50_000 + seed)
-            population = self.make_population(rng, box, count=8)
-            X = np.array([c.position for c in population])
-            best = int(np.argmin([c.fitness for c in population]))
-            result = abandon_worst(population, pa, rng, box, lambda x: -np.inf)
-            # objective -inf accepts every proposal, so changed coordinates
-            # are exactly the discovered ones (walk difference may still be
-            # zero by chance; that bias is negligible at this scale)
-            Y = np.array([c.position for c in result])
-            mask = np.delete(X != Y, best, axis=0)
-            touched += mask.sum()
-            total += mask.size
+        for seed in range(8):
+            # every evaluation beats all earlier ones, so every walk proposal
+            # is accepted and the changed coordinates are exactly the
+            # discovered ones (a zero walk difference is negligible here)
+            with observe_discovery() as records:
+                constant_run(decreasing(), box, population=8, iterations=40, pa=pa, alpha=0.01,
+                             seed=50_000 + seed)
+            for X0, F0, _, X1, _ in records:
+                mask = np.delete(X0 != X1, int(np.argmin(F0)), axis=0)
+                touched += mask.sum()
+                total += mask.size
+        assert total == 8 * 40 * 7 * 10
         assert touched / total == pytest.approx(pa, abs=0.02)
 
     def test_pa_validation(self):
         box = SearchBox.cube(2, -1, 1)
-        population = self.make_population(RandomSource(0), box, count=3)
-        with pytest.raises(ValueError):
-            abandon_worst(population, 1.5, RandomSource(0), box, sphere)
+        counting = CountingObjective(sphere, box)
+        with pytest.raises(ValueError, match=re.escape("pa must be in [0, 1], got 1.5")):
+            CuckooSearch(pa=1.5, seed=0).fit(counting, box)
+        with pytest.raises(ValueError, match=re.escape("need 0 <= pa_min <= pa_max <= 1")):
+            EnhancedCuckooSearch(pa_max=1.5, seed=0).fit(counting, box)
+        assert counting.calls == 0
 
 
 class TestRun:
     def test_zero_iterations(self):
         box = SearchBox.cube(5, -5, 5)
-        trace = run(
-            sphere,
-            box,
-            population=10,
-            iterations=0,
-            pa_schedule=constant(0.25),
-            alpha_schedule=constant(0.01),
-            init="random",
-            rng=RandomSource(1),
-        )
+        trace = constant_run(sphere, box, population=10, iterations=0, pa=0.25, alpha=0.01, seed=1)
         assert trace.best_fitness_per_iteration.size == 0
         assert trace.evaluations == 10
         # best equals the best of the initial population
-        nests = init_population(10, box, sphere, RandomSource(1), init="random")
-        assert trace.best_candidate.fitness == min(c.fitness for c in nests)
+        _, F = init_population(10, box, sphere, RandomSource(1), init="random")
+        assert trace.best_candidate.fitness == F.min()
 
     def test_same_seed_identical_traces(self):
         box = SearchBox.cube(5, -5, 5)
-        kwargs = dict(
-            population=20,
-            iterations=50,
-            pa_schedule=constant(0.25),
-            alpha_schedule=constant(0.01),
-            init="random",
-        )
-        a = run(sphere, box, rng=RandomSource(9), **kwargs)
-        b = run(sphere, box, rng=RandomSource(9), **kwargs)
+        kwargs = dict(population=20, iterations=50, pa=0.25, alpha=0.01)
+        a = constant_run(sphere, box, seed=9, **kwargs)
+        b = constant_run(sphere, box, seed=9, **kwargs)
         assert np.array_equal(a.best_fitness_per_iteration, b.best_fitness_per_iteration)
         assert a.evaluations == b.evaluations
 
     def test_all_evaluations_inside_box(self):
         box = SearchBox.cube(6, -2, 3)
         counting = CountingObjective(sphere, box)
-        trace = run(
-            counting,
-            box,
-            population=15,
-            iterations=40,
-            pa_schedule=constant(0.4),
-            alpha_schedule=constant(0.05),
-            init="random",
-            rng=RandomSource(2),
-        )
+        trace = constant_run(counting, box, population=15, iterations=40, pa=0.4, alpha=0.05,
+                             seed=2)
         assert counting.calls == trace.evaluations
 
     def test_exact_evaluation_budget(self):
         box = SearchBox.cube(4, -1, 1)
         population, iterations = 12, 33
-        trace = run(
-            sphere,
-            box,
-            population=population,
-            iterations=iterations,
-            pa_schedule=constant(0.25),
-            alpha_schedule=constant(0.01),
-            init="random",
-            rng=RandomSource(3),
-        )
+        trace = constant_run(sphere, box, population=population, iterations=iterations, pa=0.25,
+                             alpha=0.01, seed=3)
         assert trace.evaluations == population + iterations * (2 * population - 1)
 
     def test_elitism_trace_non_increasing(self):
@@ -242,30 +296,26 @@ class TestRun:
             sphere,
             box,
             population=20,
-            iterations=100,
-            pa_schedule=ScheduleState(0.25, 0.5, 30, 0, 2.0),
-            alpha_schedule=ScheduleState(0.01, 0.05, 30, 0, 2.0),
+            pa=cosine_schedule(0.25, 0.5, 30, 2.0, 100),
+            alpha=cosine_schedule(0.01, 0.05, 30, 2.0, 100),
             init="sobol",
             rng=RandomSource(4),
         )
         diffs = np.diff(trace.best_fitness_per_iteration)
         assert np.all(diffs <= 0)
 
-    def test_single_cuckoo_mode(self):
-        box = SearchBox.cube(4, -5, 5)
-        trace = run(
-            sphere,
-            box,
-            population=10,
-            iterations=30,
-            pa_schedule=constant(0.25),
-            alpha_schedule=constant(0.01),
-            init="random",
-            rng=RandomSource(5),
-            update="single_cuckoo",
-        )
-        assert trace.evaluations == 10 + 30 * (1 + 9)
-        assert np.all(np.diff(trace.best_fitness_per_iteration) <= 0)
+    def test_engine_inputs_checked_before_any_evaluation(self):
+        box = SearchBox.cube(3, -1, 1)
+        counting = CountingObjective(sphere, box)
+        common = dict(population=5, rng=RandomSource(0))
+        with pytest.raises(ValueError, match="equal length"):
+            run(counting, box, pa=np.full(4, 0.25), alpha=np.full(5, 0.01), init="random", **common)
+        with pytest.raises(ValueError, match="equal length"):
+            run(counting, box, pa=np.full((2, 2), 0.25), alpha=np.full((2, 2), 0.01),
+                init="random", **common)
+        with pytest.raises(ValueError, match="init must be one of"):
+            run(counting, box, pa=np.full(4, 0.25), alpha=np.full(4, 0.01), init="grid", **common)
+        assert counting.calls == 0
 
 
 class TestEstimators:
@@ -279,14 +329,25 @@ class TestEstimators:
     def test_invalid_config_fails_before_any_evaluation(self):
         box = SearchBox.cube(3, -1, 1)
         counting = CountingObjective(sphere, box)
-        with pytest.raises(ValueError):
-            CuckooSearch(population=0, seed=0).fit(counting, box)
-        with pytest.raises(ValueError):
-            CuckooSearch(pa=1.5, seed=0).fit(counting, box)
-        with pytest.raises(ValueError):
-            CuckooSearch(init="hypercube", seed=0).fit(counting, box)
-        with pytest.raises(ValueError):
-            EnhancedCuckooSearch(pa_min=0.6, pa_max=0.5, seed=0).fit(counting, box)
+        cases = [
+            (CuckooSearch(population=0), "population must be >= 1, got 0"),
+            (CuckooSearch(iterations=-1), "iterations must be >= 0, got -1"),
+            (CuckooSearch(pa=1.5), "pa must be in [0, 1], got 1.5"),
+            (CuckooSearch(alpha=0.0), "alpha must be positive, got 0.0"),
+            (CuckooSearch(init="hypercube"), "init must be one of ('random', 'sobol'), got 'hypercube'"),
+            (EnhancedCuckooSearch(population=0), "population must be >= 1, got 0"),
+            (EnhancedCuckooSearch(iterations=-1), "iterations must be >= 0, got -1"),
+            (EnhancedCuckooSearch(pa_min=0.6, pa_max=0.5),
+             "need 0 <= pa_min <= pa_max <= 1, got [0.6, 0.5]"),
+            (EnhancedCuckooSearch(alpha_min=0.0), "need 0 < alpha_min <= alpha_max, got [0.0, 0.05]"),
+            (EnhancedCuckooSearch(t0=0), "t0 must be >= 1, got 0"),
+            (EnhancedCuckooSearch(t_mult=0.5), "t_mult must be >= 1, got 0.5"),
+            (EnhancedCuckooSearch(init="grid"), "init must be one of ('random', 'sobol'), got 'grid'"),
+            (CuckooSearch(levy_beta=3.0), "beta must be in (0, 2], got 3.0"),
+        ]
+        for model, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                model.set_params(seed=0).fit(counting, box)
         assert counting.calls == 0
 
     def test_get_set_params_roundtrip(self):
@@ -322,6 +383,18 @@ class TestEstimators:
         a = CuckooSearch(population=5, iterations=5, seed=RandomSource(77)).fit(sphere, box)
         b = CuckooSearch(population=5, iterations=5, seed=77).fit(sphere, box)
         assert np.array_equal(a.trace_, b.trace_)
+
+    def test_nan_during_initialization_does_not_poison_the_run(self):
+        box = SearchBox.cube(4, -5, 5)
+        calls = itertools.count()
+
+        def first_call_nan(x):
+            return np.nan if next(calls) == 0 else sphere(x)
+
+        model = CuckooSearch(population=5, iterations=20, seed=1).fit(first_call_nan, box)
+        assert np.isfinite(model.best_fitness_)
+        assert np.all(np.isfinite(model.trace_))
+        assert model.best_fitness_ == sphere(model.best_position_)
 
     def test_ecsa_sphere_reaches_deep_optimum(self):
         # enhanced preset on the 15-D sphere lands far below 1e-10

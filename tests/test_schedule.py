@@ -1,67 +1,70 @@
+import math
+
 import numpy as np
 import pytest
 
-from ecsa import ScheduleState, advance, constant, cosine_value, ecsa_params
+from ecsa import EnhancedCuckooSearch, cosine_schedule
+
+
+def expected_value(eta_min, eta_max, t_cur, t_i):
+    return eta_min + 0.5 * (eta_max - eta_min) * (1.0 + math.cos(math.pi * t_cur / t_i))
 
 
 class TestCosineValue:
     def test_cycle_start_is_max(self):
-        state = ScheduleState(0.25, 0.5, t_i=100, t_cur=0)
-        assert cosine_value(state) == 0.5
+        assert cosine_schedule(0.25, 0.5, 100, 2.0, 1)[0] == 0.5
 
     def test_cycle_end_is_min(self):
-        state = ScheduleState(0.25, 0.5, t_i=100, t_cur=100)
-        assert cosine_value(state) == pytest.approx(0.25, abs=1e-15)
+        # the restart fires before position t_i is emitted, so the last
+        # value of a cycle is the cycle minimum, one step short of eta_min
+        values = cosine_schedule(0.25, 0.5, 100, 1.0, 100)
+        assert values.min() == values[-1]
+        assert values[-1] == expected_value(0.25, 0.5, 99, 100)
+        assert values[-1] == pytest.approx(0.25, abs=0.125 * (1 - math.cos(math.pi / 100)))
 
     def test_cycle_midpoint_is_mean(self):
-        state = ScheduleState(0.25, 0.5, t_i=100, t_cur=50)
-        assert cosine_value(state) == pytest.approx(0.375, abs=1e-15)
+        assert cosine_schedule(0.25, 0.5, 100, 2.0, 51)[50] == pytest.approx(0.375, abs=1e-15)
 
     def test_monotone_non_increasing_within_cycle(self):
-        values = [
-            cosine_value(ScheduleState(0.1, 0.9, t_i=37, t_cur=t)) for t in range(38)
-        ]
-        assert all(b <= a for a, b in zip(values, values[1:]))
+        values = cosine_schedule(0.1, 0.9, 37, 1.0, 37)
+        assert np.all(np.diff(values) <= 0)
 
     def test_validation(self):
+        with pytest.raises(ValueError, match="eta_min"):
+            cosine_schedule(0.5, 0.25, 10, 1.0, 5)
+        with pytest.raises(ValueError, match="t0"):
+            cosine_schedule(0.1, 0.2, 0, 1.0, 5)
+        with pytest.raises(ValueError, match="t_mult"):
+            cosine_schedule(0.1, 0.2, 10, 0.5, 5)
         with pytest.raises(ValueError):
-            ScheduleState(0.5, 0.25, t_i=10)
-        with pytest.raises(ValueError):
-            ScheduleState(0.1, 0.2, t_i=0)
-        with pytest.raises(ValueError):
-            ScheduleState(0.1, 0.2, t_i=10, t_cur=11)
-        with pytest.raises(ValueError):
-            ScheduleState(0.1, 0.2, t_i=10, t_mult=0.5)
+            cosine_schedule(0.1, 0.2, 10, 1.0, -1)
 
 
 class TestAdvance:
     def test_interior_step(self):
-        state = ScheduleState(0.0, 1.0, t_i=10, t_cur=5)
-        assert advance(state).t_cur == 6
-        assert advance(state).t_i == 10
+        values = cosine_schedule(0.0, 1.0, 10, 2.0, 10)
+        assert values[5] == expected_value(0.0, 1.0, 5, 10)
+        assert values[6] == expected_value(0.0, 1.0, 6, 10)
 
     def test_restart_scales_cycle(self):
-        state = ScheduleState(0.0, 1.0, t_i=10, t_cur=10, t_mult=2.0)
-        nxt = advance(state)
-        assert (nxt.t_cur, nxt.t_i) == (0, 20)
+        values = cosine_schedule(0.0, 1.0, 10, 2.0, 31)
+        restarts = np.flatnonzero(values == 1.0).tolist()
+        assert restarts == [0, 10, 30]  # cycles of 10, then 20
+        assert values[29] == expected_value(0.0, 1.0, 19, 20)
 
     def test_restart_with_constant_length(self):
-        state = ScheduleState(0.0, 1.0, t_i=10, t_cur=10, t_mult=1.0)
-        nxt = advance(state)
-        assert (nxt.t_cur, nxt.t_i) == (0, 10)
+        values = cosine_schedule(0.0, 1.0, 10, 1.0, 31)
+        assert np.flatnonzero(values == 1.0).tolist() == [0, 10, 20, 30]
 
     def test_restart_jump_returns_to_max(self):
-        state = ScheduleState(0.25, 0.5, t_i=10, t_cur=9, t_mult=2.0)
-        assert cosine_value(advance(state)) == 0.5
+        values = cosine_schedule(0.25, 0.5, 10, 2.0, 11)
+        assert values[9] < 0.5
+        assert values[10] == 0.5
 
     def test_emitted_period_equals_cycle_length(self):
         # values are emitted at positions 0..t_i-1; the restart lands ON
         # the iteration where the previous cycle length runs out
-        state = ScheduleState(0.25, 0.5, t_i=100, t_cur=0, t_mult=2.0)
-        values = []
-        for _ in range(301):
-            values.append(cosine_value(state))
-            state = advance(state)
+        values = cosine_schedule(0.25, 0.5, 100, 2.0, 301)
         assert values[0] == 0.5
         assert values[50] == pytest.approx(0.375, abs=1e-12)
         assert values[100] == pytest.approx(0.5, abs=1e-12)  # first restart
@@ -69,37 +72,37 @@ class TestAdvance:
 
 
 class TestEcsaParams:
+    """The enhanced variant's (pa, alpha) pair: two schedules on one clock."""
+
+    def schedules(self, n):
+        return EnhancedCuckooSearch(iterations=n)._schedules()
+
     def test_cycle_start_endpoints(self):
-        pa = ScheduleState(0.25, 0.5, t_i=100, t_cur=0)
-        alpha = ScheduleState(0.01, 0.05, t_i=100, t_cur=0)
-        assert ecsa_params(pa, alpha) == (0.5, 0.05)
+        pa, alpha = self.schedules(1)
+        assert (pa[0], alpha[0]) == (0.5, 0.05)
 
     def test_cycle_end_endpoints(self):
-        pa = ScheduleState(0.25, 0.5, t_i=100, t_cur=100)
-        alpha = ScheduleState(0.01, 0.05, t_i=100, t_cur=100)
-        result = ecsa_params(pa, alpha)
-        assert result[0] == pytest.approx(0.25, abs=1e-15)
-        assert result[1] == pytest.approx(0.01, abs=1e-15)
+        pa, alpha = self.schedules(100)
+        assert pa[99] == expected_value(0.25, 0.5, 99, 100)
+        assert alpha[99] == expected_value(0.01, 0.05, 99, 100)
+        assert pa[99] == pytest.approx(0.25, abs=1e-4)
+        assert alpha[99] == pytest.approx(0.01, abs=1e-4)
 
     def test_cycle_midpoint(self):
-        pa = ScheduleState(0.25, 0.5, t_i=100, t_cur=50)
-        alpha = ScheduleState(0.01, 0.05, t_i=100, t_cur=50)
-        result = ecsa_params(pa, alpha)
-        assert result[0] == pytest.approx(0.375, abs=1e-15)
-        assert result[1] == pytest.approx(0.03, abs=1e-15)
+        pa, alpha = self.schedules(51)
+        assert pa[50] == pytest.approx(0.375, abs=1e-15)
+        assert alpha[50] == pytest.approx(0.03, abs=1e-15)
 
     def test_bounded_over_500_iterations(self):
-        pa = ScheduleState(0.25, 0.5, t_i=100, t_cur=0, t_mult=2.0)
-        alpha = ScheduleState(0.01, 0.05, t_i=100, t_cur=0, t_mult=2.0)
-        for _ in range(500):
-            p, a = ecsa_params(pa, alpha)
-            assert 0.25 <= p <= 0.5
-            assert 0.01 <= a <= 0.05
-            pa, alpha = advance(pa), advance(alpha)
+        pa, alpha = self.schedules(500)
+        assert pa.shape == alpha.shape == (500,)
+        assert np.all((0.25 <= pa) & (pa <= 0.5))
+        assert np.all((0.01 <= alpha) & (alpha <= 0.05))
+        # one clock: both restart on the same iterations
+        assert np.array_equal(np.flatnonzero(pa == 0.5), np.flatnonzero(alpha == 0.05))
 
 
 def test_constant_schedule_is_flat():
-    state = constant(0.25)
-    for _ in range(10):
-        assert cosine_value(state) == 0.25
-        state = advance(state)
+    # a degenerate cosine schedule is exactly the standard algorithm's constant array
+    assert np.array_equal(cosine_schedule(0.25, 0.25, 1, 1.0, 10), np.full(10, 0.25))
+    assert np.array_equal(cosine_schedule(0.01, 0.01, 7, 1.3, 40), np.full(40, 0.01))

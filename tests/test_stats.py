@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
-from ecsa import RandomSource, TrialSample, decide, rank_sum_p, summarize
+from ecsa import RandomSource, decide, rank_sum_p, summarize
 from ecsa.stats import COMPARABLE, SIGNIFICANTLY_DIFFERENT, _midranks
 
 
@@ -46,10 +47,6 @@ class TestSummarize:
     def test_needs_two_values(self):
         with pytest.raises(ValueError):
             summarize([1.0])
-
-    def test_accepts_trial_sample(self):
-        sample = TrialSample(values=[2.0, 4.0], algorithm="csa", function="F1")
-        assert summarize(sample)[0] == 3.0
 
 
 class TestRankSumExact:
@@ -141,6 +138,30 @@ class TestRankSumApproximate:
         a = np.arange(30, dtype=float)
         b = a + 100.0
         assert rank_sum_p(a, b) < 1e-9
+
+    def test_matches_scipy_asymptotic(self):
+        # scipy's tie-corrected normal approximation with continuity
+        # correction is the oracle for samples above EXACT_LIMIT
+        rng = RandomSource(4242)
+        for n, m in [(11, 11), (11, 40), (30, 30), (25, 60), (200, 150)]:
+            for shift in (0.0, 0.5, 2.0):
+                a = np.round(rng.uniform(0.0, 10.0, n), 1)
+                b = np.round(rng.uniform(0.0, 10.0, m) + shift, 1)
+                expected = scipy.stats.mannwhitneyu(
+                    a, b, alternative="two-sided", use_continuity=True, method="asymptotic"
+                ).pvalue
+                assert expected > 0.0
+                assert rank_sum_p(a, b) == pytest.approx(expected, rel=1e-12, abs=0.0), (n, m)
+
+    def test_underflow_stays_positive(self):
+        # the normal tail underflows to 0.0 here (scipy's does too); the
+        # p-value is floored at the smallest positive double so that it
+        # stays in (0, 1] and the decision rule accepts it
+        a = np.arange(1000, dtype=float)
+        b = a + 1e4
+        p = rank_sum_p(a, b)
+        assert p == rank_sum_p(b, a) == math.ulp(0.0)
+        assert decide(p) == SIGNIFICANTLY_DIFFERENT
 
 
 class TestDecide:
