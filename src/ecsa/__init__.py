@@ -16,7 +16,7 @@ from .allocation import (
 from .benchmarks import BenchmarkObjective, ObjectiveSpec, evaluate, evaluate_many, suite
 from .core import Candidate, SearchBox, as_search_box, clamp
 from .levy import LevyParams, mantegna_sigma
-from .optimizer import CuckooSearch, EnhancedCuckooSearch, RunTrace, init_population, run
+from .optimizer import CuckooSearch, EnhancedCuckooSearch, RunTrace, init_population, run_trials
 from .rng import RandomSource, as_random_source, stable_seed
 from .schedule import cosine_schedule
 from .sobol import SobolSequence, sobol_population
@@ -53,7 +53,7 @@ __all__ = [
     "mantegna_sigma",
     "optimal_assignment",
     "rank_sum_p",
-    "run",
+    "run_trials",
     "sobol_population",
     "stable_seed",
     "suite",

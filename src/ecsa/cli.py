@@ -85,10 +85,6 @@ def bench(ctx, config_path, out_dir, **flags):
     if ctx.invoked_subcommand is not None:
         return
     config = _experiment_config(ctx, config_path, **flags)
-    if config.trials < 2:
-        raise click.ClickException(
-            f"bench needs --trials >= 2 for the summary std and compare, got {config.trials}"
-        )
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -99,7 +95,10 @@ def bench(ctx, config_path, out_dir, **flags):
         raise click.ClickException(f"output directory not writable: {exc}")
     total = len(config.functions) * len(config.algorithms) * config.trials
     click.echo(f"running {total} optimization runs -> {out}", err=True)
-    rows, traces = experiments.run_benchmark(config)
+    try:
+        rows, traces = experiments.run_benchmark(config)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
     experiments.write_benchmark_outputs(rows, traces, out)
     click.echo(f"wrote {out / 'results.csv'}", err=True)
 

@@ -90,15 +90,14 @@ def trial_seed(base_seed: int, algorithm: str, function: str, trial: int) -> int
     return stable_seed(base_seed, algorithm, function, trial)
 
 
-def make_optimizer(algorithm: str, config: ExperimentConfig, seed):
-    """Construct the configured estimator for one run."""
+def make_optimizer(algorithm: str, config: ExperimentConfig):
+    """Construct the configured estimator; ``fit_trials`` gives it the trial seeds."""
     if algorithm == "csa":
         return CuckooSearch(
             population=config.population,
             iterations=config.iterations,
             pa=config.pa,
             alpha=config.alpha,
-            seed=seed,
         )
     if algorithm == "ecsa":
         return EnhancedCuckooSearch(
@@ -110,29 +109,40 @@ def make_optimizer(algorithm: str, config: ExperimentConfig, seed):
             alpha_max=config.alpha_max,
             t0=config.t0,
             t_mult=config.t_mult,
-            seed=seed,
         )
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
 def _run_cell(args):
-    """One (function, algorithm, trial) run; top level so pools can pickle it."""
-    config, function_id, algorithm, trial = args
-    seed = trial_seed(config.base_seed, algorithm, function_id, trial)
-    rng = RandomSource(seed)
+    """All trials of one (function, algorithm) cell; top level so pools can pickle it.
+
+    Returns one ``(row, trace)`` pair per trial.  F7 draws its noise from
+    each trial's own stream, so it gets one objective per trial; every
+    other function shares one objective across the cell's stacked trials.
+    """
+    config, function_id, algorithm = args
+    seeds = [trial_seed(config.base_seed, algorithm, function_id, t) for t in range(config.trials)]
+    rngs = [RandomSource(seed) for seed in seeds]
     spec = benchmarks.get_spec(function_id, config.dim)
-    objective = BenchmarkObjective(spec, rng)
-    optimizer = make_optimizer(algorithm, config, rng)
-    optimizer.fit(objective, spec.box)
-    row = {
-        "function": function_id,
-        "algorithm": algorithm,
-        "trial": trial,
-        "seed": seed,
-        "best_fitness": optimizer.best_fitness_,
-        "evaluations": optimizer.n_evaluations_,
-    }
-    return row, optimizer.trace_
+    if spec.stochastic:
+        objectives = [BenchmarkObjective(spec, rng) for rng in rngs]
+    else:
+        objectives = [BenchmarkObjective(spec)] * len(rngs)
+    results = make_optimizer(algorithm, config).fit_trials(objectives, spec.box, rngs)
+    return [
+        (
+            {
+                "function": function_id,
+                "algorithm": algorithm,
+                "trial": trial,
+                "seed": seed,
+                "best_fitness": result.best_candidate.fitness,
+                "evaluations": result.evaluations,
+            },
+            result.best_fitness_per_iteration,
+        )
+        for trial, (seed, result) in enumerate(zip(seeds, results))
+    ]
 
 
 def worker_count() -> int:
@@ -150,22 +160,28 @@ def run_benchmark(config: ExperimentConfig):
 
     ``rows`` is a list of result dicts; ``traces`` maps
     ``(function, algorithm, trial)`` to the per-iteration best-fitness
-    array.
+    array.  Each (function, algorithm) cell is one task for the worker
+    pool.  The summary std and the comparison need two trials per cell,
+    so fewer are rejected before any fit.
     """
+    if config.trials < 2:
+        raise ValueError(
+            f"bench needs --trials >= 2 for the summary std and compare, got {config.trials}"
+        )
     tasks = [
-        (config, function_id, algorithm, trial)
+        (config, function_id, algorithm)
         for function_id in config.functions
         for algorithm in config.algorithms
-        for trial in range(config.trials)
     ]
     workers = worker_count()
     if workers > 1 and len(tasks) > 1:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            outcomes = pool.map(_run_cell, tasks)
+            cells = pool.map(_run_cell, tasks, chunksize=1)
     else:
-        outcomes = [_run_cell(task) for task in tasks]
+        cells = [_run_cell(task) for task in tasks]
+    outcomes = [outcome for cell in cells for outcome in cell]
     order = {fid: i for i, fid in enumerate(FUNCTION_IDS)}
     outcomes.sort(key=lambda item: (order[item[0]["function"]], item[0]["algorithm"], item[0]["trial"]))
     rows = [row for row, _ in outcomes]
@@ -398,27 +414,28 @@ def run_allocation(
     """Run the discretized optimizer over the one-hot cube for one algorithm."""
     objective = AllocationObjective(instance)
     _, oracle_fitness = optimal_assignment(instance)
+    seeds = [trial_seed(config.base_seed, algorithm, "LA", t) for t in range(config.trials)]
+    results = make_optimizer(algorithm, config).fit_trials(
+        [objective] * len(seeds), objective.box, seeds
+    )
     rows, traces = [], {}
     best_trial, best_fitness = -1, np.inf
-    for trial in range(config.trials):
-        seed = trial_seed(config.base_seed, algorithm, "LA", trial)
-        optimizer = make_optimizer(algorithm, config, RandomSource(seed))
-        optimizer.fit(objective, objective.box)
-        gap = (optimizer.best_fitness_ - oracle_fitness) / oracle_fitness
+    for trial, (seed, result) in enumerate(zip(seeds, results)):
+        fitness = result.best_candidate.fitness
         rows.append(
             {
                 "algorithm": algorithm,
                 "trial": trial,
                 "seed": seed,
-                "best_fitness": optimizer.best_fitness_,
-                "gap_to_oracle": gap,
-                "evaluations": optimizer.n_evaluations_,
-                "best_position": optimizer.best_position_,
+                "best_fitness": fitness,
+                "gap_to_oracle": (fitness - oracle_fitness) / oracle_fitness,
+                "evaluations": result.evaluations,
+                "best_position": result.best_candidate.position,
             }
         )
-        traces[trial] = optimizer.trace_
-        if optimizer.best_fitness_ < best_fitness:
-            best_fitness = optimizer.best_fitness_
+        traces[trial] = result.best_fitness_per_iteration
+        if fitness < best_fitness:
+            best_fitness = fitness
             best_trial = trial
     values = np.array([row["best_fitness"] for row in rows])
     mean, std = summarize(values) if values.size > 1 else (float(values[0]), 0.0)

@@ -2,10 +2,11 @@
 
 A step coordinate is ``u / |v|**(1/beta)`` with ``u ~ N(0, sigma_u**2)``
 and ``v ~ N(0, 1)``, where ``sigma_u`` is Mantegna's closed form.  All
-normals come from the pinned Box-Muller stream of :class:`RandomSource`,
-drawn as one ``u`` block followed by one ``v`` block (row-major for
-matrices), so streams are reproducible and scale-coherent: doubling
-``sigma_u`` exactly doubles every ``u`` component under the same seed.
+normals come from the pinned Box-Muller transform
+(:func:`ecsa.rng.box_muller`), drawn as one ``u`` block followed by one
+``v`` block (row-major for matrices), so streams are reproducible and
+scale-coherent: doubling ``sigma_u`` exactly doubles every ``u``
+component under the same seed.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .rng import RandomSource
 
 
 def mantegna_sigma(beta: float) -> float:
@@ -51,11 +50,13 @@ class LevyParams:
             raise ValueError(f"sigma_u must be positive, got {self.sigma_u}")
 
 
-def levy_matrix(params: LevyParams, rng: RandomSource, rows: int, dim: int) -> np.ndarray:
-    """``rows`` independent Levy steps as a ``(rows, dim)`` array.
+def levy_steps(params: LevyParams, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Mantegna steps ``sigma_u * u / |v| ** (1 / beta)`` from standard normals.
 
-    Draw order: all ``u`` normals (row-major), then all ``v`` normals.
+    Elementwise, so ``u`` and ``v`` may have any (equal) shape: the engine
+    passes one row of normals per trial, drawn as the ``u`` block and then
+    the ``v`` block.
     """
-    u = params.sigma_u * rng.normal((rows, dim))
-    v = rng.normal((rows, dim))
-    return u / np.abs(v) ** (1.0 / params.beta)
+    scale = np.abs(v)
+    np.power(scale, 1.0 / params.beta, out=scale)
+    return np.divide(params.sigma_u * u, scale, out=scale)

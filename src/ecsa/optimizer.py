@@ -1,11 +1,13 @@
 """Cuckoo search: one engine for the standard algorithm and the enhanced variant.
 
-The engine :func:`run` takes the discovery rate ``pa`` and the step size
-``alpha`` as arrays holding one value per iteration.  The standard
-algorithm feeds it constant arrays and random initialization; the
-enhanced variant feeds it cosine warm-restart schedules and Sobol
+The engine :func:`run_trials` advances a stack of independent trials in
+lockstep.  It takes the discovery rate ``pa`` and the step size ``alpha``
+as arrays holding one value per iteration, shared by every trial.  The
+standard algorithm feeds it constant arrays and random initialization;
+the enhanced variant feeds it cosine warm-restart schedules and Sobol
 initialization.  With constant schedules and random initialization the
-two are bit-identical under the same seed.  Per iteration the engine runs:
+two are bit-identical under the same seed.  Per iteration every trial
+runs:
 
 1. Levy phase.  Every nest proposes
    ``x' = clamp(x + alpha * L (x - x_best))`` with ``L`` a Mantegna Levy
@@ -21,6 +23,12 @@ two are bit-identical under the same seed.  Per iteration the engine runs:
    proposal replaces the nest only when strictly better, and the global
    best nest always survives the phase untouched.
 3. The per-iteration best fitness is recorded.
+
+Each trial draws from its own :class:`RandomSource`, one block of
+uniforms per phase and iteration (see :func:`run_trials`), and its
+objective may draw from the same stream between the blocks.  Everything
+after the draws is elementwise, so a trial gives the same bits alone or
+in a stack of any size.
 
 Per-nest greedy selection plus the best-nest exemption make every
 convergence trace non-increasing.  Evaluation counts are deterministic:
@@ -43,12 +51,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Candidate, SearchBox, as_search_box, clamp
-from .levy import LevyParams, levy_matrix
-from .rng import RandomSource, as_random_source
+from .levy import LevyParams, levy_steps
+from .rng import RandomSource, as_random_source, box_muller
 from .schedule import cosine_schedule
 from .sobol import sobol_population
 
 INIT_MODES = ("random", "sobol")
+
+# Largest ``trials * population * dim`` advanced as one stack.  At 15-D
+# with 50 nests all 30 protocol trials fit in one stack; a 550-D
+# allocation trial runs alone, which keeps its per-iteration temporaries
+# at the size of one trial.
+STACK_COORDINATES = 2**15
 
 
 @dataclass
@@ -67,6 +81,41 @@ def _batch_evaluator(objective):
     if callable(many):
         return lambda X: np.asarray(many(X), dtype=float)
     return lambda X: np.array([float(objective(x)) for x in X], dtype=float)
+
+
+def _stack_evaluator(objectives):
+    """Evaluator of ``(trials, rows, dim)`` positions returning ``(trials, rows)`` fitness.
+
+    When every trial shares one objective object the whole stack goes to
+    it in one call, trial after trial; otherwise each trial's rows go to
+    its own objective, in trial order.
+    """
+    first = objectives[0]
+    if all(objective is first for objective in objectives):
+        batch = _batch_evaluator(first)
+        return lambda X: batch(X.reshape(-1, X.shape[-1])).reshape(X.shape[:-1])
+    batches = [_batch_evaluator(objective) for objective in objectives]
+    return lambda X: np.stack([batch(rows) for batch, rows in zip(batches, X)])
+
+
+def _draw(rngs, count: int) -> np.ndarray:
+    """The next ``count`` uniforms of each trial's stream, as ``(trials, count)``."""
+    block = np.empty((len(rngs), count))
+    for rng, row in zip(rngs, block):
+        rng.random(out=row)
+    return block
+
+
+def _levy(params: LevyParams, rngs, n: int) -> np.ndarray:
+    """``n`` Levy step coordinates per trial: its ``u`` normals, then its ``v`` normals.
+
+    A function of its own so the normals are freed before the discovery
+    phase, as in a one-trial run.
+    """
+    pairs = 2 * ((n + 1) // 2)
+    u = box_muller(_draw(rngs, pairs))[:, :n]
+    v = box_muller(_draw(rngs, pairs))[:, :n]
+    return levy_steps(params, u, v)
 
 
 def init_population(
@@ -95,44 +144,102 @@ def init_population(
     return X, np.where(np.isnan(F), np.inf, F)
 
 
-def _discovery_phase(X, F, pa, rng, box, batch):
-    """Vectorized discovery walk; returns updated (X, F, accepted count)."""
-    pop = X.shape[0]
-    best = int(np.argmin(F))
-    mask = rng.random(X.shape) < pa
-    r = rng.random()
-    p = rng.integers(pop, size=pop)
-    shifted = rng.integers(pop - 1, size=pop) if pop > 1 else np.zeros(pop, dtype=np.int64)
-    q = shifted + (shifted >= p) if pop > 1 else p
-    W = clamp(X + r * mask * (X[p] - X[q]), box)
-    rows = np.flatnonzero(np.arange(pop) != best)
-    if rows.size == 0:
-        return X, F, 0
-    FW = batch(W[rows])
-    accept = FW < F[rows]
-    idx = rows[accept]
-    X[idx] = W[rows][accept]
-    F[idx] = FW[accept]
-    return X, F, int(accept.sum())
+def _discover(X, F, pa: float, rngs, box, evaluate) -> np.ndarray:
+    """Discovery walk on a stack; updates ``X`` and ``F`` in place.
+
+    Draws each trial's discovery block from its stream and returns the
+    number of accepted walk proposals per trial.
+    """
+    trials, pop, dim = X.shape
+    mask = _draw(rngs, pop * dim).reshape(X.shape) < pa
+    picks = _draw(rngs, 1 + pop * min(pop, 2))  # r, the first partners and (pop > 1) the second
+    if pop == 1:  # the only nest is the best one: nothing is evaluated
+        return np.zeros(trials, dtype=np.int64)
+    r = picks[:, 0, None, None]
+    # floor(u * n) as RandomSource.integers(n) draws it (truncation: u * n >= 0)
+    p = (picks[:, 1 : pop + 1] * pop).astype(np.int64)
+    shifted = (picks[:, pop + 1 :] * (pop - 1)).astype(np.int64)
+    q = shifted + (shifted >= p)
+    nests = X.reshape(-1, dim)
+    offset = np.arange(0, trials * pop, pop)[:, None]
+    W = clamp(X + r * mask * (nests[p + offset] - nests[q + offset]), box)
+    rows = np.flatnonzero(np.arange(pop) != F.argmin(axis=1)[:, None])
+    FW = evaluate(W.reshape(-1, dim)[rows].reshape(trials, pop - 1, dim)).ravel()
+    accept = FW < F.reshape(-1)[rows]
+    rows = rows[accept]
+    nests[rows] = W.reshape(-1, dim)[rows]
+    F.reshape(-1)[rows] = FW[accept]
+    return accept.reshape(trials, pop - 1).sum(axis=1)
 
 
-def run(
-    objective,
+def _run_stack(objectives, box, population, pa, alpha, init, rngs, params) -> list[RunTrace]:
+    """Advance one stack of trials in lockstep; inputs are already checked."""
+    evaluate = _stack_evaluator(objectives)
+    X, F = map(np.stack, zip(*(init_population(population, box, o, rng, init=init)
+                               for o, rng in zip(objectives, rngs))))
+    trials, dim = len(rngs), box.dim
+    trial = np.arange(trials)
+    n = population * dim
+    walk_replacements = np.zeros(trials, dtype=np.int64)
+    trace = np.empty((trials, pa.size))
+
+    for t, (pa_t, alpha_t) in enumerate(zip(pa.tolist(), alpha.tolist())):
+        best = F.argmin(axis=1)
+        scaled = alpha_t * _levy(params, rngs, n).reshape(X.shape)
+        spread = X - X[trial, best][:, None, :]
+        spread[trial, best] = 1.0  # the best nest moves by the scaled step itself
+        P = clamp(X + scaled * spread, box)
+        FP = evaluate(P)
+        accept = FP < F
+        np.copyto(X, P, where=accept[..., None])
+        np.copyto(F, FP, where=accept)
+
+        walk_replacements += _discover(X, F, pa_t, rngs, box, evaluate)
+        trace[:, t] = F.min(axis=1)
+
+    best = F.argmin(axis=1)
+    return [
+        RunTrace(
+            best_fitness_per_iteration=trace[i],
+            best_candidate=Candidate(X[i, best[i]].copy(), F[i, best[i]]),
+            evaluations=population + pa.size * (2 * population - 1),
+            walk_replacements=int(walk_replacements[i]),
+        )
+        for i in range(trials)
+    ]
+
+
+def run_trials(
+    objectives,
     box: SearchBox,
     *,
     population: int,
     pa,
     alpha,
     init: str,
-    rng: RandomSource,
+    rngs,
     levy_params: LevyParams | None = None,
-) -> RunTrace:
-    """Execute the optimization loop and return its trace.
+) -> list[RunTrace]:
+    """Run one trial per random source and return their traces, in order.
 
-    ``pa[t]`` and ``alpha[t]`` are the discovery rate (in ``[0, 1]``) and
-    the positive step size of iteration ``t``; the number of iterations is
-    their common length.  ``population`` and ``init`` are checked by
-    :func:`init_population` before the first evaluation.
+    Trial ``i`` minimizes ``objectives[i]`` from ``rngs[i]``.  ``pa[t]`` and
+    ``alpha[t]`` are the discovery rate (in ``[0, 1]``) and the positive
+    step size of iteration ``t``; the number of iterations is their common
+    length.  ``population`` and ``init`` are checked by
+    :func:`init_population`; every check runs before the first evaluation.
+
+    Per iteration each trial draws from its own stream, in this order:
+    ``2 * ceil(population * dim / 2)`` uniforms for the Box-Muller ``u``
+    normals of the Levy steps, as many for the ``v`` normals, then (after
+    the Levy proposals are evaluated) the discovery block of
+    ``population * dim`` mask values, one ``r``, ``population`` values for
+    the first walk partner and, when ``population > 1``, ``population``
+    values for the second.
+    Trials advance in stacks of at most :data:`STACK_COORDINATES`
+    coordinates; every result is the same whatever the stacking.  When all
+    trials of a stack share one objective object it evaluates each phase
+    once on the stacked rows, so a shared objective must not depend on
+    call order.
     """
     pa = np.asarray(pa, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
@@ -140,35 +247,24 @@ def run(
         raise ValueError(
             f"pa and alpha must be 1-D arrays of equal length, got shapes {pa.shape} and {alpha.shape}"
         )
+    if not (np.all(np.isfinite(pa)) and np.all(np.isfinite(alpha))):
+        raise ValueError("pa and alpha must be finite")
+    if np.any((pa < 0.0) | (pa > 1.0)):
+        raise ValueError(f"pa must be in [0, 1], got {pa[(pa < 0.0) | (pa > 1.0)][0]}")
+    if np.any(alpha <= 0.0):
+        raise ValueError(f"alpha must be positive, got {alpha[alpha <= 0.0][0]}")
+    objectives, rngs = list(objectives), list(rngs)
+    if len(objectives) != len(rngs):
+        raise ValueError(f"got {len(objectives)} objectives for {len(rngs)} random sources")
     params = levy_params or LevyParams()
-    batch = _batch_evaluator(objective)
-
-    X, F = init_population(population, box, objective, rng, init=init)
-    walk_replacements = 0
-    trace = np.empty(pa.size)
-
-    for t, (pa_t, alpha_t) in enumerate(zip(pa.tolist(), alpha.tolist())):
-        best = int(np.argmin(F))
-        steps = levy_matrix(params, rng, population, box.dim)
-        displacement = alpha_t * steps * (X - X[best])
-        displacement[best] = alpha_t * steps[best]
-        P = clamp(X + displacement, box)
-        FP = batch(P)
-        accept = FP < F
-        X[accept] = P[accept]
-        F[accept] = FP[accept]
-
-        X, F, accepted = _discovery_phase(X, F, pa_t, rng, box, batch)
-        walk_replacements += accepted
-        trace[t] = F.min()
-
-    best = int(np.argmin(F))
-    return RunTrace(
-        best_fitness_per_iteration=trace,
-        best_candidate=Candidate(X[best].copy(), F[best]),
-        evaluations=population + pa.size * (2 * population - 1),
-        walk_replacements=walk_replacements,
-    )
+    # population < 1 is rejected by init_population, inside the first stack
+    size = max(1, STACK_COORDINATES // max(1, population * box.dim))
+    traces = []
+    for lo in range(0, len(rngs), size):
+        traces += _run_stack(
+            objectives[lo : lo + size], box, population, pa, alpha, init, rngs[lo : lo + size], params
+        )
+    return traces
 
 
 class BaseOptimizer:
@@ -209,12 +305,35 @@ class BaseOptimizer:
         return f"{type(self).__name__}({args})"
 
     def _validate(self):
-        """Reject hyperparameters ``run`` does not check (it checks ``population`` and ``init``)."""
+        """Reject hyperparameters with the estimator's own messages, before any evaluation."""
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         for ok, message in self._checks():
             if not ok:
                 raise ValueError(message)
+
+    def fit_trials(self, objectives, bounds, seeds) -> list[RunTrace]:
+        """Run one trial per seed with these hyperparameters; returns their traces.
+
+        Trial ``i`` minimizes ``objectives[i]`` from ``seeds[i]`` (an int
+        or a :class:`RandomSource`); the trials run stacked on
+        :func:`run_trials`, and each gives exactly what ``fit`` gives with
+        that seed.  The estimator's own ``seed`` and attributes are not
+        touched.
+        """
+        box = as_search_box(bounds)
+        self._validate()
+        pa, alpha = self._schedules()
+        return run_trials(
+            objectives,
+            box,
+            population=self.population,
+            pa=pa,
+            alpha=alpha,
+            init=self.init,
+            rngs=[as_random_source(seed) for seed in seeds],
+            levy_params=LevyParams(beta=self.levy_beta),
+        )
 
     def fit(self, objective, bounds):
         """Minimize ``objective`` over ``bounds`` and store the results.
@@ -224,20 +343,8 @@ class BaseOptimizer:
         in batches.  ``bounds`` is anything :func:`as_search_box`
         accepts.  Returns ``self``.
         """
-        box = as_search_box(bounds)
-        self._validate()
-        pa, alpha = self._schedules()
-        result = run(
-            objective,
-            box,
-            population=self.population,
-            pa=pa,
-            alpha=alpha,
-            init=self.init,
-            rng=as_random_source(self.seed),
-            levy_params=LevyParams(beta=self.levy_beta),
-        )
-        self.box_ = box
+        (result,) = self.fit_trials([objective], bounds, [self.seed])
+        self.box_ = as_search_box(bounds)
         self.run_trace_ = result
         self.trace_ = result.best_fitness_per_iteration
         self.best_position_ = result.best_candidate.position

@@ -52,11 +52,15 @@ class RandomSource:
 
     # -- raw stream ---------------------------------------------------------
 
-    def random(self, size=None):
-        """Raw [0, 1) doubles; scalar float when ``size`` is None."""
-        if size is None:
+    def random(self, size=None, out=None):
+        """Raw [0, 1) doubles; scalar float when ``size`` and ``out`` are None.
+
+        ``out``, a C-contiguous float64 array, receives the values in place
+        of a new array (the same values a ``size`` of its shape gives).
+        """
+        if size is None and out is None:
             return float(self._gen.random())
-        return self._gen.random(size)
+        return self._gen.random(size, out=out)
 
     # -- pinned transforms --------------------------------------------------
 
@@ -83,11 +87,9 @@ class RandomSource:
     def normal(self, size=None):
         """Standard normal draw(s) via the Box-Muller transform.
 
-        Consumes uniforms in pairs ``(u1, u2)``:
-        ``r = sqrt(-2 ln(1 - u1))``, ``z0 = r cos(2 pi u2)``,
-        ``z1 = r sin(2 pi u2)``.  An odd request discards the trailing
-        sine variate, so ``normal(n)`` always consumes ``2 * ceil(n/2)``
-        uniforms.
+        Consumes uniforms in pairs ``(u1, u2)`` (see :func:`box_muller`).
+        An odd request discards the trailing sine variate, so
+        ``normal(n)`` always consumes ``2 * ceil(n/2)`` uniforms.
         """
         if size is None:
             return float(self.normal(1)[0])
@@ -95,14 +97,30 @@ class RandomSource:
         n = int(np.prod(shape))
         if n == 0:
             return np.empty(shape)
-        pairs = (n + 1) // 2
-        u = self._gen.random((pairs, 2))
-        radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-        theta = 2.0 * np.pi * u[:, 1]
-        z = np.empty(2 * pairs)
-        z[0::2] = radius * np.cos(theta)
-        z[1::2] = radius * np.sin(theta)
-        return z[:n].reshape(shape)
+        return box_muller(self._gen.random(2 * ((n + 1) // 2)))[:n].reshape(shape)
+
+
+def box_muller(u: np.ndarray) -> np.ndarray:
+    """Standard normals from uniform pairs along the last axis of ``u``.
+
+    Each pair ``(u1, u2)`` of consecutive values becomes
+    ``r = sqrt(-2 ln(1 - u1))``, ``z0 = r cos(2 pi u2)``,
+    ``z1 = r sin(2 pi u2)`` in the same two places.  The kernels are
+    elementwise, so a row of a stacked block gives the same bits as the
+    same uniforms transformed alone.  Intermediates are reused in place,
+    which keeps the allocations per call to four.
+    """
+    radius = np.negative(u[..., 0::2])
+    np.log1p(radius, out=radius)
+    np.multiply(radius, -2.0, out=radius)
+    np.sqrt(radius, out=radius)
+    theta = 2.0 * np.pi * u[..., 1::2]
+    z = np.empty_like(u)
+    wave = np.cos(theta)
+    np.multiply(radius, wave, out=z[..., 0::2])
+    np.sin(theta, out=wave)
+    np.multiply(radius, wave, out=z[..., 1::2])
+    return z
 
 
 def as_random_source(seed) -> RandomSource:

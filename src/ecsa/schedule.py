@@ -27,6 +27,8 @@ def cosine_schedule(eta_min: float, eta_max: float, t0: int, t_mult: float, n: i
 
     ``t_cur`` counts up from 0 within a cycle; the first cycle has
     ``t_i = t0`` and each restart multiplies it by ``t_mult`` (rounded up).
+    A restart whose cycle length overflows to infinity raises; restarts
+    are computed only when a value after them is emitted.
     Values are computed with the scalar ``math.cos`` so they do not depend
     on numpy's vectorized kernels.
     """
@@ -34,14 +36,20 @@ def cosine_schedule(eta_min: float, eta_max: float, t0: int, t_mult: float, n: i
         raise ValueError(f"eta_min={eta_min} must be <= eta_max={eta_max}")
     if t0 < 1:
         raise ValueError(f"t0 must be >= 1, got {t0}")
-    if t_mult < 1.0:
+    if not t_mult >= 1.0:
         raise ValueError(f"t_mult must be >= 1, got {t_mult}")
     span = eta_max - eta_min
     values = np.empty(n)
     t_i, t_cur = t0, 0
     for k in range(n):
+        if t_cur == t_i:
+            length = t_i * t_mult
+            if not math.isfinite(length):
+                raise ValueError(
+                    f"t_mult={t_mult} is too large: the restart after a cycle of {t_i} "
+                    f"iterations would last {length} iterations"
+                )
+            t_i, t_cur = int(math.ceil(length)), 0
         values[k] = eta_min + 0.5 * span * (1.0 + math.cos(math.pi * t_cur / t_i))
         t_cur += 1
-        if t_cur >= t_i:
-            t_i, t_cur = int(math.ceil(t_i * t_mult)), 0
     return values

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,13 @@ class TestRunBenchmark:
         assert len(rows) == 4  # 1 function x 2 algorithms x 2 trials
         assert len(traces) == 4
         assert all(trace.size == 15 for trace in traces.values())
+
+    def test_single_trial_rejected_before_any_fit(self):
+        # summarize needs two values per cell; this used to fail only after every fit
+        with mock.patch("ecsa.experiments._run_cell") as run_cell:
+            with pytest.raises(ValueError, match="needs --trials >= 2 .* got 1"):
+                run_benchmark(tiny_config(trials=1))
+        run_cell.assert_not_called()
 
     def test_rows_sorted_and_reproducible(self):
         rows_a, _ = run_benchmark(tiny_config())

@@ -5,7 +5,14 @@ import pytest
 import scipy.special
 
 from ecsa import CuckooSearch, LevyParams, RandomSource, SearchBox, mantegna_sigma
-from ecsa.levy import levy_matrix
+from ecsa.levy import levy_steps
+from ecsa.rng import box_muller
+
+
+def levy_matrix(params, rng, rows, dim):
+    """``rows`` Levy steps of dimension ``dim`` from ``rng``: the ``u`` normals, then the ``v``."""
+    u = rng.normal((rows, dim))
+    return levy_steps(params, u, rng.normal((rows, dim)))
 
 # Recorded once from the pinned sampling scheme (seed 777, beta 1.5, dim 3).
 PINNED_STEP_SEED_777 = (-1.4457951175029335, 0.9412748569006597, 0.7887344511099382)
@@ -55,6 +62,17 @@ class TestLevyStep:
             LevyParams(beta=3.0)
         with pytest.raises(ValueError):
             LevyParams(beta=1.5, sigma_u=-1.0)
+
+    def test_stacked_normals_match_single_draws(self):
+        # the engine transforms one row of uniforms per trial at once; each
+        # row must give the bits of the same trial drawn alone
+        params = LevyParams(beta=1.5)
+        rngs = [RandomSource(seed) for seed in range(4)]
+        u = box_muller(np.stack([rng.random(16) for rng in rngs]))[:, :15]
+        v = box_muller(np.stack([rng.random(16) for rng in rngs]))[:, :15]
+        stacked = levy_steps(params, u, v).reshape(4, 5, 3)
+        for seed in range(4):
+            assert np.array_equal(stacked[seed], levy_matrix(params, RandomSource(seed), 5, 3))
 
     def test_scale_coherence_doubling_sigma_doubles_steps(self):
         base = LevyParams(beta=1.5)

@@ -16,16 +16,22 @@ from ecsa import (
     init_population,
 )
 from ecsa import optimizer
-from ecsa.optimizer import run
+from ecsa.optimizer import run_trials
 
 
 def sphere(x):
     return float(np.dot(x, x))
 
 
+def run_one(objective, box, *, rng, **kwargs):
+    """One trial on the engine: a stack of one."""
+    (trace,) = run_trials([objective], box, rngs=[rng], **kwargs)
+    return trace
+
+
 def constant_run(objective, box, *, population, iterations, pa, alpha, seed, init="random"):
-    """``run`` with constant schedules, as the standard algorithm uses it."""
-    return run(
+    """One trial with constant schedules, as the standard algorithm uses it."""
+    return run_one(
         objective,
         box,
         population=population,
@@ -73,21 +79,21 @@ def decreasing():
 
 @contextmanager
 def observe_discovery():
-    """Record each discovery phase ``run`` performs.
+    """Record each discovery phase the engine performs, per trial.
 
     Yields a list that receives ``(X_before, F_before, pa, X_after, F_after)``
-    per phase.
+    for every trial of every phase, trial after trial.
     """
     records = []
-    original = optimizer._discovery_phase
+    original = optimizer._discover
 
     def wrapped(X, F, pa, *rest):
         X0, F0 = X.copy(), F.copy()
-        X1, F1, accepted = original(X, F, pa, *rest)
-        records.append((X0, F0, pa, X1.copy(), F1.copy()))
-        return X1, F1, accepted
+        accepted = original(X, F, pa, *rest)
+        records.extend(zip(X0, F0, [pa] * len(X0), X.copy(), F.copy()))
+        return accepted
 
-    with mock.patch.object(optimizer, "_discovery_phase", wrapped):
+    with mock.patch.object(optimizer, "_discover", wrapped):
         yield records
 
 
@@ -292,7 +298,7 @@ class TestRun:
 
     def test_elitism_trace_non_increasing(self):
         box = SearchBox.cube(8, -10, 10)
-        trace = run(
+        trace = run_one(
             sphere,
             box,
             population=20,
@@ -309,12 +315,47 @@ class TestRun:
         counting = CountingObjective(sphere, box)
         common = dict(population=5, rng=RandomSource(0))
         with pytest.raises(ValueError, match="equal length"):
-            run(counting, box, pa=np.full(4, 0.25), alpha=np.full(5, 0.01), init="random", **common)
+            run_one(counting, box, pa=np.full(4, 0.25), alpha=np.full(5, 0.01), init="random",
+                    **common)
         with pytest.raises(ValueError, match="equal length"):
-            run(counting, box, pa=np.full((2, 2), 0.25), alpha=np.full((2, 2), 0.01),
-                init="random", **common)
+            run_one(counting, box, pa=np.full((2, 2), 0.25), alpha=np.full((2, 2), 0.01),
+                    init="random", **common)
         with pytest.raises(ValueError, match="init must be one of"):
-            run(counting, box, pa=np.full(4, 0.25), alpha=np.full(4, 0.01), init="grid", **common)
+            run_one(counting, box, pa=np.full(4, 0.25), alpha=np.full(4, 0.01), init="grid",
+                    **common)
+        with pytest.raises(ValueError, match="2 objectives for 1 random sources"):
+            run_trials([counting, counting], box, pa=np.full(4, 0.25), alpha=np.full(4, 0.01),
+                       init="random", population=5, rngs=[RandomSource(0)])
+        assert counting.calls == 0
+
+    @pytest.mark.parametrize("name", ["pa", "alpha"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_schedule_rejected(self, name, bad):
+        # an all-NaN alpha used to send NaN points, outside the box, to the objective
+        box = SearchBox.cube(2, -1, 1)
+        counting = CountingObjective(sphere, box)
+        schedules = {"pa": np.full(2, 0.25), "alpha": np.full(2, 0.01)}
+        schedules[name][1] = bad
+        with pytest.raises(ValueError, match="pa and alpha must be finite"):
+            run_one(counting, box, population=3, init="random", rng=RandomSource(0), **schedules)
+        assert counting.calls == 0
+
+    @pytest.mark.parametrize("bad", [-0.25, 1.5])
+    def test_pa_outside_unit_interval_rejected(self, bad):
+        box = SearchBox.cube(2, -1, 1)
+        counting = CountingObjective(sphere, box)
+        with pytest.raises(ValueError, match=re.escape(f"pa must be in [0, 1], got {bad}")):
+            run_one(counting, box, population=3, pa=[0.25, bad], alpha=[0.01, 0.01],
+                    init="random", rng=RandomSource(0))
+        assert counting.calls == 0
+
+    @pytest.mark.parametrize("bad", [0.0, -0.01])
+    def test_non_positive_alpha_rejected(self, bad):
+        box = SearchBox.cube(2, -1, 1)
+        counting = CountingObjective(sphere, box)
+        with pytest.raises(ValueError, match=re.escape(f"alpha must be positive, got {bad}")):
+            run_one(counting, box, population=3, pa=[0.25, 0.25], alpha=[0.01, bad],
+                    init="random", rng=RandomSource(0))
         assert counting.calls == 0
 
 
@@ -342,6 +383,7 @@ class TestEstimators:
             (EnhancedCuckooSearch(alpha_min=0.0), "need 0 < alpha_min <= alpha_max, got [0.0, 0.05]"),
             (EnhancedCuckooSearch(t0=0), "t0 must be >= 1, got 0"),
             (EnhancedCuckooSearch(t_mult=0.5), "t_mult must be >= 1, got 0.5"),
+            (EnhancedCuckooSearch(t_mult=1e308), "t_mult=1e+308 is too large"),
             (EnhancedCuckooSearch(init="grid"), "init must be one of ('random', 'sobol'), got 'grid'"),
             (CuckooSearch(levy_beta=3.0), "beta must be in (0, 2], got 3.0"),
         ]

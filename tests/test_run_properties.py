@@ -1,13 +1,15 @@
 """Property tests of the engine over random sizes, schedules and both init modes."""
 
+from unittest import mock
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecsa import RandomSource, SearchBox
-from ecsa.optimizer import run
+from ecsa import RandomSource, SearchBox, optimizer
+from ecsa.optimizer import run_trials
 
-from test_optimizer import observe_discovery
+from test_optimizer import observe_discovery, run_one
 
 
 @st.composite
@@ -52,7 +54,7 @@ def test_run_invariants(inputs):
     iterations = pa.size
     objective = BoxedObjective(box)
     with observe_discovery() as records:
-        trace = run(
+        trace = run_one(
             objective,
             box,
             population=population,
@@ -79,3 +81,59 @@ def test_run_invariants(inputs):
         assert F1.min() <= F0.min()
         if pa_t == 0.0:
             assert np.array_equal(X1, X0)
+
+
+class NoisyObjective:
+    """F7-style objective: a sphere plus uniform noise drawn from its trial's stream."""
+
+    def __init__(self, box, rng):
+        self.center = box.lower + 0.3 * box.width
+        self.rng = rng
+
+    def evaluate_many(self, X):
+        return ((X - self.center) ** 2).sum(axis=1) + self.rng.random(X.shape[0])
+
+
+def assert_same_trace(a, b):
+    assert np.array_equal(a.best_fitness_per_iteration, b.best_fitness_per_iteration)
+    assert np.array_equal(a.best_candidate.position, b.best_candidate.position)
+    assert a.best_candidate.fitness == b.best_candidate.fitness
+    assert (a.evaluations, a.walk_replacements) == (b.evaluations, b.walk_replacements)
+
+
+def edge_inputs(dim, population, iterations, init):
+    return dict(box=SearchBox.cube(dim, -2.0, 3.0), population=population,
+                pa=np.full(iterations, 0.5), alpha=np.full(iterations, 0.3), init=init, seed=11)
+
+
+@settings(max_examples=100, deadline=None)
+@given(engine_inputs(), st.integers(1, 4), st.booleans(), st.integers(0, 3))
+@example(edge_inputs(1, 1, 0, "random"), 4, True, 0)
+@example(edge_inputs(1, 1, 6, "sobol"), 3, True, 1)
+@example(edge_inputs(1, 2, 6, "random"), 4, True, 3)
+@example(edge_inputs(3, 2, 6, "sobol"), 4, False, 2)
+def test_stack_matches_single_trials(inputs, trials, noisy, budget_trials):
+    """Every trial of a stack gives the bits of its one-trial run.
+
+    ``budget_trials`` > 0 shrinks the coordinate budget so the trials are
+    split into stacks of that many; 0 keeps the default budget.
+    """
+    box = inputs["box"]
+    seeds = [inputs["seed"] + k for k in range(trials)]
+    kwargs = dict(population=inputs["population"], pa=inputs["pa"], alpha=inputs["alpha"],
+                  init=inputs["init"])
+
+    def objectives(rngs):
+        if noisy:
+            return [NoisyObjective(box, rng) for rng in rngs]
+        return [BoxedObjective(box)] * len(rngs)
+
+    budget = budget_trials * inputs["population"] * box.dim or optimizer.STACK_COORDINATES
+    with mock.patch.object(optimizer, "STACK_COORDINATES", budget):
+        rngs = [RandomSource(seed) for seed in seeds]
+        stacked = run_trials(objectives(rngs), box, rngs=rngs, **kwargs)
+    assert len(stacked) == trials
+    for seed, trace in zip(seeds, stacked):
+        rng = RandomSource(seed)
+        (objective,) = objectives([rng])
+        assert_same_trace(trace, run_one(objective, box, rng=rng, **kwargs))

@@ -39,6 +39,16 @@ class TestCosineValue:
         with pytest.raises(ValueError):
             cosine_schedule(0.1, 0.2, 10, 1.0, -1)
 
+    @pytest.mark.parametrize("t_mult", [1e308, math.inf])
+    def test_overflowing_restart_rejected(self, t_mult):
+        # the second cycle's length overflows to infinity (it used to raise OverflowError)
+        with pytest.raises(ValueError, match=r"t_mult=\S+ is too large"):
+            cosine_schedule(0.1, 0.2, 2, t_mult, 5)
+        with pytest.raises(ValueError, match="t_mult must be >= 1, got nan"):
+            cosine_schedule(0.1, 0.2, 2, math.nan, 5)
+        # no value after the restart is emitted, so the restart is never computed
+        assert cosine_schedule(0.1, 0.2, 2, t_mult, 2).tolist() == [0.2, expected_value(0.1, 0.2, 1, 2)]
+
 
 class TestAdvance:
     def test_interior_step(self):
