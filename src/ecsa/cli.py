@@ -85,6 +85,10 @@ def bench(ctx, config_path, out_dir, **flags):
     if ctx.invoked_subcommand is not None:
         return
     config = _experiment_config(ctx, config_path, **flags)
+    try:
+        experiments.check_benchmark(config)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

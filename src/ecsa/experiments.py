@@ -30,7 +30,7 @@ from .allocation import (
     write_assignment_csv,
 )
 from .benchmarks import BenchmarkObjective, FUNCTION_IDS
-from .optimizer import CuckooSearch, EnhancedCuckooSearch
+from .optimizer import CuckooSearch, EnhancedCuckooSearch, run_trials
 from .rng import RandomSource, stable_seed
 from .stats import decide, rank_sum_p, summarize
 
@@ -91,7 +91,7 @@ def trial_seed(base_seed: int, algorithm: str, function: str, trial: int) -> int
 
 
 def make_optimizer(algorithm: str, config: ExperimentConfig):
-    """Construct the configured estimator; ``fit_trials`` gives it the trial seeds."""
+    """Construct the configured estimator; its ``engine_inputs`` feed the engine."""
     if algorithm == "csa":
         return CuckooSearch(
             population=config.population,
@@ -113,22 +113,58 @@ def make_optimizer(algorithm: str, config: ExperimentConfig):
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-def _run_cell(args):
-    """All trials of one (function, algorithm) cell; top level so pools can pickle it.
+def check_benchmark(config: ExperimentConfig) -> None:
+    """Reject a protocol that cannot run, before any fit or output.
 
-    Returns one ``(row, trace)`` pair per trial.  F7 draws its noise from
-    each trial's own stream, so it gets one objective per trial; every
-    other function shares one objective across the cell's stacked trials.
+    The summary std and the comparison need two trials per cell, every
+    function must exist at ``dim``, every configured algorithm's
+    hyperparameters must pass its estimator's checks, and
+    ``ECSA_WORKERS`` must be an integer.
     """
-    config, function_id, algorithm = args
-    seeds = [trial_seed(config.base_seed, algorithm, function_id, t) for t in range(config.trials)]
-    rngs = [RandomSource(seed) for seed in seeds]
+    if config.trials < 2:
+        raise ValueError(
+            f"bench needs --trials >= 2 for the summary std and compare, got {config.trials}"
+        )
+    for function_id in config.functions:
+        benchmarks.get_spec(function_id, config.dim)
+    for algorithm in config.algorithms:
+        make_optimizer(algorithm, config).engine_inputs()
+    worker_count()
+
+
+def _run_function(args):
+    """Every trial of one function, all algorithms as one engine call; top level so pools can pickle it.
+
+    The algorithms' trials differ only in their seeds, schedules and init
+    modes, so they advance together on per-trial schedules.  Returns one
+    ``(row, trace)`` pair per trial.  F7 draws its noise from each trial's
+    own stream, so it gets one objective per trial; every other function
+    shares one objective across the stacked trials.
+    """
+    config, function_id = args
+    cells = [
+        (algorithm, trial, trial_seed(config.base_seed, algorithm, function_id, trial))
+        for algorithm in config.algorithms
+        for trial in range(config.trials)
+    ]
+    rngs = [RandomSource(seed) for _, _, seed in cells]
     spec = benchmarks.get_spec(function_id, config.dim)
     if spec.stochastic:
         objectives = [BenchmarkObjective(spec, rng) for rng in rngs]
     else:
         objectives = [BenchmarkObjective(spec)] * len(rngs)
-    results = make_optimizer(algorithm, config).fit_trials(objectives, spec.box, rngs)
+    inputs = [make_optimizer(algorithm, config).engine_inputs() for algorithm in config.algorithms]
+    results = run_trials(
+        objectives,
+        spec.box,
+        population=config.population,
+        pa=np.repeat([entry["pa"] for entry in inputs], config.trials, axis=0),
+        alpha=np.repeat([entry["alpha"] for entry in inputs], config.trials, axis=0),
+        init=[entry["init"] for entry in inputs for _ in range(config.trials)],
+        rngs=rngs,
+        # the config has no Levy field: every estimator has the default parameters
+        levy_params=inputs[0]["levy_params"],
+    )
     return [
         (
             {
@@ -141,7 +177,7 @@ def _run_cell(args):
             },
             result.best_fitness_per_iteration,
         )
-        for trial, (seed, result) in enumerate(zip(seeds, results))
+        for (algorithm, trial, seed), result in zip(cells, results)
     ]
 
 
@@ -160,28 +196,20 @@ def run_benchmark(config: ExperimentConfig):
 
     ``rows`` is a list of result dicts; ``traces`` maps
     ``(function, algorithm, trial)`` to the per-iteration best-fitness
-    array.  Each (function, algorithm) cell is one task for the worker
-    pool.  The summary std and the comparison need two trials per cell,
-    so fewer are rejected before any fit.
+    array.  Each function, with all its algorithms and trials, is one
+    task for the worker pool.  :func:`check_benchmark` runs first.
     """
-    if config.trials < 2:
-        raise ValueError(
-            f"bench needs --trials >= 2 for the summary std and compare, got {config.trials}"
-        )
-    tasks = [
-        (config, function_id, algorithm)
-        for function_id in config.functions
-        for algorithm in config.algorithms
-    ]
+    check_benchmark(config)
+    tasks = [(config, function_id) for function_id in config.functions]
     workers = worker_count()
     if workers > 1 and len(tasks) > 1:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            cells = pool.map(_run_cell, tasks, chunksize=1)
+            per_function = pool.map(_run_function, tasks, chunksize=1)
     else:
-        cells = [_run_cell(task) for task in tasks]
-    outcomes = [outcome for cell in cells for outcome in cell]
+        per_function = [_run_function(task) for task in tasks]
+    outcomes = [outcome for task_outcomes in per_function for outcome in task_outcomes]
     order = {fid: i for i, fid in enumerate(FUNCTION_IDS)}
     outcomes.sort(key=lambda item: (order[item[0]["function"]], item[0]["algorithm"], item[0]["trial"]))
     rows = [row for row, _ in outcomes]

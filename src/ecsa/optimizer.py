@@ -2,12 +2,13 @@
 
 The engine :func:`run_trials` advances a stack of independent trials in
 lockstep.  It takes the discovery rate ``pa`` and the step size ``alpha``
-as arrays holding one value per iteration, shared by every trial.  The
+as arrays holding one value per iteration, either one row shared by every
+trial or one row per trial, and one init mode or one per trial.  The
 standard algorithm feeds it constant arrays and random initialization;
 the enhanced variant feeds it cosine warm-restart schedules and Sobol
-initialization.  With constant schedules and random initialization the
-two are bit-identical under the same seed.  Per iteration every trial
-runs:
+initialization, so trials of both can share one stack.  With constant
+schedules and random initialization the two are bit-identical under the
+same seed.  Per iteration every trial runs:
 
 1. Levy phase.  Every nest proposes
    ``x' = clamp(x + alpha * L (x - x_best))`` with ``L`` a Mantegna Levy
@@ -38,9 +39,9 @@ are replaced by ``+inf``, and later a NaN proposal is never accepted
 because acceptance needs a strict improvement.
 
 Estimators follow the scikit-learn protocol: hyperparameters are stored
-verbatim in ``__init__``, validated in ``fit``, results land in
-trailing-underscore attributes and ``get_params``/``set_params`` allow
-programmatic configuration.
+verbatim in ``__init__``, validated by ``engine_inputs`` when ``fit``
+runs, results land in trailing-underscore attributes and
+``get_params``/``set_params`` allow programmatic configuration.
 """
 
 from __future__ import annotations
@@ -118,6 +119,11 @@ def _levy(params: LevyParams, rngs, n: int) -> np.ndarray:
     return levy_steps(params, u, v)
 
 
+def _check_init(mode) -> None:
+    if mode not in INIT_MODES:
+        raise ValueError(f"init must be one of {INIT_MODES}, got {mode!r}")
+
+
 def init_population(
     count: int,
     box: SearchBox,
@@ -134,8 +140,7 @@ def init_population(
     """
     if count < 1:
         raise ValueError(f"population must be >= 1, got {count}")
-    if init not in INIT_MODES:
-        raise ValueError(f"init must be one of {INIT_MODES}, got {init!r}")
+    _check_init(init)
     if init == "sobol":
         X = sobol_population(box.dim, count, box)
     else:
@@ -144,9 +149,10 @@ def init_population(
     return X, np.where(np.isnan(F), np.inf, F)
 
 
-def _discover(X, F, pa: float, rngs, box, evaluate) -> np.ndarray:
+def _discover(X, F, pa, rngs, box, evaluate) -> np.ndarray:
     """Discovery walk on a stack; updates ``X`` and ``F`` in place.
 
+    ``pa`` holds each trial's discovery rate, shaped ``(trials, 1, 1)``.
     Draws each trial's discovery block from its stream and returns the
     number of accepted walk proposals per trial.
     """
@@ -173,17 +179,23 @@ def _discover(X, F, pa: float, rngs, box, evaluate) -> np.ndarray:
 
 
 def _run_stack(objectives, box, population, pa, alpha, init, rngs, params) -> list[RunTrace]:
-    """Advance one stack of trials in lockstep; inputs are already checked."""
-    evaluate = _stack_evaluator(objectives)
-    X, F = map(np.stack, zip(*(init_population(population, box, o, rng, init=init)
-                               for o, rng in zip(objectives, rngs))))
-    trials, dim = len(rngs), box.dim
-    trial = np.arange(trials)
-    n = population * dim
-    walk_replacements = np.zeros(trials, dtype=np.int64)
-    trace = np.empty((trials, pa.size))
+    """Advance one stack of trials in lockstep; inputs are already checked.
 
-    for t, (pa_t, alpha_t) in enumerate(zip(pa.tolist(), alpha.tolist())):
+    ``pa`` and ``alpha`` are ``(trials, iterations)`` and ``init`` holds one
+    mode per trial.
+    """
+    evaluate = _stack_evaluator(objectives)
+    X, F = map(np.stack, zip(*(init_population(population, box, o, rng, init=mode)
+                               for o, rng, mode in zip(objectives, rngs, init))))
+    trials, iterations = pa.shape
+    trial = np.arange(trials)
+    n = population * box.dim
+    walk_replacements = np.zeros(trials, dtype=np.int64)
+    trace = np.empty((trials, iterations))
+    # per iteration t, each trial's pa and alpha as (trials, 1, 1) columns
+    columns = zip(pa.T[:, :, None, None], alpha.T[:, :, None, None])
+
+    for t, (pa_t, alpha_t) in enumerate(columns):
         best = F.argmin(axis=1)
         scaled = alpha_t * _levy(params, rngs, n).reshape(X.shape)
         spread = X - X[trial, best][:, None, :]
@@ -202,7 +214,7 @@ def _run_stack(objectives, box, population, pa, alpha, init, rngs, params) -> li
         RunTrace(
             best_fitness_per_iteration=trace[i],
             best_candidate=Candidate(X[i, best[i]].copy(), F[i, best[i]]),
-            evaluations=population + pa.size * (2 * population - 1),
+            evaluations=population + iterations * (2 * population - 1),
             walk_replacements=int(walk_replacements[i]),
         )
         for i in range(trials)
@@ -216,7 +228,7 @@ def run_trials(
     population: int,
     pa,
     alpha,
-    init: str,
+    init,
     rngs,
     levy_params: LevyParams | None = None,
 ) -> list[RunTrace]:
@@ -224,9 +236,12 @@ def run_trials(
 
     Trial ``i`` minimizes ``objectives[i]`` from ``rngs[i]``.  ``pa[t]`` and
     ``alpha[t]`` are the discovery rate (in ``[0, 1]``) and the positive
-    step size of iteration ``t``; the number of iterations is their common
-    length.  ``population`` and ``init`` are checked by
-    :func:`init_population`; every check runs before the first evaluation.
+    step size of iteration ``t``; the number of iterations is their length.
+    Either may instead be a ``(trials, iterations)`` array whose row ``i``
+    is trial ``i``'s schedule.  ``init`` is one of :data:`INIT_MODES` for
+    every trial, or a sequence holding one mode per trial.  ``population``
+    is checked by :func:`init_population`; every check runs before the
+    first evaluation.
 
     Per iteration each trial draws from its own stream, in this order:
     ``2 * ceil(population * dim / 2)`` uniforms for the Box-Muller ``u``
@@ -241,28 +256,43 @@ def run_trials(
     once on the stacked rows, so a shared objective must not depend on
     call order.
     """
+    objectives, rngs = list(objectives), list(rngs)
+    if len(objectives) != len(rngs):
+        raise ValueError(f"got {len(objectives)} objectives for {len(rngs)} random sources")
+    trials = len(rngs)
     pa = np.asarray(pa, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    if pa.ndim != 1 or pa.shape != alpha.shape:
+    iterations = pa.shape[-1] if pa.ndim else -1
+    shapes = ((iterations,), (trials, iterations))
+    if pa.shape not in shapes or alpha.shape not in shapes:
         raise ValueError(
-            f"pa and alpha must be 1-D arrays of equal length, got shapes {pa.shape} and {alpha.shape}"
+            f"pa and alpha must be 1-D arrays of equal length or one such row per trial "
+            f"({trials}), got shapes {pa.shape} and {alpha.shape}"
         )
+    # copies, not zero-stride views: at 550-D the views' per-iteration
+    # columns took more minor page faults (552k against 464k per alloc550 pass)
+    pa = np.array(np.broadcast_to(pa, (trials, iterations)))
+    alpha = np.array(np.broadcast_to(alpha, (trials, iterations)))
     if not (np.all(np.isfinite(pa)) and np.all(np.isfinite(alpha))):
         raise ValueError("pa and alpha must be finite")
     if np.any((pa < 0.0) | (pa > 1.0)):
         raise ValueError(f"pa must be in [0, 1], got {pa[(pa < 0.0) | (pa > 1.0)][0]}")
     if np.any(alpha <= 0.0):
         raise ValueError(f"alpha must be positive, got {alpha[alpha <= 0.0][0]}")
-    objectives, rngs = list(objectives), list(rngs)
-    if len(objectives) != len(rngs):
-        raise ValueError(f"got {len(objectives)} objectives for {len(rngs)} random sources")
+    init = [init] * trials if isinstance(init, str) else list(init)
+    if len(init) != trials:
+        raise ValueError(f"got {len(init)} init modes for {trials} random sources")
+    for mode in init:
+        _check_init(mode)
     params = levy_params or LevyParams()
     # population < 1 is rejected by init_population, inside the first stack
     size = max(1, STACK_COORDINATES // max(1, population * box.dim))
     traces = []
-    for lo in range(0, len(rngs), size):
+    for lo in range(0, trials, size):
+        stack = slice(lo, lo + size)
         traces += _run_stack(
-            objectives[lo : lo + size], box, population, pa, alpha, init, rngs[lo : lo + size], params
+            objectives[stack], box, population, pa[stack], alpha[stack], init[stack], rngs[stack],
+            params,
         )
     return traces
 
@@ -272,9 +302,9 @@ class BaseOptimizer:
 
     A subclass stores its hyperparameters in ``__init__`` (including
     ``population``, ``iterations``, ``levy_beta``, ``init`` and ``seed``)
-    and maps them to the engine's inputs: ``_checks`` lists the conditions
-    its own hyperparameters must meet, ``_schedules`` returns the
-    per-iteration ``pa`` and ``alpha`` arrays.
+    and maps them to the engine's inputs (:meth:`engine_inputs`):
+    ``_checks`` lists the conditions its own hyperparameters must meet,
+    ``_schedules`` returns the per-iteration ``pa`` and ``alpha`` arrays.
 
     After ``fit``: ``best_position_``, ``best_fitness_``, ``trace_``
     (best fitness per iteration), ``n_evaluations_``,
@@ -304,13 +334,22 @@ class BaseOptimizer:
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({args})"
 
-    def _validate(self):
-        """Reject hyperparameters with the estimator's own messages, before any evaluation."""
+    def engine_inputs(self) -> dict:
+        """Check the hyperparameters and return this estimator's :func:`run_trials` inputs.
+
+        Returns ``pa``, ``alpha``, ``init`` and ``levy_params``.  A bad
+        hyperparameter raises here with the estimator's own message;
+        ``init`` is checked by the engine, also before any evaluation.
+        """
+        if self.population < 1:
+            raise ValueError(f"population must be >= 1, got {self.population}")
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         for ok, message in self._checks():
             if not ok:
                 raise ValueError(message)
+        pa, alpha = self._schedules()
+        return dict(pa=pa, alpha=alpha, init=self.init, levy_params=LevyParams(beta=self.levy_beta))
 
     def fit_trials(self, objectives, bounds, seeds) -> list[RunTrace]:
         """Run one trial per seed with these hyperparameters; returns their traces.
@@ -321,18 +360,12 @@ class BaseOptimizer:
         that seed.  The estimator's own ``seed`` and attributes are not
         touched.
         """
-        box = as_search_box(bounds)
-        self._validate()
-        pa, alpha = self._schedules()
         return run_trials(
             objectives,
-            box,
+            as_search_box(bounds),
             population=self.population,
-            pa=pa,
-            alpha=alpha,
-            init=self.init,
             rngs=[as_random_source(seed) for seed in seeds],
-            levy_params=LevyParams(beta=self.levy_beta),
+            **self.engine_inputs(),
         )
 
     def fit(self, objective, bounds):

@@ -68,12 +68,14 @@ def table_capacity(path: str | None = None) -> int:
     return max(_load_table(path))
 
 
+@lru_cache(maxsize=None)
 def _direction_numbers(dim: int, path: str | None = None) -> np.ndarray:
-    """Direction numbers as a ``(dim, BITS)`` uint64 array of V_j values.
+    """Direction numbers as a read-only ``(dim, BITS)`` uint64 array of V_j values.
 
     Dimension 1 is the canonical sequence ``V_j = 2**(BITS - j)``; higher
     dimensions expand their ``m`` initials with the primitive-polynomial
     recurrence ``m_j = 2 a_1 m_{j-1} ^ ... ^ 2**s m_{j-s} ^ m_{j-s}``.
+    Built once per dimension and table, then shared by every generator.
     """
     table = _load_table(path)
     capacity = max(table)
@@ -96,6 +98,7 @@ def _direction_numbers(dim: int, path: str | None = None) -> np.ndarray:
                     new ^= m[j - k] << k
             m.append(new)
         v[d - 1] = [m[j] << (BITS - 1 - j) for j in range(BITS)]
+    v.flags.writeable = False
     return v
 
 
@@ -127,10 +130,24 @@ class SobolSequence:
         return self.current / _SCALE
 
     def take(self, count: int) -> np.ndarray:
-        """Emit ``count`` consecutive points as a ``(count, dim)`` array."""
+        """Emit ``count`` consecutive points as a ``(count, dim)`` array.
+
+        The same points as ``count`` calls to :meth:`next_point`: a
+        cumulative XOR of the Gray-code columns onto the current point.
+        """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        return np.array([self.next_point() for _ in range(count)]).reshape(count, self.dim)
+        if self.index + count > 2**BITS - 1:
+            raise RuntimeError(f"Sobol generator exhausted after 2**{BITS} - 1 points")
+        n = np.arange(self.index, self.index + count, dtype=np.uint64)
+        # exponent of the lowest zero bit of each counter (frexp is exact on powers of two)
+        columns = np.frexp((~n & (n + np.uint64(1))).astype(float))[1] - 1
+        block = np.bitwise_xor.accumulate(self.direction_numbers[:, columns].T, axis=0)
+        points = block ^ self.current
+        if count:
+            self.current = points[-1].copy()
+            self.index += count
+        return points / _SCALE
 
 
 def sobol_population(dim: int, count: int, box: SearchBox) -> np.ndarray:

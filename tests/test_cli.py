@@ -121,6 +121,29 @@ class TestBenchCommand:
         assert "--trials >= 2" in result.output
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flags, workers, message",
+        [
+            (["--trials", "1"], "1", "--trials >= 2"),
+            (["--pa", "1.5"], "1", "pa must be in [0, 1], got 1.5"),
+            (["--t0", "0"], "1", "t0 must be >= 1, got 0"),
+            (["--dim", "0"], "1", "dim must be >= 1, got 0"),
+            (["--population", "0"], "1", "population must be >= 1, got 0"),
+            (["--trials", "2"], "two", "ECSA_WORKERS must be an integer, got 'two'"),
+        ],
+    )
+    def test_rejected_config_creates_and_announces_nothing(self, runner, tmp_path, flags,
+                                                           workers, message):
+        # the output directory and the "running N optimization runs" line
+        # used to appear before the protocol was rejected
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["bench", "--functions", "F1", *flags, "--out", str(out)],
+                               env={"ECSA_WORKERS": workers})
+        assert result.exit_code != 0
+        assert message in result.output
+        assert "running" not in result.output
+        assert not out.exists()
+
     def test_bench_list(self, runner):
         result = runner.invoke(main, ["bench", "list"])
         assert result.exit_code == 0

@@ -66,10 +66,10 @@ class TestRunBenchmark:
 
     def test_single_trial_rejected_before_any_fit(self):
         # summarize needs two values per cell; this used to fail only after every fit
-        with mock.patch("ecsa.experiments._run_cell") as run_cell:
+        with mock.patch("ecsa.experiments._run_function") as run_function:
             with pytest.raises(ValueError, match="needs --trials >= 2 .* got 1"):
                 run_benchmark(tiny_config(trials=1))
-        run_cell.assert_not_called()
+        run_function.assert_not_called()
 
     def test_rows_sorted_and_reproducible(self):
         rows_a, _ = run_benchmark(tiny_config())

@@ -90,7 +90,7 @@ def observe_discovery():
     def wrapped(X, F, pa, *rest):
         X0, F0 = X.copy(), F.copy()
         accepted = original(X, F, pa, *rest)
-        records.extend(zip(X0, F0, [pa] * len(X0), X.copy(), F.copy()))
+        records.extend(zip(X0, F0, pa.ravel().tolist(), X.copy(), F.copy()))
         return accepted
 
     with mock.patch.object(optimizer, "_discover", wrapped):
@@ -326,6 +326,30 @@ class TestRun:
         with pytest.raises(ValueError, match="2 objectives for 1 random sources"):
             run_trials([counting, counting], box, pa=np.full(4, 0.25), alpha=np.full(4, 0.01),
                        init="random", population=5, rngs=[RandomSource(0)])
+        assert counting.calls == 0
+
+    @pytest.mark.parametrize(
+        "pa, alpha, init, message",
+        [
+            # three schedule rows for two trials
+            (np.full((3, 4), 0.25), np.full(4, 0.01), "random",
+             re.escape("one such row per trial (2)")),
+            (np.full(4, 0.25), np.full((2, 5), 0.01), "random", "equal length"),
+            (np.full((2, 4, 1), 0.25), np.full(4, 0.01), "random", "equal length"),
+            (np.full(4, 0.25), np.full(4, 0.01), ["random"], "got 1 init modes for 2"),
+            (np.full(4, 0.25), np.full(4, 0.01), ["sobol", "random", "sobol"],
+             "got 3 init modes for 2"),
+            (np.full(4, 0.25), np.full(4, 0.01), ["sobol", "grid"], "init must be one of"),
+            (np.array([[0.25] * 4, [0.25, 0.25, 1.5, 0.25]]), np.full(4, 0.01), "random",
+             re.escape("pa must be in [0, 1], got 1.5")),
+        ],
+    )
+    def test_per_trial_inputs_checked_before_any_evaluation(self, pa, alpha, init, message):
+        box = SearchBox.cube(3, -1, 1)
+        counting = CountingObjective(sphere, box)
+        with pytest.raises(ValueError, match=message):
+            run_trials([counting, counting], box, population=5, pa=pa, alpha=alpha, init=init,
+                       rngs=[RandomSource(0), RandomSource(1)])
         assert counting.calls == 0
 
     @pytest.mark.parametrize("name", ["pa", "alpha"])

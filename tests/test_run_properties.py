@@ -106,34 +106,57 @@ def edge_inputs(dim, population, iterations, init):
                 pa=np.full(iterations, 0.5), alpha=np.full(iterations, 0.3), init=init, seed=11)
 
 
-@settings(max_examples=100, deadline=None)
-@given(engine_inputs(), st.integers(1, 4), st.booleans(), st.integers(0, 3))
-@example(edge_inputs(1, 1, 0, "random"), 4, True, 0)
-@example(edge_inputs(1, 1, 6, "sobol"), 3, True, 1)
-@example(edge_inputs(1, 2, 6, "random"), 4, True, 3)
-@example(edge_inputs(3, 2, 6, "sobol"), 4, False, 2)
-def test_stack_matches_single_trials(inputs, trials, noisy, budget_trials):
+def per_trial_inputs(pa, alpha, init, trials):
+    """Distinct ``pa``/``alpha`` rows and alternating init modes, one per trial.
+
+    Row ``k`` is the drawn schedule rotated by ``k`` steps, with ``pa``
+    raised to the power ``k + 1`` and ``alpha`` scaled by ``k + 1``, so
+    even constant schedules differ between trials.
+    """
+    k = np.arange(trials)[:, None]
+    rows = (np.arange(pa.size) - k) % max(pa.size, 1)
+    modes = ("random", "sobol") if init == "random" else ("sobol", "random")
+    return (pa[rows] ** (k + 1), alpha[rows] * (k + 1),
+            [modes[i % 2] for i in range(trials)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(engine_inputs(), st.integers(1, 4), st.booleans(), st.integers(0, 3), st.booleans())
+@example(edge_inputs(1, 1, 0, "random"), 4, True, 0, False)
+@example(edge_inputs(1, 1, 6, "sobol"), 3, True, 1, False)
+@example(edge_inputs(1, 2, 6, "random"), 4, True, 3, False)
+@example(edge_inputs(3, 2, 6, "sobol"), 4, False, 2, False)
+@example(edge_inputs(2, 3, 5, "random"), 4, False, 0, True)
+@example(edge_inputs(1, 1, 0, "sobol"), 3, True, 2, True)
+def test_stack_matches_single_trials(inputs, trials, noisy, budget_trials, per_trial):
     """Every trial of a stack gives the bits of its one-trial run.
 
     ``budget_trials`` > 0 shrinks the coordinate budget so the trials are
-    split into stacks of that many; 0 keeps the default budget.
+    split into stacks of that many; 0 keeps the default budget.  With
+    ``per_trial`` every trial has its own ``pa``/``alpha`` rows and init
+    mode, as when ``bench`` stacks both algorithms of a function.
     """
-    box = inputs["box"]
+    box, population = inputs["box"], inputs["population"]
     seeds = [inputs["seed"] + k for k in range(trials)]
-    kwargs = dict(population=inputs["population"], pa=inputs["pa"], alpha=inputs["alpha"],
-                  init=inputs["init"])
+    pa, alpha, init = inputs["pa"], inputs["alpha"], inputs["init"]
+    if per_trial:
+        pa, alpha, init = per_trial_inputs(pa, alpha, init, trials)
+        singles = [dict(pa=pa[i], alpha=alpha[i], init=init[i]) for i in range(trials)]
+    else:
+        singles = [dict(pa=pa, alpha=alpha, init=init)] * trials
 
     def objectives(rngs):
         if noisy:
             return [NoisyObjective(box, rng) for rng in rngs]
         return [BoxedObjective(box)] * len(rngs)
 
-    budget = budget_trials * inputs["population"] * box.dim or optimizer.STACK_COORDINATES
+    budget = budget_trials * population * box.dim or optimizer.STACK_COORDINATES
     with mock.patch.object(optimizer, "STACK_COORDINATES", budget):
         rngs = [RandomSource(seed) for seed in seeds]
-        stacked = run_trials(objectives(rngs), box, rngs=rngs, **kwargs)
+        stacked = run_trials(objectives(rngs), box, population=population, pa=pa, alpha=alpha,
+                             init=init, rngs=rngs)
     assert len(stacked) == trials
-    for seed, trace in zip(seeds, stacked):
+    for seed, trace, single in zip(seeds, stacked, singles):
         rng = RandomSource(seed)
         (objective,) = objectives([rng])
-        assert_same_trace(trace, run_one(objective, box, rng=rng, **kwargs))
+        assert_same_trace(trace, run_one(objective, box, population=population, rng=rng, **single))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecsa import RandomSource, SearchBox, SobolSequence, sobol_population
 from ecsa.sobol import BITS, table_capacity
@@ -119,6 +121,60 @@ class TestDeterminism:
         assert seq.index == 1
         seq.take(4)
         assert seq.index == 5
+
+    @pytest.mark.parametrize("dim", [1, 15, 550])
+    def test_take_equals_repeated_next_point(self, dim):
+        # the vectorized block carries the generator state on: takes of
+        # any size, mixed with single points, continue one stream
+        block_wise, point_wise = SobolSequence(dim), SobolSequence(dim)
+        for count in (0, 1, 6, 57, 0, 200):
+            block = block_wise.take(count)
+            assert block.shape == (count, dim)
+            expected = [point_wise.next_point() for _ in range(count)]
+            assert np.array_equal(block, np.array(expected).reshape(count, dim))
+            assert block_wise.index == point_wise.index
+            assert np.array_equal(block_wise.next_point(), point_wise.next_point())
+
+    def test_take_past_capacity_rejected_without_advancing(self):
+        seq = SobolSequence(2)
+        seq.index = 2**BITS - 3
+        with pytest.raises(RuntimeError, match="exhausted"):
+            seq.take(3)
+        assert seq.index == 2**BITS - 3
+        assert seq.take(2).shape == (2, 2)
+
+    def test_direction_numbers_shared_and_read_only(self):
+        a, b = SobolSequence(550), SobolSequence(550)
+        assert a.direction_numbers is b.direction_numbers
+        assert not a.direction_numbers.flags.writeable
+
+
+def sequence_block(dim, m, k):
+    """Sequence points of indices ``k * 2**m`` to ``(k + 1) * 2**m - 1``, origin included."""
+    points = np.vstack([np.zeros(dim), SobolSequence(dim).take((k + 1) * 2**m - 1)])
+    return points[k * 2**m :]
+
+
+class TestNetProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, table_capacity()), st.integers(0, 7), st.integers(0, 7))
+    def test_every_coordinate_stratifies_dyadic_blocks(self, dim, m, k):
+        # each coordinate is a (0, 1)-sequence: an aligned block of 2**m
+        # points puts exactly one point in every interval of width 2**-m
+        cells = np.floor(sequence_block(dim, m, k)[:, dim - 1] * 2**m).astype(int)
+        assert sorted(cells.tolist()) == list(range(2**m))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 8), st.integers(0, 7), st.data())
+    def test_first_two_coordinates_form_a_zero_net(self, m, k, data):
+        # the first two coordinates are a (0, 2)-sequence: an aligned block
+        # of 2**m points puts exactly one point in every elementary box of
+        # shape 2**-i by 2**-(m - i)
+        i = data.draw(st.integers(0, m))
+        block = sequence_block(2, m, k)
+        rows = np.floor(block[:, 0] * 2**i).astype(int)
+        cols = np.floor(block[:, 1] * 2 ** (m - i)).astype(int)
+        assert len(set(zip(rows.tolist(), cols.tolist()))) == 2**m
 
 
 class TestPopulation:

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecsa import RandomSource, decide, rank_sum_p, summarize
 from ecsa.stats import COMPARABLE, SIGNIFICANTLY_DIFFERENT, _midranks
@@ -162,6 +164,35 @@ class TestRankSumApproximate:
         p = rank_sum_p(a, b)
         assert p == rank_sum_p(b, a) == math.ulp(0.0)
         assert decide(p) == SIGNIFICANTLY_DIFFERENT
+
+
+# values with frequent ties (small integers) mixed with spread-out floats
+sample_values = st.lists(
+    st.one_of(st.integers(-5, 5).map(float), st.floats(-1e6, 1e6)), min_size=1, max_size=40
+)
+
+
+class TestRankSumProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(sample_values, sample_values)
+    def test_symmetric_and_in_unit_interval(self, a, b):
+        p = rank_sum_p(a, b)
+        assert 0.0 < p <= 1.0
+        assert p == rank_sum_p(b, a)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 1500), st.integers(11, 1500), st.floats(0.0, 1e6), st.booleans())
+    def test_separated_samples_stay_in_unit_interval(self, n, m, gap, swap):
+        # every value of one sample below every value of the other: at
+        # large sizes the normal tail underflows and must stay positive
+        a = np.arange(n, dtype=float)
+        b = n + gap + np.arange(m, dtype=float)
+        if swap:
+            a, b = b, a
+        p = rank_sum_p(a, b)
+        assert 0.0 < p <= 1.0
+        assert p == rank_sum_p(b, a)
+        assert decide(p) in (COMPARABLE, SIGNIFICANTLY_DIFFERENT)
 
 
 class TestDecide:
