@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SearchBox
-from .rng import RandomSource, as_random_source
+from .rng import as_random_source
 
 
 @dataclass(frozen=True)
@@ -144,21 +144,6 @@ def load_instance_csv(blocks_path, areas_path) -> AllocationInstance:
             return list(reader)
 
     return instance_from_records(read(blocks_path), read(areas_path))
-
-
-def save_instance(instance: AllocationInstance, path) -> None:
-    payload = {
-        "blocks": [
-            {"id": i, "x": float(x), "y": float(y)}
-            for i, (x, y) in zip(instance.block_ids, instance.block_xy)
-        ],
-        "areas": [
-            {"id": i, "x": float(x), "y": float(y)}
-            for i, (x, y) in zip(instance.area_ids, instance.area_xy)
-        ],
-    }
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
 
 
 def synth_instance(n_blocks: int = 50, n_areas: int = 11, seed: int = 0) -> AllocationInstance:

@@ -127,8 +127,8 @@ def bench_list():
 @click.option("--out", "out_dir", default=None, type=click.Path(file_okay=False))
 def compare(results_path, level, out_dir):
     """Compare both algorithms per function on a bench results file."""
-    rows = experiments.read_results_csv(results_path)
     try:
+        rows = experiments.read_results_csv(results_path)
         comparison = experiments.compare_rows(rows, level=level)
     except ValueError as exc:
         raise click.ClickException(str(exc))
@@ -166,9 +166,13 @@ def allocate(instance_path, blocks_path, areas_path, synthetic, blocks_count,
         raise click.UsageError(
             "choose exactly one instance source: --instance, --blocks/--areas or --synthetic"
         )
-    if trials < 1:
-        raise click.UsageError(f"--trials must be >= 1, got {trials}")
     try:
+        config = ExperimentConfig(
+            trials=trials,
+            base_seed=base_seed,
+            population=population,
+            iterations=iterations,
+        )
         if instance_path:
             instance = load_instance(instance_path)
         elif blocks_path:
@@ -177,15 +181,9 @@ def allocate(instance_path, blocks_path, areas_path, synthetic, blocks_count,
             instance = load_instance_csv(blocks_path, areas_path)
         else:
             instance = synth_instance(blocks_count, areas_count, seed=base_seed)
+        report = experiments.run_allocation(instance, algorithm, config)
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    config = ExperimentConfig(
-        trials=trials,
-        base_seed=base_seed,
-        population=population,
-        iterations=iterations,
-    )
-    report = experiments.run_allocation(instance, algorithm, config)
     out = Path(out_dir)
     experiments.write_allocation_outputs(instance, report, out)
     click.echo(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,12 +54,6 @@ class SearchBox:
     def unit(cls, dim: int) -> "SearchBox":
         return cls.cube(dim, 0.0, 1.0)
 
-    def contains(self, x, atol: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(
-            np.all(x >= self.lower - atol) and np.all(x <= self.upper + atol)
-        )
-
 
 def as_search_box(bounds) -> SearchBox:
     """Coerce a SearchBox, an (N, 2) pair list or a (lower, upper) pair."""
@@ -96,6 +90,3 @@ class Candidate:
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float)
         self.fitness = float(self.fitness)
-
-    def copy(self) -> "Candidate":
-        return Candidate(self.position.copy(), self.fitness)

@@ -240,7 +240,30 @@ def write_results_csv(rows, path) -> None:
             )
 
 
+def _one_of(choices):
+    def parse(value):
+        if value not in choices:
+            raise ValueError(value)
+        return value
+
+    return parse
+
+
+_RESULT_PARSERS = {
+    "function": _one_of(FUNCTION_IDS),
+    "algorithm": _one_of(ALGORITHMS),
+    "trial": int,
+    "seed": int,
+    "best_fitness": float,
+    "evaluations": int,
+}
+
+
 def read_results_csv(path):
+    """Rows of a ``results.csv``; a malformed file raises ``ValueError`` naming the line and field.
+
+    Function ids and algorithm names must be known ones.
+    """
     rows = []
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
@@ -248,16 +271,15 @@ def read_results_csv(path):
         if missing:
             raise ValueError(f"{path}: missing result columns {sorted(missing)}")
         for record in reader:
-            rows.append(
-                {
-                    "function": record["function"],
-                    "algorithm": record["algorithm"],
-                    "trial": int(record["trial"]),
-                    "seed": int(record["seed"]),
-                    "best_fitness": float(record["best_fitness"]),
-                    "evaluations": int(record["evaluations"]),
-                }
-            )
+            row = {}
+            for name, parse in _RESULT_PARSERS.items():
+                try:
+                    row[name] = parse(record[name])
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}: bad {name} value {record[name]!r}"
+                    ) from None
+            rows.append(row)
     return rows
 
 
@@ -439,13 +461,16 @@ def run_allocation(
     algorithm: str,
     config: ExperimentConfig,
 ) -> AllocationReport:
-    """Run the discretized optimizer over the one-hot cube for one algorithm."""
+    """Run the discretized optimizer over the one-hot cube for one algorithm.
+
+    The estimator's settings are checked first, before the oracle and any fit.
+    """
+    estimator = make_optimizer(algorithm, config)
+    estimator.engine_inputs()
     objective = AllocationObjective(instance)
     _, oracle_fitness = optimal_assignment(instance)
     seeds = [trial_seed(config.base_seed, algorithm, "LA", t) for t in range(config.trials)]
-    results = make_optimizer(algorithm, config).fit_trials(
-        [objective] * len(seeds), objective.box, seeds
-    )
+    results = estimator.fit_trials([objective] * len(seeds), objective.box, seeds)
     rows, traces = [], {}
     best_trial, best_fitness = -1, np.inf
     for trial, (seed, result) in enumerate(zip(seeds, results)):

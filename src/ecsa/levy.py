@@ -4,9 +4,7 @@ A step coordinate is ``u / |v|**(1/beta)`` with ``u ~ N(0, sigma_u**2)``
 and ``v ~ N(0, 1)``, where ``sigma_u`` is Mantegna's closed form.  All
 normals come from the pinned Box-Muller transform
 (:func:`ecsa.rng.box_muller`), drawn as one ``u`` block followed by one
-``v`` block (row-major for matrices), so streams are reproducible and
-scale-coherent: doubling ``sigma_u`` exactly doubles every ``u``
-component under the same seed.
+``v`` block (row-major for matrices), so streams are reproducible.
 """
 
 from __future__ import annotations
@@ -31,23 +29,13 @@ def mantegna_sigma(beta: float) -> float:
 
 @dataclass(frozen=True)
 class LevyParams:
-    """Stability index and its derived Mantegna scale.
-
-    ``sigma_u`` defaults to the closed form for ``beta``; passing it
-    explicitly rescales the ``u`` normals (used by scale-coherence
-    tests), not the tail exponent.
-    """
+    """Stability index and its derived Mantegna scale ``sigma_u``."""
 
     beta: float = 1.5
-    sigma_u: float = field(default=None)
+    sigma_u: float = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 < self.beta <= 2.0:
-            raise ValueError(f"beta must be in (0, 2], got {self.beta}")
-        if self.sigma_u is None:
-            object.__setattr__(self, "sigma_u", mantegna_sigma(self.beta))
-        elif self.sigma_u <= 0.0:
-            raise ValueError(f"sigma_u must be positive, got {self.sigma_u}")
+        object.__setattr__(self, "sigma_u", mantegna_sigma(self.beta))
 
 
 def levy_steps(params: LevyParams, u: np.ndarray, v: np.ndarray) -> np.ndarray:

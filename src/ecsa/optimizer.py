@@ -142,7 +142,7 @@ def init_population(
         raise ValueError(f"population must be >= 1, got {count}")
     _check_init(init)
     if init == "sobol":
-        X = sobol_population(box.dim, count, box)
+        X = sobol_population(box, count)
     else:
         X = box.lower + rng.random((count, box.dim)) * box.width
     F = _batch_evaluator(objective)(X)
@@ -162,7 +162,7 @@ def _discover(X, F, pa, rngs, box, evaluate) -> np.ndarray:
     if pop == 1:  # the only nest is the best one: nothing is evaluated
         return np.zeros(trials, dtype=np.int64)
     r = picks[:, 0, None, None]
-    # floor(u * n) as RandomSource.integers(n) draws it (truncation: u * n >= 0)
+    # partner indices floor(u * n), by truncation since u * n >= 0
     p = (picks[:, 1 : pop + 1] * pop).astype(np.int64)
     shifted = (picks[:, pop + 1 :] * (pop - 1)).astype(np.int64)
     q = shifted + (shifted >= p)

@@ -1,13 +1,11 @@
 """Deterministic random source used by every stochastic component.
 
 All randomness flows through :class:`RandomSource` so that an optimization
-run is reproducible from a single 64-bit seed.  The raw stream is the
-[0, 1) double stream of a PCG64 bit generator; every other variate is a
-pinned, documented transform of that stream:
+run is reproducible from a single 64-bit seed.  Two pinned, documented
+forms of the stream are used:
 
-* ``uniform(lo, hi)``   -> ``lo + (hi - lo) * u``
-* ``integers(n)``       -> ``floor(u * n)``
-* ``normal(...)``       -> Box-Muller over consecutive uniform pairs
+* ``random(...)``       -> the raw [0, 1) doubles of a PCG64 bit generator
+* ``box_muller(u)``     -> standard normals from consecutive uniform pairs
 
 Normal variates deliberately avoid the bit generator's native ziggurat
 sampler: the Box-Muller transform is fixed here once and cannot drift
@@ -40,64 +38,13 @@ class RandomSource:
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed})"
 
-    def spawn(self, index: int) -> "RandomSource":
-        """Derive an independent stream for parallel trial ``index``.
-
-        Trial streams are defined as ``seed + index`` (mod 2**64) so a
-        trial's stream does not depend on how many other trials run.
-        """
-        if index < 0:
-            raise ValueError(f"trial index must be non-negative, got {index}")
-        return RandomSource((self.seed + index) & _UINT64_MASK)
-
-    # -- raw stream ---------------------------------------------------------
-
     def random(self, size=None, out=None):
-        """Raw [0, 1) doubles; scalar float when ``size`` and ``out`` are None.
+        """Raw [0, 1) doubles; a float when ``size`` and ``out`` are None.
 
         ``out``, a C-contiguous float64 array, receives the values in place
         of a new array (the same values a ``size`` of its shape gives).
         """
-        if size is None and out is None:
-            return float(self._gen.random())
         return self._gen.random(size, out=out)
-
-    # -- pinned transforms --------------------------------------------------
-
-    def uniform(self, lo: float, hi: float, size=None):
-        """Uniform draw(s) in ``[lo, hi)``.
-
-        Raises
-        ------
-        ValueError
-            If ``lo >= hi`` (degenerate or inverted range).
-        """
-        if not lo < hi:
-            raise ValueError(f"uniform requires lo < hi, got lo={lo}, hi={hi}")
-        return lo + (hi - lo) * self.random(size)
-
-    def integers(self, n: int, size=None):
-        """Integer draw(s) in ``[0, n)`` via ``floor(u * n)``."""
-        if n < 1:
-            raise ValueError(f"integers requires n >= 1, got {n}")
-        if size is None:
-            return int(self.random() * n)
-        return np.floor(self.random(size) * n).astype(np.int64)
-
-    def normal(self, size=None):
-        """Standard normal draw(s) via the Box-Muller transform.
-
-        Consumes uniforms in pairs ``(u1, u2)`` (see :func:`box_muller`).
-        An odd request discards the trailing sine variate, so
-        ``normal(n)`` always consumes ``2 * ceil(n/2)`` uniforms.
-        """
-        if size is None:
-            return float(self.normal(1)[0])
-        shape = (size,) if np.isscalar(size) else tuple(size)
-        n = int(np.prod(shape))
-        if n == 0:
-            return np.empty(shape)
-        return box_muller(self._gen.random(2 * ((n + 1) // 2)))[:n].reshape(shape)
 
 
 def box_muller(u: np.ndarray) -> np.ndarray:

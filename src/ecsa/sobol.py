@@ -20,7 +20,7 @@ equidistribution guarantees apply to (the origin plus the first
 from __future__ import annotations
 
 import importlib.resources
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -32,18 +32,10 @@ _SCALE = float(2**BITS)
 _TABLE_RESOURCE = "sobol_direction_numbers.txt"
 
 
-@lru_cache(maxsize=None)
-def _load_table(path: str | None = None):
+@cache
+def _load_table():
     """Parse the direction-number table into ``{dim: (s, a, m-list)}``."""
-    if path is None:
-        source = (
-            importlib.resources.files("ecsa.data")
-            .joinpath(_TABLE_RESOURCE)
-            .read_text()
-        )
-    else:
-        with open(path) as handle:
-            source = handle.read()
+    source = importlib.resources.files("ecsa.data").joinpath(_TABLE_RESOURCE).read_text()
     table = {}
     for lineno, line in enumerate(source.splitlines(), start=1):
         line = line.strip()
@@ -63,29 +55,25 @@ def _load_table(path: str | None = None):
     return table
 
 
-def table_capacity(path: str | None = None) -> int:
+def table_capacity() -> int:
     """Highest dimension supported by the direction-number table."""
-    return max(_load_table(path))
+    return max(_load_table())
 
 
-@lru_cache(maxsize=None)
-def _direction_numbers(dim: int, path: str | None = None) -> np.ndarray:
+@cache
+def _direction_numbers(dim: int) -> np.ndarray:
     """Direction numbers as a read-only ``(dim, BITS)`` uint64 array of V_j values.
 
     Dimension 1 is the canonical sequence ``V_j = 2**(BITS - j)``; higher
     dimensions expand their ``m`` initials with the primitive-polynomial
     recurrence ``m_j = 2 a_1 m_{j-1} ^ ... ^ 2**s m_{j-s} ^ m_{j-s}``.
-    Built once per dimension and table, then shared by every generator.
+    Built once per dimension, then shared by every generator.
     """
-    table = _load_table(path)
-    capacity = max(table)
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    if dim > capacity:
-        raise ValueError(
-            f"dim={dim} exceeds direction-number table capacity {capacity}; "
-            "supply a larger table file"
-        )
+    if dim > table_capacity():
+        raise ValueError(f"dim={dim} exceeds direction-number table capacity {table_capacity()}")
+    table = _load_table()
     v = np.zeros((dim, BITS), dtype=np.uint64)
     v[0] = [1 << (BITS - j) for j in range(1, BITS + 1)]
     for d in range(2, dim + 1):
@@ -109,9 +97,9 @@ class SobolSequence:
     the same ``dim`` emit identical streams.
     """
 
-    def __init__(self, dim: int, table_path: str | None = None):
+    def __init__(self, dim: int):
         self.dim = int(dim)
-        self.direction_numbers = _direction_numbers(self.dim, table_path)
+        self.direction_numbers = _direction_numbers(self.dim)
         self.current = np.zeros(self.dim, dtype=np.uint64)
         self.index = 0  # points emitted so far; point 0 (origin) is skipped
 
@@ -150,7 +138,7 @@ class SobolSequence:
         return points / _SCALE
 
 
-def sobol_population(dim: int, count: int, box: SearchBox) -> np.ndarray:
+def sobol_population(box: SearchBox, count: int) -> np.ndarray:
     """First ``count`` Sobol points affinely mapped onto ``box``.
 
     Coordinate ``k`` of each point becomes
@@ -159,7 +147,5 @@ def sobol_population(dim: int, count: int, box: SearchBox) -> np.ndarray:
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if box.dim != dim:
-        raise ValueError(f"box dimension {box.dim} does not match dim={dim}")
-    unit = SobolSequence(dim).take(count)
+    unit = SobolSequence(box.dim).take(count)
     return box.lower + unit * box.width

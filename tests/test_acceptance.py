@@ -4,6 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s``.  The default protocol
 (13 functions, dimension 15, population 50, 500 iterations, 30 trials per
 algorithm) executes once as a session fixture and backs criteria 1, 2
 and 9; set the ``ECSA_WORKERS`` environment variable to parallelize it.
+Criteria 1, 2, 7 and 9 carry the ``slow`` marker, so ``pytest -m "not slow"``
+runs every other test of the suite.
 
 Criteria 2 and 7 encode reproduction targets this implementation
 measurably does not reach; they are kept failing on purpose rather than
@@ -50,6 +52,7 @@ def protocol():
     return rows, traces, compare_rows(rows)
 
 
+@pytest.mark.slow
 def test_criterion_1_comparative_superiority(protocol):
     rows, _, comparison = protocol
     by_function = {entry["function"]: entry for entry in comparison}
@@ -80,6 +83,7 @@ def test_criterion_1_comparative_superiority(protocol):
     assert ok, (unimodal_strict, multimodal_strict, significant)
 
 
+@pytest.mark.slow
 def test_criterion_2_rosenbrock_non_significance(protocol):
     _, _, comparison = protocol
     p_value = next(e["p_value"] for e in comparison if e["function"] == "F5")
@@ -132,8 +136,8 @@ def test_criterion_5_wilcoxon_oracle_equivalence():
     for n in range(1, 8):
         for m in range(1, 8):
             for trial in range(3):
-                a = np.round(rng.uniform(0.0, 10.0, n), 1)
-                b = np.round(rng.uniform(0.0, 10.0, m), 1)
+                a = np.round(10.0 * rng.random(n), 1)
+                b = np.round(10.0 * rng.random(m), 1)
                 expected = brute_force_rank_sum_p(a.tolist(), b.tolist())
                 got = rank_sum_p(a, b)
                 worst = max(worst, abs(got - expected))
@@ -157,7 +161,7 @@ def test_criterion_6_benchmark_oracles():
         oracle = ORACLES[spec.id]
         rng = RandomSource(6000 + int(spec.id[1:]))
         for _ in range(100):
-            x = rng.uniform(-1.0, 1.0, spec.dim) * spec.box.upper
+            x = (-1.0 + 2.0 * rng.random(spec.dim)) * spec.box.upper
             expected = oracle(x.tolist())
             got = evaluate(spec, x)
             scale = max(abs(expected), 1e-300)
@@ -187,6 +191,7 @@ def test_criterion_6_benchmark_oracles():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_7_la_oracle_convergence():
     instance = synth_instance(50, 11, seed=LA_INSTANCE_SEED)
     config = ExperimentConfig(base_seed=DEFAULT_BASE_SEED)
@@ -234,6 +239,7 @@ def test_criterion_8_reduction_identity():
     assert identical
 
 
+@pytest.mark.slow
 def test_criterion_9_elitism_invariant(protocol):
     _, traces, _ = protocol
     violations = [

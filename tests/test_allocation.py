@@ -15,7 +15,7 @@ from ecsa import (
     optimal_assignment,
     synth_instance,
 )
-from ecsa.allocation import instance_from_records, save_instance, write_assignment_csv
+from ecsa.allocation import instance_from_records, write_assignment_csv
 
 
 def records(coords, prefix):
@@ -36,7 +36,15 @@ class TestLoadValidate:
     def test_roundtrip_json(self, tmp_path):
         instance = synth_instance(50, 11, seed=1)
         path = tmp_path / "instance.json"
-        save_instance(instance, path)
+        payload = {
+            key: [{"id": i, "x": float(x), "y": float(y)} for i, (x, y) in zip(ids, xy)]
+            for key, ids, xy in (
+                ("blocks", instance.block_ids, instance.block_xy),
+                ("areas", instance.area_ids, instance.area_xy),
+            )
+        }
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
         loaded = load_instance(path)
         assert loaded.n_blocks == 50 and loaded.n_areas == 11
         assert loaded.distance.shape == (50, 11)
@@ -163,7 +171,7 @@ class TestDecode:
         instance = synth_instance(8, 4, seed=2)
         rng = RandomSource(3)
         for _ in range(100):
-            assignment = decode(rng.uniform(0.0, 1.0, 32), instance)
+            assignment = decode(rng.random(32), instance)
             assert np.all(assignment.onehot.sum(axis=1) == 1)
 
     def test_length_mismatch(self):
@@ -201,7 +209,7 @@ class TestOptimalAssignment:
         _, best = optimal_assignment(instance)
         rng = RandomSource(11)
         for _ in range(1000):
-            indices = rng.integers(7, size=30)
+            indices = (rng.random(30) * 7).astype(int)
             value = fitness(instance, Assignment.from_indices(indices, 7))
             assert best <= value + 1e-12
 
@@ -238,7 +246,7 @@ class TestAllocationObjective:
         instance = synth_instance(12, 5, seed=7)
         objective = AllocationObjective(instance)
         rng = RandomSource(9)
-        X = rng.uniform(0.0, 1.0, (20, 60))
+        X = rng.random((20, 60))
         batch = objective.evaluate_many(X)
         singles = [objective(x) for x in X]
         assert np.allclose(batch, singles, rtol=0, atol=0)

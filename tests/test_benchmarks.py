@@ -195,7 +195,7 @@ class TestOracleAgreement:
         rng = RandomSource(4000 + FUNCTION_IDS.index(function_id))
         oracle = ORACLES[function_id]
         for _ in range(100):
-            x = rng.uniform(-1.0, 1.0, spec.dim) * spec.box.upper
+            x = (-1.0 + 2.0 * rng.random(spec.dim)) * spec.box.upper
             expected = oracle(x.tolist())
             got = evaluate(spec, x)
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-300), function_id
@@ -237,7 +237,7 @@ class TestStrictMode:
     def test_batch_matches_single(self):
         spec = get_spec("F3")
         rng = RandomSource(88)
-        X = rng.uniform(-100.0, 100.0, (20, 15))
+        X = -100.0 + 200.0 * rng.random((20, 15))
         batch = evaluate_many(spec, X)
         singles = [evaluate(spec, x) for x in X]
         assert np.allclose(batch, singles, rtol=0, atol=0)

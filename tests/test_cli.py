@@ -153,6 +153,16 @@ class TestBenchCommand:
         assert "Generalized Penalized 2" in result.output
 
 
+# a valid results file: F1, both algorithms, two trials each
+RESULTS = (
+    "function,algorithm,trial,seed,best_fitness,evaluations\n"
+    "F1,csa,0,11,1.5,20\n"
+    "F1,csa,1,12,2.5,20\n"
+    "F1,ecsa,0,13,0.5,20\n"
+    "F1,ecsa,1,14,0.25,20\n"
+)
+
+
 class TestCompareCommand:
     def test_round_trip_on_bench_output(self, runner, tmp_path):
         out = tmp_path / "bench"
@@ -169,6 +179,25 @@ class TestCompareCommand:
         assert (tmp_path / "cmp" / "comparison.csv").exists()
         lines = (tmp_path / "cmp" / "comparison.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 2
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda text: text.replace(",evaluations", ""), "missing result columns ['evaluations']"),
+            (lambda text: text.replace(",1.5,", ",abc,"), "line 2: bad best_fitness value 'abc'"),
+            (lambda text: text.replace("F1,", "F99,", 1), "line 2: bad function value 'F99'"),
+            (lambda text: text.replace(",csa,", ",gsa,", 1), "line 2: bad algorithm value 'gsa'"),
+        ],
+        ids=["missing_column", "bad_fitness", "unknown_function", "unknown_algorithm"],
+    )
+    def test_malformed_results_fail_cleanly(self, runner, tmp_path, edit, message):
+        path = tmp_path / "results.csv"
+        path.write_text(edit(RESULTS))
+        result = runner.invoke(main, ["compare", "--results", str(path)])
+        assert result.exit_code != 0
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Error:" in result.output and message in result.output
+        assert str(path) in result.output
 
     def test_missing_algorithm_errors(self, runner, tmp_path):
         out = tmp_path / "bench"
@@ -209,6 +238,23 @@ class TestAllocateCommand:
             main, ["allocate", "--synthetic", "--trials", "0", "--out", str(tmp_path)]
         )
         assert result.exit_code != 0
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--population", "0"], "population must be >= 1, got 0"),
+            (["--iterations", "-1"], "iterations must be >= 0, got -1"),
+            (["--trials", "0"], "trials must be >= 1, got 0"),
+        ],
+        ids=["population_0", "iterations_negative", "trials_0"],
+    )
+    def test_bad_sizes_fail_cleanly_before_any_output(self, runner, tmp_path, flags, message):
+        out = tmp_path / "la"
+        result = runner.invoke(main, ["allocate", "--synthetic", *flags, "--out", str(out)])
+        assert result.exit_code != 0
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Error:" in result.output and message in result.output
+        assert not out.exists()
 
     def test_requires_exactly_one_source(self, runner):
         result = runner.invoke(main, ["allocate"])

@@ -182,6 +182,19 @@ class TestAllocationExperiment:
         assert report.mean_gap == pytest.approx(np.mean(gaps), rel=1e-12)
         assert all(trace.size == 20 for trace in report.traces.values())
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [({"population": 0}, "population must be >= 1, got 0"),
+         ({"iterations": -1}, "iterations must be >= 0, got -1")],
+        ids=["population_0", "iterations_negative"],
+    )
+    def test_bad_sizes_rejected_before_the_oracle(self, overrides, message):
+        instance = synth_instance(4, 2, seed=2)
+        with mock.patch("ecsa.experiments.optimal_assignment") as oracle:
+            with pytest.raises(ValueError, match=message):
+                run_allocation(instance, "ecsa", tiny_config(**overrides))
+        oracle.assert_not_called()
+
     def test_outputs_written(self, tmp_path):
         from ecsa.experiments import write_allocation_outputs
 

@@ -23,6 +23,10 @@ def sphere(x):
     return float(np.dot(x, x))
 
 
+def inside(x, box):
+    return bool(np.all(x >= box.lower) and np.all(x <= box.upper))
+
+
 def run_one(objective, box, *, rng, **kwargs):
     """One trial on the engine: a stack of one."""
     (trace,) = run_trials([objective], box, rngs=[rng], **kwargs)
@@ -51,7 +55,7 @@ class CountingObjective:
         self.calls = 0
 
     def __call__(self, x):
-        assert self.box.contains(x), "objective evaluated outside the box"
+        assert inside(x, self.box), "objective evaluated outside the box"
         self.calls += 1
         return self.fn(x)
 
@@ -109,7 +113,7 @@ class TestInitPopulation:
         X, F = init_population(50, box, sphere, RandomSource(1), init="random")
         assert X.shape == (50, 10) and F.shape == (50,)
         for x, f in zip(X, F):
-            assert box.contains(x)
+            assert inside(x, box)
             assert f == sphere(x)
 
     def test_zero_population_rejected(self):

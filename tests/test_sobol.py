@@ -180,24 +180,20 @@ class TestNetProperty:
 class TestPopulation:
     def test_first_point_is_box_midpoint(self):
         box = SearchBox.cube(15, -100, 100)
-        population = sobol_population(15, 1, box)
+        population = sobol_population(box, 1)
         assert population.shape == (1, 15)
         assert np.all(population[0] == 0.0)
 
     def test_unit_box_is_identity(self):
         box = SearchBox.unit(5)
-        assert np.array_equal(sobol_population(5, 20, box), SobolSequence(5).take(20))
+        assert np.array_equal(sobol_population(box, 20), SobolSequence(5).take(20))
 
     def test_population_distinct_and_inside(self):
         box = SearchBox.cube(15, -100, 100)
-        population = sobol_population(15, 50, box)
+        population = sobol_population(box, 50)
         assert len(np.unique(population, axis=0)) == 50
         assert np.all(population >= -100) and np.all(population <= 100)
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
-            sobol_population(3, 0, SearchBox.unit(3))
-
-    def test_dim_box_mismatch(self):
-        with pytest.raises(ValueError):
-            sobol_population(3, 5, SearchBox.unit(4))
+            sobol_population(SearchBox.unit(3), 0)

@@ -66,8 +66,8 @@ class TestRankSumExact:
         rng = RandomSource(913)
         for n in range(1, 8):
             for m in range(n, 8):
-                a = np.round(rng.uniform(0.0, 10.0, n), 1)
-                b = np.round(rng.uniform(0.0, 10.0, m), 1)
+                a = np.round(10.0 * rng.random(n), 1)
+                b = np.round(10.0 * rng.random(m), 1)
                 expected = brute_force_rank_sum_p(a.tolist(), b.tolist())
                 assert rank_sum_p(a, b) == pytest.approx(expected, abs=1e-12), (n, m)
 
@@ -79,25 +79,25 @@ class TestRankSumExact:
     def test_symmetry(self):
         rng = RandomSource(515)
         for _ in range(25):
-            a = rng.uniform(0.0, 1.0, 6)
-            b = rng.uniform(0.0, 1.0, 9)
+            a = rng.random(6)
+            b = rng.random(9)
             assert rank_sum_p(a, b) == rank_sum_p(b, a)
 
 
 class TestRankSumApproximate:
     def test_symmetry_large(self):
         rng = RandomSource(616)
-        a = rng.uniform(0.0, 1.0, 30)
-        b = rng.uniform(0.0, 1.0, 30)
+        a = rng.random(30)
+        b = rng.random(30)
         assert rank_sum_p(a, b) == rank_sum_p(b, a)
 
     def test_identical_large_samples(self):
-        values = RandomSource(3).uniform(0.0, 1.0, 30)
+        values = RandomSource(3).random(30)
         assert rank_sum_p(values, values) == 1.0
 
     def test_shift_sensitivity(self):
         rng = RandomSource(717)
-        a = rng.uniform(0.0, 1.0, 30)
+        a = rng.random(30)
         sigma = float(np.std(a))
         p_values = [rank_sum_p(a, a + shift) for shift in (0.0, sigma, 3 * sigma)]
         assert p_values[0] > p_values[1] > p_values[2]
@@ -114,8 +114,8 @@ class TestRankSumApproximate:
         for n in range(3, 11):
             for m in range(3, 11):
                 for _ in range(8):
-                    a = rng.uniform(0.0, 1.0, n)
-                    b = rng.uniform(0.0, 1.0, m)
+                    a = rng.random(n)
+                    b = rng.random(m)
                     exact = rank_sum_p(a, b)
                     ranks = _midranks(np.concatenate([a, b]))
                     approx = _normal_two_sided(ranks, n, m, float(ranks[:n].sum()))
@@ -130,8 +130,8 @@ class TestRankSumApproximate:
         rng = RandomSource(919)
         hits = 0
         for _ in range(1000):
-            a = rng.uniform(0.0, 1.0, 30)
-            b = rng.uniform(0.0, 1.0, 30)
+            a = rng.random(30)
+            b = rng.random(30)
             if rank_sum_p(a, b) >= 0.05:
                 hits += 1
         assert hits >= 900
@@ -147,8 +147,8 @@ class TestRankSumApproximate:
         rng = RandomSource(4242)
         for n, m in [(11, 11), (11, 40), (30, 30), (25, 60), (200, 150)]:
             for shift in (0.0, 0.5, 2.0):
-                a = np.round(rng.uniform(0.0, 10.0, n), 1)
-                b = np.round(rng.uniform(0.0, 10.0, m) + shift, 1)
+                a = np.round(10.0 * rng.random(n), 1)
+                b = np.round(10.0 * rng.random(m) + shift, 1)
                 expected = scipy.stats.mannwhitneyu(
                     a, b, alternative="two-sided", use_continuity=True, method="asymptotic"
                 ).pvalue
