@@ -70,14 +70,18 @@ def as_search_box(bounds) -> SearchBox:
     )
 
 
-def clamp(position, box: SearchBox) -> np.ndarray:
-    """Project ``position`` onto ``box`` coordinate-wise (idempotent)."""
+def clamp(position, box: SearchBox, out=None) -> np.ndarray:
+    """Project ``position`` onto ``box`` coordinate-wise (idempotent).
+
+    ``out``, which may be ``position`` itself, receives the result in
+    place of a new array.
+    """
     position = np.asarray(position, dtype=float)
     if position.shape[-1] != box.dim:
         raise ValueError(
             f"position has dimension {position.shape[-1]}, box expects {box.dim}"
         )
-    return np.clip(position, box.lower, box.upper)
+    return np.clip(position, box.lower, box.upper, out=out)
 
 
 @dataclass

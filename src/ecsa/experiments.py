@@ -16,6 +16,7 @@ worker pool (``ECSA_WORKERS`` environment variable).
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -191,6 +192,22 @@ def worker_count() -> int:
     return max(count, 1)
 
 
+def _map_tasks(function, tasks) -> list:
+    """``function`` applied to each task, in task order.
+
+    With ``worker_count()`` above 1 and more than one task the tasks run
+    on a process pool of at most one worker per task, one task at a time
+    per worker; otherwise they run here, one after another.
+    """
+    workers = min(worker_count(), len(tasks))
+    if workers > 1:
+        import multiprocessing
+
+        with multiprocessing.Pool(workers) as pool:
+            return pool.map(function, tasks, chunksize=1)
+    return [function(task) for task in tasks]
+
+
 def run_benchmark(config: ExperimentConfig):
     """Run the protocol; returns (rows, traces) sorted by cell.
 
@@ -201,15 +218,7 @@ def run_benchmark(config: ExperimentConfig):
     """
     check_benchmark(config)
     tasks = [(config, function_id) for function_id in config.functions]
-    workers = worker_count()
-    if workers > 1 and len(tasks) > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            per_function = pool.map(_run_function, tasks, chunksize=1)
-    else:
-        per_function = [_run_function(task) for task in tasks]
-    outcomes = [outcome for task_outcomes in per_function for outcome in task_outcomes]
+    outcomes = [outcome for task_outcomes in _map_tasks(_run_function, tasks) for outcome in task_outcomes]
     order = {fid: i for i, fid in enumerate(FUNCTION_IDS)}
     outcomes.sort(key=lambda item: (order[item[0]["function"]], item[0]["algorithm"], item[0]["trial"]))
     rows = [row for row, _ in outcomes]
@@ -249,12 +258,20 @@ def _one_of(choices):
     return parse
 
 
+def _fitness(value):
+    """A float that is not NaN: the engine ranks NaN as ``+inf`` and never reports it."""
+    number = float(value)
+    if math.isnan(number):
+        raise ValueError(value)
+    return number
+
+
 _RESULT_PARSERS = {
     "function": _one_of(FUNCTION_IDS),
     "algorithm": _one_of(ALGORITHMS),
     "trial": int,
     "seed": int,
-    "best_fitness": float,
+    "best_fitness": _fitness,
     "evaluations": int,
 }
 
@@ -262,7 +279,8 @@ _RESULT_PARSERS = {
 def read_results_csv(path):
     """Rows of a ``results.csv``; a malformed file raises ``ValueError`` naming the line and field.
 
-    Function ids and algorithm names must be known ones.
+    Function ids and algorithm names must be known ones, and a
+    ``best_fitness`` may be infinite but not NaN.
     """
     rows = []
     with open(path, newline="") as handle:
@@ -456,6 +474,12 @@ class AllocationReport:
     best_gap: float
 
 
+def _fit_seeds(args):
+    """One estimator's trials on one objective, one per seed; top level so pools can pickle it."""
+    estimator, objective, seeds = args
+    return estimator.fit_trials([objective] * len(seeds), objective.box, seeds)
+
+
 def run_allocation(
     instance: AllocationInstance,
     algorithm: str,
@@ -463,14 +487,21 @@ def run_allocation(
 ) -> AllocationReport:
     """Run the discretized optimizer over the one-hot cube for one algorithm.
 
-    The estimator's settings are checked first, before the oracle and any fit.
+    The estimator's settings and ``ECSA_WORKERS`` are checked first,
+    before the oracle and any fit.  The trials are split into at most
+    ``worker_count()`` contiguous runs of seeds, one pool task each; a
+    trial gives the same result in any split, so the report does not
+    depend on the worker count.
     """
     estimator = make_optimizer(algorithm, config)
     estimator.engine_inputs()
+    workers = min(worker_count(), config.trials)
     objective = AllocationObjective(instance)
     _, oracle_fitness = optimal_assignment(instance)
     seeds = [trial_seed(config.base_seed, algorithm, "LA", t) for t in range(config.trials)]
-    results = estimator.fit_trials([objective] * len(seeds), objective.box, seeds)
+    bounds = [len(seeds) * k // workers for k in range(workers + 1)]
+    chunks = [(estimator, objective, seeds[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    results = [result for chunk in _map_tasks(_fit_seeds, chunks) for result in chunk]
     rows, traces = [], {}
     best_trial, best_fitness = -1, np.inf
     for trial, (seed, result) in enumerate(zip(seeds, results)):

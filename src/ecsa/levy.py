@@ -38,13 +38,16 @@ class LevyParams:
         object.__setattr__(self, "sigma_u", mantegna_sigma(self.beta))
 
 
-def levy_steps(params: LevyParams, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def levy_steps(params: LevyParams, u: np.ndarray, v: np.ndarray, out=None, work=None) -> np.ndarray:
     """Mantegna steps ``sigma_u * u / |v| ** (1 / beta)`` from standard normals.
 
     Elementwise, so ``u`` and ``v`` may have any (equal) shape: the engine
     passes one row of normals per trial, drawn as the ``u`` block and then
-    the ``v`` block.
+    the ``v`` block.  ``out`` receives the steps and ``work`` the scale
+    ``|v| ** (1 / beta)``; each may be its own input array (the engine
+    passes ``out=u, work=v``), and a missing one is allocated.
     """
-    scale = np.abs(v)
+    scale = np.abs(v, out=work)
     np.power(scale, 1.0 / params.beta, out=scale)
-    return np.divide(params.sigma_u * u, scale, out=scale)
+    steps = np.multiply(u, params.sigma_u, out=out)
+    return np.divide(steps, scale, out=steps)

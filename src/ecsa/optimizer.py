@@ -47,6 +47,7 @@ runs, results land in trailing-underscore attributes and
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +62,8 @@ INIT_MODES = ("random", "sobol")
 
 # Largest ``trials * population * dim`` advanced as one stack.  At 15-D
 # with 50 nests all 30 protocol trials fit in one stack; a 550-D
-# allocation trial runs alone, which keeps its per-iteration temporaries
-# at the size of one trial.
+# allocation trial runs alone, which keeps its work arrays at the size of
+# one trial.
 STACK_COORDINATES = 2**15
 
 
@@ -99,24 +100,62 @@ def _stack_evaluator(objectives):
     return lambda X: np.stack([batch(rows) for batch, rows in zip(batches, X)])
 
 
-def _draw(rngs, count: int) -> np.ndarray:
-    """The next ``count`` uniforms of each trial's stream, as ``(trials, count)``."""
-    block = np.empty((len(rngs), count))
-    for rng, row in zip(rngs, block):
+def _draw(rngs, out: np.ndarray) -> np.ndarray:
+    """Fill row ``i`` of the ``(trials, count)`` array ``out`` with the next uniforms of ``rngs[i]``."""
+    for rng, row in zip(rngs, out):
         rng.random(out=row)
-    return block
+    return out
 
 
-def _levy(params: LevyParams, rngs, n: int) -> np.ndarray:
-    """``n`` Levy step coordinates per trial: its ``u`` normals, then its ``v`` normals.
+class _WorkArrays:
+    """Work arrays of one stack, allocated once and reused by every iteration.
 
-    A function of its own so the normals are freed before the discovery
-    phase, as in a one-trial run.
+    Three float blocks of ``trials * 2 * ceil(population * dim / 2)``
+    values, viewed under the names of the steps that use them in turn:
+
+    * block 0: ``u`` (the ``u`` uniforms, then normals, then the Levy
+      ``steps``), later the discovery ``walk``;
+    * block 1: ``v`` (the ``v`` uniforms, then normals, then the Levy
+      ``scale``), later the Levy ``proposals``, then, as bool, the
+      discovery ``mask``;
+    * block 2: the Box-Muller ``radius``, later the discovery ``spare``
+      and the rows to evaluate, ``candidates``.
+
+    New temporaries of this size in every iteration made glibc trim and
+    regrow the heap top at 550-D, one page fault per page each time.
     """
-    pairs = 2 * ((n + 1) // 2)
-    u = box_muller(_draw(rngs, pairs))[:, :n]
-    v = box_muller(_draw(rngs, pairs))[:, :n]
-    return levy_steps(params, u, v)
+
+    def __init__(self, trials: int, population: int, dim: int):
+        n = population * dim
+        pairs = 2 * ((n + 1) // 2)
+        blocks = np.empty((3, trials * pairs))
+        shape = (trials, population, dim)
+        self.u, self.v = (block.reshape(trials, pairs) for block in blocks[:2])
+        self.radius = _positions(blocks[2], (trials, pairs // 2))
+        self.steps, self.scale = self.u[:, :n], self.v[:, :n]
+        self.proposals = _positions(blocks[1], shape)
+        self.mask = _positions(blocks[1].view(bool), shape)
+        self.walk, self.spare = _positions(blocks[0], shape), _positions(blocks[2], shape)
+        self.candidates = _positions(blocks[2], (trials, population - 1, dim))
+
+
+def _positions(block: np.ndarray, shape) -> np.ndarray:
+    """The first ``prod(shape)`` values of a work block, as a contiguous array of ``shape``."""
+    return block[: math.prod(shape)].reshape(shape)
+
+
+def _levy(params: LevyParams, rngs, n: int, work=None) -> np.ndarray:
+    """``n`` Levy step coordinates per trial, as ``(trials, n)``: its ``u`` normals, then its ``v`` normals.
+
+    The steps are written into ``work.steps`` (see :class:`_WorkArrays`);
+    without ``work`` new arrays are allocated.  Box-Muller runs in place
+    on each uniform block.
+    """
+    if work is None:
+        work = _WorkArrays(len(rngs), 1, n)
+    box_muller(_draw(rngs, work.u), out=work.u, work=work.radius)
+    box_muller(_draw(rngs, work.v), out=work.v, work=work.radius)
+    return levy_steps(params, work.steps, work.scale, out=work.steps, work=work.scale)
 
 
 def _check_init(mode) -> None:
@@ -149,16 +188,23 @@ def init_population(
     return X, np.where(np.isnan(F), np.inf, F)
 
 
-def _discover(X, F, pa, rngs, box, evaluate) -> np.ndarray:
+def _discover(X, F, pa, rngs, box, evaluate, work=None) -> np.ndarray:
     """Discovery walk on a stack; updates ``X`` and ``F`` in place.
 
     ``pa`` holds each trial's discovery rate, shaped ``(trials, 1, 1)``.
     Draws each trial's discovery block from its stream and returns the
-    number of accepted walk proposals per trial.
+    number of accepted walk proposals per trial.  The walk is built in
+    ``work`` (see :class:`_WorkArrays`), which is overwritten; without it
+    new arrays are allocated.
     """
     trials, pop, dim = X.shape
-    mask = _draw(rngs, pop * dim).reshape(X.shape) < pa
-    picks = _draw(rngs, 1 + pop * min(pop, 2))  # r, the first partners and (pop > 1) the second
+    if work is None:
+        work = _WorkArrays(trials, pop, dim)
+    walk, spare, mask = work.walk, work.spare, work.mask
+    _draw(rngs, walk.reshape(trials, -1))
+    np.less(walk, pa, out=mask)
+    # r, the first partners and (pop > 1) the second
+    picks = _draw(rngs, np.empty((trials, 1 + pop * min(pop, 2))))
     if pop == 1:  # the only nest is the best one: nothing is evaluated
         return np.zeros(trials, dtype=np.int64)
     r = picks[:, 0, None, None]
@@ -168,12 +214,22 @@ def _discover(X, F, pa, rngs, box, evaluate) -> np.ndarray:
     q = shifted + (shifted >= p)
     nests = X.reshape(-1, dim)
     offset = np.arange(0, trials * pop, pop)[:, None]
-    W = clamp(X + r * mask * (nests[p + offset] - nests[q + offset]), box)
+    # mode="clip" (every index is in range) lets take write straight into out;
+    # the default mode="raise" would fill a temporary copy first
+    nests.take(p + offset, axis=0, out=walk, mode="clip")
+    np.subtract(walk, nests.take(q + offset, axis=0, out=spare, mode="clip"), out=walk)
+    np.multiply(r, mask, out=spare)
+    np.multiply(spare, walk, out=walk)
+    np.add(X, walk, out=walk)
+    W = clamp(walk, box, out=walk).reshape(-1, dim)
     rows = np.flatnonzero(np.arange(pop) != F.argmin(axis=1)[:, None])
-    FW = evaluate(W.reshape(-1, dim)[rows].reshape(trials, pop - 1, dim)).ravel()
+    W.take(rows, axis=0, out=work.candidates.reshape(-1, dim), mode="clip")
+    FW = evaluate(work.candidates).ravel()
     accept = FW < F.reshape(-1)[rows]
     rows = rows[accept]
-    nests[rows] = W.reshape(-1, dim)[rows]
+    moved = np.zeros((trials * pop, 1), dtype=bool)
+    moved[rows] = True
+    np.copyto(nests, W, where=moved)
     F.reshape(-1)[rows] = FW[accept]
     return accept.reshape(trials, pop - 1).sum(axis=1)
 
@@ -182,7 +238,8 @@ def _run_stack(objectives, box, population, pa, alpha, init, rngs, params) -> li
     """Advance one stack of trials in lockstep; inputs are already checked.
 
     ``pa`` and ``alpha`` are ``(trials, iterations)`` and ``init`` holds one
-    mode per trial.
+    mode per trial.  The stack's work arrays are allocated once, here, and
+    every iteration writes its normals, proposals and walks into them.
     """
     evaluate = _stack_evaluator(objectives)
     X, F = map(np.stack, zip(*(init_population(population, box, o, rng, init=mode)
@@ -190,6 +247,7 @@ def _run_stack(objectives, box, population, pa, alpha, init, rngs, params) -> li
     trials, iterations = pa.shape
     trial = np.arange(trials)
     n = population * box.dim
+    work = _WorkArrays(trials, population, box.dim)
     walk_replacements = np.zeros(trials, dtype=np.int64)
     trace = np.empty((trials, iterations))
     # per iteration t, each trial's pa and alpha as (trials, 1, 1) columns
@@ -197,16 +255,20 @@ def _run_stack(objectives, box, population, pa, alpha, init, rngs, params) -> li
 
     for t, (pa_t, alpha_t) in enumerate(columns):
         best = F.argmin(axis=1)
-        scaled = alpha_t * _levy(params, rngs, n).reshape(X.shape)
-        spread = X - X[trial, best][:, None, :]
-        spread[trial, best] = 1.0  # the best nest moves by the scaled step itself
-        P = clamp(X + scaled * spread, box)
+        scaled = _levy(params, rngs, n, work).reshape(X.shape)
+        np.multiply(scaled, alpha_t, out=scaled)
+        # P holds the spread x - x_best, then the proposal
+        P = np.subtract(X, X[trial, best][:, None, :], out=work.proposals)
+        P[trial, best] = 1.0  # the best nest moves by the scaled step itself
+        np.multiply(scaled, P, out=P)
+        np.add(X, P, out=P)
+        clamp(P, box, out=P)
         FP = evaluate(P)
         accept = FP < F
         np.copyto(X, P, where=accept[..., None])
         np.copyto(F, FP, where=accept)
 
-        walk_replacements += _discover(X, F, pa_t, rngs, box, evaluate)
+        walk_replacements += _discover(X, F, pa_t, rngs, box, evaluate, work)
         trace[:, t] = F.min(axis=1)
 
     best = F.argmin(axis=1)
@@ -254,7 +316,9 @@ def run_trials(
     coordinates; every result is the same whatever the stacking.  When all
     trials of a stack share one objective object it evaluates each phase
     once on the stacked rows, so a shared objective must not depend on
-    call order.
+    call order.  Each stack allocates its work arrays once and every
+    iteration reuses them, so the positions an objective receives are
+    overwritten later: an objective that keeps them must copy them.
     """
     objectives, rngs = list(objectives), list(rngs)
     if len(objectives) != len(rngs):
@@ -269,10 +333,8 @@ def run_trials(
             f"pa and alpha must be 1-D arrays of equal length or one such row per trial "
             f"({trials}), got shapes {pa.shape} and {alpha.shape}"
         )
-    # copies, not zero-stride views: at 550-D the views' per-iteration
-    # columns took more minor page faults (552k against 464k per alloc550 pass)
-    pa = np.array(np.broadcast_to(pa, (trials, iterations)))
-    alpha = np.array(np.broadcast_to(alpha, (trials, iterations)))
+    pa = np.broadcast_to(pa, (trials, iterations))
+    alpha = np.broadcast_to(alpha, (trials, iterations))
     if not (np.all(np.isfinite(pa)) and np.all(np.isfinite(alpha))):
         raise ValueError("pa and alpha must be finite")
     if np.any((pa < 0.0) | (pa > 1.0)):

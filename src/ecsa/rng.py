@@ -47,27 +47,39 @@ class RandomSource:
         return self._gen.random(size, out=out)
 
 
-def box_muller(u: np.ndarray) -> np.ndarray:
+def box_muller(u: np.ndarray, out=None, work=None) -> np.ndarray:
     """Standard normals from uniform pairs along the last axis of ``u``.
 
     Each pair ``(u1, u2)`` of consecutive values becomes
     ``r = sqrt(-2 ln(1 - u1))``, ``z0 = r cos(2 pi u2)``,
     ``z1 = r sin(2 pi u2)`` in the same two places.  The kernels are
     elementwise, so a row of a stacked block gives the same bits as the
-    same uniforms transformed alone.  Intermediates are reused in place,
-    which keeps the allocations per call to four.
+    same uniforms transformed alone.
+
+    The transform runs in place on ``out``, which may be ``u`` itself
+    (otherwise ``u`` is copied into it first); ``work`` is a contiguous
+    ``(*u.shape[:-1], u.shape[-1] // 2)`` array that holds the radius.
+    Either missing array is allocated, so a caller passing neither gets a
+    new array and ``u`` is left as it was.  The engine passes both, from
+    work arrays allocated once per stack.
     """
-    radius = np.negative(u[..., 0::2])
+    if out is None:
+        out = u.copy()
+    elif out is not u:
+        np.copyto(out, u)
+    if work is None:
+        work = np.empty((*u.shape[:-1], u.shape[-1] // 2))
+    radius, angle = work, out[..., 1::2]
+    np.negative(out[..., 0::2], out=radius)
     np.log1p(radius, out=radius)
     np.multiply(radius, -2.0, out=radius)
     np.sqrt(radius, out=radius)
-    theta = 2.0 * np.pi * u[..., 1::2]
-    z = np.empty_like(u)
-    wave = np.cos(theta)
-    np.multiply(radius, wave, out=z[..., 0::2])
-    np.sin(theta, out=wave)
-    np.multiply(radius, wave, out=z[..., 1::2])
-    return z
+    np.multiply(angle, 2.0 * np.pi, out=angle)
+    np.cos(angle, out=out[..., 0::2])
+    np.multiply(radius, out[..., 0::2], out=out[..., 0::2])
+    np.sin(angle, out=angle)
+    np.multiply(radius, angle, out=angle)
+    return out
 
 
 def as_random_source(seed) -> RandomSource:

@@ -3,7 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s``.  The default protocol
 (13 functions, dimension 15, population 50, 500 iterations, 30 trials per
 algorithm) executes once as a session fixture and backs criteria 1, 2
-and 9; set the ``ECSA_WORKERS`` environment variable to parallelize it.
+and 9; set the ``ECSA_WORKERS`` environment variable to parallelize it
+and criterion 7's allocation experiment.
 Criteria 1, 2, 7 and 9 carry the ``slow`` marker, so ``pytest -m "not slow"``
 runs every other test of the suite.
 

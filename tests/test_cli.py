@@ -185,10 +185,12 @@ class TestCompareCommand:
         [
             (lambda text: text.replace(",evaluations", ""), "missing result columns ['evaluations']"),
             (lambda text: text.replace(",1.5,", ",abc,"), "line 2: bad best_fitness value 'abc'"),
+            (lambda text: text.replace(",1.5,", ",nan,"), "line 2: bad best_fitness value 'nan'"),
             (lambda text: text.replace("F1,", "F99,", 1), "line 2: bad function value 'F99'"),
             (lambda text: text.replace(",csa,", ",gsa,", 1), "line 2: bad algorithm value 'gsa'"),
         ],
-        ids=["missing_column", "bad_fitness", "unknown_function", "unknown_algorithm"],
+        ids=["missing_column", "bad_fitness", "nan_fitness", "unknown_function",
+             "unknown_algorithm"],
     )
     def test_malformed_results_fail_cleanly(self, runner, tmp_path, edit, message):
         path = tmp_path / "results.csv"
@@ -198,6 +200,14 @@ class TestCompareCommand:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "Error:" in result.output and message in result.output
         assert str(path) in result.output
+
+    def test_infinite_fitness_accepted(self, runner, tmp_path):
+        # the engine can report +inf (every evaluation NaN or inf), so it is data
+        path = tmp_path / "results.csv"
+        path.write_text(RESULTS.replace(",1.5,", ",inf,"))
+        result = runner.invoke(main, ["compare", "--results", str(path), "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert "csa_mean" in (tmp_path / "comparison.csv").read_text()
 
     def test_missing_algorithm_errors(self, runner, tmp_path):
         out = tmp_path / "bench"
@@ -254,6 +264,14 @@ class TestAllocateCommand:
         assert result.exit_code != 0
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "Error:" in result.output and message in result.output
+        assert not out.exists()
+
+    def test_bad_worker_count_fails_cleanly_before_any_output(self, runner, tmp_path):
+        out = tmp_path / "la"
+        result = runner.invoke(main, ["allocate", "--synthetic", "--out", str(out)],
+                               env={"ECSA_WORKERS": "two"})
+        assert result.exit_code != 0
+        assert "Error: ECSA_WORKERS must be an integer, got 'two'" in result.output
         assert not out.exists()
 
     def test_requires_exactly_one_source(self, runner):

@@ -195,6 +195,33 @@ class TestAllocationExperiment:
                 run_allocation(instance, "ecsa", tiny_config(**overrides))
         oracle.assert_not_called()
 
+    def test_worker_count_does_not_change_outputs(self, tmp_path, monkeypatch):
+        # 3 trials on 2 workers run as a 1-trial and a 2-trial task; every
+        # file must match the serial run's byte for byte
+        from ecsa import experiments
+
+        instance = synth_instance(6, 3, seed=1)
+        config = tiny_config(trials=3, iterations=12, population=5)
+        tasks = []
+
+        def recording(function, task_list):
+            tasks.append(len(task_list))
+            return map_tasks(function, task_list)
+
+        map_tasks = experiments._map_tasks
+        monkeypatch.setattr(experiments, "_map_tasks", recording)
+        for workers in ("1", "2"):
+            monkeypatch.setenv("ECSA_WORKERS", workers)
+            for algorithm in ("csa", "ecsa"):
+                report = run_allocation(instance, algorithm, config)
+                experiments.write_allocation_outputs(instance, report, tmp_path / workers)
+        assert tasks == [1, 1, 2, 2]
+        files = sorted(p.relative_to(tmp_path / "1") for p in (tmp_path / "1").rglob("*.csv"))
+        assert len(files) == 2 * (2 + 3 + 1)  # per algorithm: 2 CSVs, 3 trial traces, 1 mean
+        assert files == sorted(p.relative_to(tmp_path / "2") for p in (tmp_path / "2").rglob("*.csv"))
+        for name in files:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
     def test_outputs_written(self, tmp_path):
         from ecsa.experiments import write_allocation_outputs
 

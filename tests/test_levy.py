@@ -86,6 +86,16 @@ class TestLevyStep:
         u, v = normals(rng, 24), normals(rng, 24)
         assert np.array_equal(levy_steps(params, 2 * u, v), 2 * levy_steps(params, u, v))
 
+    def test_in_place_matches_new_arrays(self):
+        # the engine writes the steps over u and the scale over v
+        params = LevyParams(beta=1.5)
+        rng = RandomSource(31)
+        u, v = normals(rng, 24), normals(rng, 24)
+        steps = levy_steps(params, u, v)
+        assert np.array_equal(u, normals(RandomSource(31), 24))
+        assert levy_steps(params, u, v, out=u, work=v) is u
+        assert np.array_equal(u, steps)
+
 
 # one shared million-draw sample keeps the Monte-Carlo tests cheap
 @pytest.fixture(scope="module")

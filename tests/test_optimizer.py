@@ -16,7 +16,13 @@ from ecsa import (
     init_population,
 )
 from ecsa import optimizer
+from ecsa.allocation import AllocationObjective, synth_instance
 from ecsa.optimizer import run_trials
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 
 def sphere(x):
@@ -258,6 +264,26 @@ class TestAbandonWorst:
         assert total == 8 * 40 * 7 * 10
         assert touched / total == pytest.approx(pa, abs=0.02)
 
+    def test_work_arrays_do_not_change_the_walk(self):
+        # the engine passes its reused work arrays, a direct call gets new ones
+        box = SearchBox.cube(4, -5, 5)
+        X0 = -5.0 + 10.0 * RandomSource(1).random((3, 6, 4))
+        F0 = np.array([[sphere(x) for x in nests] for nests in X0])
+        evaluate = optimizer._stack_evaluator([sphere] * 3)
+        pa = np.full((3, 1, 1), 0.5)
+        walks = []
+        stale = optimizer._WorkArrays(3, 6, 4)
+        for block in (stale.u, stale.v, stale.spare):  # every value of the three blocks
+            block.fill(np.nan)
+        for work in (None, stale):
+            X, F = X0.copy(), F0.copy()
+            rngs = [RandomSource(seed) for seed in range(3)]
+            accepted = optimizer._discover(X, F, pa, rngs, box, evaluate, work)
+            walks.append((X, F, accepted))
+        (X, F, accepted), (Xw, Fw, accepted_w) = walks
+        assert np.array_equal(X, Xw) and np.array_equal(F, Fw)
+        assert np.array_equal(accepted, accepted_w) and accepted.sum() > 0
+
     def test_pa_validation(self):
         box = SearchBox.cube(2, -1, 1)
         counting = CountingObjective(sphere, box)
@@ -385,6 +411,24 @@ class TestRun:
             run_one(counting, box, population=3, pa=[0.25, 0.25], alpha=[0.01, bad],
                     init="random", rng=RandomSource(0))
         assert counting.calls == 0
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_iterations_reuse_the_stack_work_arrays():
+    # new 550-D stack-sized temporaries in every iteration made glibc trim
+    # and regrow the heap top: 50 to 230 minor page faults per iteration,
+    # depending on the heap layout.  The per-stack work arrays leave next
+    # to none.
+    objective = AllocationObjective(synth_instance(50, 11, seed=0))
+
+    def faults(iterations):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        constant_run(objective, objective.box, population=50, iterations=iterations, pa=0.25,
+                     alpha=0.01, seed=0)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    short, long = faults(20), faults(120)
+    assert (long - short) / 100 < 20
 
 
 class TestEstimators:

@@ -49,6 +49,19 @@ class TestNormal:
         z = box_muller(RandomSource(11).random((3, 10)))
         assert z.shape == (3, 10)
 
+    def test_in_place_matches_new_array(self):
+        # the engine transforms its uniform block in place with a reused
+        # radius array; a caller passing neither gets a new array, same bits
+        u = RandomSource(11).random((3, 10))
+        z = box_muller(u)
+        assert not np.array_equal(z, u)
+        assert np.array_equal(u, RandomSource(11).random((3, 10)))
+        out = np.full((3, 10), np.nan)
+        assert box_muller(u, out=out) is out
+        assert np.array_equal(out, z)
+        assert box_muller(u, out=u, work=np.full((3, 5), np.nan)) is u
+        assert np.array_equal(u, z)
+
     def test_odd_count_consumes_full_pair(self):
         # three Levy coordinates take 4 uniforms for their u normals and 4
         # for their v normals: the next draw must match a reference stream
