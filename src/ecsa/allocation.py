@@ -205,11 +205,11 @@ class AllocationObjective:
 
     def evaluate_many(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        n = X.shape[0]
-        scores = X.reshape(n, self.instance.n_blocks, self.instance.n_areas)
-        chosen = scores.argmax(axis=2)
-        rows = np.arange(self.instance.n_blocks)
-        return self.instance.distance[rows[None, :], chosen].sum(axis=1)
+        blocks, areas = self.instance.n_blocks, self.instance.n_areas
+        chosen = X.reshape(X.shape[0], blocks, areas).argmax(axis=2)
+        # row-major flat index of (block j, its chosen area) in the distance matrix
+        chosen += np.arange(0, blocks * areas, areas)
+        return self.instance.distance.ravel().take(chosen).sum(axis=1)
 
 
 def write_assignment_csv(instance: AllocationInstance, assignment: Assignment, path) -> None:

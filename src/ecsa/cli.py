@@ -15,6 +15,9 @@ from .experiments import ExperimentConfig
 from .schedule import cosine_schedule
 from .sobol import SobolSequence
 
+# every option that sets a config field takes its default from here
+_DEFAULTS = ExperimentConfig()
+
 
 @click.group()
 def main():
@@ -61,20 +64,20 @@ def _experiment_config(ctx, config_path, **flags) -> ExperimentConfig:
 @main.group(invoke_without_command=True)
 @click.option("--functions", default="all", show_default=True,
               help="Comma-separated function ids (F1..F13) or 'all'.")
-@click.option("--algorithms", default="csa,ecsa", show_default=True)
-@click.option("--trials", default=30, show_default=True, type=int)
-@click.option("--seed", "base_seed", default=0, show_default=True, type=int)
-@click.option("--dim", default=benchmarks.DEFAULT_DIM, show_default=True, type=int)
-@click.option("--population", default=50, show_default=True, type=int)
-@click.option("--iterations", default=500, show_default=True, type=int)
-@click.option("--pa", default=0.25, show_default=True, type=float)
-@click.option("--alpha", default=0.01, show_default=True, type=float)
-@click.option("--pa-min", default=0.25, show_default=True, type=float)
-@click.option("--pa-max", default=0.5, show_default=True, type=float)
-@click.option("--alpha-min", default=0.01, show_default=True, type=float)
-@click.option("--alpha-max", default=0.05, show_default=True, type=float)
-@click.option("--t0", default=100, show_default=True, type=int)
-@click.option("--t-mult", default=2.0, show_default=True, type=float)
+@click.option("--algorithms", default=",".join(_DEFAULTS.algorithms), show_default=True)
+@click.option("--trials", default=_DEFAULTS.trials, show_default=True, type=int)
+@click.option("--seed", "base_seed", default=_DEFAULTS.base_seed, show_default=True, type=int)
+@click.option("--dim", default=_DEFAULTS.dim, show_default=True, type=int)
+@click.option("--population", default=_DEFAULTS.population, show_default=True, type=int)
+@click.option("--iterations", default=_DEFAULTS.iterations, show_default=True, type=int)
+@click.option("--pa", default=_DEFAULTS.pa, show_default=True, type=float)
+@click.option("--alpha", default=_DEFAULTS.alpha, show_default=True, type=float)
+@click.option("--pa-min", default=_DEFAULTS.pa_min, show_default=True, type=float)
+@click.option("--pa-max", default=_DEFAULTS.pa_max, show_default=True, type=float)
+@click.option("--alpha-min", default=_DEFAULTS.alpha_min, show_default=True, type=float)
+@click.option("--alpha-max", default=_DEFAULTS.alpha_max, show_default=True, type=float)
+@click.option("--t0", default=_DEFAULTS.t0, show_default=True, type=int)
+@click.option("--t-mult", default=_DEFAULTS.t_mult, show_default=True, type=float)
 @click.option("--config", "config_path", default=None, type=click.Path(exists=True),
               help="JSON config file; explicit flags override its values.")
 @click.option("--out", "out_dir", default="results", show_default=True,
@@ -152,10 +155,10 @@ def compare(results_path, level, out_dir):
 @click.option("--areas-count", default=11, show_default=True, type=int)
 @click.option("--algorithm", default="ecsa", show_default=True,
               type=click.Choice(experiments.ALGORITHMS))
-@click.option("--trials", default=30, show_default=True, type=int)
-@click.option("--seed", "base_seed", default=0, show_default=True, type=int)
-@click.option("--population", default=50, show_default=True, type=int)
-@click.option("--iterations", default=500, show_default=True, type=int)
+@click.option("--trials", default=_DEFAULTS.trials, show_default=True, type=int)
+@click.option("--seed", "base_seed", default=_DEFAULTS.base_seed, show_default=True, type=int)
+@click.option("--population", default=_DEFAULTS.population, show_default=True, type=int)
+@click.option("--iterations", default=_DEFAULTS.iterations, show_default=True, type=int)
 @click.option("--out", "out_dir", default="allocation_results", show_default=True,
               type=click.Path(file_okay=False))
 def allocate(instance_path, blocks_path, areas_path, synthetic, blocks_count,
@@ -211,17 +214,17 @@ def sobol(dim, count):
 
 
 @main.command()
-@click.option("--t0", default=100, show_default=True, type=int)
-@click.option("--tmult", default=2.0, show_default=True, type=float)
-@click.option("--iters", default=500, show_default=True, type=int)
-@click.option("--pa-min", default=0.25, show_default=True, type=float)
-@click.option("--pa-max", default=0.5, show_default=True, type=float)
-@click.option("--alpha-min", default=0.01, show_default=True, type=float)
-@click.option("--alpha-max", default=0.05, show_default=True, type=float)
+@click.option("--t0", default=_DEFAULTS.t0, show_default=True, type=int)
+@click.option("--tmult", default=_DEFAULTS.t_mult, show_default=True, type=float)
+@click.option("--iters", default=_DEFAULTS.iterations, show_default=True, type=int)
+@click.option("--pa-min", default=_DEFAULTS.pa_min, show_default=True, type=float)
+@click.option("--pa-max", default=_DEFAULTS.pa_max, show_default=True, type=float)
+@click.option("--alpha-min", default=_DEFAULTS.alpha_min, show_default=True, type=float)
+@click.option("--alpha-max", default=_DEFAULTS.alpha_max, show_default=True, type=float)
 def schedule(t0, tmult, iters, pa_min, pa_max, alpha_min, alpha_max):
     """Emit the (iteration, discovery rate, step size) annealing table."""
-    if t0 < 1 or tmult < 1.0 or iters < 0:
-        raise click.UsageError("need t0 >= 1, tmult >= 1 and iters >= 0")
+    if iters < 0:
+        raise click.UsageError(f"--iters must be >= 0, got {iters}")
     try:
         pa = cosine_schedule(pa_min, pa_max, t0, tmult, iters + 1)
         alpha = cosine_schedule(alpha_min, alpha_max, t0, tmult, iters + 1)

@@ -81,7 +81,10 @@ def clamp(position, box: SearchBox, out=None) -> np.ndarray:
         raise ValueError(
             f"position has dimension {position.shape[-1]}, box expects {box.dim}"
         )
-    return np.clip(position, box.lower, box.upper, out=out)
+    # maximum then minimum gives np.clip's bits, NaN and signed zeros included,
+    # without np.clip's slower generic loop
+    out = np.maximum(position, box.lower, out=out)
+    return np.minimum(out, box.upper, out=out)
 
 
 @dataclass

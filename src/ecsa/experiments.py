@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,10 @@ from .optimizer import CuckooSearch, EnhancedCuckooSearch, run_trials
 from .rng import RandomSource, stable_seed
 from .stats import decide, rank_sum_p, summarize
 
-ALGORITHMS = ("csa", "ecsa")
+# every algorithm and its estimator; ``make_optimizer`` configures them by name
+_ESTIMATORS = {estimator.algorithm: estimator for estimator in (CuckooSearch, EnhancedCuckooSearch)}
+ALGORITHMS = tuple(_ESTIMATORS)
+_CSA, _ECSA = CuckooSearch(), EnhancedCuckooSearch()
 
 RESULT_FIELDS = ("function", "algorithm", "trial", "seed", "best_fitness", "evaluations")
 WORKERS_ENV = "ECSA_WORKERS"
@@ -47,6 +50,8 @@ class ExperimentConfig:
 
     Every field is also a ``bench`` flag and a ``--config`` key.  The
     allocation experiment ignores ``functions``, ``algorithms`` and ``dim``.
+    Every other field is an estimator parameter of the same name, with
+    the estimator's default, and :func:`make_optimizer` passes it on.
     """
 
     functions: tuple = FUNCTION_IDS
@@ -54,16 +59,16 @@ class ExperimentConfig:
     trials: int = 30
     base_seed: int = 0
     dim: int = benchmarks.DEFAULT_DIM
-    population: int = 50
-    iterations: int = 500
-    pa: float = 0.25
-    alpha: float = 0.01
-    pa_min: float = 0.25
-    pa_max: float = 0.5
-    alpha_min: float = 0.01
-    alpha_max: float = 0.05
-    t0: int = 100
-    t_mult: float = 2.0
+    population: int = _CSA.population
+    iterations: int = _CSA.iterations
+    pa: float = _CSA.pa
+    alpha: float = _CSA.alpha
+    pa_min: float = _ECSA.pa_min
+    pa_max: float = _ECSA.pa_max
+    alpha_min: float = _ECSA.alpha_min
+    alpha_max: float = _ECSA.alpha_max
+    t0: int = _ECSA.t0
+    t_mult: float = _ECSA.t_mult
 
     def __post_init__(self):
         functions = self.functions
@@ -92,26 +97,12 @@ def trial_seed(base_seed: int, algorithm: str, function: str, trial: int) -> int
 
 
 def make_optimizer(algorithm: str, config: ExperimentConfig):
-    """Construct the configured estimator; its ``engine_inputs`` feed the engine."""
-    if algorithm == "csa":
-        return CuckooSearch(
-            population=config.population,
-            iterations=config.iterations,
-            pa=config.pa,
-            alpha=config.alpha,
-        )
-    if algorithm == "ecsa":
-        return EnhancedCuckooSearch(
-            population=config.population,
-            iterations=config.iterations,
-            pa_min=config.pa_min,
-            pa_max=config.pa_max,
-            alpha_min=config.alpha_min,
-            alpha_max=config.alpha_max,
-            t0=config.t0,
-            t_mult=config.t_mult,
-        )
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    """The algorithm's estimator, given every config field named like one of its parameters."""
+    if algorithm not in _ESTIMATORS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    estimator = _ESTIMATORS[algorithm]
+    values = {field.name: getattr(config, field.name) for field in fields(config)}
+    return estimator(**{name: values[name] for name in estimator().get_params() if name in values})
 
 
 def check_benchmark(config: ExperimentConfig) -> None:
@@ -119,8 +110,8 @@ def check_benchmark(config: ExperimentConfig) -> None:
 
     The summary std and the comparison need two trials per cell, every
     function must exist at ``dim``, every configured algorithm's
-    hyperparameters must pass its estimator's checks, and
-    ``ECSA_WORKERS`` must be an integer.
+    settings must pass the engine's checks (through its estimator's
+    ``engine_inputs``), and ``ECSA_WORKERS`` must be an integer.
     """
     if config.trials < 2:
         raise ValueError(

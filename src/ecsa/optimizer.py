@@ -158,9 +158,39 @@ def _levy(params: LevyParams, rngs, n: int, work=None) -> np.ndarray:
     return levy_steps(params, work.steps, work.scale, out=work.steps, work=work.scale)
 
 
-def _check_init(mode) -> None:
-    if mode not in INIT_MODES:
-        raise ValueError(f"init must be one of {INIT_MODES}, got {mode!r}")
+def _checked_settings(trials: int, population: int, pa, alpha, init):
+    """The one check of each engine setting, for a stack of ``trials`` trials.
+
+    :func:`run_trials`, :func:`init_population` and ``engine_inputs`` run it
+    before any evaluation.  Returns ``pa`` and ``alpha`` as ``(trials,
+    iterations)`` arrays and ``init`` as a list of one mode per trial.
+    """
+    if population < 1:
+        raise ValueError(f"population must be >= 1, got {population}")
+    pa = np.asarray(pa, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    iterations = pa.shape[-1] if pa.ndim else -1
+    shapes = ((iterations,), (trials, iterations))
+    if pa.shape not in shapes or alpha.shape not in shapes:
+        raise ValueError(
+            f"pa and alpha must be 1-D arrays of equal length or one such row per trial "
+            f"({trials}), got shapes {pa.shape} and {alpha.shape}"
+        )
+    pa = np.broadcast_to(pa, (trials, iterations))
+    alpha = np.broadcast_to(alpha, (trials, iterations))
+    if not (np.all(np.isfinite(pa)) and np.all(np.isfinite(alpha))):
+        raise ValueError("pa and alpha must be finite")
+    if np.any((pa < 0.0) | (pa > 1.0)):
+        raise ValueError(f"pa must be in [0, 1], got {pa[(pa < 0.0) | (pa > 1.0)][0]}")
+    if np.any(alpha <= 0.0):
+        raise ValueError(f"alpha must be positive, got {alpha[alpha <= 0.0][0]}")
+    init = [init] * trials if isinstance(init, str) else list(init)
+    if len(init) != trials:
+        raise ValueError(f"got {len(init)} init modes for {trials} random sources")
+    for mode in init:
+        if mode not in INIT_MODES:
+            raise ValueError(f"init must be one of {INIT_MODES}, got {mode!r}")
+    return pa, alpha, init
 
 
 def init_population(
@@ -177,9 +207,7 @@ def init_population(
     midpoint).  A NaN fitness is stored as ``+inf`` so it can never be
     picked as the best nest.
     """
-    if count < 1:
-        raise ValueError(f"population must be >= 1, got {count}")
-    _check_init(init)
+    _checked_settings(1, count, [], [], [init])
     if init == "sobol":
         X = sobol_population(box, count)
     else:
@@ -301,9 +329,8 @@ def run_trials(
     step size of iteration ``t``; the number of iterations is their length.
     Either may instead be a ``(trials, iterations)`` array whose row ``i``
     is trial ``i``'s schedule.  ``init`` is one of :data:`INIT_MODES` for
-    every trial, or a sequence holding one mode per trial.  ``population``
-    is checked by :func:`init_population`; every check runs before the
-    first evaluation.
+    every trial, or a sequence holding one mode per trial.  Every input
+    is checked before the first evaluation.
 
     Per iteration each trial draws from its own stream, in this order:
     ``2 * ceil(population * dim / 2)`` uniforms for the Box-Muller ``u``
@@ -323,34 +350,11 @@ def run_trials(
     objectives, rngs = list(objectives), list(rngs)
     if len(objectives) != len(rngs):
         raise ValueError(f"got {len(objectives)} objectives for {len(rngs)} random sources")
-    trials = len(rngs)
-    pa = np.asarray(pa, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    iterations = pa.shape[-1] if pa.ndim else -1
-    shapes = ((iterations,), (trials, iterations))
-    if pa.shape not in shapes or alpha.shape not in shapes:
-        raise ValueError(
-            f"pa and alpha must be 1-D arrays of equal length or one such row per trial "
-            f"({trials}), got shapes {pa.shape} and {alpha.shape}"
-        )
-    pa = np.broadcast_to(pa, (trials, iterations))
-    alpha = np.broadcast_to(alpha, (trials, iterations))
-    if not (np.all(np.isfinite(pa)) and np.all(np.isfinite(alpha))):
-        raise ValueError("pa and alpha must be finite")
-    if np.any((pa < 0.0) | (pa > 1.0)):
-        raise ValueError(f"pa must be in [0, 1], got {pa[(pa < 0.0) | (pa > 1.0)][0]}")
-    if np.any(alpha <= 0.0):
-        raise ValueError(f"alpha must be positive, got {alpha[alpha <= 0.0][0]}")
-    init = [init] * trials if isinstance(init, str) else list(init)
-    if len(init) != trials:
-        raise ValueError(f"got {len(init)} init modes for {trials} random sources")
-    for mode in init:
-        _check_init(mode)
+    pa, alpha, init = _checked_settings(len(rngs), population, pa, alpha, init)
     params = levy_params or LevyParams()
-    # population < 1 is rejected by init_population, inside the first stack
-    size = max(1, STACK_COORDINATES // max(1, population * box.dim))
+    size = max(1, STACK_COORDINATES // (population * box.dim))
     traces = []
-    for lo in range(0, trials, size):
+    for lo in range(0, len(rngs), size):
         stack = slice(lo, lo + size)
         traces += _run_stack(
             objectives[stack], box, population, pa[stack], alpha[stack], init[stack], rngs[stack],
@@ -365,8 +369,9 @@ class BaseOptimizer:
     A subclass stores its hyperparameters in ``__init__`` (including
     ``population``, ``iterations``, ``levy_beta``, ``init`` and ``seed``)
     and maps them to the engine's inputs (:meth:`engine_inputs`):
-    ``_checks`` lists the conditions its own hyperparameters must meet,
-    ``_schedules`` returns the per-iteration ``pa`` and ``alpha`` arrays.
+    ``_schedules`` returns the per-iteration ``pa`` and ``alpha`` arrays,
+    and raises on a hyperparameter those arrays cannot show to be wrong.
+    Everything else is checked by the engine's own checks.
 
     After ``fit``: ``best_position_``, ``best_fitness_``, ``trace_``
     (best fitness per iteration), ``n_evaluations_``,
@@ -400,17 +405,13 @@ class BaseOptimizer:
         """Check the hyperparameters and return this estimator's :func:`run_trials` inputs.
 
         Returns ``pa``, ``alpha``, ``init`` and ``levy_params``.  A bad
-        hyperparameter raises here with the estimator's own message;
-        ``init`` is checked by the engine, also before any evaluation.
+        hyperparameter raises here, with the message :func:`run_trials`
+        would give, so callers can check settings before any work starts.
         """
-        if self.population < 1:
-            raise ValueError(f"population must be >= 1, got {self.population}")
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        for ok, message in self._checks():
-            if not ok:
-                raise ValueError(message)
         pa, alpha = self._schedules()
+        _checked_settings(1, self.population, pa, alpha, self.init)
         return dict(pa=pa, alpha=alpha, init=self.init, levy_params=LevyParams(beta=self.levy_beta))
 
     def fit_trials(self, objectives, bounds, seeds) -> list[RunTrace]:
@@ -476,12 +477,6 @@ class CuckooSearch(BaseOptimizer):
         self.init = init
         self.seed = seed
 
-    def _checks(self):
-        return (
-            (0.0 <= self.pa <= 1.0, f"pa must be in [0, 1], got {self.pa}"),
-            (self.alpha > 0.0, f"alpha must be positive, got {self.alpha}"),
-        )
-
     def _schedules(self) -> tuple[np.ndarray, np.ndarray]:
         return np.full(self.iterations, float(self.pa)), np.full(self.iterations, float(self.alpha))
 
@@ -525,20 +520,14 @@ class EnhancedCuckooSearch(CuckooSearch):
         self.init = init
         self.seed = seed
 
-    def _checks(self):
-        return (
-            (
-                0.0 <= self.pa_min <= self.pa_max <= 1.0,
-                f"need 0 <= pa_min <= pa_max <= 1, got [{self.pa_min}, {self.pa_max}]",
-            ),
-            (
-                0.0 < self.alpha_min <= self.alpha_max,
-                f"need 0 < alpha_min <= alpha_max, got [{self.alpha_min}, {self.alpha_max}]",
-            ),
-        )
-
     def _schedules(self) -> tuple[np.ndarray, np.ndarray]:
         """Both schedules on one clock; ``cosine_schedule`` checks ``t0`` and ``t_mult``."""
+        if not 0.0 <= self.pa_min <= self.pa_max <= 1.0:
+            raise ValueError(f"need 0 <= pa_min <= pa_max <= 1, got [{self.pa_min}, {self.pa_max}]")
+        if not 0.0 < self.alpha_min <= self.alpha_max:
+            raise ValueError(
+                f"need 0 < alpha_min <= alpha_max, got [{self.alpha_min}, {self.alpha_max}]"
+            )
         return (
             cosine_schedule(self.pa_min, self.pa_max, self.t0, self.t_mult, self.iterations),
             cosine_schedule(self.alpha_min, self.alpha_max, self.t0, self.t_mult, self.iterations),

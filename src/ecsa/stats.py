@@ -22,10 +22,18 @@ SIGNIFICANTLY_DIFFERENT = "significantly_different"
 
 
 def summarize(sample) -> tuple[float, float]:
-    """Arithmetic mean and sample standard deviation (n - 1 denominator)."""
+    """Arithmetic mean and sample standard deviation (n - 1 denominator).
+
+    The spread of a sample holding an infinite value is unbounded, so its
+    std is ``inf`` (the formula would give NaN); its mean is infinite, or
+    NaN when it holds infinities of both signs.
+    """
     values = np.asarray(sample, dtype=float)
     if values.size < 2:
         raise ValueError(f"summarize needs at least 2 values, got {values.size}")
+    if np.isinf(values).any():
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            return float(values.mean()), math.inf
     return float(values.mean()), float(values.std(ddof=1))
 
 

@@ -130,6 +130,9 @@ class TestBenchCommand:
             (["--dim", "0"], "1", "dim must be >= 1, got 0"),
             (["--population", "0"], "1", "population must be >= 1, got 0"),
             (["--trials", "2"], "two", "ECSA_WORKERS must be an integer, got 'two'"),
+            # the estimators passed these and only the engine rejected them
+            (["--trials", "2", "--alpha", "inf"], "1", "pa and alpha must be finite"),
+            (["--trials", "2", "--alpha-max", "inf"], "1", "pa and alpha must be finite"),
         ],
     )
     def test_rejected_config_creates_and_announces_nothing(self, runner, tmp_path, flags,
@@ -207,7 +210,10 @@ class TestCompareCommand:
         path.write_text(RESULTS.replace(",1.5,", ",inf,"))
         result = runner.invoke(main, ["compare", "--results", str(path), "--out", str(tmp_path)])
         assert result.exit_code == 0, result.output
-        assert "csa_mean" in (tmp_path / "comparison.csv").read_text()
+        header, f1 = (tmp_path / "comparison.csv").read_text().splitlines()
+        assert header.startswith("function,csa_mean,csa_std,")
+        # an infinite value makes the spread unbounded, not NaN
+        assert f1.startswith("F1,inf,inf,")
 
     def test_missing_algorithm_errors(self, runner, tmp_path):
         out = tmp_path / "bench"

@@ -1,12 +1,16 @@
+import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from ecsa.experiments import (
+    ALGORITHMS,
     ExperimentConfig,
     compare_rows,
     comparison_table,
+    make_optimizer,
     read_results_csv,
     run_allocation,
     run_benchmark,
@@ -48,6 +52,21 @@ class TestConfig:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             ExperimentConfig(trials=0)
+
+    @pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig), ids=lambda f: f.name)
+    def test_every_setting_reaches_its_estimator(self, field):
+        # make_optimizer matches config fields to estimator parameters by
+        # name, so a renamed field would silently fall back to its default
+        if field.name in ("functions", "algorithms", "trials", "base_seed", "dim"):
+            return
+        value = field.default + 1
+        config = ExperimentConfig(**{field.name: value})
+        reached = [
+            make_optimizer(algorithm, config).get_params()[field.name]
+            for algorithm in ALGORITHMS
+            if field.name in make_optimizer(algorithm, ExperimentConfig()).get_params()
+        ]
+        assert reached and all(setting == value for setting in reached)
 
     def test_trial_seed_stable_and_distinct(self):
         s = trial_seed(0, "csa", "F1", 0)
@@ -185,8 +204,9 @@ class TestAllocationExperiment:
     @pytest.mark.parametrize(
         "overrides, message",
         [({"population": 0}, "population must be >= 1, got 0"),
-         ({"iterations": -1}, "iterations must be >= 0, got -1")],
-        ids=["population_0", "iterations_negative"],
+         ({"iterations": -1}, "iterations must be >= 0, got -1"),
+         ({"alpha_max": math.inf}, "pa and alpha must be finite")],
+        ids=["population_0", "iterations_negative", "alpha_max_infinite"],
     )
     def test_bad_sizes_rejected_before_the_oracle(self, overrides, message):
         instance = synth_instance(4, 2, seed=2)

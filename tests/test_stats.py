@@ -50,6 +50,11 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize([1.0])
 
+    @pytest.mark.parametrize("sample", [[math.inf, 2.5], [math.inf, math.inf]])
+    def test_infinite_value_has_infinite_std(self, sample):
+        # the engine reports +inf for a trial whose every evaluation was NaN or inf
+        assert summarize(sample) == (math.inf, math.inf)
+
 
 class TestRankSumExact:
     def test_separated_triples(self):
