@@ -174,7 +174,7 @@ def evaluate_many(spec: ObjectiveSpec, X, rng: RandomSource | None = None) -> np
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != spec.dim:
         raise ValueError(f"{spec.id} expects shape (n, {spec.dim}), got {X.shape}")
-    if np.any(X < spec.box.lower) or np.any(X > spec.box.upper):
+    if (X < spec.box.lower).any() or (X > spec.box.upper).any():
         raise ValueError(f"{spec.id}: point outside the search box")
     kernel = _DEFINITIONS[spec.id][2]
     if spec.stochastic:

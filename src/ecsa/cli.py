@@ -35,6 +35,17 @@ def _config_value(ctx, config_data, name, flag_value):
     return flag_value
 
 
+def _expected_type(value, default):
+    """What a config value must be to replace ``default``, or None when ``value`` is that."""
+    if isinstance(default, tuple):
+        strings = isinstance(value, list) and all(isinstance(item, str) for item in value)
+        return None if isinstance(value, str) or strings else "a string or a list of strings"
+    kinds = int if isinstance(default, int) else (int, float)
+    if isinstance(value, kinds) and not isinstance(value, bool):
+        return None
+    return "an integer" if kinds is int else "a number"
+
+
 def _experiment_config(ctx, config_path, **flags) -> ExperimentConfig:
     config_data = {}
     if config_path:
@@ -42,10 +53,16 @@ def _experiment_config(ctx, config_path, **flags) -> ExperimentConfig:
             config_data = json.loads(Path(config_path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise click.ClickException(f"cannot read config file: {exc}")
-        known = {f.name for f in dataclass_fields(ExperimentConfig)}
-        unknown = set(config_data) - known
+        if not isinstance(config_data, dict):
+            raise click.ClickException("config file must hold a JSON object")
+        defaults = {f.name: f.default for f in dataclass_fields(ExperimentConfig)}
+        unknown = set(config_data) - set(defaults)
         if unknown:
             raise click.ClickException(f"unknown config keys: {sorted(unknown)}")
+        for name, value in config_data.items():
+            expected = _expected_type(value, defaults[name])
+            if expected:
+                raise click.ClickException(f"config key {name!r} must be {expected}, got {value!r}")
     resolved = {
         name: _config_value(ctx, config_data, name, value) for name, value in flags.items()
     }

@@ -8,9 +8,10 @@ cell by cell and adding cells never shifts existing streams.
 
 All outputs are flat CSV files plus an aligned text table; convergence
 traces are emitted per run and as a per-cell mean so plots can be drawn
-with external tools.  Row order is sorted before writing, which keeps
-file contents byte-identical whether runs execute serially or on a
-worker pool (``ECSA_WORKERS`` environment variable).
+with external tools.  Rows come in sorted cell order however the cells
+are split, which keeps file contents byte-identical whether runs
+execute serially or on a worker pool (``ECSA_WORKERS`` environment
+variable).
 """
 
 from __future__ import annotations
@@ -124,38 +125,33 @@ def check_benchmark(config: ExperimentConfig) -> None:
     worker_count()
 
 
-def _run_function(args):
-    """Every trial of one function, all algorithms as one engine call; top level so pools can pickle it.
+def _run_cells(args):
+    """Some ``(function, algorithm, trial)`` cells as one engine call; top level so pools can pickle it.
 
-    The algorithms' trials differ only in their seeds, schedules and init
-    modes, so they advance together on per-trial schedules.  Returns one
-    ``(row, trace)`` pair per trial.  F7 draws its noise from each trial's
-    own stream, so it gets one objective per trial; every other function
-    shares one objective across the stacked trials.
+    The cells' trials differ only in their objectives, boxes, seeds,
+    schedules and init modes, so they advance together on per-trial boxes
+    and schedules.  Returns one ``(row, trace)`` pair per cell, in order.
+    F7 draws its noise from each trial's own stream, so it gets one
+    objective per trial; every other function shares one objective across
+    its trials.
     """
-    config, function_id = args
-    cells = [
-        (algorithm, trial, trial_seed(config.base_seed, algorithm, function_id, trial))
-        for algorithm in config.algorithms
-        for trial in range(config.trials)
-    ]
-    rngs = [RandomSource(seed) for _, _, seed in cells]
-    spec = benchmarks.get_spec(function_id, config.dim)
-    if spec.stochastic:
-        objectives = [BenchmarkObjective(spec, rng) for rng in rngs]
-    else:
-        objectives = [BenchmarkObjective(spec)] * len(rngs)
-    inputs = [make_optimizer(algorithm, config).engine_inputs() for algorithm in config.algorithms]
+    config, cells = args
+    specs = {fid: benchmarks.get_spec(fid, config.dim) for fid, _, _ in cells}
+    shared = {fid: BenchmarkObjective(spec) for fid, spec in specs.items() if not spec.stochastic}
+    inputs = {name: make_optimizer(name, config).engine_inputs() for name in config.algorithms}
+    seeds = [trial_seed(config.base_seed, algorithm, fid, trial) for fid, algorithm, trial in cells]
+    rngs = [RandomSource(seed) for seed in seeds]
     results = run_trials(
-        objectives,
-        spec.box,
+        [shared[fid] if fid in shared else BenchmarkObjective(specs[fid], rng)
+         for (fid, _, _), rng in zip(cells, rngs)],
+        [specs[fid].box for fid, _, _ in cells],
         population=config.population,
-        pa=np.repeat([entry["pa"] for entry in inputs], config.trials, axis=0),
-        alpha=np.repeat([entry["alpha"] for entry in inputs], config.trials, axis=0),
-        init=[entry["init"] for entry in inputs for _ in range(config.trials)],
+        pa=np.array([inputs[algorithm]["pa"] for _, algorithm, _ in cells]),
+        alpha=np.array([inputs[algorithm]["alpha"] for _, algorithm, _ in cells]),
+        init=[inputs[algorithm]["init"] for _, algorithm, _ in cells],
         rngs=rngs,
         # the config has no Levy field: every estimator has the default parameters
-        levy_params=inputs[0]["levy_params"],
+        levy_params=inputs[config.algorithms[0]]["levy_params"],
     )
     return [
         (
@@ -169,7 +165,7 @@ def _run_function(args):
             },
             result.best_fitness_per_iteration,
         )
-        for (algorithm, trial, seed), result in zip(cells, results)
+        for (function_id, algorithm, trial), seed, result in zip(cells, seeds, results)
     ]
 
 
@@ -186,32 +182,51 @@ def worker_count() -> int:
 def _map_tasks(function, tasks) -> list:
     """``function`` applied to each task, in task order.
 
-    With ``worker_count()`` above 1 and more than one task the tasks run
-    on a process pool of at most one worker per task, one task at a time
-    per worker; otherwise they run here, one after another.
+    More than one task runs on a process pool of one worker per task; a
+    single task runs here.
     """
-    workers = min(worker_count(), len(tasks))
-    if workers > 1:
+    if len(tasks) > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(workers) as pool:
+        with multiprocessing.Pool(len(tasks)) as pool:
             return pool.map(function, tasks, chunksize=1)
     return [function(task) for task in tasks]
 
 
+def _map_split(function, shared, items) -> list:
+    """``function`` over ``items`` split between the workers; one result per item, in item order.
+
+    Worker ``k`` of ``W = min(worker_count(), len(items))`` gets one task,
+    ``(shared, items[k::W])``, and ``function`` returns one result per
+    item of its task.  The interleaved split gives every worker the same
+    mix of items.
+    """
+    workers = min(worker_count(), len(items))
+    tasks = [(shared, items[k::workers]) for k in range(workers)]
+    results = [None] * len(items)
+    for k, task_results in enumerate(_map_tasks(function, tasks)):
+        results[k::workers] = task_results
+    return results
+
+
 def run_benchmark(config: ExperimentConfig):
-    """Run the protocol; returns (rows, traces) sorted by cell.
+    """Run the protocol; returns (rows, traces) in cell order.
 
     ``rows`` is a list of result dicts; ``traces`` maps
     ``(function, algorithm, trial)`` to the per-iteration best-fitness
-    array.  Each function, with all its algorithms and trials, is one
-    task for the worker pool.  :func:`check_benchmark` runs first.
+    array.  The cells, sorted by function id, algorithm name and trial,
+    are split between the workers (:func:`_map_split`), and each worker
+    runs its cells as one engine call.  :func:`check_benchmark` runs
+    first.
     """
     check_benchmark(config)
-    tasks = [(config, function_id) for function_id in config.functions]
-    outcomes = [outcome for task_outcomes in _map_tasks(_run_function, tasks) for outcome in task_outcomes]
-    order = {fid: i for i, fid in enumerate(FUNCTION_IDS)}
-    outcomes.sort(key=lambda item: (order[item[0]["function"]], item[0]["algorithm"], item[0]["trial"]))
+    cells = [
+        (function_id, algorithm, trial)
+        for function_id in sorted(config.functions, key=FUNCTION_IDS.index)
+        for algorithm in sorted(config.algorithms)
+        for trial in range(config.trials)
+    ]
+    outcomes = _map_split(_run_cells, config, cells)
     rows = [row for row, _ in outcomes]
     traces = {
         (row["function"], row["algorithm"], row["trial"]): trace
@@ -363,7 +378,8 @@ def compare_rows(rows, level: float = 0.05):
 
     Returns a list of dicts with means, stds, the rank-sum p-value, the
     verdict at ``level`` and the winner flag (lower mean, ``tie`` on an
-    exact mean tie).
+    exact mean tie).  A cell holding both ``-inf`` and ``inf`` has no mean
+    and raises ``ValueError``.
     """
     grouped = {}
     for row in rows:
@@ -382,6 +398,12 @@ def compare_rows(rows, level: float = 0.05):
         ecsa = np.asarray(cells["ecsa"], dtype=float)
         csa_mean, csa_std = summarize(csa)
         ecsa_mean, ecsa_std = summarize(ecsa)
+        for algorithm, mean in (("csa", csa_mean), ("ecsa", ecsa_mean)):
+            if math.isnan(mean):
+                raise ValueError(
+                    f"{function_id} {algorithm}: best_fitness holds both -inf and inf, "
+                    "so its mean is undefined"
+                )
         p = rank_sum_p(csa, ecsa)
         if csa_mean == ecsa_mean:
             winner = "tie"
@@ -467,7 +489,7 @@ class AllocationReport:
 
 def _fit_seeds(args):
     """One estimator's trials on one objective, one per seed; top level so pools can pickle it."""
-    estimator, objective, seeds = args
+    (estimator, objective), seeds = args
     return estimator.fit_trials([objective] * len(seeds), objective.box, seeds)
 
 
@@ -479,20 +501,18 @@ def run_allocation(
     """Run the discretized optimizer over the one-hot cube for one algorithm.
 
     The estimator's settings and ``ECSA_WORKERS`` are checked first,
-    before the oracle and any fit.  The trials are split into at most
-    ``worker_count()`` contiguous runs of seeds, one pool task each; a
+    before the oracle and any fit.  The trials' seeds are split between
+    the workers as the benchmark's cells are (:func:`_map_split`); a
     trial gives the same result in any split, so the report does not
     depend on the worker count.
     """
     estimator = make_optimizer(algorithm, config)
     estimator.engine_inputs()
-    workers = min(worker_count(), config.trials)
+    worker_count()  # a bad ECSA_WORKERS fails here, before the oracle
     objective = AllocationObjective(instance)
     _, oracle_fitness = optimal_assignment(instance)
     seeds = [trial_seed(config.base_seed, algorithm, "LA", t) for t in range(config.trials)]
-    bounds = [len(seeds) * k // workers for k in range(workers + 1)]
-    chunks = [(estimator, objective, seeds[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    results = [result for chunk in _map_tasks(_fit_seeds, chunks) for result in chunk]
+    results = _map_split(_fit_seeds, (estimator, objective), seeds)
     rows, traces = [], {}
     best_trial, best_fitness = -1, np.inf
     for trial, (seed, result) in enumerate(zip(seeds, results)):

@@ -3,12 +3,13 @@
 The engine :func:`run_trials` advances a stack of independent trials in
 lockstep.  It takes the discovery rate ``pa`` and the step size ``alpha``
 as arrays holding one value per iteration, either one row shared by every
-trial or one row per trial, and one init mode or one per trial.  The
-standard algorithm feeds it constant arrays and random initialization;
-the enhanced variant feeds it cosine warm-restart schedules and Sobol
-initialization, so trials of both can share one stack.  With constant
-schedules and random initialization the two are bit-identical under the
-same seed.  Per iteration every trial runs:
+trial or one row per trial, and one init mode and one search box, each
+shared or one per trial.  The standard algorithm feeds it constant arrays
+and random initialization; the enhanced variant feeds it cosine
+warm-restart schedules and Sobol initialization, so trials of both, on
+different objectives and boxes of one dimension, can share one stack.
+With constant schedules and random initialization the two are
+bit-identical under the same seed.  Per iteration every trial runs:
 
 1. Levy phase.  Every nest proposes
    ``x' = clamp(x + alpha * L (x - x_best))`` with ``L`` a Mantegna Levy
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Candidate, SearchBox, as_search_box, clamp
+from .core import Candidate, SearchBox, as_search_box
 from .levy import LevyParams, levy_steps
 from .rng import RandomSource, as_random_source, box_muller
 from .schedule import cosine_schedule
@@ -88,16 +89,23 @@ def _batch_evaluator(objective):
 def _stack_evaluator(objectives):
     """Evaluator of ``(trials, rows, dim)`` positions returning ``(trials, rows)`` fitness.
 
-    When every trial shares one objective object the whole stack goes to
-    it in one call, trial after trial; otherwise each trial's rows go to
-    its own objective, in trial order.
+    Each run of consecutive trials that share one objective object goes
+    to it in one call, trial after trial; the runs are evaluated in trial
+    order.  A trial with its own objective is a run of one.
     """
-    first = objectives[0]
-    if all(objective is first for objective in objectives):
-        batch = _batch_evaluator(first)
-        return lambda X: batch(X.reshape(-1, X.shape[-1])).reshape(X.shape[:-1])
-    batches = [_batch_evaluator(objective) for objective in objectives]
-    return lambda X: np.stack([batch(rows) for batch, rows in zip(batches, X)])
+    runs, start = [], 0
+    for stop in range(1, len(objectives) + 1):
+        if stop == len(objectives) or objectives[stop] is not objectives[start]:
+            runs.append((slice(start, stop), _batch_evaluator(objectives[start])))
+            start = stop
+
+    def evaluate(X):
+        F = np.empty(X.shape[:-1])
+        for trials, batch in runs:
+            F[trials] = batch(X[trials].reshape(-1, X.shape[-1])).reshape(F[trials].shape)
+        return F
+
+    return evaluate
 
 
 def _draw(rngs, out: np.ndarray) -> np.ndarray:
@@ -158,12 +166,13 @@ def _levy(params: LevyParams, rngs, n: int, work=None) -> np.ndarray:
     return levy_steps(params, work.steps, work.scale, out=work.steps, work=work.scale)
 
 
-def _checked_settings(trials: int, population: int, pa, alpha, init):
+def _checked_settings(trials: int, population: int, pa, alpha, init, box=None):
     """The one check of each engine setting, for a stack of ``trials`` trials.
 
     :func:`run_trials`, :func:`init_population` and ``engine_inputs`` run it
     before any evaluation.  Returns ``pa`` and ``alpha`` as ``(trials,
-    iterations)`` arrays and ``init`` as a list of one mode per trial.
+    iterations)`` arrays and ``init`` and ``box`` as lists of one mode and
+    one :class:`SearchBox` per trial (``box`` stays ``None`` when not given).
     """
     if population < 1:
         raise ValueError(f"population must be >= 1, got {population}")
@@ -190,7 +199,14 @@ def _checked_settings(trials: int, population: int, pa, alpha, init):
     for mode in init:
         if mode not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}, got {mode!r}")
-    return pa, alpha, init
+    if box is not None:
+        box = [box] * trials if isinstance(box, SearchBox) else list(box)
+        if len(box) != trials:
+            raise ValueError(f"got {len(box)} boxes for {trials} random sources")
+        dims = sorted({b.dim for b in box})
+        if len(dims) > 1:
+            raise ValueError(f"every box of a stack must have one dim, got dims {dims}")
+    return pa, alpha, init, box
 
 
 def init_population(
@@ -216,14 +232,26 @@ def init_population(
     return X, np.where(np.isnan(F), np.inf, F)
 
 
-def _discover(X, F, pa, rngs, box, evaluate, work=None) -> np.ndarray:
+def _clamp(P, bounds) -> np.ndarray:
+    """Clamp the stack ``P`` in place onto ``bounds``, the ``(lower, upper)`` of each trial's box.
+
+    Both bounds are ``(trials, 1, dim)``; maximum then minimum gives the
+    bits of :func:`ecsa.core.clamp`.
+    """
+    lower, upper = bounds
+    np.maximum(P, lower, out=P)
+    return np.minimum(P, upper, out=P)
+
+
+def _discover(X, F, pa, rngs, bounds, evaluate, work=None) -> np.ndarray:
     """Discovery walk on a stack; updates ``X`` and ``F`` in place.
 
-    ``pa`` holds each trial's discovery rate, shaped ``(trials, 1, 1)``.
-    Draws each trial's discovery block from its stream and returns the
-    number of accepted walk proposals per trial.  The walk is built in
-    ``work`` (see :class:`_WorkArrays`), which is overwritten; without it
-    new arrays are allocated.
+    ``pa`` holds each trial's discovery rate, shaped ``(trials, 1, 1)``,
+    and ``bounds`` each trial's box as in :func:`_clamp`.  Draws each
+    trial's discovery block from its stream and returns the number of
+    accepted walk proposals per trial.  The walk is built in ``work`` (see
+    :class:`_WorkArrays`), which is overwritten; without it new arrays are
+    allocated.
     """
     trials, pop, dim = X.shape
     if work is None:
@@ -249,7 +277,7 @@ def _discover(X, F, pa, rngs, box, evaluate, work=None) -> np.ndarray:
     np.multiply(r, mask, out=spare)
     np.multiply(spare, walk, out=walk)
     np.add(X, walk, out=walk)
-    W = clamp(walk, box, out=walk).reshape(-1, dim)
+    W = _clamp(walk, bounds).reshape(-1, dim)
     rows = np.flatnonzero(np.arange(pop) != F.argmin(axis=1)[:, None])
     W.take(rows, axis=0, out=work.candidates.reshape(-1, dim), mode="clip")
     FW = evaluate(work.candidates).ravel()
@@ -262,20 +290,23 @@ def _discover(X, F, pa, rngs, box, evaluate, work=None) -> np.ndarray:
     return accept.reshape(trials, pop - 1).sum(axis=1)
 
 
-def _run_stack(objectives, box, population, pa, alpha, init, rngs, params) -> list[RunTrace]:
+def _run_stack(objectives, boxes, population, pa, alpha, init, rngs, params) -> list[RunTrace]:
     """Advance one stack of trials in lockstep; inputs are already checked.
 
-    ``pa`` and ``alpha`` are ``(trials, iterations)`` and ``init`` holds one
-    mode per trial.  The stack's work arrays are allocated once, here, and
-    every iteration writes its normals, proposals and walks into them.
+    ``pa`` and ``alpha`` are ``(trials, iterations)``, and ``init`` and
+    ``boxes`` hold one mode and one box per trial.  The stack's bounds and
+    work arrays are built once, here, and every iteration writes its
+    normals, proposals and walks into the work arrays.
     """
     evaluate = _stack_evaluator(objectives)
     X, F = map(np.stack, zip(*(init_population(population, box, o, rng, init=mode)
-                               for o, rng, mode in zip(objectives, rngs, init))))
+                               for o, box, rng, mode in zip(objectives, boxes, rngs, init))))
     trials, iterations = pa.shape
     trial = np.arange(trials)
-    n = population * box.dim
-    work = _WorkArrays(trials, population, box.dim)
+    dim = X.shape[-1]
+    bounds = tuple(np.stack([getattr(box, side) for box in boxes])[:, None, :]
+                   for side in ("lower", "upper"))
+    work = _WorkArrays(trials, population, dim)
     walk_replacements = np.zeros(trials, dtype=np.int64)
     trace = np.empty((trials, iterations))
     # per iteration t, each trial's pa and alpha as (trials, 1, 1) columns
@@ -283,20 +314,20 @@ def _run_stack(objectives, box, population, pa, alpha, init, rngs, params) -> li
 
     for t, (pa_t, alpha_t) in enumerate(columns):
         best = F.argmin(axis=1)
-        scaled = _levy(params, rngs, n, work).reshape(X.shape)
+        scaled = _levy(params, rngs, population * dim, work).reshape(X.shape)
         np.multiply(scaled, alpha_t, out=scaled)
         # P holds the spread x - x_best, then the proposal
         P = np.subtract(X, X[trial, best][:, None, :], out=work.proposals)
         P[trial, best] = 1.0  # the best nest moves by the scaled step itself
         np.multiply(scaled, P, out=P)
         np.add(X, P, out=P)
-        clamp(P, box, out=P)
+        _clamp(P, bounds)
         FP = evaluate(P)
         accept = FP < F
         np.copyto(X, P, where=accept[..., None])
         np.copyto(F, FP, where=accept)
 
-        walk_replacements += _discover(X, F, pa_t, rngs, box, evaluate, work)
+        walk_replacements += _discover(X, F, pa_t, rngs, bounds, evaluate, work)
         trace[:, t] = F.min(axis=1)
 
     best = F.argmin(axis=1)
@@ -313,7 +344,7 @@ def _run_stack(objectives, box, population, pa, alpha, init, rngs, params) -> li
 
 def run_trials(
     objectives,
-    box: SearchBox,
+    box,
     *,
     population: int,
     pa,
@@ -329,8 +360,10 @@ def run_trials(
     step size of iteration ``t``; the number of iterations is their length.
     Either may instead be a ``(trials, iterations)`` array whose row ``i``
     is trial ``i``'s schedule.  ``init`` is one of :data:`INIT_MODES` for
-    every trial, or a sequence holding one mode per trial.  Every input
-    is checked before the first evaluation.
+    every trial, or a sequence holding one mode per trial, and ``box`` is
+    one :class:`SearchBox` for every trial, or a sequence holding one box
+    per trial, all of one ``dim``.  Every input is checked before the
+    first evaluation.
 
     Per iteration each trial draws from its own stream, in this order:
     ``2 * ceil(population * dim / 2)`` uniforms for the Box-Muller ``u``
@@ -340,25 +373,26 @@ def run_trials(
     the first walk partner and, when ``population > 1``, ``population``
     values for the second.
     Trials advance in stacks of at most :data:`STACK_COORDINATES`
-    coordinates; every result is the same whatever the stacking.  When all
-    trials of a stack share one objective object it evaluates each phase
-    once on the stacked rows, so a shared objective must not depend on
-    call order.  Each stack allocates its work arrays once and every
-    iteration reuses them, so the positions an objective receives are
-    overwritten later: an objective that keeps them must copy them.
+    coordinates; every result is the same whatever the stacking.  Each run
+    of consecutive trials of a stack that share one objective object has
+    it evaluate each phase once on their stacked rows, so a shared
+    objective must not depend on call order.  Each stack allocates its
+    work arrays once and every iteration reuses them, so the positions an
+    objective receives are overwritten later: an objective that keeps
+    them must copy them.
     """
     objectives, rngs = list(objectives), list(rngs)
     if len(objectives) != len(rngs):
         raise ValueError(f"got {len(objectives)} objectives for {len(rngs)} random sources")
-    pa, alpha, init = _checked_settings(len(rngs), population, pa, alpha, init)
+    pa, alpha, init, boxes = _checked_settings(len(rngs), population, pa, alpha, init, box)
     params = levy_params or LevyParams()
-    size = max(1, STACK_COORDINATES // (population * box.dim))
+    size = max(1, STACK_COORDINATES // (population * boxes[0].dim)) if boxes else 1
     traces = []
     for lo in range(0, len(rngs), size):
         stack = slice(lo, lo + size)
         traces += _run_stack(
-            objectives[stack], box, population, pa[stack], alpha[stack], init[stack], rngs[stack],
-            params,
+            objectives[stack], boxes[stack], population, pa[stack], alpha[stack], init[stack],
+            rngs[stack], params,
         )
     return traces
 

@@ -101,6 +101,29 @@ class TestBenchCommand:
         assert result.exit_code != 0
         assert "nests" in result.output
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"trials": "2"}, "config key 'trials' must be an integer, got '2'"),
+            ({"trials": 2.5}, "config key 'trials' must be an integer, got 2.5"),
+            ({"pa_min": "0.3"}, "config key 'pa_min' must be a number, got '0.3'"),
+            ({"pa": "0.3"}, "config key 'pa' must be a number, got '0.3'"),
+            ([1, 2], "config file must hold a JSON object"),
+        ],
+        ids=["trials_string", "trials_fraction", "pa_min_string", "pa_string", "not_an_object"],
+    )
+    def test_config_value_of_wrong_type_fails_cleanly(self, runner, tmp_path, config, message):
+        # these crashed with a TypeError traceback, or (pa) were accepted through float()
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["bench", "--functions", "F1", "--config", str(config_path),
+                                      "--out", str(out)])
+        assert result.exit_code != 0
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Error:" in result.output and message in result.output
+        assert not out.exists()
+
     def test_every_config_key_is_a_bench_flag(self):
         # a config key without a flag would be accepted from --config and
         # then silently dropped; the keys must be exactly the flags
@@ -214,6 +237,27 @@ class TestCompareCommand:
         assert header.startswith("function,csa_mean,csa_std,")
         # an infinite value makes the spread unbounded, not NaN
         assert f1.startswith("F1,inf,inf,")
+
+    @pytest.mark.parametrize("csa", [("-inf", "inf"), ("inf", "-inf")],
+                             ids=["-inf_inf", "inf_-inf"])
+    def test_infinities_of_both_signs_fail_cleanly(self, runner, tmp_path, csa):
+        # the NaN mean of such a cell used to win: ecsa_mean < nan is false
+        path = tmp_path / "results.csv"
+        path.write_text(RESULTS.replace(",1.5,", f",{csa[0]},").replace(",2.5,", f",{csa[1]},"))
+        result = runner.invoke(main, ["compare", "--results", str(path),
+                                      "--out", str(tmp_path / "c")])
+        assert result.exit_code != 0
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Error: F1 csa: best_fitness holds both -inf and inf" in result.output
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("value", ["-inf", "inf"])
+    def test_lone_infinity_accepted(self, runner, tmp_path, value):
+        path = tmp_path / "results.csv"
+        path.write_text(RESULTS.replace(",1.5,", f",{value},"))
+        result = runner.invoke(main, ["compare", "--results", str(path)])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[2].split()[-1] == ("csa" if value == "-inf" else "ecsa")
 
     def test_missing_algorithm_errors(self, runner, tmp_path):
         out = tmp_path / "bench"

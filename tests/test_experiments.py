@@ -85,10 +85,10 @@ class TestRunBenchmark:
 
     def test_single_trial_rejected_before_any_fit(self):
         # summarize needs two values per cell; this used to fail only after every fit
-        with mock.patch("ecsa.experiments._run_function") as run_function:
+        with mock.patch("ecsa.experiments._run_cells") as run_cells:
             with pytest.raises(ValueError, match="needs --trials >= 2 .* got 1"):
                 run_benchmark(tiny_config(trials=1))
-        run_function.assert_not_called()
+        run_cells.assert_not_called()
 
     def test_rows_sorted_and_reproducible(self):
         rows_a, _ = run_benchmark(tiny_config())
@@ -110,6 +110,35 @@ class TestRunBenchmark:
         assert parsed == rows
         trace_files = sorted(p.name for p in (tmp_path / "a" / "traces").iterdir())
         assert len(trace_files) == 4 + 2  # per-run + per-cell mean
+
+    def test_worker_count_does_not_change_outputs(self, tmp_path, monkeypatch):
+        # 12 cells (F1, F7 and F11 have three boxes; F7 has one objective
+        # per trial) split between 1, 2 and 3 workers; every file must
+        # match the serial run's byte for byte
+        from ecsa import experiments
+
+        config = tiny_config(functions=("F1", "F7", "F11"), population=6, iterations=8)
+        tasks = []
+
+        def recording(function, task_list):
+            tasks.append(len(task_list))
+            return map_tasks(function, task_list)
+
+        map_tasks = experiments._map_tasks
+        monkeypatch.setattr(experiments, "_map_tasks", recording)
+        for workers in ("1", "2", "3"):
+            monkeypatch.setenv("ECSA_WORKERS", workers)
+            write_benchmark_outputs(*run_benchmark(config), tmp_path / workers)
+        run_benchmark(tiny_config(algorithms=("csa",), population=4, iterations=2))  # 2 cells
+        assert tasks == [1, 2, 3, 2]
+        files = sorted(p.relative_to(tmp_path / "1") for p in (tmp_path / "1").rglob("*.csv"))
+        assert len(files) == 2 + 12 + 6  # results, summary, per-run and per-cell mean traces
+        for workers in ("2", "3"):
+            assert files == sorted(p.relative_to(tmp_path / workers)
+                                   for p in (tmp_path / workers).rglob("*.csv"))
+            for name in files:
+                serial = (tmp_path / "1" / name).read_bytes()
+                assert serial == (tmp_path / workers / name).read_bytes()
 
     def test_summary_matches_recomputation(self, tmp_path):
         rows, _ = run_benchmark(tiny_config(trials=3))

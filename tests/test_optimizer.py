@@ -266,11 +266,11 @@ class TestAbandonWorst:
 
     def test_work_arrays_do_not_change_the_walk(self):
         # the engine passes its reused work arrays, a direct call gets new ones
-        box = SearchBox.cube(4, -5, 5)
         X0 = -5.0 + 10.0 * RandomSource(1).random((3, 6, 4))
         F0 = np.array([[sphere(x) for x in nests] for nests in X0])
         evaluate = optimizer._stack_evaluator([sphere] * 3)
         pa = np.full((3, 1, 1), 0.5)
+        bounds = (np.full((3, 1, 4), -5.0), np.full((3, 1, 4), 5.0))
         walks = []
         stale = optimizer._WorkArrays(3, 6, 4)
         for block in (stale.u, stale.v, stale.spare):  # every value of the three blocks
@@ -278,7 +278,7 @@ class TestAbandonWorst:
         for work in (None, stale):
             X, F = X0.copy(), F0.copy()
             rngs = [RandomSource(seed) for seed in range(3)]
-            accepted = optimizer._discover(X, F, pa, rngs, box, evaluate, work)
+            accepted = optimizer._discover(X, F, pa, rngs, bounds, evaluate, work)
             walks.append((X, F, accepted))
         (X, F, accepted), (Xw, Fw, accepted_w) = walks
         assert np.array_equal(X, Xw) and np.array_equal(F, Fw)
@@ -411,6 +411,44 @@ class TestRun:
             run_one(counting, box, population=3, pa=[0.25, 0.25], alpha=[0.01, bad],
                     init="random", rng=RandomSource(0))
         assert counting.calls == 0
+
+    @pytest.mark.parametrize(
+        "dims, message",
+        [
+            ((3, 2), "every box of a stack must have one dim, got dims [2, 3]"),
+            ((3,), "got 1 boxes for 2 random sources"),
+            ((3, 3, 3), "got 3 boxes for 2 random sources"),
+        ],
+        ids=["mixed_dims", "too_few", "too_many"],
+    )
+    def test_per_trial_boxes_checked_before_any_evaluation(self, dims, message):
+        counting = CountingObjective(sphere, SearchBox.cube(3, -1, 1))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_trials([counting, counting], [SearchBox.cube(d, -1, 1) for d in dims],
+                       population=5, pa=np.full(4, 0.25), alpha=np.full(4, 0.01),
+                       init="random", rngs=[RandomSource(0), RandomSource(1)])
+        assert counting.calls == 0
+
+
+class LoggedObjective:
+    """Row-sum objective that logs its name and row count on every call."""
+
+    def __init__(self, name, log):
+        self.name, self.log = name, log
+
+    def evaluate_many(self, X):
+        self.log.append((self.name, len(X)))
+        return X.sum(axis=1)
+
+
+def test_stack_evaluator_calls_each_run_of_one_objective_once():
+    log = []
+    a, b, c = (LoggedObjective(name, log) for name in "abc")
+    evaluate = optimizer._stack_evaluator([a, a, b, a, a, a, c])
+    X = np.arange(7 * 2 * 3, dtype=float).reshape(7, 2, 3)
+    assert np.array_equal(evaluate(X), X.sum(axis=2))
+    # trial order: a on trials 0-1, b on 2, a again on 3-5, c on 6
+    assert log == [("a", 4), ("b", 2), ("a", 6), ("c", 2)]
 
 
 @pytest.mark.skipif(resource is None, reason="needs the resource module")

@@ -120,21 +120,42 @@ def per_trial_inputs(pa, alpha, init, trials):
             [modes[i % 2] for i in range(trials)])
 
 
+def trial_objectives(mode, boxes, rngs):
+    """One objective per trial.
+
+    ``shared``: one object for every trial; ``noisy``: a noisy objective
+    per trial; ``mixed``: trials ``3j`` and ``3j + 1`` share one object
+    and trial ``3j + 2`` between the runs has its own noisy objective.
+    """
+    if mode == "shared":
+        return [BoxedObjective(boxes[0])] * len(rngs)
+    if mode == "noisy":
+        return [NoisyObjective(box, rng) for box, rng in zip(boxes, rngs)]
+    runs = [BoxedObjective(boxes[k]) for k in range(0, len(rngs), 3)]
+    return [NoisyObjective(box, rng) if k % 3 == 2 else runs[k // 3]
+            for k, (box, rng) in enumerate(zip(boxes, rngs))]
+
+
 @settings(max_examples=150, deadline=None)
-@given(engine_inputs(), st.integers(1, 4), st.booleans(), st.integers(0, 3), st.booleans())
-@example(edge_inputs(1, 1, 0, "random"), 4, True, 0, False)
-@example(edge_inputs(1, 1, 6, "sobol"), 3, True, 1, False)
-@example(edge_inputs(1, 2, 6, "random"), 4, True, 3, False)
-@example(edge_inputs(3, 2, 6, "sobol"), 4, False, 2, False)
-@example(edge_inputs(2, 3, 5, "random"), 4, False, 0, True)
-@example(edge_inputs(1, 1, 0, "sobol"), 3, True, 2, True)
-def test_stack_matches_single_trials(inputs, trials, noisy, budget_trials, per_trial):
+@given(engine_inputs(), st.integers(1, 6), st.sampled_from(["shared", "noisy", "mixed"]),
+       st.integers(0, 3), st.booleans())
+@example(edge_inputs(1, 1, 0, "random"), 4, "noisy", 0, False)
+@example(edge_inputs(1, 1, 6, "sobol"), 3, "noisy", 1, False)
+@example(edge_inputs(1, 2, 6, "random"), 4, "noisy", 3, False)
+@example(edge_inputs(3, 2, 6, "sobol"), 4, "shared", 2, False)
+@example(edge_inputs(2, 3, 5, "random"), 4, "shared", 0, True)
+@example(edge_inputs(1, 1, 0, "sobol"), 3, "noisy", 2, True)
+@example(edge_inputs(2, 3, 5, "random"), 6, "mixed", 0, True)
+@example(edge_inputs(1, 2, 4, "sobol"), 5, "mixed", 2, False)
+def test_stack_matches_single_trials(inputs, trials, mode, budget_trials, per_trial):
     """Every trial of a stack gives the bits of its one-trial run.
 
     ``budget_trials`` > 0 shrinks the coordinate budget so the trials are
     split into stacks of that many; 0 keeps the default budget.  With
     ``per_trial`` every trial has its own ``pa``/``alpha`` rows and init
-    mode, as when ``bench`` stacks both algorithms of a function.
+    mode, as when ``bench`` stacks both algorithms.  In ``mixed`` mode
+    every trial also has its own box, of its own width and offset, as
+    when ``bench`` stacks several functions (see :func:`trial_objectives`).
     """
     box, population = inputs["box"], inputs["population"]
     seeds = [inputs["seed"] + k for k in range(trials)]
@@ -144,19 +165,21 @@ def test_stack_matches_single_trials(inputs, trials, noisy, budget_trials, per_t
         singles = [dict(pa=pa[i], alpha=alpha[i], init=init[i]) for i in range(trials)]
     else:
         singles = [dict(pa=pa, alpha=alpha, init=init)] * trials
-
-    def objectives(rngs):
-        if noisy:
-            return [NoisyObjective(box, rng) for rng in rngs]
-        return [BoxedObjective(box)] * len(rngs)
+    if mode == "mixed":
+        boxes = [SearchBox(box.lower + 3.0 * k, box.lower + 3.0 * k + box.width * (1 + k))
+                 for k in range(trials)]
+        stack_box = boxes
+    else:
+        boxes, stack_box = [box] * trials, box
 
     budget = budget_trials * population * box.dim or optimizer.STACK_COORDINATES
     with mock.patch.object(optimizer, "STACK_COORDINATES", budget):
         rngs = [RandomSource(seed) for seed in seeds]
-        stacked = run_trials(objectives(rngs), box, population=population, pa=pa, alpha=alpha,
-                             init=init, rngs=rngs)
+        stacked = run_trials(trial_objectives(mode, boxes, rngs), stack_box,
+                             population=population, pa=pa, alpha=alpha, init=init, rngs=rngs)
     assert len(stacked) == trials
-    for seed, trace, single in zip(seeds, stacked, singles):
-        rng = RandomSource(seed)
-        (objective,) = objectives([rng])
-        assert_same_trace(trace, run_one(objective, box, population=population, rng=rng, **single))
+    for k, (trace, single) in enumerate(zip(stacked, singles)):
+        rngs = [RandomSource(seed) for seed in seeds]
+        objective = trial_objectives(mode, boxes, rngs)[k]
+        assert_same_trace(trace, run_one(objective, boxes[k], population=population,
+                                         rng=rngs[k], **single))
