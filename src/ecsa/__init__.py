@@ -14,7 +14,7 @@ from .allocation import (
     synth_instance,
 )
 from .benchmarks import BenchmarkObjective, ObjectiveSpec, evaluate, evaluate_many, suite
-from .core import Candidate, SearchBox, as_search_box, clamp
+from .core import Candidate, SearchBox, as_search_box
 from .levy import LevyParams, mantegna_sigma
 from .optimizer import CuckooSearch, EnhancedCuckooSearch, RunTrace, init_population, run_trials
 from .rng import RandomSource, as_random_source, stable_seed
@@ -40,7 +40,6 @@ __all__ = [
     "SobolSequence",
     "as_random_source",
     "as_search_box",
-    "clamp",
     "cosine_schedule",
     "decide",
     "decode",

@@ -210,21 +210,3 @@ class AllocationObjective:
         # row-major flat index of (block j, its chosen area) in the distance matrix
         chosen += np.arange(0, blocks * areas, areas)
         return self.instance.distance.ravel().take(chosen).sum(axis=1)
-
-
-def write_assignment_csv(instance: AllocationInstance, assignment: Assignment, path) -> None:
-    """Write ``block_id,area_id,distance`` rows plus a total-fitness row."""
-    rows = np.arange(instance.n_blocks)
-    chosen = assignment.area_index
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["block_id", "area_id", "distance"])
-        for j in rows:
-            writer.writerow(
-                [
-                    instance.block_ids[j],
-                    instance.area_ids[chosen[j]],
-                    repr(float(instance.distance[j, chosen[j]])),
-                ]
-            )
-        writer.writerow(["TOTAL", "", repr(fitness(instance, assignment))])

@@ -70,23 +70,6 @@ def as_search_box(bounds) -> SearchBox:
     )
 
 
-def clamp(position, box: SearchBox, out=None) -> np.ndarray:
-    """Project ``position`` onto ``box`` coordinate-wise (idempotent).
-
-    ``out``, which may be ``position`` itself, receives the result in
-    place of a new array.
-    """
-    position = np.asarray(position, dtype=float)
-    if position.shape[-1] != box.dim:
-        raise ValueError(
-            f"position has dimension {position.shape[-1]}, box expects {box.dim}"
-        )
-    # maximum then minimum gives np.clip's bits, NaN and signed zeros included,
-    # without np.clip's slower generic loop
-    out = np.maximum(position, box.lower, out=out)
-    return np.minimum(out, box.upper, out=out)
-
-
 @dataclass
 class Candidate:
     """One nest: a position inside the box and its cached objective value."""

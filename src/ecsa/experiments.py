@@ -24,13 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import benchmarks
-from .allocation import (
-    AllocationInstance,
-    AllocationObjective,
-    optimal_assignment,
-    write_assignment_csv,
-)
+from . import allocation, benchmarks
+from .allocation import AllocationInstance, AllocationObjective, optimal_assignment
 from .benchmarks import BenchmarkObjective, FUNCTION_IDS
 from .optimizer import CuckooSearch, EnhancedCuckooSearch, run_trials
 from .rng import RandomSource, stable_seed
@@ -86,6 +81,11 @@ class ExperimentConfig:
         bad = [a for a in algorithms if a not in ALGORITHMS]
         if bad:
             raise ValueError(f"unknown algorithms: {bad} (choose from {ALGORITHMS})")
+        # a repeated cell would run twice on the same seed and count twice in compare
+        for label, names in (("function ids", functions), ("algorithms", algorithms)):
+            repeated = sorted({name for name in names if names.count(name) > 1})
+            if repeated:
+                raise ValueError(f"repeated {label}: {repeated}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         object.__setattr__(self, "functions", tuple(functions))
@@ -238,21 +238,19 @@ def run_benchmark(config: ExperimentConfig):
 # -- file output --------------------------------------------------------------
 
 
-def write_results_csv(rows, path) -> None:
+def _write_table(path, header, rows) -> None:
+    """Write ``header``, then one CSV line per row; floats, NumPy's too, as ``repr(float(v))``."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(RESULT_FIELDS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row["function"],
-                    row["algorithm"],
-                    row["trial"],
-                    row["seed"],
-                    repr(float(row["best_fitness"])),
-                    row["evaluations"],
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(
+            [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+            for row in rows
+        )
+
+
+def write_results_csv(rows, path) -> None:
+    _write_table(path, RESULT_FIELDS, ([row[name] for name in RESULT_FIELDS] for row in rows))
 
 
 def _one_of(choices):
@@ -285,10 +283,11 @@ _RESULT_PARSERS = {
 def read_results_csv(path):
     """Rows of a ``results.csv``; a malformed file raises ``ValueError`` naming the line and field.
 
-    Function ids and algorithm names must be known ones, and a
-    ``best_fitness`` may be infinite but not NaN.
+    Function ids and algorithm names must be known ones, a
+    ``best_fitness`` may be infinite but not NaN, and each (function,
+    algorithm, trial) cell appears once.
     """
-    rows = []
+    rows, lines = [], {}
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
         missing = set(RESULT_FIELDS) - set(reader.fieldnames or ())
@@ -303,20 +302,23 @@ def read_results_csv(path):
                     raise ValueError(
                         f"{path}: line {reader.line_num}: bad {name} value {record[name]!r}"
                     ) from None
+            cell = (row["function"], row["algorithm"], row["trial"])
+            if cell in lines:
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: repeats the {cell[0]} {cell[1]} "
+                    f"trial {cell[2]} row of line {lines[cell]}"
+                )
+            lines[cell] = reader.line_num
             rows.append(row)
     return rows
 
 
 def write_trace_csv(trace, path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["iteration", "best_fitness"])
-        for iteration, value in enumerate(trace):
-            writer.writerow([iteration, repr(float(value))])
+    _write_table(path, ("iteration", "best_fitness"), enumerate(trace))
 
 
 def write_traces(traces, out_dir: Path) -> None:
-    """Per-run traces plus a mean-over-trials trace per cell."""
+    """Per-run traces plus a mean-over-trials trace per cell, keyed ``(function, algorithm, trial)``."""
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = {}
     for (function_id, algorithm, trial), trace in traces.items():
@@ -352,14 +354,7 @@ def write_summary_csv(rows, path) -> None:
     columns = ["function"]
     for algorithm in algorithms:
         columns += [f"{algorithm}_mean", f"{algorithm}_std"]
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        for entry in summary:
-            writer.writerow(
-                [entry["function"]]
-                + [repr(float(entry[c])) if c in entry else "" for c in columns[1:]]
-            )
+    _write_table(path, columns, ([entry.get(c, "") for c in columns] for entry in summary))
 
 
 def write_benchmark_outputs(rows, traces, out_dir) -> None:
@@ -437,22 +432,8 @@ COMPARISON_FIELDS = (
 
 
 def write_comparison_csv(comparison, path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(COMPARISON_FIELDS)
-        for entry in comparison:
-            writer.writerow(
-                [
-                    entry["function"],
-                    repr(entry["csa_mean"]),
-                    repr(entry["csa_std"]),
-                    repr(entry["ecsa_mean"]),
-                    repr(entry["ecsa_std"]),
-                    repr(entry["p_value"]),
-                    entry["verdict"],
-                    entry["winner"],
-                ]
-            )
+    _write_table(path, COMPARISON_FIELDS,
+                 ([entry[name] for name in COMPARISON_FIELDS] for entry in comparison))
 
 
 def comparison_table(comparison) -> str:
@@ -548,33 +529,27 @@ def run_allocation(
     )
 
 
-def write_allocation_outputs(instance, report: AllocationReport, out_dir) -> None:
-    from .allocation import decode
+def write_assignment_csv(instance: AllocationInstance, assignment: allocation.Assignment,
+                         path) -> None:
+    """Write ``block_id,area_id,distance`` rows plus a total-fitness row."""
+    chosen = assignment.area_index
+    rows = [
+        (block, instance.area_ids[area], instance.distance[j, area])
+        for j, (block, area) in enumerate(zip(instance.block_ids, chosen))
+    ]
+    rows.append(("TOTAL", "", allocation.fitness(instance, assignment)))
+    _write_table(path, ("block_id", "area_id", "distance"), rows)
 
+
+def write_allocation_outputs(instance, report: AllocationReport, out_dir) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / f"allocation_{report.algorithm}.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["algorithm", "trial", "seed", "best_fitness", "gap_to_oracle", "evaluations"]
-        )
-        for row in report.rows:
-            writer.writerow(
-                [
-                    row["algorithm"],
-                    row["trial"],
-                    row["seed"],
-                    repr(row["best_fitness"]),
-                    repr(row["gap_to_oracle"]),
-                    row["evaluations"],
-                ]
-            )
-    trace_dir = out_dir / "traces"
-    trace_dir.mkdir(exist_ok=True)
-    for trial, trace in report.traces.items():
-        write_trace_csv(trace, trace_dir / f"LA_{report.algorithm}_trial{trial:03d}.csv")
-    mean_trace = np.mean(np.vstack(list(report.traces.values())), axis=0)
-    write_trace_csv(mean_trace, trace_dir / f"LA_{report.algorithm}_mean.csv")
+    algorithm = report.algorithm
+    columns = ("algorithm", "trial", "seed", "best_fitness", "gap_to_oracle", "evaluations")
+    _write_table(out_dir / f"allocation_{algorithm}.csv", columns,
+                 ([row[name] for name in columns] for row in report.rows))
+    write_traces({("LA", algorithm, trial): trace for trial, trace in report.traces.items()},
+                 out_dir / "traces")
     best = next(r for r in report.rows if r["trial"] == report.best_trial)
-    assignment = decode(best["best_position"], instance)
-    write_assignment_csv(instance, assignment, out_dir / f"assignment_{report.algorithm}.csv")
+    assignment = allocation.decode(best["best_position"], instance)
+    write_assignment_csv(instance, assignment, out_dir / f"assignment_{algorithm}.csv")

@@ -152,15 +152,12 @@ def _positions(block: np.ndarray, shape) -> np.ndarray:
     return block[: math.prod(shape)].reshape(shape)
 
 
-def _levy(params: LevyParams, rngs, n: int, work=None) -> np.ndarray:
+def _levy(params: LevyParams, rngs, n: int, work: _WorkArrays) -> np.ndarray:
     """``n`` Levy step coordinates per trial, as ``(trials, n)``: its ``u`` normals, then its ``v`` normals.
 
-    The steps are written into ``work.steps`` (see :class:`_WorkArrays`);
-    without ``work`` new arrays are allocated.  Box-Muller runs in place
-    on each uniform block.
+    The steps are written into ``work.steps`` (see :class:`_WorkArrays`).
+    Box-Muller runs in place on each uniform block.
     """
-    if work is None:
-        work = _WorkArrays(len(rngs), 1, n)
     box_muller(_draw(rngs, work.u), out=work.u, work=work.radius)
     box_muller(_draw(rngs, work.v), out=work.v, work=work.radius)
     return levy_steps(params, work.steps, work.scale, out=work.steps, work=work.scale)
@@ -235,27 +232,25 @@ def init_population(
 def _clamp(P, bounds) -> np.ndarray:
     """Clamp the stack ``P`` in place onto ``bounds``, the ``(lower, upper)`` of each trial's box.
 
-    Both bounds are ``(trials, 1, dim)``; maximum then minimum gives the
-    bits of :func:`ecsa.core.clamp`.
+    Both bounds are ``(trials, 1, dim)``.  Maximum then minimum gives
+    ``np.clip``'s bits, NaN and signed zeros included, without
+    ``np.clip``'s slower generic loop.
     """
     lower, upper = bounds
     np.maximum(P, lower, out=P)
     return np.minimum(P, upper, out=P)
 
 
-def _discover(X, F, pa, rngs, bounds, evaluate, work=None) -> np.ndarray:
+def _discover(X, F, pa, rngs, bounds, evaluate, work: _WorkArrays) -> np.ndarray:
     """Discovery walk on a stack; updates ``X`` and ``F`` in place.
 
     ``pa`` holds each trial's discovery rate, shaped ``(trials, 1, 1)``,
     and ``bounds`` each trial's box as in :func:`_clamp`.  Draws each
     trial's discovery block from its stream and returns the number of
-    accepted walk proposals per trial.  The walk is built in ``work`` (see
-    :class:`_WorkArrays`), which is overwritten; without it new arrays are
-    allocated.
+    accepted walk proposals per trial.  The walk is built in ``work``, the
+    stack's work arrays (see :class:`_WorkArrays`), which are overwritten.
     """
     trials, pop, dim = X.shape
-    if work is None:
-        work = _WorkArrays(trials, pop, dim)
     walk, spare, mask = work.walk, work.spare, work.mask
     _draw(rngs, walk.reshape(trials, -1))
     np.less(walk, pa, out=mask)

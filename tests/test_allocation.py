@@ -15,7 +15,8 @@ from ecsa import (
     optimal_assignment,
     synth_instance,
 )
-from ecsa.allocation import instance_from_records, write_assignment_csv
+from ecsa.allocation import instance_from_records
+from ecsa.experiments import write_assignment_csv
 
 
 def records(coords, prefix):

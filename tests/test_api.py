@@ -18,7 +18,6 @@ PUBLIC_API = [
     "SobolSequence",
     "as_random_source",
     "as_search_box",
-    "clamp",
     "cosine_schedule",
     "decide",
     "decode",

@@ -156,12 +156,23 @@ class TestBenchCommand:
             # the estimators passed these and only the engine rejected them
             (["--trials", "2", "--alpha", "inf"], "1", "pa and alpha must be finite"),
             (["--trials", "2", "--alpha-max", "inf"], "1", "pa and alpha must be finite"),
+            # repeated cells used to run twice on one seed and count twice in compare
+            (["--trials", "2", "--functions", "F1,F2,F1"], "1", "repeated function ids: ['F1']"),
+            (["--trials", "2", "--algorithms", "csa,csa"], "1", "repeated algorithms: ['csa']"),
+            (["--trials", "2", "--config", {"algorithms": ["ecsa", "csa", "ecsa"]}], "1",
+             "repeated algorithms: ['ecsa']"),
         ],
     )
     def test_rejected_config_creates_and_announces_nothing(self, runner, tmp_path, flags,
                                                            workers, message):
         # the output directory and the "running N optimization runs" line
         # used to appear before the protocol was rejected
+        # a dict stands for the path of a config file holding it
+        config_path = tmp_path / "config.json"
+        for flag in flags:
+            if isinstance(flag, dict):
+                config_path.write_text(json.dumps(flag))
+        flags = [str(config_path) if isinstance(flag, dict) else flag for flag in flags]
         out = tmp_path / "out"
         result = runner.invoke(main, ["bench", "--functions", "F1", *flags, "--out", str(out)],
                                env={"ECSA_WORKERS": workers})
@@ -214,9 +225,12 @@ class TestCompareCommand:
             (lambda text: text.replace(",1.5,", ",nan,"), "line 2: bad best_fitness value 'nan'"),
             (lambda text: text.replace("F1,", "F99,", 1), "line 2: bad function value 'F99'"),
             (lambda text: text.replace(",csa,", ",gsa,", 1), "line 2: bad algorithm value 'gsa'"),
+            # the copy used to count as a third csa sample
+            (lambda text: text + "F1,csa,1,12,2.5,20\n",
+             "line 6: repeats the F1 csa trial 1 row of line 3"),
         ],
         ids=["missing_column", "bad_fitness", "nan_fitness", "unknown_function",
-             "unknown_algorithm"],
+             "unknown_algorithm", "repeated_cell"],
     )
     def test_malformed_results_fail_cleanly(self, runner, tmp_path, edit, message):
         path = tmp_path / "results.csv"

@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from ecsa import Candidate, RandomSource, SearchBox, as_search_box, clamp
-
-
-def inside(x, box):
-    return bool(np.all(x >= box.lower) and np.all(x <= box.upper))
+from ecsa import Candidate, SearchBox, as_search_box
 
 
 class TestSearchBox:
@@ -38,34 +34,6 @@ class TestSearchBox:
     def test_as_search_box_passthrough(self):
         box = SearchBox.unit(3)
         assert as_search_box(box) is box
-
-
-class TestClamp:
-    def test_boundary_projection(self):
-        box = SearchBox.cube(1, -100, 100)
-        assert clamp([150.0], box).tolist() == [100.0]
-
-    def test_interior_point_unchanged(self):
-        box = SearchBox.cube(2, -5, 5)
-        assert clamp([0.0, 0.0], box).tolist() == [0.0, 0.0]
-
-    def test_per_coordinate_projection(self):
-        box = SearchBox.cube(2, -5, 5)
-        assert clamp([-7.3, 3.1], box).tolist() == [-5.0, 3.1]
-
-    def test_dimension_mismatch(self):
-        box = SearchBox.cube(2, -5, 5)
-        with pytest.raises(ValueError):
-            clamp([1.0, 2.0, 3.0], box)
-
-    def test_idempotent_on_random_vectors(self):
-        rng = RandomSource(99)
-        box = SearchBox.cube(6, -3, 7)
-        for _ in range(200):
-            x = -50.0 + 100.0 * rng.random(6)
-            once = clamp(x, box)
-            assert np.array_equal(clamp(once, box), once)
-            assert inside(once, box)
 
 
 def test_candidate_holds_position_and_fitness():

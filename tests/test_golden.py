@@ -27,6 +27,24 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def tree_sha256(root) -> str:
+    """One digest over every file under ``root``: sorted relative path plus bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+# every file a run writes (per-run and mean traces, comparison, assignments)
+TREE_DIGESTS = {
+    "bench": "c4c81985874c198217ab9cab49526b9fa475a7412e6bc38cf7cf9ac61721c124",
+    "csa": "5e222cf26819abf40e8c9bc49ab08cc8f989b35b88f9c4cce26bd98165ef6b1e",
+    "ecsa": "441771665fb73a0ee4287d6f8e357765466a6403498483b55e9bf5d2f8d9fe3e",
+}
+
+
 def invoke(args):
     result = CliRunner().invoke(main, args, env={"ECSA_WORKERS": "1"})
     assert result.exit_code == 0, result.output
@@ -34,14 +52,18 @@ def invoke(args):
 
 
 def test_bench_slice_digests(tmp_path):
+    bench = tmp_path / "bench"
     invoke(["bench", "--functions", "F1,F5,F7,F11", "--trials", "3", "--population", "10",
-            "--iterations", "50", "--out", str(tmp_path)])
-    assert sha256((tmp_path / "results.csv").read_bytes()) == (
+            "--iterations", "50", "--out", str(bench)])
+    assert sha256((bench / "results.csv").read_bytes()) == (
         "1c2d3b512d21d576797bb9362f94e54e1887ab3c38832ca8ed96132b5cf98a78"
     )
-    assert sha256((tmp_path / "summary.csv").read_bytes()) == (
+    assert sha256((bench / "summary.csv").read_bytes()) == (
         "faf3e40c13d468c28ae4464621a40077399be2ede405b5dfac1de47177aa56df"
     )
+    invoke(["compare", "--results", str(bench / "results.csv"),
+            "--out", str(tmp_path / "compare")])
+    assert tree_sha256(tmp_path) == TREE_DIGESTS["bench"]
 
 
 @pytest.mark.parametrize(
@@ -55,6 +77,7 @@ def test_allocation_digests(tmp_path, algorithm, digest):
     invoke(["allocate", "--synthetic", "--algorithm", algorithm, "--trials", "2",
             "--population", "10", "--iterations", "30", "--out", str(tmp_path)])
     assert sha256((tmp_path / f"allocation_{algorithm}.csv").read_bytes()) == digest
+    assert tree_sha256(tmp_path) == TREE_DIGESTS[algorithm]
 
 
 def test_default_schedule_digest():

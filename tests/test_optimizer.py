@@ -11,7 +11,6 @@ from ecsa import (
     EnhancedCuckooSearch,
     RandomSource,
     SearchBox,
-    clamp,
     cosine_schedule,
     init_population,
 )
@@ -199,11 +198,8 @@ class TestLevyUpdate:
         assert counting.calls == trace.evaluations == 6 + 30 * 11
 
     def test_dimension_mismatch(self):
-        # every proposal passes through clamp, which rejects a wrong dimension;
         # bounds of unequal length fail before any evaluation
         box = SearchBox.cube(2, -1, 1)
-        with pytest.raises(ValueError, match="dimension"):
-            clamp(np.zeros(3), box)
         counting = CountingObjective(sphere, box)
         with pytest.raises(ValueError):
             CuckooSearch(seed=0).fit(counting, ([-1.0, -1.0], [1.0, 1.0, 1.0]))
@@ -265,7 +261,7 @@ class TestAbandonWorst:
         assert touched / total == pytest.approx(pa, abs=0.02)
 
     def test_work_arrays_do_not_change_the_walk(self):
-        # the engine passes its reused work arrays, a direct call gets new ones
+        # the engine reuses its work arrays: values left from earlier steps must not leak
         X0 = -5.0 + 10.0 * RandomSource(1).random((3, 6, 4))
         F0 = np.array([[sphere(x) for x in nests] for nests in X0])
         evaluate = optimizer._stack_evaluator([sphere] * 3)
@@ -275,7 +271,7 @@ class TestAbandonWorst:
         stale = optimizer._WorkArrays(3, 6, 4)
         for block in (stale.u, stale.v, stale.spare):  # every value of the three blocks
             block.fill(np.nan)
-        for work in (None, stale):
+        for work in (optimizer._WorkArrays(3, 6, 4), stale):
             X, F = X0.copy(), F0.copy()
             rngs = [RandomSource(seed) for seed in range(3)]
             accepted = optimizer._discover(X, F, pa, rngs, bounds, evaluate, work)
