@@ -12,11 +12,15 @@ import click
 from . import benchmarks, experiments
 from .allocation import load_instance, load_instance_csv, synth_instance
 from .experiments import ExperimentConfig
-from .schedule import cosine_schedule
+from .optimizer import EnhancedCuckooSearch
 from .sobol import SobolSequence
 
 # every option that sets a config field takes its default from here
 _DEFAULTS = ExperimentConfig()
+
+# the ``sobol`` command emits its points in blocks of at most this many rows,
+# which bounds its memory whatever ``--count`` is
+_SOBOL_BLOCK = 1024
 
 
 @click.group()
@@ -226,8 +230,9 @@ def sobol(dim, count):
         sequence = SobolSequence(dim)
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    for _ in range(count):
-        click.echo(",".join(repr(float(v)) for v in sequence.next_point()))
+    for start in range(0, count, _SOBOL_BLOCK):
+        for point in sequence.take(min(_SOBOL_BLOCK, count - start)).tolist():
+            click.echo(",".join(map(repr, point)))
 
 
 @main.command()
@@ -243,12 +248,14 @@ def schedule(t0, tmult, iters, pa_min, pa_max, alpha_min, alpha_max):
     if iters < 0:
         raise click.UsageError(f"--iters must be >= 0, got {iters}")
     try:
-        pa = cosine_schedule(pa_min, pa_max, t0, tmult, iters + 1)
-        alpha = cosine_schedule(alpha_min, alpha_max, t0, tmult, iters + 1)
+        inputs = EnhancedCuckooSearch(
+            iterations=iters + 1, pa_min=pa_min, pa_max=pa_max, alpha_min=alpha_min,
+            alpha_max=alpha_max, t0=t0, t_mult=tmult,
+        ).engine_inputs()
     except ValueError as exc:
         raise click.ClickException(str(exc))
     click.echo("iteration,pa,alpha")
-    for iteration, (p, a) in enumerate(zip(pa.tolist(), alpha.tolist())):
+    for iteration, (p, a) in enumerate(zip(inputs["pa"].tolist(), inputs["alpha"].tolist())):
         click.echo(f"{iteration},{p!r},{a!r}")
 
 

@@ -239,14 +239,15 @@ def run_benchmark(config: ExperimentConfig):
 
 
 def _write_table(path, header, rows) -> None:
-    """Write ``header``, then one CSV line per row; floats, NumPy's too, as ``repr(float(v))``."""
+    """Write ``header``, then one CSV line per row, values as given.
+
+    ``csv`` writes a Python float and a NumPy float64 alike, as the
+    shortest digits that round-trip (``repr(float(v))``).
+    """
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        writer.writerows(
-            [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
-            for row in rows
-        )
+        writer.writerows(rows)
 
 
 def write_results_csv(rows, path) -> None:

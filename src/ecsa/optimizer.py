@@ -39,17 +39,17 @@ iteration.  A NaN objective value ranks as ``+inf``: initial NaN values
 are replaced by ``+inf``, and later a NaN proposal is never accepted
 because acceptance needs a strict improvement.
 
-Estimators follow the scikit-learn protocol: hyperparameters are stored
-verbatim in ``__init__``, validated by ``engine_inputs`` when ``fit``
-runs, results land in trailing-underscore attributes and
-``get_params``/``set_params`` allow programmatic configuration.
+Estimators follow the scikit-learn protocol: each is a dataclass whose
+fields are its hyperparameters, stored verbatim and validated by
+``engine_inputs`` when ``fit`` runs; results land in trailing-underscore
+attributes and ``get_params``/``set_params`` allow programmatic
+configuration.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -79,11 +79,25 @@ class RunTrace:
 
 
 def _batch_evaluator(objective):
-    """Row-wise evaluator; uses ``objective.evaluate_many`` when offered."""
+    """Row-wise evaluator; uses ``objective.evaluate_many`` when offered.
+
+    The one place the objective contract is enforced: ``evaluate_many`` of
+    ``n`` rows must return ``n`` values, shape ``(n,)``.
+    """
     many = getattr(objective, "evaluate_many", None)
-    if callable(many):
-        return lambda X: np.asarray(many(X), dtype=float)
-    return lambda X: np.array([float(objective(x)) for x in X], dtype=float)
+    if not callable(many):
+        return lambda X: np.array([float(objective(x)) for x in X], dtype=float)
+
+    def evaluate(X):
+        F = np.asarray(many(X), dtype=float)
+        if F.shape != (len(X),):
+            raise ValueError(
+                f"{type(objective).__name__}.evaluate_many must return shape (n,), "
+                f"got {F.shape} for n = {len(X)}"
+            )
+        return F
+
+    return evaluate
 
 
 def _stack_evaluator(objectives):
@@ -395,28 +409,24 @@ def run_trials(
 class BaseOptimizer:
     """Scikit-learn style estimator over the shared engine.
 
-    A subclass stores its hyperparameters in ``__init__`` (including
-    ``population``, ``iterations``, ``levy_beta``, ``init`` and ``seed``)
-    and maps them to the engine's inputs (:meth:`engine_inputs`):
-    ``_schedules`` returns the per-iteration ``pa`` and ``alpha`` arrays,
-    and raises on a hyperparameter those arrays cannot show to be wrong.
-    Everything else is checked by the engine's own checks.
+    A subclass is a dataclass that declares its hyperparameters as fields
+    (including ``population``, ``iterations``, ``levy_beta``, ``init`` and
+    ``seed``), stored verbatim, and maps them to the engine's inputs
+    (:meth:`engine_inputs`): ``_schedules`` returns the per-iteration
+    ``pa`` and ``alpha`` arrays, and raises on a hyperparameter those
+    arrays cannot show to be wrong.  Everything else is checked by the
+    engine's own checks.  Estimators compare and hash by identity.
 
     After ``fit``: ``best_position_``, ``best_fitness_``, ``trace_``
     (best fitness per iteration), ``n_evaluations_``,
     ``n_walk_replacements_`` and ``run_trace_``.
     """
 
-    @classmethod
-    def _param_names(cls):
-        signature = inspect.signature(cls.__init__)
-        return [name for name in signature.parameters if name != "self"]
-
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
     def set_params(self, **params):
-        valid = set(self._param_names())
+        valid = self.get_params()
         for name, value in params.items():
             if name not in valid:
                 raise ValueError(
@@ -425,10 +435,6 @@ class BaseOptimizer:
                 )
             setattr(self, name, value)
         return self
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
 
     def engine_inputs(self) -> dict:
         """Check the hyperparameters and return this estimator's :func:`run_trials` inputs.
@@ -465,7 +471,8 @@ class BaseOptimizer:
 
         ``objective`` is a callable mapping a position vector to a float;
         objects additionally exposing ``evaluate_many(X)`` are evaluated
-        in batches.  ``bounds`` is anything :func:`as_search_box`
+        in batches, and ``evaluate_many`` of ``n`` rows must return shape
+        ``(n,)``.  ``bounds`` is anything :func:`as_search_box`
         accepts.  Returns ``self``.
         """
         (result,) = self.fit_trials([objective], bounds, [self.seed])
@@ -479,6 +486,7 @@ class BaseOptimizer:
         return self
 
 
+@dataclass(eq=False)
 class CuckooSearch(BaseOptimizer):
     """Standard cuckoo search with fixed discovery rate and step size.
 
@@ -488,29 +496,20 @@ class CuckooSearch(BaseOptimizer):
 
     algorithm = "csa"
 
-    def __init__(
-        self,
-        population: int = 50,
-        iterations: int = 500,
-        pa: float = 0.25,
-        alpha: float = 0.01,
-        levy_beta: float = 1.5,
-        init: str = "random",
-        seed=None,
-    ):
-        self.population = population
-        self.iterations = iterations
-        self.pa = pa
-        self.alpha = alpha
-        self.levy_beta = levy_beta
-        self.init = init
-        self.seed = seed
+    population: int = 50
+    iterations: int = 500
+    pa: float = 0.25
+    alpha: float = 0.01
+    levy_beta: float = 1.5
+    init: str = "random"
+    seed: int | RandomSource | None = None
 
     def _schedules(self) -> tuple[np.ndarray, np.ndarray]:
         return np.full(self.iterations, float(self.pa)), np.full(self.iterations, float(self.alpha))
 
 
-class EnhancedCuckooSearch(CuckooSearch):
+@dataclass(eq=False)
+class EnhancedCuckooSearch(BaseOptimizer):
     """Cuckoo search with Sobol initialization and annealed parameters.
 
     The discovery rate and step size follow cosine annealing with warm
@@ -523,31 +522,17 @@ class EnhancedCuckooSearch(CuckooSearch):
 
     algorithm = "ecsa"
 
-    def __init__(
-        self,
-        population: int = 50,
-        iterations: int = 500,
-        pa_min: float = 0.25,
-        pa_max: float = 0.5,
-        alpha_min: float = 0.01,
-        alpha_max: float = 0.05,
-        t0: int = 100,
-        t_mult: float = 2.0,
-        levy_beta: float = 1.5,
-        init: str = "sobol",
-        seed=None,
-    ):
-        self.population = population
-        self.iterations = iterations
-        self.pa_min = pa_min
-        self.pa_max = pa_max
-        self.alpha_min = alpha_min
-        self.alpha_max = alpha_max
-        self.t0 = t0
-        self.t_mult = t_mult
-        self.levy_beta = levy_beta
-        self.init = init
-        self.seed = seed
+    population: int = 50
+    iterations: int = 500
+    pa_min: float = 0.25
+    pa_max: float = 0.5
+    alpha_min: float = 0.01
+    alpha_max: float = 0.05
+    t0: int = 100
+    t_mult: float = 2.0
+    levy_beta: float = 1.5
+    init: str = "sobol"
+    seed: int | RandomSource | None = None
 
     def _schedules(self) -> tuple[np.ndarray, np.ndarray]:
         """Both schedules on one clock; ``cosine_schedule`` checks ``t0`` and ``t_mult``."""

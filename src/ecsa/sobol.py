@@ -9,8 +9,8 @@ primitive-polynomial initialisation table shipped with the package
 
 Fractions use 32 fixed-point bits, so coordinates live on the grid
 ``k / 2**32`` and the generator supports ``2**32 - 1`` points.  The
-all-zeros point of index 0 is never emitted: the first call returns the
-point of index 1.  Skipping the origin keeps an exactly-optimal corner
+all-zeros point of index 0 is never emitted: the first point emitted is
+the point of index 1.  Skipping the origin keeps an exactly-optimal corner
 candidate out of initial populations, at the cost that an emitted block
 of ``2**k`` points is offset by one from the dyadic block the classic
 equidistribution guarantees apply to (the origin plus the first
@@ -103,25 +103,11 @@ class SobolSequence:
         self.current = np.zeros(self.dim, dtype=np.uint64)
         self.index = 0  # points emitted so far; point 0 (origin) is skipped
 
-    def next_point(self) -> np.ndarray:
-        """Emit the next point of the sequence, coordinates in [0, 1)."""
-        if self.index >= 2**BITS - 1:
-            raise RuntimeError(f"Sobol generator exhausted after 2**{BITS} - 1 points")
-        # Lowest zero bit of the running counter selects the XOR column.
-        n = self.index
-        column = 0
-        while n & 1:
-            n >>= 1
-            column += 1
-        self.current ^= self.direction_numbers[:, column]
-        self.index += 1
-        return self.current / _SCALE
-
     def take(self, count: int) -> np.ndarray:
         """Emit ``count`` consecutive points as a ``(count, dim)`` array.
 
-        The same points as ``count`` calls to :meth:`next_point`: a
-        cumulative XOR of the Gray-code columns onto the current point.
+        A cumulative XOR of the Gray-code columns onto the current point,
+        so consecutive takes continue one stream.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")

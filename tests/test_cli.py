@@ -50,6 +50,25 @@ class TestScheduleCommand:
         result = runner.invoke(main, ["schedule", "--t0", "0"])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--pa-max", "1.5"], "need 0 <= pa_min <= pa_max <= 1, got [0.25, 1.5]"),
+            (["--pa-min", "-0.5"], "need 0 <= pa_min <= pa_max <= 1, got [-0.5, 0.5]"),
+            (["--alpha-min", "0"], "need 0 < alpha_min <= alpha_max, got [0.0, 0.05]"),
+        ],
+        ids=["pa_max_above_one", "pa_min_below_zero", "alpha_min_zero"],
+    )
+    def test_ranges_bench_rejects_print_no_table(self, runner, tmp_path, flags, message):
+        # the table is the enhanced estimator's own schedules, so it
+        # rejects what bench rejects, with the same message
+        result = runner.invoke(main, ["schedule", *flags])
+        assert result.exit_code == 1
+        assert result.output == f"Error: {message}\n"
+        bench_result = runner.invoke(main, ["bench", *flags, "--out", str(tmp_path / "out")])
+        assert bench_result.exit_code == 1
+        assert message in bench_result.output
+
 
 class TestBenchCommand:
     def test_tiny_protocol_and_determinism(self, runner, tmp_path):

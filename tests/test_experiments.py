@@ -4,10 +4,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ecsa.experiments import (
     ALGORITHMS,
     ExperimentConfig,
+    _write_table,
     compare_rows,
     comparison_table,
     make_optimizer,
@@ -147,6 +150,24 @@ class TestRunBenchmark:
         cell = [r["best_fitness"] for r in rows if r["algorithm"] == "csa"]
         assert summary[0]["csa_mean"] == pytest.approx(np.mean(cell), rel=1e-12)
         assert summary[0]["csa_std"] == pytest.approx(np.std(cell, ddof=1), rel=1e-12)
+
+
+class TestTableWriter:
+    @given(st.lists(st.floats(), max_size=8))
+    @example([0.1, 0.1 * 3, math.inf, -math.inf, -0.0, 1e-300, 1e16, 1e-5])
+    def test_floats_written_as_shortest_repr(self, tmp_path_factory, values):
+        # a Python float and a NumPy float64 are written alike, with no conversion
+        path = tmp_path_factory.mktemp("table") / "table.csv"
+        _write_table(path, ("python", "numpy"), [[v, np.float64(v)] for v in values])
+        expected = [f"{float(v)!r},{float(v)!r}" for v in values]
+        assert path.read_text().splitlines() == ["python,numpy"] + expected
+
+    def test_float32_written_as_its_own_shortest_digits(self, tmp_path):
+        # no writer is given float32; if one were, it would print the
+        # float32's digits, not those of its float64 value
+        path = tmp_path / "table.csv"
+        _write_table(path, ("value",), [[np.float32(0.1)]])
+        assert path.read_text().splitlines() == ["value", "0.1"]
 
 
 class TestCompare:

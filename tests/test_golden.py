@@ -1,8 +1,8 @@
 """Golden fingerprint: byte-exact outputs of small CLI runs.
 
 The digests pin the whole numeric path (random stream, initialization,
-Levy and discovery phases, schedules, CSV formatting), so any refactor
-that changes a single bit of output fails here.  They were recorded
+Levy and discovery phases, schedules, Sobol points, CSV formatting), so
+any refactor that changes a single bit of output fails here.  They were recorded
 under numpy 2.4; floating-point kernels may differ in the last bit
 between numpy releases, so other versions skip rather than fail.
 """
@@ -85,3 +85,16 @@ def test_default_schedule_digest():
     assert sha256(result.stdout_bytes) == (
         "393b485a81e2fe28b94bc7279508f38579e3beb5078f732fa7afac900332f848"
     )
+
+
+@pytest.mark.parametrize(
+    "dim, count, digest",
+    [
+        # 2000 rows span more than one block of the command's output
+        (15, 2000, "1956a02ae804ad030c0130b0025cc0edd1806129d68d730c721a8b6a7a64b020"),
+        (550, 3, "e7eb7583c7bce2fd909220acbc06d2063cf6f2d29b9f3483713b66ee9264d8fd"),
+    ],
+)
+def test_sobol_digests(dim, count, digest):
+    result = invoke(["sobol", "--dim", str(dim), "--count", str(count)])
+    assert sha256(result.stdout_bytes) == digest

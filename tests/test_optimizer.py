@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import pickle
 import re
 from contextlib import contextmanager
 from unittest import mock
@@ -465,6 +467,37 @@ def test_iterations_reuse_the_stack_work_arrays():
     assert (long - short) / 100 < 20
 
 
+class MalformedBatch:
+    """Objective whose ``evaluate_many`` returns ``result(values)``; counts its calls."""
+
+    def __init__(self, result):
+        self.result = result
+        self.calls = 0
+
+    def evaluate_many(self, X):
+        self.calls += 1
+        return self.result(np.einsum("ij,ij->i", X, X))
+
+
+class TestObjectiveContract:
+    @pytest.mark.parametrize(
+        "result, shape",
+        [
+            (lambda F: F[:, None], (4, 1)),
+            (lambda F: np.column_stack([F, F]), (4, 2)),
+            (lambda F: F[:-1], (3,)),
+            (lambda F: None, ()),
+        ],
+        ids=["column", "two_columns", "one_short", "none"],
+    )
+    def test_malformed_result_fails_at_the_first_evaluation(self, result, shape):
+        objective = MalformedBatch(result)
+        message = f"MalformedBatch.evaluate_many must return shape (n,), got {shape} for n = 4"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CuckooSearch(population=4, iterations=3, seed=0).fit(objective, SearchBox.cube(3, -1, 1))
+        assert objective.calls == 1
+
+
 class TestEstimators:
     def test_fit_sets_attributes(self):
         box = SearchBox.cube(5, -5, 5)
@@ -507,6 +540,42 @@ class TestEstimators:
         assert model.t0 == 50
         with pytest.raises(ValueError):
             model.set_params(nonsense=1)
+
+    CSA_PARAMS = [("population", 50), ("iterations", 500), ("pa", 0.25), ("alpha", 0.01),
+                  ("levy_beta", 1.5), ("init", "random"), ("seed", None)]
+    ECSA_PARAMS = [("population", 50), ("iterations", 500), ("pa_min", 0.25), ("pa_max", 0.5),
+                   ("alpha_min", 0.01), ("alpha_max", 0.05), ("t0", 100), ("t_mult", 2.0),
+                   ("levy_beta", 1.5), ("init", "sobol"), ("seed", None)]
+
+    @pytest.mark.parametrize(
+        "estimator, params",
+        [(CuckooSearch, CSA_PARAMS), (EnhancedCuckooSearch, ECSA_PARAMS)],
+        ids=["csa", "ecsa"],
+    )
+    def test_parameters_are_pinned(self, estimator, params):
+        signature = inspect.signature(estimator)
+        assert [(name, p.default) for name, p in signature.parameters.items()] == params
+        assert list(estimator().get_params().items()) == params
+
+    def test_default_repr(self):
+        assert repr(CuckooSearch()) == (
+            "CuckooSearch(population=50, iterations=500, pa=0.25, alpha=0.01, levy_beta=1.5, "
+            "init='random', seed=None)"
+        )
+        assert repr(EnhancedCuckooSearch()) == (
+            "EnhancedCuckooSearch(population=50, iterations=500, pa_min=0.25, pa_max=0.5, "
+            "alpha_min=0.01, alpha_max=0.05, t0=100, t_mult=2.0, levy_beta=1.5, init='sobol', "
+            "seed=None)"
+        )
+
+    @pytest.mark.parametrize("estimator", [CuckooSearch, EnhancedCuckooSearch])
+    def test_identity_hash_and_pickle(self, estimator):
+        a, b = estimator(), estimator()
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+        a.set_params(population=7, seed=3)
+        copy = pickle.loads(pickle.dumps(a))
+        assert type(copy) is estimator and copy.get_params() == a.get_params()
 
     def test_reduction_identity(self):
         # enhanced loop with constant schedules and random init is

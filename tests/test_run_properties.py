@@ -183,3 +183,41 @@ def test_stack_matches_single_trials(inputs, trials, mode, budget_trials, per_tr
         objective = trial_objectives(mode, boxes, rngs)[k]
         assert_same_trace(trace, run_one(objective, boxes[k], population=population,
                                          rng=rngs[k], **single))
+
+
+# each well-formed ``evaluate_many`` result kind: the value of one row, and
+# the container of a batch's values
+BATCH_RESULTS = {
+    "array": (float, np.array),
+    "list": (float, list),
+    "tuple": (float, tuple),
+    "ints": (int, np.array),
+    "float32": (np.float32, np.array),
+}
+
+
+class BatchOnly:
+    """Objective with only ``evaluate_many``, returning ``wrap`` of the values of ``value``."""
+
+    def __init__(self, value, wrap):
+        self.value, self.wrap = value, wrap
+
+    def evaluate_many(self, X):
+        return self.wrap([self.value(x) for x in X])
+
+
+@settings(max_examples=100, deadline=None)
+@given(engine_inputs(), st.sampled_from(sorted(BATCH_RESULTS)))
+def test_well_formed_batch_results_run_as_the_plain_callable(inputs, kind):
+    scalar, wrap = BATCH_RESULTS[kind]
+    center = inputs["box"].lower + 0.3 * inputs["box"].width
+
+    def value(x):
+        return scalar(np.sum((x - center) ** 2))
+
+    plain, batched = (
+        run_one(objective, inputs["box"], population=inputs["population"], pa=inputs["pa"],
+                alpha=inputs["alpha"], init=inputs["init"], rng=RandomSource(inputs["seed"]))
+        for objective in (value, BatchOnly(value, wrap))
+    )
+    assert_same_trace(plain, batched)

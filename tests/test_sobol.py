@@ -4,31 +4,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecsa import RandomSource, SearchBox, SobolSequence, sobol_population
-from ecsa.sobol import BITS, table_capacity
+from ecsa.sobol import BITS, _direction_numbers, table_capacity
 
 RESOLUTION = 2.0**-BITS
 
 
-def brute_force_dim1(count):
-    """Independent oracle for the first dimension.
+def brute_force(dim, count):
+    """Independent oracle for any dimension, by the Gray-code construction.
 
-    Hand XOR recurrence with V_j = 2^(32-j): the point of index n is the
-    XOR of the V_j selected by the set bits of the Gray code of n.  The
+    The point of sequence index n is the XOR of the direction-number
+    columns j selected by the set bits j of the Gray code of n, assembled
+    bit by bit here rather than by the generator's running XOR.  The
     generator skips index 0, so emitted point k is sequence index k.
     """
-    points = []
+    columns = _direction_numbers(dim)
+    points = np.zeros((count, dim), dtype=np.uint64)
     for n in range(1, count + 1):
         gray = n ^ (n >> 1)
-        acc = 0
-        bit = 1
-        j = 1
-        while bit <= gray:
-            if gray & bit:
-                acc ^= 1 << (BITS - j)
-            bit <<= 1
-            j += 1
-        points.append(acc * RESOLUTION)
-    return points
+        for j in range(BITS):
+            if gray >> j & 1:
+                points[n - 1] ^= columns[:, j]
+    return points * RESOLUTION
 
 
 class TestFirstPoints:
@@ -37,11 +33,16 @@ class TestFirstPoints:
         assert points.tolist() == [0.5, 0.75, 0.25, 0.375]
 
     def test_dim1_against_gray_code_oracle(self):
-        points = SobolSequence(1).take(128).ravel()
-        assert points.tolist() == brute_force_dim1(128)
+        # the first dimension needs no table: V_j = 2**(BITS - j)
+        assert _direction_numbers(1)[0].tolist() == [2 ** (BITS - j) for j in range(1, BITS + 1)]
+        assert np.array_equal(SobolSequence(1).take(128), brute_force(1, 128))
+
+    @pytest.mark.parametrize("dim, count", [(2, 128), (15, 128), (550, 40)])
+    def test_against_gray_code_oracle(self, dim, count):
+        assert np.array_equal(SobolSequence(dim).take(count), brute_force(dim, count))
 
     def test_dim2_first_point(self):
-        assert SobolSequence(2).next_point().tolist() == [0.5, 0.5]
+        assert SobolSequence(2).take(1).tolist() == [[0.5, 0.5]]
 
     def test_every_coordinate_in_unit_interval(self):
         points = SobolSequence(9).take(500)
@@ -117,7 +118,7 @@ class TestDeterminism:
 
     def test_index_advances(self):
         seq = SobolSequence(3)
-        seq.next_point()
+        seq.take(1)
         assert seq.index == 1
         seq.take(4)
         assert seq.index == 5
@@ -125,15 +126,16 @@ class TestDeterminism:
     @pytest.mark.parametrize("dim", [1, 15, 550])
     def test_take_equals_repeated_next_point(self, dim):
         # the vectorized block carries the generator state on: takes of
-        # any size, mixed with single points, continue one stream
-        block_wise, point_wise = SobolSequence(dim), SobolSequence(dim)
-        for count in (0, 1, 6, 57, 0, 200):
-            block = block_wise.take(count)
-            assert block.shape == (count, dim)
-            expected = [point_wise.next_point() for _ in range(count)]
-            assert np.array_equal(block, np.array(expected).reshape(count, dim))
-            assert block_wise.index == point_wise.index
-            assert np.array_equal(block_wise.next_point(), point_wise.next_point())
+        # any size, single points and empty takes included, continue one
+        # stream, the same as one take of their total
+        counts = (0, 1, 6, 57, 0, 1, 200)
+        split = SobolSequence(dim)
+        blocks = [split.take(count) for count in counts]
+        assert [block.shape for block in blocks] == [(count, dim) for count in counts]
+        whole = SobolSequence(dim)
+        assert np.array_equal(np.vstack(blocks), whole.take(sum(counts)))
+        assert split.index == whole.index == sum(counts)
+        assert np.array_equal(split.take(1), whole.take(1))
 
     def test_take_past_capacity_rejected_without_advancing(self):
         seq = SobolSequence(2)
