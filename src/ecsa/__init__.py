@@ -5,7 +5,6 @@ and a discretized location-allocation model."""
 from .allocation import (
     AllocationInstance,
     AllocationObjective,
-    Assignment,
     decode,
     fitness,
     load_instance,
@@ -14,9 +13,9 @@ from .allocation import (
     synth_instance,
 )
 from .benchmarks import BenchmarkObjective, ObjectiveSpec, evaluate, evaluate_many, suite
-from .core import Candidate, SearchBox, as_search_box
+from .core import SearchBox, as_search_box
 from .levy import LevyParams, mantegna_sigma
-from .optimizer import CuckooSearch, EnhancedCuckooSearch, RunTrace, init_population, run_trials
+from .optimizer import CuckooSearch, EnhancedCuckooSearch, RunTrace, run_trials
 from .rng import RandomSource, as_random_source, stable_seed
 from .schedule import cosine_schedule
 from .sobol import SobolSequence, sobol_population
@@ -27,9 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AllocationInstance",
     "AllocationObjective",
-    "Assignment",
     "BenchmarkObjective",
-    "Candidate",
     "CuckooSearch",
     "EnhancedCuckooSearch",
     "LevyParams",
@@ -46,7 +43,6 @@ __all__ = [
     "evaluate",
     "evaluate_many",
     "fitness",
-    "init_population",
     "load_instance",
     "load_instance_csv",
     "mantegna_sigma",

@@ -2,8 +2,9 @@
 
 An instance holds block centroids and candidate area coordinates on a
 projected plane; the distance matrix is Euclidean.  A solution assigns
-every block to exactly one area (a one-hot matrix) and its fitness is
-the total block-to-assigned-area distance, lower is better.
+every block to exactly one area (an integer array holding one area index
+per block) and its fitness is the total block-to-assigned-area distance,
+lower is better.
 
 Continuous optimizers search the ``n_blocks * n_areas`` unit cube; a
 position vector decodes to an assignment by row-wise argmax (ties to
@@ -50,34 +51,6 @@ class AllocationInstance:
     @property
     def search_box(self) -> SearchBox:
         return SearchBox.unit(self.decision_dim)
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """One-hot block-to-area assignment (every row sums to exactly 1)."""
-
-    onehot: np.ndarray
-
-    def __post_init__(self):
-        onehot = np.asarray(self.onehot)
-        if onehot.ndim != 2:
-            raise ValueError(f"onehot must be 2-D, got shape {onehot.shape}")
-        if not np.all(np.isin(onehot, (0, 1))):
-            raise ValueError("onehot entries must be 0 or 1")
-        if not np.all(onehot.sum(axis=1) == 1):
-            raise ValueError("every block must be assigned to exactly one area")
-        object.__setattr__(self, "onehot", onehot.astype(np.int8))
-
-    @property
-    def area_index(self) -> np.ndarray:
-        return self.onehot.argmax(axis=1)
-
-    @classmethod
-    def from_indices(cls, indices, n_areas: int) -> "Assignment":
-        indices = np.asarray(indices, dtype=int)
-        onehot = np.zeros((indices.size, n_areas), dtype=np.int8)
-        onehot[np.arange(indices.size), indices] = 1
-        return cls(onehot)
 
 
 def _euclidean_matrix(block_xy: np.ndarray, area_xy: np.ndarray) -> np.ndarray:
@@ -159,22 +132,29 @@ def synth_instance(n_blocks: int = 50, n_areas: int = 11, seed: int = 0) -> Allo
     )
 
 
-def fitness(instance: AllocationInstance, assignment: Assignment) -> float:
-    """Total distance from every block to its assigned area."""
-    if assignment.onehot.shape != instance.distance.shape:
+def fitness(instance: AllocationInstance, area_index) -> float:
+    """Total distance from every block to its assigned area.
+
+    ``area_index`` holds one integer area index per block, each in
+    ``[0, n_areas)``; anything else raises ``ValueError``.
+    """
+    area_index = np.asarray(area_index)
+    if area_index.shape != (instance.n_blocks,) or area_index.dtype.kind not in "iu":
         raise ValueError(
-            f"assignment shape {assignment.onehot.shape} does not match "
-            f"instance shape {instance.distance.shape}"
+            f"an assignment holds one integer area index per block ({instance.n_blocks}), "
+            f"got shape {area_index.shape} and dtype {area_index.dtype}"
         )
-    rows = np.arange(instance.n_blocks)
-    return float(instance.distance[rows, assignment.area_index].sum())
+    outside = area_index[(area_index < 0) | (area_index >= instance.n_areas)]
+    if outside.size:
+        raise ValueError(f"area index {outside[0]} is outside [0, {instance.n_areas})")
+    return float(instance.distance[np.arange(instance.n_blocks), area_index].sum())
 
 
-def decode(position, instance: AllocationInstance) -> Assignment:
-    """Map a continuous position in the unit cube to an assignment.
+def decode(position, instance: AllocationInstance) -> np.ndarray:
+    """Map a continuous position in the unit cube to each block's area index.
 
     The vector is reshaped row-major to ``(n_blocks, n_areas)`` and each
-    row becomes one-hot at its argmax; ties break to the lowest index.
+    block takes the area of its row's argmax; ties break to the lowest index.
     """
     position = np.asarray(position, dtype=float)
     if position.size != instance.decision_dim:
@@ -182,15 +162,13 @@ def decode(position, instance: AllocationInstance) -> Assignment:
             f"position length {position.size} != {instance.decision_dim} "
             f"({instance.n_blocks} blocks x {instance.n_areas} areas)"
         )
-    scores = position.reshape(instance.n_blocks, instance.n_areas)
-    return Assignment.from_indices(scores.argmax(axis=1), instance.n_areas)
+    return position.reshape(instance.n_blocks, instance.n_areas).argmax(axis=1)
 
 
-def optimal_assignment(instance: AllocationInstance) -> tuple[Assignment, float]:
-    """Exact optimum: every block goes to its nearest area."""
-    indices = instance.distance.argmin(axis=1)
-    assignment = Assignment.from_indices(indices, instance.n_areas)
-    return assignment, fitness(instance, assignment)
+def optimal_assignment(instance: AllocationInstance) -> tuple[np.ndarray, float]:
+    """Exact optimum: every block goes to its nearest area; returns area indices and fitness."""
+    area_index = instance.distance.argmin(axis=1)
+    return area_index, fitness(instance, area_index)
 
 
 class AllocationObjective:

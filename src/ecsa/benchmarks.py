@@ -136,6 +136,9 @@ _DEFINITIONS = {
 
 
 def _make_spec(function_id: str, dim: int) -> ObjectiveSpec:
+    # one rule for every function: at 1-D Rosenbrock has no terms and is always 0
+    if dim < 2:
+        raise ValueError(f"benchmark functions require dim >= 2, got {dim}")
     name, half_width, _ = _DEFINITIONS[function_id]
     box = SearchBox.cube(dim, -half_width, half_width)
     optimizer = {
@@ -158,8 +161,6 @@ def _make_spec(function_id: str, dim: int) -> ObjectiveSpec:
 
 def suite(dim: int = DEFAULT_DIM) -> list[ObjectiveSpec]:
     """All 13 specs in F1..F13 order at the given dimension."""
-    if dim < 2:
-        raise ValueError(f"suite requires dim >= 2, got {dim}")
     return [_make_spec(fid, dim) for fid in FUNCTION_IDS]
 
 

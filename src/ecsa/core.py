@@ -1,7 +1,8 @@
-"""Shared domain types: bounded search boxes and evaluated candidates."""
+"""Shared domain types: bounded search boxes, and the integer setting check."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,13 +71,9 @@ def as_search_box(bounds) -> SearchBox:
     )
 
 
-@dataclass
-class Candidate:
-    """One nest: a position inside the box and its cached objective value."""
-
-    position: np.ndarray
-    fitness: float
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float)
-        self.fitness = float(self.fitness)
+def checked_int(name: str, value) -> int:
+    """``value`` as an ``int`` if ``operator.index`` accepts it, else a ``ValueError`` naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None

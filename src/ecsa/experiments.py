@@ -81,8 +81,11 @@ class ExperimentConfig:
         bad = [a for a in algorithms if a not in ALGORITHMS]
         if bad:
             raise ValueError(f"unknown algorithms: {bad} (choose from {ALGORITHMS})")
-        # a repeated cell would run twice on the same seed and count twice in compare
+        # an empty list would run nothing; a repeated cell would run twice on
+        # the same seed and count twice in compare
         for label, names in (("function ids", functions), ("algorithms", algorithms)):
+            if not names:
+                raise ValueError(f"no {label} given")
             repeated = sorted({name for name in names if names.count(name) > 1})
             if repeated:
                 raise ValueError(f"repeated {label}: {repeated}")
@@ -160,7 +163,7 @@ def _run_cells(args):
                 "algorithm": algorithm,
                 "trial": trial,
                 "seed": seed,
-                "best_fitness": result.best_candidate.fitness,
+                "best_fitness": result.best_fitness,
                 "evaluations": result.evaluations,
             },
             result.best_fitness_per_iteration,
@@ -480,7 +483,7 @@ def run_allocation(
     algorithm: str,
     config: ExperimentConfig,
 ) -> AllocationReport:
-    """Run the discretized optimizer over the one-hot cube for one algorithm.
+    """Run the discretized optimizer over the unit cube of area scores for one algorithm.
 
     The estimator's settings and ``ECSA_WORKERS`` are checked first,
     before the oracle and any fit.  The trials' seeds are split between
@@ -498,7 +501,7 @@ def run_allocation(
     rows, traces = [], {}
     best_trial, best_fitness = -1, np.inf
     for trial, (seed, result) in enumerate(zip(seeds, results)):
-        fitness = result.best_candidate.fitness
+        fitness = result.best_fitness
         rows.append(
             {
                 "algorithm": algorithm,
@@ -507,7 +510,7 @@ def run_allocation(
                 "best_fitness": fitness,
                 "gap_to_oracle": (fitness - oracle_fitness) / oracle_fitness,
                 "evaluations": result.evaluations,
-                "best_position": result.best_candidate.position,
+                "best_position": result.best_position,
             }
         )
         traces[trial] = result.best_fitness_per_iteration
@@ -530,15 +533,13 @@ def run_allocation(
     )
 
 
-def write_assignment_csv(instance: AllocationInstance, assignment: allocation.Assignment,
-                         path) -> None:
-    """Write ``block_id,area_id,distance`` rows plus a total-fitness row."""
-    chosen = assignment.area_index
+def write_assignment_csv(instance: AllocationInstance, area_index, path) -> None:
+    """Write ``block_id,area_id,distance`` rows for each block's area index, plus a total row."""
     rows = [
         (block, instance.area_ids[area], instance.distance[j, area])
-        for j, (block, area) in enumerate(zip(instance.block_ids, chosen))
+        for j, (block, area) in enumerate(zip(instance.block_ids, area_index))
     ]
-    rows.append(("TOTAL", "", allocation.fitness(instance, assignment)))
+    rows.append(("TOTAL", "", allocation.fitness(instance, area_index)))
     _write_table(path, ("block_id", "area_id", "distance"), rows)
 
 
@@ -552,5 +553,5 @@ def write_allocation_outputs(instance, report: AllocationReport, out_dir) -> Non
     write_traces({("LA", algorithm, trial): trace for trial, trace in report.traces.items()},
                  out_dir / "traces")
     best = next(r for r in report.rows if r["trial"] == report.best_trial)
-    assignment = allocation.decode(best["best_position"], instance)
-    write_assignment_csv(instance, assignment, out_dir / f"assignment_{algorithm}.csv")
+    area_index = allocation.decode(best["best_position"], instance)
+    write_assignment_csv(instance, area_index, out_dir / f"assignment_{algorithm}.csv")

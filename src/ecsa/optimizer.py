@@ -53,7 +53,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import Candidate, SearchBox, as_search_box
+from .core import SearchBox, as_search_box, checked_int
 from .levy import LevyParams, levy_steps
 from .rng import RandomSource, as_random_source, box_muller
 from .schedule import cosine_schedule
@@ -73,7 +73,8 @@ class RunTrace:
     """Complete record of one optimization run."""
 
     best_fitness_per_iteration: np.ndarray
-    best_candidate: Candidate
+    best_position: np.ndarray
+    best_fitness: float
     evaluations: int
     walk_replacements: int
 
@@ -180,12 +181,12 @@ def _levy(params: LevyParams, rngs, n: int, work: _WorkArrays) -> np.ndarray:
 def _checked_settings(trials: int, population: int, pa, alpha, init, box=None):
     """The one check of each engine setting, for a stack of ``trials`` trials.
 
-    :func:`run_trials`, :func:`init_population` and ``engine_inputs`` run it
-    before any evaluation.  Returns ``pa`` and ``alpha`` as ``(trials,
-    iterations)`` arrays and ``init`` and ``box`` as lists of one mode and
-    one :class:`SearchBox` per trial (``box`` stays ``None`` when not given).
+    :func:`run_trials` and ``engine_inputs`` run it before any evaluation.
+    Returns ``pa`` and ``alpha`` as ``(trials, iterations)`` arrays and
+    ``init`` and ``box`` as lists of one mode and one :class:`SearchBox`
+    per trial (``box`` stays ``None`` when not given).
     """
-    if population < 1:
+    if checked_int("population", population) < 1:
         raise ValueError(f"population must be >= 1, got {population}")
     pa = np.asarray(pa, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
@@ -218,29 +219,6 @@ def _checked_settings(trials: int, population: int, pa, alpha, init, box=None):
         if len(dims) > 1:
             raise ValueError(f"every box of a stack must have one dim, got dims {dims}")
     return pa, alpha, init, box
-
-
-def init_population(
-    count: int,
-    box: SearchBox,
-    objective,
-    rng: RandomSource,
-    init: str = "random",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Build and evaluate the initial nests; returns positions and fitness.
-
-    ``random`` draws uniformly inside the box; ``sobol`` takes the first
-    ``count`` Sobol points mapped onto the box (the first nest is the box
-    midpoint).  A NaN fitness is stored as ``+inf`` so it can never be
-    picked as the best nest.
-    """
-    _checked_settings(1, count, [], [], [init])
-    if init == "sobol":
-        X = sobol_population(box, count)
-    else:
-        X = box.lower + rng.random((count, box.dim)) * box.width
-    F = _batch_evaluator(objective)(X)
-    return X, np.where(np.isnan(F), np.inf, F)
 
 
 def _clamp(P, bounds) -> np.ndarray:
@@ -303,16 +281,23 @@ def _run_stack(objectives, boxes, population, pa, alpha, init, rngs, params) -> 
     """Advance one stack of trials in lockstep; inputs are already checked.
 
     ``pa`` and ``alpha`` are ``(trials, iterations)``, and ``init`` and
-    ``boxes`` hold one mode and one box per trial.  The stack's bounds and
-    work arrays are built once, here, and every iteration writes its
-    normals, proposals and walks into the work arrays.
+    ``boxes`` hold one mode and one box per trial.  The first nests, the
+    box's first Sobol points or uniform draws, are evaluated like every
+    later phase.  The stack's bounds and work arrays are built once, here,
+    and every iteration writes its normals, proposals and walks into the
+    work arrays.
     """
     evaluate = _stack_evaluator(objectives)
-    X, F = map(np.stack, zip(*(init_population(population, box, o, rng, init=mode)
-                               for o, box, rng, mode in zip(objectives, boxes, rngs, init))))
     trials, iterations = pa.shape
     trial = np.arange(trials)
-    dim = X.shape[-1]
+    dim = boxes[0].dim
+    X = np.stack([
+        sobol_population(box, population) if mode == "sobol"
+        else box.lower + rng.random((population, dim)) * box.width
+        for box, rng, mode in zip(boxes, rngs, init)
+    ])
+    F = evaluate(X)
+    F[np.isnan(F)] = np.inf
     bounds = tuple(np.stack([getattr(box, side) for box in boxes])[:, None, :]
                    for side in ("lower", "upper"))
     work = _WorkArrays(trials, population, dim)
@@ -343,7 +328,8 @@ def _run_stack(objectives, boxes, population, pa, alpha, init, rngs, params) -> 
     return [
         RunTrace(
             best_fitness_per_iteration=trace[i],
-            best_candidate=Candidate(X[i, best[i]].copy(), F[i, best[i]]),
+            best_position=X[i, best[i]].copy(),
+            best_fitness=float(F[i, best[i]]),
             evaluations=population + iterations * (2 * population - 1),
             walk_replacements=int(walk_replacements[i]),
         )
@@ -374,7 +360,9 @@ def run_trials(
     per trial, all of one ``dim``.  Every input is checked before the
     first evaluation.
 
-    Per iteration each trial draws from its own stream, in this order:
+    A trial with random initialization first draws its ``population * dim``
+    initial uniforms, before the initial nests are evaluated.  Per
+    iteration each trial draws from its own stream, in this order:
     ``2 * ceil(population * dim / 2)`` uniforms for the Box-Muller ``u``
     normals of the Levy steps, as many for the ``v`` normals, then (after
     the Levy proposals are evaluated) the discovery block of
@@ -443,7 +431,7 @@ class BaseOptimizer:
         hyperparameter raises here, with the message :func:`run_trials`
         would give, so callers can check settings before any work starts.
         """
-        if self.iterations < 0:
+        if checked_int("iterations", self.iterations) < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         pa, alpha = self._schedules()
         _checked_settings(1, self.population, pa, alpha, self.init)
@@ -479,8 +467,8 @@ class BaseOptimizer:
         self.box_ = as_search_box(bounds)
         self.run_trace_ = result
         self.trace_ = result.best_fitness_per_iteration
-        self.best_position_ = result.best_candidate.position
-        self.best_fitness_ = result.best_candidate.fitness
+        self.best_position_ = result.best_position
+        self.best_fitness_ = result.best_fitness
         self.n_evaluations_ = result.evaluations
         self.n_walk_replacements_ = result.walk_replacements
         return self

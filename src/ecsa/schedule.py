@@ -21,6 +21,8 @@ import math
 
 import numpy as np
 
+from .core import checked_int
+
 
 def cosine_schedule(eta_min: float, eta_max: float, t0: int, t_mult: float, n: int) -> np.ndarray:
     """The first ``n`` values ``eta_min + (eta_max - eta_min)(1 + cos(pi t_cur / t_i)) / 2``.
@@ -34,7 +36,7 @@ def cosine_schedule(eta_min: float, eta_max: float, t0: int, t_mult: float, n: i
     """
     if eta_min > eta_max:
         raise ValueError(f"eta_min={eta_min} must be <= eta_max={eta_max}")
-    if t0 < 1:
+    if checked_int("t0", t0) < 1:
         raise ValueError(f"t0 must be >= 1, got {t0}")
     if not t_mult >= 1.0:
         raise ValueError(f"t_mult must be >= 1, got {t_mult}")

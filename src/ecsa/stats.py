@@ -40,37 +40,33 @@ def summarize(sample) -> tuple[float, float]:
 def _midranks(pooled: np.ndarray) -> np.ndarray:
     """Ranks 1..N with ties replaced by the mean of their rank range."""
     order = np.argsort(pooled, kind="stable")
+    ordered = pooled[order]
+    # a tie group starts where the sorted value changes; NaN != NaN, so every
+    # NaN is a group of its own
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    counts = np.diff(np.r_[starts, pooled.size])
     ranks = np.empty(pooled.size)
-    sorted_values = pooled[order]
-    i = 0
-    while i < pooled.size:
-        j = i
-        while j + 1 < pooled.size and sorted_values[j + 1] == sorted_values[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    # a group over sorted positions i..j gets (i + j) / 2 + 1
+    ranks[order] = np.repeat((2 * starts + counts - 1) / 2.0 + 1.0, counts)
     return ranks
 
 
 def _exact_two_sided(doubled_ranks: np.ndarray, n: int, observed_doubled: int) -> float:
     """Exact p by counting n-subsets of the doubled midranks by sum.
 
-    ``counts[k][s]`` is the number of k-subsets with doubled-rank sum s;
+    ``counts[k, s]`` is the number of k-subsets with doubled-rank sum s;
     the two-sided p-value is the fraction of subsets whose deviation from
     the mean doubled sum is at least the observed deviation.  Doubled
-    midranks are integers, so all arithmetic here is exact.
+    midranks are integers and every count is an integer below 2**53, so
+    all arithmetic here is exact.
     """
     total = int(doubled_ranks.sum())
-    counts = [
-        np.zeros(total + 1, dtype=np.float64) for _ in range(n + 1)
-    ]
-    counts[0][0] = 1.0
+    counts = np.zeros((n + 1, total + 1))
+    counts[0, 0] = 1.0
     for value in doubled_ranks.astype(int):
-        upper = min(n, len(doubled_ranks))
-        for k in range(upper - 1, -1, -1):
-            shifted = np.zeros(total + 1)
-            shifted[value:] = counts[k][: total + 1 - value]
-            counts[k + 1] += shifted
+        # numpy reads the right side as it was before the add, though the
+        # slices overlap: each k-subset count gains the old (k - 1)-subset counts
+        counts[1:, value:] += counts[:-1, : total + 1 - value]
     n_total = len(doubled_ranks)
     # mean doubled rank-sum of an n-subset: n * (sum of all) / N
     mean_twice = n * total / n_total

@@ -1,12 +1,12 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
 
 from ecsa import (
     AllocationObjective,
-    Assignment,
     RandomSource,
     decode,
     fitness,
@@ -104,14 +104,12 @@ class TestFitness:
         instance = instance_from_records(
             [{"id": "b", "x": 0.0, "y": 0.0}], [{"id": "a", "x": 3.2, "y": 0.0}]
         )
-        assignment = Assignment(np.array([[1]]))
-        assert fitness(instance, assignment) == pytest.approx(3.2, rel=1e-12)
+        assert fitness(instance, np.array([0])) == pytest.approx(3.2, rel=1e-12)
 
     def test_identity_assignment_by_hand(self):
         instance = square_instance()
         assert np.allclose(instance.distance, [[1.0, 2.0], [4.0, 3.0]], atol=1e-12)
-        identity = Assignment(np.eye(2, dtype=int))
-        assert fitness(instance, identity) == pytest.approx(4.0, rel=1e-12)
+        assert fitness(instance, [0, 1]) == pytest.approx(4.0, rel=1e-12)
 
     def test_nearest_assignment_is_column_minimum_sum(self):
         instance = synth_instance(20, 5, seed=4)
@@ -119,15 +117,20 @@ class TestFitness:
         assert value == pytest.approx(instance.distance.min(axis=1).sum(), rel=1e-12)
 
     def test_invalid_assignment_rejected(self):
-        with pytest.raises(ValueError):
-            Assignment(np.array([[1, 1], [0, 0]]))
-        with pytest.raises(ValueError):
-            Assignment(np.array([[2, 0], [0, 1]]))
+        cases = [
+            (np.array([0.0, 1.0]), "got shape (2,) and dtype float64"),
+            (np.array([True, False]), "got shape (2,) and dtype bool"),
+            ([0, 2], "area index 2 is outside [0, 2)"),
+            ([-1, 0], "area index -1 is outside [0, 2)"),
+        ]
+        for area_index, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                fitness(square_instance(), area_index)
 
     def test_shape_mismatch_rejected(self):
-        instance = square_instance()
-        with pytest.raises(ValueError):
-            fitness(instance, Assignment(np.eye(3, dtype=int)))
+        for area_index in ([0, 1, 0], [0], np.eye(2, dtype=int)):
+            with pytest.raises(ValueError, match=re.escape("one integer area index per block (2)")):
+                fitness(square_instance(), area_index)
 
     def test_scale_equivariance(self):
         base = synth_instance(15, 4, seed=6)
@@ -145,7 +148,7 @@ class TestFitness:
         assignment, base_value = optimal_assignment(base)
         scaled_assignment, scaled_value = optimal_assignment(scaled)
         assert scaled_value == pytest.approx(factor * base_value, rel=1e-12)
-        assert np.array_equal(assignment.onehot, scaled_assignment.onehot)
+        assert np.array_equal(assignment, scaled_assignment)
 
 
 class TestDecode:
@@ -153,27 +156,27 @@ class TestDecode:
         instance = instance_from_records(
             records([(0, 0)], "b"), records([(0, 0), (1, 0), (2, 0)], "a")
         )
-        assignment = decode(np.array([0.1, 0.9, 0.3]), instance)
-        assert assignment.onehot.tolist() == [[0, 1, 0]]
+        assert decode(np.array([0.1, 0.9, 0.3]), instance).tolist() == [1]
 
     def test_tie_breaks_to_lowest_index(self):
         instance = instance_from_records(
             records([(0, 0)], "b"), records([(0, 0), (1, 0), (2, 0)], "a")
         )
-        assignment = decode(np.array([0.5, 0.5, 0.2]), instance)
-        assert assignment.onehot.tolist() == [[1, 0, 0]]
+        assert decode(np.array([0.5, 0.5, 0.2]), instance).tolist() == [0]
 
     def test_all_zero_position(self):
         instance = synth_instance(5, 3, seed=0)
-        assignment = decode(np.zeros(15), instance)
-        assert np.all(assignment.area_index == 0)
+        assert decode(np.zeros(15), instance).tolist() == [0] * 5
 
     def test_row_sums_always_one(self):
         instance = synth_instance(8, 4, seed=2)
         rng = RandomSource(3)
         for _ in range(100):
-            assignment = decode(rng.random(32), instance)
-            assert np.all(assignment.onehot.sum(axis=1) == 1)
+            area_index = decode(rng.random(32), instance)
+            # one area per block, each a valid index that fitness accepts
+            assert area_index.shape == (8,) and area_index.dtype.kind == "i"
+            assert np.all((area_index >= 0) & (area_index < 4))
+            fitness(instance, area_index)
 
     def test_length_mismatch(self):
         instance = synth_instance(5, 3, seed=0)
@@ -187,8 +190,7 @@ class TestOptimalAssignment:
         _, best = optimal_assignment(instance)
         values = []
         for choice in itertools.product(range(2), repeat=2):
-            assignment = Assignment.from_indices(list(choice), 2)
-            values.append(fitness(instance, assignment))
+            values.append(fitness(instance, list(choice)))
         assert best == pytest.approx(min(values), rel=1e-12)
         assert best == pytest.approx(4.0, rel=1e-12)  # b0->a0, b1->a1
 
@@ -202,8 +204,8 @@ class TestOptimalAssignment:
             [{"id": "b", "x": 0.0, "y": 0.0}],
             [{"id": "a0", "x": 1.0, "y": 0.0}, {"id": "a1", "x": -1.0, "y": 0.0}],
         )
-        assignment, _ = optimal_assignment(instance)
-        assert assignment.area_index.tolist() == [0]
+        area_index, _ = optimal_assignment(instance)
+        assert area_index.tolist() == [0]
 
     def test_oracle_dominates_1000_random_assignments(self):
         instance = synth_instance(30, 7, seed=8)
@@ -211,7 +213,7 @@ class TestOptimalAssignment:
         rng = RandomSource(11)
         for _ in range(1000):
             indices = (rng.random(30) * 7).astype(int)
-            value = fitness(instance, Assignment.from_indices(indices, 7))
+            value = fitness(instance, indices)
             assert best <= value + 1e-12
 
 
@@ -254,9 +256,9 @@ class TestAllocationObjective:
 
     def test_assignment_csv(self, tmp_path):
         instance = square_instance()
-        assignment, value = optimal_assignment(instance)
+        area_index, value = optimal_assignment(instance)
         path = tmp_path / "assignment.csv"
-        write_assignment_csv(instance, assignment, path)
+        write_assignment_csv(instance, area_index, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "block_id,area_id,distance"
         assert len(lines) == 4  # header + 2 blocks + total row

@@ -5,9 +5,7 @@ import ecsa
 PUBLIC_API = [
     "AllocationInstance",
     "AllocationObjective",
-    "Assignment",
     "BenchmarkObjective",
-    "Candidate",
     "CuckooSearch",
     "EnhancedCuckooSearch",
     "LevyParams",
@@ -24,7 +22,6 @@ PUBLIC_API = [
     "evaluate",
     "evaluate_many",
     "fitness",
-    "init_population",
     "load_instance",
     "load_instance_csv",
     "mantegna_sigma",

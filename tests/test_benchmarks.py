@@ -132,6 +132,13 @@ class TestSuite:
     def test_all_dim_15(self):
         assert all(s.dim == 15 for s in suite())
 
+    def test_one_dimension_rule(self):
+        # at 1-D Rosenbrock has no terms and is always 0
+        for build in (lambda: suite(1), lambda: get_spec("F5", 1), lambda: get_spec("F1", 0)):
+            with pytest.raises(ValueError, match="benchmark functions require dim >= 2"):
+                build()
+        assert get_spec("F5", 2).dim == 2
+
     def test_standard_boxes(self):
         half_widths = {
             "F1": 100, "F2": 10, "F3": 100, "F4": 100, "F5": 30, "F6": 100,

@@ -169,7 +169,7 @@ class TestBenchCommand:
             (["--trials", "1"], "1", "--trials >= 2"),
             (["--pa", "1.5"], "1", "pa must be in [0, 1], got 1.5"),
             (["--t0", "0"], "1", "t0 must be >= 1, got 0"),
-            (["--dim", "0"], "1", "dim must be >= 1, got 0"),
+            (["--dim", "0"], "1", "benchmark functions require dim >= 2, got 0"),
             (["--population", "0"], "1", "population must be >= 1, got 0"),
             (["--trials", "2"], "two", "ECSA_WORKERS must be an integer, got 'two'"),
             # the estimators passed these and only the engine rejected them
@@ -180,6 +180,11 @@ class TestBenchCommand:
             (["--trials", "2", "--algorithms", "csa,csa"], "1", "repeated algorithms: ['csa']"),
             (["--trials", "2", "--config", {"algorithms": ["ecsa", "csa", "ecsa"]}], "1",
              "repeated algorithms: ['ecsa']"),
+            # an empty protocol used to write a header-only results.csv and exit 0
+            (["--trials", "2", "--functions", ","], "1", "no function ids given"),
+            (["--trials", "2", "--config", {"algorithms": []}], "1", "no algorithms given"),
+            # at 1-D Rosenbrock has no terms and is always 0
+            (["--dim", "1"], "1", "benchmark functions require dim >= 2, got 1"),
         ],
     )
     def test_rejected_config_creates_and_announces_nothing(self, runner, tmp_path, flags,

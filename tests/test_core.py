@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ecsa import Candidate, SearchBox, as_search_box
+from ecsa import SearchBox, as_search_box
 
 
 class TestSearchBox:
@@ -35,9 +35,3 @@ class TestSearchBox:
         box = SearchBox.unit(3)
         assert as_search_box(box) is box
 
-
-def test_candidate_holds_position_and_fitness():
-    c = Candidate([1.0, 2.0], 5)
-    assert c.fitness == 5.0
-    assert c.position.dtype == float
-    assert c.position.tolist() == [1.0, 2.0]

@@ -2,7 +2,8 @@
 
 The digests pin the whole numeric path (random stream, initialization,
 Levy and discovery phases, schedules, Sobol points, CSV formatting), so
-any refactor that changes a single bit of output fails here.  They were recorded
+any refactor that changes a single bit of output fails here.  One more
+digest pins the ``--help`` text of every command, the CLI's surface.  They were recorded
 under numpy 2.4; floating-point kernels may differ in the last bit
 between numpy releases, so other versions skip rather than fail.
 """
@@ -98,3 +99,20 @@ def test_default_schedule_digest():
 def test_sobol_digests(dim, count, digest):
     result = invoke(["sobol", "--dim", str(dim), "--count", str(count)])
     assert sha256(result.stdout_bytes) == digest
+
+
+# every command, in the order their ``--help`` texts are hashed
+COMMANDS = [[], ["bench"], ["bench", "list"], ["compare"], ["allocate"], ["sobol"], ["schedule"]]
+
+
+def test_help_digest():
+    # an added, removed or renamed option, or a changed default, changes this digest
+    digest = hashlib.sha256()
+    for command in COMMANDS:
+        result = CliRunner().invoke(main, [*command, "--help"], prog_name="ecsa",
+                                    terminal_width=80)
+        assert result.exit_code == 0, result.output
+        digest.update(result.stdout_bytes)
+    assert digest.hexdigest() == (
+        "bec23bec8163e0e70c0d6a16ac11db9c6758a5a4757cbebe985b4db4e0fcc74a"
+    )

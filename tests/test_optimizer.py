@@ -14,7 +14,6 @@ from ecsa import (
     RandomSource,
     SearchBox,
     cosine_schedule,
-    init_population,
 )
 from ecsa import optimizer
 from ecsa.allocation import AllocationObjective, synth_instance
@@ -109,29 +108,34 @@ def observe_discovery():
 
 
 class TestInitPopulation:
+    """The first nests, observed through a run of 0 iterations."""
+
     def test_sobol_single_candidate_is_midpoint(self):
         box = SearchBox.cube(15, -100, 100)
-        X, F = init_population(1, box, sphere, RandomSource(0), init="sobol")
-        assert np.all(X[0] == 0.0)
-        assert F[0] == 0.0
+        trace = constant_run(sphere, box, population=1, iterations=0, pa=0.25, alpha=0.01,
+                             seed=0, init="sobol")
+        assert np.all(trace.best_position == 0.0)
+        assert trace.best_fitness == 0.0 and type(trace.best_fitness) is float
 
     def test_random_population_inside_box(self):
         box = SearchBox.cube(10, -5, 5)
-        X, F = init_population(50, box, sphere, RandomSource(1), init="random")
-        assert X.shape == (50, 10) and F.shape == (50,)
-        for x, f in zip(X, F):
-            assert inside(x, box)
+        recording = RecordingObjective(sphere)
+        trace = constant_run(recording, box, population=50, iterations=0, pa=0.25, alpha=0.01,
+                             seed=1)
+        assert len(recording.points) == trace.evaluations == 50
+        for x, f in zip(recording.points, recording.values):
+            assert x.shape == (10,) and inside(x, box)
             assert f == sphere(x)
+        assert trace.best_fitness == min(recording.values)
 
     def test_zero_population_rejected(self):
         box = SearchBox.cube(2, -1, 1)
         counting = CountingObjective(sphere, box)
         with pytest.raises(ValueError, match="population must be >= 1, got 0"):
-            init_population(0, box, counting, RandomSource(0))
-        with pytest.raises(ValueError, match="population must be >= 1, got 0"):
             constant_run(counting, box, population=0, iterations=5, pa=0.25, alpha=0.01, seed=0)
         with pytest.raises(ValueError, match="init must be one of"):
-            init_population(3, box, counting, RandomSource(0), init="grid")
+            constant_run(counting, box, population=3, iterations=0, pa=0.25, alpha=0.01, seed=0,
+                         init="grid")
         assert counting.calls == 0
 
     def test_objective_failure_propagates(self):
@@ -140,14 +144,21 @@ class TestInitPopulation:
         def broken(x):
             raise RuntimeError("objective exploded")
 
-        with pytest.raises(RuntimeError):
-            init_population(3, box, broken, RandomSource(0))
+        with pytest.raises(RuntimeError, match="objective exploded"):
+            constant_run(broken, box, population=3, iterations=0, pa=0.25, alpha=0.01, seed=0)
 
     def test_nan_fitness_ranks_as_inf(self):
+        # argmin would pick a NaN nest as the best one
         box = SearchBox.cube(2, -1, 1)
         values = iter([np.nan, 1.0, np.nan])
-        _, F = init_population(3, box, lambda x: next(values), RandomSource(0))
-        assert F.tolist() == [np.inf, 1.0, np.inf]
+        recording = RecordingObjective(lambda x: next(values))
+        trace = constant_run(recording, box, population=3, iterations=0, pa=0.25, alpha=0.01,
+                             seed=0)
+        assert trace.best_fitness == 1.0
+        assert np.array_equal(trace.best_position, recording.points[1])
+        trace = constant_run(lambda x: np.nan, box, population=3, iterations=0, pa=0.25,
+                             alpha=0.01, seed=0)
+        assert trace.best_fitness == np.inf
 
 
 class TestLevyUpdate:
@@ -164,8 +175,8 @@ class TestLevyUpdate:
         counter = itertools.count()
         recording = RecordingObjective(lambda x: float(next(counter) % 2))
         trace = constant_run(recording, box, population=1, iterations=20, pa=0.25, alpha=0.05, seed=5)
-        assert np.array_equal(trace.best_candidate.position, recording.points[0])
-        assert trace.best_candidate.fitness == 0.0
+        assert np.array_equal(trace.best_position, recording.points[0])
+        assert trace.best_fitness == 0.0
         assert np.all(trace.best_fitness_per_iteration == 0.0)
 
     def test_greedy_improvement_accepted(self):
@@ -180,7 +191,7 @@ class TestLevyUpdate:
             running_min = np.minimum.accumulate(recording.values)
             assert np.array_equal(trace.best_fitness_per_iteration, running_min[1:])
             best = int(np.argmin(recording.values))
-            assert np.array_equal(trace.best_candidate.position, recording.points[best])
+            assert np.array_equal(trace.best_position, recording.points[best])
             improved += running_min[-1] < running_min[0]
         assert improved > 0
 
@@ -299,8 +310,8 @@ class TestRun:
         assert trace.best_fitness_per_iteration.size == 0
         assert trace.evaluations == 10
         # best equals the best of the initial population
-        _, F = init_population(10, box, sphere, RandomSource(1), init="random")
-        assert trace.best_candidate.fitness == F.min()
+        X = box.lower + RandomSource(1).random((10, 5)) * box.width
+        assert trace.best_fitness == min(sphere(x) for x in X)
 
     def test_same_seed_identical_traces(self):
         box = SearchBox.cube(5, -5, 5)
@@ -521,6 +532,10 @@ class TestEstimators:
              "need 0 <= pa_min <= pa_max <= 1, got [0.6, 0.5]"),
             (EnhancedCuckooSearch(alpha_min=0.0), "need 0 < alpha_min <= alpha_max, got [0.0, 0.05]"),
             (EnhancedCuckooSearch(t0=0), "t0 must be >= 1, got 0"),
+            # a fractional t0 gave a schedule that never restarts
+            (EnhancedCuckooSearch(t0=1.5), "t0 must be an integer, got 1.5"),
+            (CuckooSearch(population=3.0), "population must be an integer, got 3.0"),
+            (CuckooSearch(iterations=3.0), "iterations must be an integer, got 3.0"),
             (EnhancedCuckooSearch(t_mult=0.5), "t_mult must be >= 1, got 0.5"),
             (EnhancedCuckooSearch(t_mult=1e308), "t_mult=1e+308 is too large"),
             (EnhancedCuckooSearch(init="grid"), "init must be one of ('random', 'sobol'), got 'grid'"),

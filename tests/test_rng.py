@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from ecsa import LevyParams, RandomSource, SearchBox, as_random_source, init_population, stable_seed
+from ecsa import LevyParams, RandomSource, SearchBox, as_random_source, run_trials, stable_seed
 from ecsa import optimizer
 from ecsa.rng import box_muller
 
@@ -34,7 +36,16 @@ class TestUniform:
     def test_general_range(self):
         # random initialization maps the raw stream as lower + u * width
         box = SearchBox.cube(1, -3.0, 2.0)
-        values, _ = init_population(10_000, box, lambda x: 0.0, RandomSource(5))
+        seen = []
+
+        def record(X):
+            seen.append(X.copy())
+            return np.zeros(len(X))
+
+        run_trials([SimpleNamespace(evaluate_many=record)], box, population=10_000, pa=[], alpha=[], init="random",
+                   rngs=[RandomSource(5)])
+        (values,) = seen
+        assert np.array_equal(values, -3.0 + RandomSource(5).random((10_000, 1)) * 5.0)
         assert np.all(values >= -3.0) and np.all(values < 2.0)
         assert abs(values.mean() - (-0.5)) < 0.05
 

@@ -96,8 +96,8 @@ class NoisyObjective:
 
 def assert_same_trace(a, b):
     assert np.array_equal(a.best_fitness_per_iteration, b.best_fitness_per_iteration)
-    assert np.array_equal(a.best_candidate.position, b.best_candidate.position)
-    assert a.best_candidate.fitness == b.best_candidate.fitness
+    assert np.array_equal(a.best_position, b.best_position)
+    assert a.best_fitness == b.best_fitness
     assert (a.evaluations, a.walk_replacements) == (b.evaluations, b.walk_replacements)
 
 

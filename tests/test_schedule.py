@@ -34,6 +34,9 @@ class TestCosineValue:
             cosine_schedule(0.5, 0.25, 10, 1.0, 5)
         with pytest.raises(ValueError, match="t0"):
             cosine_schedule(0.1, 0.2, 0, 1.0, 5)
+        # a fractional t0 never reaches its restart: t_cur == t_i is never true
+        with pytest.raises(ValueError, match="t0 must be an integer, got 1.5"):
+            cosine_schedule(0.25, 0.5, 1.5, 2.0, 6)
         with pytest.raises(ValueError, match="t_mult"):
             cosine_schedule(0.1, 0.2, 10, 0.5, 5)
         with pytest.raises(ValueError):

@@ -217,3 +217,26 @@ class TestDecide:
             decide(1.5, 0.05)
         with pytest.raises(ValueError):
             decide(0.5, 1.0)
+
+
+def loop_midranks(pooled):
+    """Reference: walk the stably sorted values, one tie group at a time."""
+    order = np.argsort(pooled, kind="stable")
+    ranks = np.empty(pooled.size)
+    i = 0
+    while i < pooled.size:
+        j = i
+        while j + 1 < pooled.size and pooled[order[j + 1]] == pooled[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, math.inf, -math.inf, math.nan])
+                | st.floats(-1e6, 1e6), min_size=1, max_size=40))
+def test_midranks_match_the_loop_reference(values):
+    # every NaN is a tie group of its own; -0.0 ties with 0.0; infinities tie
+    pooled = np.array(values)
+    assert np.array_equal(_midranks(pooled), loop_midranks(pooled))
