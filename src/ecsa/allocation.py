@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SearchBox
+from .core import SearchBox, checked_int
 from .rng import as_random_source
 
 
@@ -121,8 +121,7 @@ def load_instance_csv(blocks_path, areas_path) -> AllocationInstance:
 
 def synth_instance(n_blocks: int = 50, n_areas: int = 11, seed: int = 0) -> AllocationInstance:
     """Random instance with uniform coordinates in the unit square."""
-    if n_blocks < 1 or n_areas < 1:
-        raise ValueError("n_blocks and n_areas must be >= 1")
+    n_blocks, n_areas = checked_int("n_blocks", n_blocks, 1), checked_int("n_areas", n_areas, 1)
     rng = as_random_source(seed)
     block_xy = rng.random((n_blocks, 2))
     area_xy = rng.random((n_areas, 2))

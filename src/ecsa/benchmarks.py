@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SearchBox
+from .core import SearchBox, checked_int
 from .rng import RandomSource
 
 UNIMODAL_IDS = ("F1", "F2", "F3", "F4", "F5", "F6", "F7")
@@ -137,7 +137,7 @@ _DEFINITIONS = {
 
 def _make_spec(function_id: str, dim: int) -> ObjectiveSpec:
     # one rule for every function: at 1-D Rosenbrock has no terms and is always 0
-    if dim < 2:
+    if checked_int("dim", dim) < 2:
         raise ValueError(f"benchmark functions require dim >= 2, got {dim}")
     name, half_width, _ = _DEFINITIONS[function_id]
     box = SearchBox.cube(dim, -half_width, half_width)

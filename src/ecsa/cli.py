@@ -29,16 +29,6 @@ def main():
     comparison and the discretized location-allocation experiment."""
 
 
-def _config_value(ctx, config_data, name, flag_value):
-    """Flag wins; otherwise config-file value; otherwise the click default."""
-    source = ctx.get_parameter_source(name)
-    if source is not None and source.name != "DEFAULT":
-        return flag_value
-    if name in config_data:
-        return config_data[name]
-    return flag_value
-
-
 def _expected_type(value, default):
     """What a config value must be to replace ``default``, or None when ``value`` is that."""
     if isinstance(default, tuple):
@@ -50,36 +40,27 @@ def _expected_type(value, default):
     return "an integer" if kinds is int else "a number"
 
 
-def _experiment_config(ctx, config_path, **flags) -> ExperimentConfig:
-    config_data = {}
-    if config_path:
-        try:
-            config_data = json.loads(Path(config_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise click.ClickException(f"cannot read config file: {exc}")
-        if not isinstance(config_data, dict):
-            raise click.ClickException("config file must hold a JSON object")
-        defaults = {f.name: f.default for f in dataclass_fields(ExperimentConfig)}
-        unknown = set(config_data) - set(defaults)
-        if unknown:
-            raise click.ClickException(f"unknown config keys: {sorted(unknown)}")
-        for name, value in config_data.items():
-            expected = _expected_type(value, defaults[name])
-            if expected:
-                raise click.ClickException(f"config key {name!r} must be {expected}, got {value!r}")
-    resolved = {
-        name: _config_value(ctx, config_data, name, value) for name, value in flags.items()
-    }
-    functions = resolved.pop("functions")
-    if isinstance(functions, str):
-        functions = tuple(part.strip() for part in functions.split(",") if part.strip())
-    algorithms = resolved.pop("algorithms")
-    if isinstance(algorithms, str):
-        algorithms = tuple(part.strip() for part in algorithms.split(",") if part.strip())
+def _load_config(ctx, param, config_path):
+    """Eager ``--config`` callback: check the file and make its values the defaults that flags override."""
+    if config_path is None:
+        return
     try:
-        return ExperimentConfig(functions=functions, algorithms=algorithms, **resolved)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+        config_data = json.loads(Path(config_path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise click.ClickException(f"cannot read config file: {exc}")
+    if not isinstance(config_data, dict):
+        raise click.ClickException("config file must hold a JSON object")
+    defaults = {f.name: f.default for f in dataclass_fields(ExperimentConfig)}
+    unknown = set(config_data) - set(defaults)
+    if unknown:
+        raise click.ClickException(f"unknown config keys: {sorted(unknown)}")
+    for name, value in config_data.items():
+        expected = _expected_type(value, defaults[name])
+        if expected:
+            raise click.ClickException(f"config key {name!r} must be {expected}, got {value!r}")
+    # click's string type would str() a list: join the ids into their flag's comma string
+    ctx.default_map = {name: ",".join(value) if isinstance(value, list) else value
+                       for name, value in config_data.items()}
 
 
 @main.group(invoke_without_command=True)
@@ -100,16 +81,17 @@ def _experiment_config(ctx, config_path, **flags) -> ExperimentConfig:
 @click.option("--t0", default=_DEFAULTS.t0, show_default=True, type=int)
 @click.option("--t-mult", default=_DEFAULTS.t_mult, show_default=True, type=float)
 @click.option("--config", "config_path", default=None, type=click.Path(exists=True),
+              is_eager=True, expose_value=False, callback=_load_config,
               help="JSON config file; explicit flags override its values.")
 @click.option("--out", "out_dir", default="results", show_default=True,
               type=click.Path(file_okay=False))
 @click.pass_context
-def bench(ctx, config_path, out_dir, **flags):
+def bench(ctx, out_dir, **flags):
     """Run the benchmark protocol and write results, summary and traces."""
     if ctx.invoked_subcommand is not None:
         return
-    config = _experiment_config(ctx, config_path, **flags)
     try:
+        config = ExperimentConfig(**flags)
         experiments.check_benchmark(config)
     except ValueError as exc:
         raise click.ClickException(str(exc))

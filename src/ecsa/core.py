@@ -1,4 +1,9 @@
-"""Shared domain types: bounded search boxes, and the integer setting check."""
+"""Shared domain types: bounded search boxes, and the one integer setting check.
+
+Every count and size (dimension, population, iteration, trial or Sobol count,
+schedule length, seed) goes through :func:`checked_int` where it enters, so a
+fraction such as ``3.0`` or a value below the minimum fails naming the setting.
+"""
 
 from __future__ import annotations
 
@@ -47,8 +52,7 @@ class SearchBox:
     @classmethod
     def cube(cls, dim: int, lower: float, upper: float) -> "SearchBox":
         """Box with identical bounds in every dimension."""
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
+        dim = checked_int("dim", dim, 1)
         return cls(np.full(dim, float(lower)), np.full(dim, float(upper)))
 
     @classmethod
@@ -71,9 +75,12 @@ def as_search_box(bounds) -> SearchBox:
     )
 
 
-def checked_int(name: str, value) -> int:
-    """``value`` as an ``int`` if ``operator.index`` accepts it, else a ``ValueError`` naming ``name``."""
+def checked_int(name: str, value, minimum: int | None = None) -> int:
+    """``operator.index(value)``, at least ``minimum``; anything else raises a ``ValueError`` naming ``name``."""
     try:
-        return operator.index(value)
+        number = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {number}")
+    return number

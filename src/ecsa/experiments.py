@@ -27,6 +27,7 @@ import numpy as np
 from . import allocation, benchmarks
 from .allocation import AllocationInstance, AllocationObjective, optimal_assignment
 from .benchmarks import BenchmarkObjective, FUNCTION_IDS
+from .core import checked_int
 from .optimizer import CuckooSearch, EnhancedCuckooSearch, run_trials
 from .rng import RandomSource, stable_seed
 from .stats import decide, rank_sum_p, summarize
@@ -44,7 +45,10 @@ WORKERS_ENV = "ECSA_WORKERS"
 class ExperimentConfig:
     """Experiment settings (defaults reproduce the full protocol).
 
-    Every field is also a ``bench`` flag and a ``--config`` key.  The
+    Every field is also a ``bench`` flag and a ``--config`` key.
+    ``functions`` and ``algorithms`` take a sequence of names or one
+    comma-separated string (``"F1, F2"``); ``"all"`` names every function.
+    ``trials`` (>= 1) and ``base_seed`` must be integers.  The
     allocation experiment ignores ``functions``, ``algorithms`` and ``dim``.
     Every other field is an estimator parameter of the same name, with
     the estimator's default, and :func:`make_optimizer` passes it on.
@@ -67,17 +71,12 @@ class ExperimentConfig:
     t_mult: float = _ECSA.t_mult
 
     def __post_init__(self):
-        functions = self.functions
-        if isinstance(functions, str):
-            functions = (functions,)
+        functions, algorithms = _names(self.functions), _names(self.algorithms)
         if "all" in functions:
             functions = FUNCTION_IDS
         unknown = [f for f in functions if f not in FUNCTION_IDS]
         if unknown:
             raise ValueError(f"unknown benchmark function ids: {unknown}")
-        algorithms = self.algorithms
-        if isinstance(algorithms, str):
-            algorithms = (algorithms,)
         bad = [a for a in algorithms if a not in ALGORITHMS]
         if bad:
             raise ValueError(f"unknown algorithms: {bad} (choose from {ALGORITHMS})")
@@ -89,10 +88,17 @@ class ExperimentConfig:
             repeated = sorted({name for name in names if names.count(name) > 1})
             if repeated:
                 raise ValueError(f"repeated {label}: {repeated}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        object.__setattr__(self, "functions", tuple(functions))
-        object.__setattr__(self, "algorithms", tuple(algorithms))
+        checked_int("trials", self.trials, 1)
+        checked_int("base_seed", self.base_seed)
+        object.__setattr__(self, "functions", functions)
+        object.__setattr__(self, "algorithms", algorithms)
+
+
+def _names(value) -> tuple:
+    """A comma-separated string as its stripped, non-empty parts; any other sequence as a tuple."""
+    if isinstance(value, str):
+        return tuple(part.strip() for part in value.split(",") if part.strip())
+    return tuple(value)
 
 
 def trial_seed(base_seed: int, algorithm: str, function: str, trial: int) -> int:

@@ -186,8 +186,7 @@ def _checked_settings(trials: int, population: int, pa, alpha, init, box=None):
     ``init`` and ``box`` as lists of one mode and one :class:`SearchBox`
     per trial (``box`` stays ``None`` when not given).
     """
-    if checked_int("population", population) < 1:
-        raise ValueError(f"population must be >= 1, got {population}")
+    checked_int("population", population, 1)
     pa = np.asarray(pa, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     iterations = pa.shape[-1] if pa.ndim else -1
@@ -431,8 +430,7 @@ class BaseOptimizer:
         hyperparameter raises here, with the message :func:`run_trials`
         would give, so callers can check settings before any work starts.
         """
-        if checked_int("iterations", self.iterations) < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        checked_int("iterations", self.iterations, 0)
         pa, alpha = self._schedules()
         _checked_settings(1, self.population, pa, alpha, self.init)
         return dict(pa=pa, alpha=alpha, init=self.init, levy_params=LevyParams(beta=self.levy_beta))

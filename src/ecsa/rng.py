@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import checked_int
+
 _UINT64_MASK = 0xFFFFFFFFFFFFFFFF
 
 
@@ -107,4 +109,4 @@ def stable_seed(base_seed: int, *labels) -> int:
     tag = ":".join(str(label) for label in labels).encode()
     digest = hashlib.sha256(tag).digest()
     offset = int.from_bytes(digest[:8], "big")
-    return (int(base_seed) + offset) & _UINT64_MASK
+    return (checked_int("base_seed", base_seed) + offset) & _UINT64_MASK

@@ -36,12 +36,11 @@ def cosine_schedule(eta_min: float, eta_max: float, t0: int, t_mult: float, n: i
     """
     if eta_min > eta_max:
         raise ValueError(f"eta_min={eta_min} must be <= eta_max={eta_max}")
-    if checked_int("t0", t0) < 1:
-        raise ValueError(f"t0 must be >= 1, got {t0}")
+    t0 = checked_int("t0", t0, 1)
     if not t_mult >= 1.0:
         raise ValueError(f"t_mult must be >= 1, got {t_mult}")
     span = eta_max - eta_min
-    values = np.empty(n)
+    values = np.empty(checked_int("n", n, 0))
     t_i, t_cur = t0, 0
     for k in range(n):
         if t_cur == t_i:

@@ -24,7 +24,7 @@ from functools import cache
 
 import numpy as np
 
-from .core import SearchBox
+from .core import SearchBox, checked_int
 
 BITS = 32
 _SCALE = float(2**BITS)
@@ -67,10 +67,9 @@ def _direction_numbers(dim: int) -> np.ndarray:
     Dimension 1 is the canonical sequence ``V_j = 2**(BITS - j)``; higher
     dimensions expand their ``m`` initials with the primitive-polynomial
     recurrence ``m_j = 2 a_1 m_{j-1} ^ ... ^ 2**s m_{j-s} ^ m_{j-s}``.
-    Built once per dimension, then shared by every generator.
+    Built once per dimension, then shared by every generator; ``dim`` is
+    the integer ``>= 1`` that :class:`SobolSequence` checked.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
     if dim > table_capacity():
         raise ValueError(f"dim={dim} exceeds direction-number table capacity {table_capacity()}")
     table = _load_table()
@@ -98,7 +97,7 @@ class SobolSequence:
     """
 
     def __init__(self, dim: int):
-        self.dim = int(dim)
+        self.dim = checked_int("dim", dim, 1)
         self.direction_numbers = _direction_numbers(self.dim)
         self.current = np.zeros(self.dim, dtype=np.uint64)
         self.index = 0  # points emitted so far; point 0 (origin) is skipped
@@ -109,8 +108,7 @@ class SobolSequence:
         A cumulative XOR of the Gray-code columns onto the current point,
         so consecutive takes continue one stream.
         """
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
+        count = checked_int("count", count, 0)
         if self.index + count > 2**BITS - 1:
             raise RuntimeError(f"Sobol generator exhausted after 2**{BITS} - 1 points")
         n = np.arange(self.index, self.index + count, dtype=np.uint64)
@@ -131,7 +129,5 @@ def sobol_population(box: SearchBox, count: int) -> np.ndarray:
     ``lower[k] + u * (upper[k] - lower[k])``; the first returned vector is
     the box midpoint (unit-cube point ``0.5`` in every coordinate).
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    unit = SobolSequence(box.dim).take(count)
+    unit = SobolSequence(box.dim).take(checked_int("count", count, 1))
     return box.lower + unit * box.width

@@ -113,6 +113,20 @@ class TestBenchCommand:
         assert len(lines) == 1 + 2 * 2
         assert all(line.startswith("F2") for line in lines[1:])
 
+    def test_flag_before_config_wins(self, runner, tmp_path):
+        # --config loads eagerly, before the flags, but a flag still wins
+        # wherever it stands on the command line
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"trials": 3}))
+        result = runner.invoke(
+            main,
+            ["bench", "--functions", "F1", "--population", "4", "--iterations", "3",
+             "--trials", "2", "--config", str(config_path), "--out", str(tmp_path / "out")],
+        )
+        assert result.exit_code == 0, result.output
+        lines = (tmp_path / "out" / "results.csv").read_text().strip().splitlines()
+        assert len(lines) == 1 + 2 * 2
+
     def test_unknown_config_key(self, runner, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"nests": 5}))

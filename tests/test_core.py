@@ -1,7 +1,13 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from ecsa import SearchBox, as_search_box
+from ecsa import SearchBox, as_search_box, cosine_schedule, stable_seed
+from ecsa.allocation import synth_instance
+from ecsa.experiments import ExperimentConfig, run_allocation, run_benchmark
+from ecsa.sobol import SobolSequence, sobol_population
 
 
 class TestSearchBox:
@@ -35,3 +41,78 @@ class TestSearchBox:
         box = SearchBox.unit(3)
         assert as_search_box(box) is box
 
+
+
+def _take(count):
+    # a rejected count must leave the generator where it was
+    sequence = SobolSequence(2)
+    sequence.take(3)
+    try:
+        sequence.take(count)
+    finally:
+        assert sequence.index == 3
+
+
+def _bench(**settings):
+    # a harness setting must be rejected before any fit
+    with mock.patch("ecsa.experiments._run_cells") as run_cells:
+        try:
+            run_benchmark(ExperimentConfig(
+                **dict(functions="F1", trials=2, population=4, iterations=3) | settings))
+        finally:
+            run_cells.assert_not_called()
+
+
+def _allocate(**settings):
+    # ... and before the allocation oracle
+    with mock.patch("ecsa.experiments.optimal_assignment") as oracle:
+        try:
+            run_allocation(synth_instance(3, 2), "ecsa",
+                           ExperimentConfig(population=4, iterations=3, **settings))
+        finally:
+            oracle.assert_not_called()
+
+
+# every count and size the package takes, each with a fraction and a value
+# below its minimum (a non-integer string where it has none), and the
+# messages they give; population, iterations and t0 are in test_optimizer
+INTEGER_SETTINGS = {
+    "cosine_schedule_n": (lambda n: cosine_schedule(0.25, 0.5, 10, 2.0, n),
+                          [(3.0, "n must be an integer, got 3.0"), (-1, "n must be >= 0, got -1")]),
+    "cube_dim": (lambda dim: SearchBox.cube(dim, 0.0, 1.0),
+                 [(2.5, "dim must be an integer, got 2.5"), (0, "dim must be >= 1, got 0")]),
+    "sobol_dim": (SobolSequence,
+                  [(2.7, "dim must be an integer, got 2.7"), (0, "dim must be >= 1, got 0")]),
+    "sobol_take": (_take,
+                   [(2.5, "count must be an integer, got 2.5"), (-1, "count must be >= 0, got -1")]),
+    "sobol_population": (lambda count: sobol_population(SearchBox.cube(2, -1, 1), count),
+                         [(2.5, "count must be an integer, got 2.5"),
+                          (0, "count must be >= 1, got 0")]),
+    "synth_blocks": (lambda n: synth_instance(n, 2),
+                     [(2.5, "n_blocks must be an integer, got 2.5"),
+                      (0, "n_blocks must be >= 1, got 0")]),
+    "synth_areas": (lambda n: synth_instance(3, n),
+                    [(2.5, "n_areas must be an integer, got 2.5"),
+                     (0, "n_areas must be >= 1, got 0")]),
+    "stable_seed": (lambda seed: stable_seed(seed, "ecsa", "F1", 0),
+                    [(1.5, "base_seed must be an integer, got 1.5"),
+                     ("1", "base_seed must be an integer, got '1'")]),
+    "bench_trials": (lambda trials: _bench(trials=trials),
+                     [(2.5, "trials must be an integer, got 2.5"), (0, "trials must be >= 1, got 0")]),
+    "bench_seed": (lambda seed: _bench(base_seed=seed),
+                   [(1.5, "base_seed must be an integer, got 1.5"),
+                    ("1", "base_seed must be an integer, got '1'")]),
+    "bench_dim": (lambda dim: _bench(dim=dim),
+                  [(15.0, "dim must be an integer, got 15.0"),
+                   (1, "benchmark functions require dim >= 2, got 1")]),
+    "allocate_trials": (lambda trials: _allocate(trials=trials),
+                        [(2.5, "trials must be an integer, got 2.5"),
+                         (0, "trials must be >= 1, got 0")]),
+}
+
+
+@pytest.mark.parametrize("call, rejected", INTEGER_SETTINGS.values(), ids=INTEGER_SETTINGS)
+def test_integer_settings_rejected_with_their_name(call, rejected):
+    for value, message in rejected:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)

@@ -56,6 +56,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(trials=0)
 
+    def test_comma_strings_parsed(self):
+        # the CLI passes --functions and --algorithms through unsplit
+        assert ExperimentConfig(functions="F1, F2,") == ExperimentConfig(functions=("F1", "F2"))
+        assert ExperimentConfig(algorithms=" ecsa,csa ") == ExperimentConfig(algorithms=("ecsa", "csa"))
+
     @pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig), ids=lambda f: f.name)
     def test_every_setting_reaches_its_estimator(self, field):
         # make_optimizer matches config fields to estimator parameters by
