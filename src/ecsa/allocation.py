@@ -62,6 +62,9 @@ def instance_from_records(blocks, areas) -> AllocationInstance:
     """Build a validated instance from ``{id, x, y}`` record lists."""
 
     def parse(records, label):
+        if not isinstance(records, list):
+            raise ValueError(f"the {label}s section must be a list of id,x,y records, "
+                             f"got {type(records).__name__}")
         ids, xy = [], []
         seen = set()
         for row, record in enumerate(records):
@@ -100,6 +103,9 @@ def load_instance(path) -> AllocationInstance:
             payload = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})")
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object with blocks and areas sections, "
+                         f"got {type(payload).__name__}")
     for key in ("blocks", "areas"):
         if key not in payload:
             raise ValueError(f"{path}: missing the {key!r} section")

@@ -63,6 +63,19 @@ def _load_config(ctx, param, config_path):
                        for name, value in config_data.items()}
 
 
+def _writable_dir(out_dir) -> Path:
+    """``out_dir``, created if missing; exits 1 before any work when it cannot be written."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        probe = out / ".write_probe"
+        probe.write_text("")
+        probe.unlink()
+    except OSError as exc:
+        raise click.ClickException(f"output directory not writable: {exc}")
+    return out
+
+
 @main.group(invoke_without_command=True)
 @click.option("--functions", default="all", show_default=True,
               help="Comma-separated function ids (F1..F13) or 'all'.")
@@ -95,14 +108,7 @@ def bench(ctx, out_dir, **flags):
         experiments.check_benchmark(config)
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        probe = out / ".write_probe"
-        probe.write_text("")
-        probe.unlink()
-    except OSError as exc:
-        raise click.ClickException(f"output directory not writable: {exc}")
+    out = _writable_dir(out_dir)
     total = len(config.functions) * len(config.algorithms) * config.trials
     click.echo(f"running {total} optimization runs -> {out}", err=True)
     try:
@@ -138,10 +144,9 @@ def compare(results_path, level, out_dir):
         comparison = experiments.compare_rows(rows, level=level)
     except ValueError as exc:
         raise click.ClickException(str(exc))
+    out = _writable_dir(out_dir) if out_dir else None
     click.echo(experiments.comparison_table(comparison))
-    if out_dir:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         experiments.write_comparison_csv(comparison, out / "comparison.csv")
         (out / "comparison.txt").write_text(experiments.comparison_table(comparison) + "\n")
         click.echo(f"wrote {out / 'comparison.csv'}", err=True)
@@ -187,10 +192,12 @@ def allocate(instance_path, blocks_path, areas_path, synthetic, blocks_count,
             instance = load_instance_csv(blocks_path, areas_path)
         else:
             instance = synth_instance(blocks_count, areas_count, seed=base_seed)
+        experiments.make_optimizer(algorithm, config).engine_inputs()
+        experiments.worker_count()
+        out = _writable_dir(out_dir)
         report = experiments.run_allocation(instance, algorithm, config)
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    out = Path(out_dir)
     experiments.write_allocation_outputs(instance, report, out)
     click.echo(
         f"{algorithm}: oracle {report.oracle_fitness:.6f}  "

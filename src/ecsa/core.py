@@ -18,7 +18,8 @@ class SearchBox:
     """Axis-aligned box constraining the decision variables.
 
     ``lower`` and ``upper`` are per-dimension arrays with
-    ``lower[k] < upper[k]`` for every ``k``.
+    ``lower[k] < upper[k]`` for every ``k``, both finite, and a finite
+    width ``upper[k] - lower[k]``.
     """
 
     lower: np.ndarray
@@ -31,10 +32,18 @@ class SearchBox:
             raise ValueError("lower and upper must be 1-D arrays of equal length")
         if lower.size < 1:
             raise ValueError("search box needs at least one dimension")
-        if not np.all(np.isfinite(lower)) or not np.all(np.isfinite(upper)):
-            raise ValueError("search box bounds must be finite")
+        # a non-finite bound gives a non-finite width, and so do finite
+        # bounds too far apart: the engine scales uniforms by the width
+        with np.errstate(over="ignore", invalid="ignore"):
+            width = upper - lower
+        if not np.all(np.isfinite(width)):
+            bad = int(np.argmin(np.isfinite(width)))
+            raise ValueError(
+                f"search box bounds and width must be finite, got {upper[bad]} - ({lower[bad]}) "
+                f"at index {bad}"
+            )
         if not np.all(lower < upper):
-            bad = int(np.argmin(upper - lower))
+            bad = int(np.argmin(width))
             raise ValueError(
                 f"lower[{bad}]={lower[bad]} must be < upper[{bad}]={upper[bad]}"
             )
@@ -61,18 +70,16 @@ class SearchBox:
 
 
 def as_search_box(bounds) -> SearchBox:
-    """Coerce a SearchBox, an (N, 2) pair list or a (lower, upper) pair."""
+    """Coerce a SearchBox or an (N, 2) array of (lower, upper) rows."""
     if isinstance(bounds, SearchBox):
         return bounds
     arr = np.asarray(bounds, dtype=float)
-    if arr.ndim == 2 and arr.shape[1] == 2:
-        return SearchBox(arr[:, 0], arr[:, 1])
-    if arr.ndim == 2 and arr.shape[0] == 2:
-        return SearchBox(arr[0], arr[1])
-    raise ValueError(
-        "bounds must be a SearchBox, an (N, 2) array of (lower, upper) rows, "
-        "or a (lower_vector, upper_vector) pair"
-    )
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(
+            "bounds must be a SearchBox(lower, upper) or an (N, 2) array of (lower, upper) "
+            f"rows, got shape {arr.shape}"
+        )
+    return SearchBox(arr[:, 0], arr[:, 1])
 
 
 def checked_int(name: str, value, minimum: int | None = None) -> int:

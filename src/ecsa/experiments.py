@@ -6,12 +6,14 @@ Every (algorithm, function, trial) cell derives its seed from the base
 seed plus a SHA-256 hash of the cell labels, so results are reproducible
 cell by cell and adding cells never shifts existing streams.
 
+Both experiments run their trials through :func:`_run_split`, which
+splits them between the workers of a process pool (``ECSA_WORKERS``
+environment variable, default 1).  A trial gives the same bits wherever
+it runs, so file contents do not depend on the worker count.
+
 All outputs are flat CSV files plus an aligned text table; convergence
 traces are emitted per run and as a per-cell mean so plots can be drawn
-with external tools.  Rows come in sorted cell order however the cells
-are split, which keeps file contents byte-identical whether runs
-execute serially or on a worker pool (``ECSA_WORKERS`` environment
-variable).
+with external tools.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from . import allocation, benchmarks
 from .allocation import AllocationInstance, AllocationObjective, optimal_assignment
 from .benchmarks import BenchmarkObjective, FUNCTION_IDS
 from .core import checked_int
-from .optimizer import CuckooSearch, EnhancedCuckooSearch, run_trials
+from .optimizer import CuckooSearch, EnhancedCuckooSearch, _checked_settings, run_trials
 from .rng import RandomSource, stable_seed
 from .stats import decide, rank_sum_p, summarize
 
@@ -121,7 +123,7 @@ def check_benchmark(config: ExperimentConfig) -> None:
     The summary std and the comparison need two trials per cell, every
     function must exist at ``dim``, every configured algorithm's
     settings must pass the engine's checks (through its estimator's
-    ``engine_inputs``), and ``ECSA_WORKERS`` must be an integer.
+    ``engine_inputs``), and ``ECSA_WORKERS`` must be an integer >= 1.
     """
     if config.trials < 2:
         raise ValueError(
@@ -134,58 +136,14 @@ def check_benchmark(config: ExperimentConfig) -> None:
     worker_count()
 
 
-def _run_cells(args):
-    """Some ``(function, algorithm, trial)`` cells as one engine call; top level so pools can pickle it.
-
-    The cells' trials differ only in their objectives, boxes, seeds,
-    schedules and init modes, so they advance together on per-trial boxes
-    and schedules.  Returns one ``(row, trace)`` pair per cell, in order.
-    F7 draws its noise from each trial's own stream, so it gets one
-    objective per trial; every other function shares one objective across
-    its trials.
-    """
-    config, cells = args
-    specs = {fid: benchmarks.get_spec(fid, config.dim) for fid, _, _ in cells}
-    shared = {fid: BenchmarkObjective(spec) for fid, spec in specs.items() if not spec.stochastic}
-    inputs = {name: make_optimizer(name, config).engine_inputs() for name in config.algorithms}
-    seeds = [trial_seed(config.base_seed, algorithm, fid, trial) for fid, algorithm, trial in cells]
-    rngs = [RandomSource(seed) for seed in seeds]
-    results = run_trials(
-        [shared[fid] if fid in shared else BenchmarkObjective(specs[fid], rng)
-         for (fid, _, _), rng in zip(cells, rngs)],
-        [specs[fid].box for fid, _, _ in cells],
-        population=config.population,
-        pa=np.array([inputs[algorithm]["pa"] for _, algorithm, _ in cells]),
-        alpha=np.array([inputs[algorithm]["alpha"] for _, algorithm, _ in cells]),
-        init=[inputs[algorithm]["init"] for _, algorithm, _ in cells],
-        rngs=rngs,
-        # the config has no Levy field: every estimator has the default parameters
-        levy_params=inputs[config.algorithms[0]]["levy_params"],
-    )
-    return [
-        (
-            {
-                "function": function_id,
-                "algorithm": algorithm,
-                "trial": trial,
-                "seed": seed,
-                "best_fitness": result.best_fitness,
-                "evaluations": result.evaluations,
-            },
-            result.best_fitness_per_iteration,
-        )
-        for (function_id, algorithm, trial), seed, result in zip(cells, seeds, results)
-    ]
-
-
 def worker_count() -> int:
-    """Worker-pool size from the environment (defaults to serial)."""
+    """Worker-pool size from the environment (defaults to serial); at least 1."""
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
         count = int(raw)
     except ValueError:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}")
-    return max(count, 1)
+        raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
+    return checked_int(WORKERS_ENV, count, 1)
 
 
 def _map_tasks(function, tasks) -> list:
@@ -202,20 +160,36 @@ def _map_tasks(function, tasks) -> list:
     return [function(task) for task in tasks]
 
 
-def _map_split(function, shared, items) -> list:
-    """``function`` over ``items`` split between the workers; one result per item, in item order.
+def _run_task(kwargs) -> list:
+    """``run_trials(**kwargs)``; top level so pools can pickle it."""
+    return run_trials(**kwargs)
 
-    Worker ``k`` of ``W = min(worker_count(), len(items))`` gets one task,
-    ``(shared, items[k::W])``, and ``function`` returns one result per
-    item of its task.  The interleaved split gives every worker the same
-    mix of items.
+
+def _run_split(objectives, box, *, population, pa, alpha, init, rngs, levy_params=None) -> list:
+    """:func:`run_trials` with its trials split between the workers; one trace per trial, in order.
+
+    Every input is made per-trial and checked here, in this process, by
+    the engine's own check.  Worker ``k`` of ``W = min(worker_count(),
+    trials)`` runs the interleaved share ``[k::W]`` of the trials as one
+    :func:`run_trials` call, so every worker gets the same mix.  A task
+    is one pickle, so an objective that holds its trial's random source
+    still holds it in the worker, and a trial gives the same result in
+    any split.
     """
-    workers = min(worker_count(), len(items))
-    tasks = [(shared, items[k::workers]) for k in range(workers)]
-    results = [None] * len(items)
-    for k, task_results in enumerate(_map_tasks(function, tasks)):
-        results[k::workers] = task_results
-    return results
+    objectives, rngs = list(objectives), list(rngs)
+    pa, alpha, init, boxes = _checked_settings(len(rngs), population, pa, alpha, init, box,
+                                               objectives)
+    per_trial = dict(objectives=objectives, box=boxes, pa=pa, alpha=alpha, init=init, rngs=rngs)
+    workers = min(worker_count(), len(rngs))
+    tasks = [
+        {name: value[k::workers] for name, value in per_trial.items()}
+        | dict(population=population, levy_params=levy_params)
+        for k in range(workers)
+    ]
+    traces = [None] * len(rngs)
+    for k, share in enumerate(_map_tasks(_run_task, tasks)):
+        traces[k::workers] = share
+    return traces
 
 
 def run_benchmark(config: ExperimentConfig):
@@ -223,10 +197,12 @@ def run_benchmark(config: ExperimentConfig):
 
     ``rows`` is a list of result dicts; ``traces`` maps
     ``(function, algorithm, trial)`` to the per-iteration best-fitness
-    array.  The cells, sorted by function id, algorithm name and trial,
-    are split between the workers (:func:`_map_split`), and each worker
-    runs its cells as one engine call.  :func:`check_benchmark` runs
-    first.
+    array.  :func:`check_benchmark` runs first.  The cells, sorted by
+    function id, algorithm name and trial, are one :func:`_run_split`
+    call: each cell's objective, box, seed, schedules and init mode are
+    built here.  Every function shares one objective across its trials,
+    except F7, which draws its noise from each trial's own stream and so
+    gets one objective per trial.
     """
     check_benchmark(config)
     cells = [
@@ -235,12 +211,35 @@ def run_benchmark(config: ExperimentConfig):
         for algorithm in sorted(config.algorithms)
         for trial in range(config.trials)
     ]
-    outcomes = _map_split(_run_cells, config, cells)
-    rows = [row for row, _ in outcomes]
-    traces = {
-        (row["function"], row["algorithm"], row["trial"]): trace
-        for row, trace in outcomes
-    }
+    specs = {fid: benchmarks.get_spec(fid, config.dim) for fid in config.functions}
+    shared = {fid: BenchmarkObjective(spec) for fid, spec in specs.items() if not spec.stochastic}
+    inputs = {name: make_optimizer(name, config).engine_inputs() for name in config.algorithms}
+    seeds = [trial_seed(config.base_seed, algorithm, fid, trial) for fid, algorithm, trial in cells]
+    rngs = [RandomSource(seed) for seed in seeds]
+    results = _run_split(
+        [shared[fid] if fid in shared else BenchmarkObjective(specs[fid], rng)
+         for (fid, _, _), rng in zip(cells, rngs)],
+        [specs[fid].box for fid, _, _ in cells],
+        population=config.population,
+        pa=np.array([inputs[algorithm]["pa"] for _, algorithm, _ in cells]),
+        alpha=np.array([inputs[algorithm]["alpha"] for _, algorithm, _ in cells]),
+        init=[inputs[algorithm]["init"] for _, algorithm, _ in cells],
+        rngs=rngs,
+        # the config has no Levy field: every estimator has the default parameters
+        levy_params=inputs[config.algorithms[0]]["levy_params"],
+    )
+    rows = [
+        {
+            "function": function_id,
+            "algorithm": algorithm,
+            "trial": trial,
+            "seed": seed,
+            "best_fitness": result.best_fitness,
+            "evaluations": result.evaluations,
+        }
+        for (function_id, algorithm, trial), seed, result in zip(cells, seeds, results)
+    ]
+    traces = {cell: result.best_fitness_per_iteration for cell, result in zip(cells, results)}
     return rows, traces
 
 
@@ -478,12 +477,6 @@ class AllocationReport:
     best_gap: float
 
 
-def _fit_seeds(args):
-    """One estimator's trials on one objective, one per seed; top level so pools can pickle it."""
-    (estimator, objective), seeds = args
-    return estimator.fit_trials([objective] * len(seeds), objective.box, seeds)
-
-
 def run_allocation(
     instance: AllocationInstance,
     algorithm: str,
@@ -491,51 +484,43 @@ def run_allocation(
 ) -> AllocationReport:
     """Run the discretized optimizer over the unit cube of area scores for one algorithm.
 
-    The estimator's settings and ``ECSA_WORKERS`` are checked first,
-    before the oracle and any fit.  The trials' seeds are split between
-    the workers as the benchmark's cells are (:func:`_map_split`); a
-    trial gives the same result in any split, so the report does not
-    depend on the worker count.
+    The trials are one :func:`_run_split` call, which checks the
+    estimator's settings and ``ECSA_WORKERS`` before any fit; a trial
+    gives the same result in any split, so the report does not depend on
+    the worker count.  The oracle runs after the fits.
     """
     estimator = make_optimizer(algorithm, config)
-    estimator.engine_inputs()
-    worker_count()  # a bad ECSA_WORKERS fails here, before the oracle
     objective = AllocationObjective(instance)
-    _, oracle_fitness = optimal_assignment(instance)
     seeds = [trial_seed(config.base_seed, algorithm, "LA", t) for t in range(config.trials)]
-    results = _map_split(_fit_seeds, (estimator, objective), seeds)
-    rows, traces = [], {}
-    best_trial, best_fitness = -1, np.inf
-    for trial, (seed, result) in enumerate(zip(seeds, results)):
-        fitness = result.best_fitness
-        rows.append(
-            {
-                "algorithm": algorithm,
-                "trial": trial,
-                "seed": seed,
-                "best_fitness": fitness,
-                "gap_to_oracle": (fitness - oracle_fitness) / oracle_fitness,
-                "evaluations": result.evaluations,
-                "best_position": result.best_position,
-            }
-        )
-        traces[trial] = result.best_fitness_per_iteration
-        if fitness < best_fitness:
-            best_fitness = fitness
-            best_trial = trial
-    values = np.array([row["best_fitness"] for row in rows])
+    results = _run_split([objective] * len(seeds), objective.box, population=estimator.population,
+                         rngs=[RandomSource(seed) for seed in seeds], **estimator.engine_inputs())
+    _, oracle_fitness = optimal_assignment(instance)
+    rows = [
+        {
+            "algorithm": algorithm,
+            "trial": trial,
+            "seed": seed,
+            "best_fitness": result.best_fitness,
+            "gap_to_oracle": (result.best_fitness - oracle_fitness) / oracle_fitness,
+            "evaluations": result.evaluations,
+            "best_position": result.best_position,
+        }
+        for trial, (seed, result) in enumerate(zip(seeds, results))
+    ]
+    values = np.array([result.best_fitness for result in results])
+    best_trial = int(np.argmin(values))  # the first of equal bests
     mean, std = summarize(values) if values.size > 1 else (float(values[0]), 0.0)
     return AllocationReport(
         algorithm=algorithm,
         oracle_fitness=oracle_fitness,
         rows=rows,
-        traces=traces,
+        traces={trial: result.best_fitness_per_iteration for trial, result in enumerate(results)},
         best_trial=best_trial,
-        best_fitness=float(best_fitness),
+        best_fitness=rows[best_trial]["best_fitness"],
         mean_fitness=mean,
         std_fitness=std,
         mean_gap=float(np.mean([row["gap_to_oracle"] for row in rows])),
-        best_gap=float((best_fitness - oracle_fitness) / oracle_fitness),
+        best_gap=rows[best_trial]["gap_to_oracle"],
     )
 
 

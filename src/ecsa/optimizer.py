@@ -178,14 +178,17 @@ def _levy(params: LevyParams, rngs, n: int, work: _WorkArrays) -> np.ndarray:
     return levy_steps(params, work.steps, work.scale, out=work.steps, work=work.scale)
 
 
-def _checked_settings(trials: int, population: int, pa, alpha, init, box=None):
+def _checked_settings(trials: int, population: int, pa, alpha, init, box=None, objectives=None):
     """The one check of each engine setting, for a stack of ``trials`` trials.
 
     :func:`run_trials` and ``engine_inputs`` run it before any evaluation.
     Returns ``pa`` and ``alpha`` as ``(trials, iterations)`` arrays and
     ``init`` and ``box`` as lists of one mode and one :class:`SearchBox`
-    per trial (``box`` stays ``None`` when not given).
+    per trial (``box`` stays ``None`` when not given).  ``objectives``,
+    when given, must hold one objective per trial.
     """
+    if objectives is not None and len(objectives) != trials:
+        raise ValueError(f"got {len(objectives)} objectives for {trials} random sources")
     checked_int("population", population, 1)
     pa = np.asarray(pa, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
@@ -378,9 +381,8 @@ def run_trials(
     them must copy them.
     """
     objectives, rngs = list(objectives), list(rngs)
-    if len(objectives) != len(rngs):
-        raise ValueError(f"got {len(objectives)} objectives for {len(rngs)} random sources")
-    pa, alpha, init, boxes = _checked_settings(len(rngs), population, pa, alpha, init, box)
+    pa, alpha, init, boxes = _checked_settings(len(rngs), population, pa, alpha, init, box,
+                                               objectives)
     params = levy_params or LevyParams()
     size = max(1, STACK_COORDINATES // (population * boxes[0].dim)) if boxes else 1
     traces = []
@@ -435,23 +437,6 @@ class BaseOptimizer:
         _checked_settings(1, self.population, pa, alpha, self.init)
         return dict(pa=pa, alpha=alpha, init=self.init, levy_params=LevyParams(beta=self.levy_beta))
 
-    def fit_trials(self, objectives, bounds, seeds) -> list[RunTrace]:
-        """Run one trial per seed with these hyperparameters; returns their traces.
-
-        Trial ``i`` minimizes ``objectives[i]`` from ``seeds[i]`` (an int
-        or a :class:`RandomSource`); the trials run stacked on
-        :func:`run_trials`, and each gives exactly what ``fit`` gives with
-        that seed.  The estimator's own ``seed`` and attributes are not
-        touched.
-        """
-        return run_trials(
-            objectives,
-            as_search_box(bounds),
-            population=self.population,
-            rngs=[as_random_source(seed) for seed in seeds],
-            **self.engine_inputs(),
-        )
-
     def fit(self, objective, bounds):
         """Minimize ``objective`` over ``bounds`` and store the results.
 
@@ -461,8 +446,10 @@ class BaseOptimizer:
         ``(n,)``.  ``bounds`` is anything :func:`as_search_box`
         accepts.  Returns ``self``.
         """
-        (result,) = self.fit_trials([objective], bounds, [self.seed])
-        self.box_ = as_search_box(bounds)
+        box = as_search_box(bounds)
+        (result,) = run_trials([objective], box, population=self.population,
+                               rngs=[as_random_source(self.seed)], **self.engine_inputs())
+        self.box_ = box
         self.run_trace_ = result
         self.trace_ = result.best_fitness_per_iteration
         self.best_position_ = result.best_position

@@ -29,13 +29,17 @@ class RandomSource:
     seed : int
         64-bit seed.  Values outside ``[0, 2**64)`` are reduced modulo
         ``2**64``.  Same seed, same stream, bit for bit.
+
+    The PCG64 generator is made at the first draw, so a worker pool's
+    parent, which only builds and pickles sources, never imports
+    ``numpy.random``.
     """
 
     def __init__(self, seed: int):
         if not isinstance(seed, (int, np.integer)):
             raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
         self.seed = int(seed) & _UINT64_MASK
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        self._gen = None
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed})"
@@ -46,6 +50,8 @@ class RandomSource:
         ``out``, a C-contiguous float64 array, receives the values in place
         of a new array (the same values a ``size`` of its shape gives).
         """
+        if self._gen is None:
+            self._gen = np.random.Generator(np.random.PCG64(self.seed))
         return self._gen.random(size, out=out)
 
 

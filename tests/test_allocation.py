@@ -63,6 +63,20 @@ class TestLoadValidate:
         with pytest.raises(ValueError, match="areas"):
             load_instance(path)
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [(["blocks", "areas"], "bad.json: expected a JSON object with blocks and areas sections, got list"),
+         (5, "bad.json: expected a JSON object with blocks and areas sections, got int"),
+         ({"blocks": 3, "areas": []}, "the blocks section must be a list of id,x,y records, got int")],
+        ids=["list", "number", "blocks_not_a_list"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, payload, message):
+        # each used to end in a bare TypeError
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_instance(path)
+
     def test_duplicate_id_reports_row(self):
         with pytest.raises(ValueError, match="record 1"):
             instance_from_records(

@@ -1,5 +1,6 @@
 import json
 from dataclasses import fields
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
@@ -199,6 +200,9 @@ class TestBenchCommand:
             (["--trials", "2", "--config", {"algorithms": []}], "1", "no algorithms given"),
             # at 1-D Rosenbrock has no terms and is always 0
             (["--dim", "1"], "1", "benchmark functions require dim >= 2, got 1"),
+            # a worker count below 1 used to run serially without a word
+            (["--trials", "2"], "0", "ECSA_WORKERS must be >= 1, got 0"),
+            (["--trials", "2"], "-3", "ECSA_WORKERS must be >= 1, got -3"),
         ],
     )
     def test_rejected_config_creates_and_announces_nothing(self, runner, tmp_path, flags,
@@ -311,6 +315,18 @@ class TestCompareCommand:
         assert result.exit_code == 0, result.output
         assert result.output.splitlines()[2].split()[-1] == ("csa" if value == "-inf" else "ecsa")
 
+    def test_blocked_output_directory_fails_before_the_table(self, runner, tmp_path):
+        # the table used to print, then writing ended in a NotADirectoryError
+        path = tmp_path / "results.csv"
+        path.write_text(RESULTS)
+        (tmp_path / "afile").touch()
+        result = runner.invoke(main, ["compare", "--results", str(path),
+                                      "--out", str(tmp_path / "afile" / "sub")])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Error: output directory not writable:" in result.output
+        assert "csa_mean" not in result.output
+
     def test_missing_algorithm_errors(self, runner, tmp_path):
         out = tmp_path / "bench"
         runner.invoke(
@@ -370,11 +386,33 @@ class TestAllocateCommand:
 
     def test_bad_worker_count_fails_cleanly_before_any_output(self, runner, tmp_path):
         out = tmp_path / "la"
-        result = runner.invoke(main, ["allocate", "--synthetic", "--out", str(out)],
-                               env={"ECSA_WORKERS": "two"})
-        assert result.exit_code != 0
-        assert "Error: ECSA_WORKERS must be an integer, got 'two'" in result.output
-        assert not out.exists()
+        for workers, message in (("two", "must be an integer, got 'two'"),
+                                 ("0", "must be >= 1, got 0"), ("-3", "must be >= 1, got -3")):
+            result = runner.invoke(main, ["allocate", "--synthetic", "--out", str(out)],
+                                   env={"ECSA_WORKERS": workers})
+            assert result.exit_code != 0
+            assert f"Error: ECSA_WORKERS {message}" in result.output
+            assert not out.exists()
+
+    def test_blocked_output_directory_fails_before_any_fit(self, runner, tmp_path):
+        # every fit used to run first, then writing ended in a NotADirectoryError
+        (tmp_path / "afile").touch()
+        with mock.patch("ecsa.experiments._run_split") as run_split:
+            result = runner.invoke(main, ["allocate", "--synthetic", "--trials", "2",
+                                          "--out", str(tmp_path / "afile" / "sub")])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Error: output directory not writable:" in result.output
+        run_split.assert_not_called()
+
+    def test_malformed_instance_fails_cleanly(self, runner, tmp_path):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"blocks": 3, "areas": []}))
+        result = runner.invoke(main, ["allocate", "--instance", str(path),
+                                      "--out", str(tmp_path / "la")])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Error: the blocks section must be a list of id,x,y records, got int" in result.output
 
     def test_requires_exactly_one_source(self, runner):
         result = runner.invoke(main, ["allocate"])

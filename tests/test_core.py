@@ -41,6 +41,19 @@ class TestSearchBox:
         box = SearchBox.unit(3)
         assert as_search_box(box) is box
 
+    def test_as_search_box_reads_only_rows(self):
+        # a 2-D (lower, upper) pair used to read as two rows, and a pair of
+        # any other dim as a pair; a pair is SearchBox(lower, upper)
+        box = as_search_box(([0.0, 1.0], [2.0, 3.0]))
+        assert box.lower.tolist() == [0.0, 2.0] and box.upper.tolist() == [1.0, 3.0]
+        with pytest.raises(ValueError, match=re.escape("SearchBox(lower, upper)")):
+            as_search_box(([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]))
+
+    def test_rejects_overflowing_width(self):
+        # the width used to overflow to inf and put initial nests at [inf, inf]
+        with pytest.raises(ValueError, match=re.escape("finite, got 1e+308 - (-1e+308) at index 0")):
+            SearchBox(np.full(2, -1e308), np.full(2, 1e308))
+
 
 
 def _take(count):
@@ -55,12 +68,12 @@ def _take(count):
 
 def _bench(**settings):
     # a harness setting must be rejected before any fit
-    with mock.patch("ecsa.experiments._run_cells") as run_cells:
+    with mock.patch("ecsa.experiments._run_split") as run_split:
         try:
             run_benchmark(ExperimentConfig(
                 **dict(functions="F1", trials=2, population=4, iterations=3) | settings))
         finally:
-            run_cells.assert_not_called()
+            run_split.assert_not_called()
 
 
 def _allocate(**settings):

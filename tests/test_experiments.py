@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 from ecsa.experiments import (
     ALGORITHMS,
     ExperimentConfig,
+    _run_split,
     _write_table,
     compare_rows,
     comparison_table,
@@ -24,6 +29,8 @@ from ecsa.experiments import (
     write_results_csv,
 )
 from ecsa.allocation import synth_instance
+from ecsa.core import SearchBox
+from ecsa.rng import RandomSource
 
 
 def tiny_config(**overrides):
@@ -93,10 +100,10 @@ class TestRunBenchmark:
 
     def test_single_trial_rejected_before_any_fit(self):
         # summarize needs two values per cell; this used to fail only after every fit
-        with mock.patch("ecsa.experiments._run_cells") as run_cells:
+        with mock.patch("ecsa.experiments._run_split") as run_split:
             with pytest.raises(ValueError, match="needs --trials >= 2 .* got 1"):
                 run_benchmark(tiny_config(trials=1))
-        run_cells.assert_not_called()
+        run_split.assert_not_called()
 
     def test_rows_sorted_and_reproducible(self):
         rows_a, _ = run_benchmark(tiny_config())
@@ -147,6 +154,36 @@ class TestRunBenchmark:
             for name in files:
                 serial = (tmp_path / "1" / name).read_bytes()
                 assert serial == (tmp_path / workers / name).read_bytes()
+
+    def test_pool_parent_never_imports_numpy_random(self):
+        # the parent only builds and pickles the trials' random sources (F7's
+        # objectives hold theirs); a generator made there would import
+        # numpy.random, about 6 MB of the parent's resident set
+        import ecsa
+
+        script = (
+            "import sys\n"
+            "from ecsa.experiments import ExperimentConfig, run_benchmark\n"
+            "config = ExperimentConfig(functions='F1,F7', trials=2, population=4, iterations=3)\n"
+            "assert len(run_benchmark(config)[0]) == 8\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        src = str(Path(ecsa.__file__).parents[1])
+        env = dict(os.environ, ECSA_WORKERS="2",
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]
+
+    def test_split_checks_every_input_before_the_pool(self, monkeypatch):
+        monkeypatch.setenv("ECSA_WORKERS", "2")
+        with mock.patch("ecsa.experiments._map_tasks") as map_tasks:
+            with pytest.raises(ValueError, match="^got 3 init modes for 4 random sources$"):
+                _run_split([np.sum] * 4, SearchBox.unit(2), population=3, pa=np.full(2, 0.25),
+                           alpha=np.full(2, 0.01), init=["random"] * 3,
+                           rngs=[RandomSource(seed) for seed in range(4)])
+        map_tasks.assert_not_called()
 
     def test_summary_matches_recomputation(self, tmp_path):
         rows, _ = run_benchmark(tiny_config(trials=3))

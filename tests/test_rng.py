@@ -28,6 +28,16 @@ class TestDeterminism:
         assert rng.random() == PINNED_UNIFORMS_SEED_12345[1]
 
 
+    @pytest.mark.parametrize("drawn", [0, 3], ids=["before_first_draw", "after_a_draw"])
+    def test_pickled_source_continues_its_stream(self, drawn):
+        import pickle
+
+        rng, reference = RandomSource(7), RandomSource(7).random(drawn + 5)
+        if drawn:
+            rng.random(drawn)
+        assert np.array_equal(pickle.loads(pickle.dumps(rng)).random(5), reference[drawn:])
+
+
 class TestUniform:
     def test_range_contract(self):
         values = RandomSource(5).random(10_000)
