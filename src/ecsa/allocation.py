@@ -53,13 +53,8 @@ class AllocationInstance:
         return SearchBox.unit(self.decision_dim)
 
 
-def _euclidean_matrix(block_xy: np.ndarray, area_xy: np.ndarray) -> np.ndarray:
-    deltas = block_xy[:, None, :] - area_xy[None, :, :]
-    return np.sqrt((deltas**2).sum(axis=2))
-
-
 def instance_from_records(blocks, areas) -> AllocationInstance:
-    """Build a validated instance from ``{id, x, y}`` record lists."""
+    """Build a validated instance from ``{id, x, y}`` records; every distance must be finite."""
 
     def parse(records, label):
         if not isinstance(records, list):
@@ -87,12 +82,19 @@ def instance_from_records(blocks, areas) -> AllocationInstance:
 
     block_ids, block_xy = parse(blocks, "block")
     area_ids, area_xy = parse(areas, "area")
+    with np.errstate(over="ignore"):  # an overflow is reported below, by name
+        deltas = block_xy[:, None, :] - area_xy[None, :, :]
+        distance = np.sqrt((deltas**2).sum(axis=2))
+    if not np.isfinite(distance).all():
+        block, area = np.argwhere(~np.isfinite(distance))[0]
+        raise ValueError(f"the distance from block {block_ids[block]!r} to area "
+                         f"{area_ids[area]!r} is not finite")
     return AllocationInstance(
         block_ids=block_ids,
         block_xy=block_xy,
         area_ids=area_ids,
         area_xy=area_xy,
-        distance=_euclidean_matrix(block_xy, area_xy),
+        distance=distance,
     )
 
 

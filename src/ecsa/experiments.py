@@ -30,7 +30,7 @@ from . import allocation, benchmarks
 from .allocation import AllocationInstance, AllocationObjective, optimal_assignment
 from .benchmarks import BenchmarkObjective, FUNCTION_IDS
 from .core import checked_int
-from .optimizer import CuckooSearch, EnhancedCuckooSearch, _checked_settings, run_trials
+from .optimizer import CuckooSearch, EnhancedCuckooSearch, run_trials
 from .rng import RandomSource, stable_seed
 from .stats import decide, rank_sum_p, summarize
 
@@ -165,28 +165,22 @@ def _run_task(kwargs) -> list:
     return run_trials(**kwargs)
 
 
-def _run_split(objectives, box, *, population, pa, alpha, init, rngs, levy_params=None) -> list:
+def _run_split(per_trial: dict, **shared) -> list:
     """:func:`run_trials` with its trials split between the workers; one trace per trial, in order.
 
-    Every input is made per-trial and checked here, in this process, by
-    the engine's own check.  Worker ``k`` of ``W = min(worker_count(),
-    trials)`` runs the interleaved share ``[k::W]`` of the trials as one
-    :func:`run_trials` call, so every worker gets the same mix.  A task
-    is one pickle, so an objective that holds its trial's random source
-    still holds it in the worker, and a trial gives the same result in
-    any split.
+    ``per_trial`` maps :func:`run_trials` arguments, ``rngs`` among them,
+    to lists of one entry per trial, and ``shared`` holds the others.
+    Worker ``k`` of ``W = min(worker_count(), trials)`` runs the share
+    ``[k::W]`` of every list, with ``shared``, as one :func:`run_trials`
+    call, which checks it.  A task is one pickle, so an entry that trials
+    share by reference, such as a schedule row, is pickled once per task,
+    and an objective holding its trial's random source still holds it.
     """
-    objectives, rngs = list(objectives), list(rngs)
-    pa, alpha, init, boxes = _checked_settings(len(rngs), population, pa, alpha, init, box,
-                                               objectives)
-    per_trial = dict(objectives=objectives, box=boxes, pa=pa, alpha=alpha, init=init, rngs=rngs)
-    workers = min(worker_count(), len(rngs))
-    tasks = [
-        {name: value[k::workers] for name, value in per_trial.items()}
-        | dict(population=population, levy_params=levy_params)
-        for k in range(workers)
-    ]
-    traces = [None] * len(rngs)
+    trials = len(per_trial["rngs"])
+    workers = min(worker_count(), trials)
+    tasks = [{name: value[k::workers] for name, value in per_trial.items()} | shared
+             for k in range(workers)]
+    traces = [None] * trials
     for k, share in enumerate(_map_tasks(_run_task, tasks)):
         traces[k::workers] = share
     return traces
@@ -216,29 +210,20 @@ def run_benchmark(config: ExperimentConfig):
     inputs = {name: make_optimizer(name, config).engine_inputs() for name in config.algorithms}
     seeds = [trial_seed(config.base_seed, algorithm, fid, trial) for fid, algorithm, trial in cells]
     rngs = [RandomSource(seed) for seed in seeds]
-    results = _run_split(
-        [shared[fid] if fid in shared else BenchmarkObjective(specs[fid], rng)
-         for (fid, _, _), rng in zip(cells, rngs)],
-        [specs[fid].box for fid, _, _ in cells],
-        population=config.population,
-        pa=np.array([inputs[algorithm]["pa"] for _, algorithm, _ in cells]),
-        alpha=np.array([inputs[algorithm]["alpha"] for _, algorithm, _ in cells]),
-        init=[inputs[algorithm]["init"] for _, algorithm, _ in cells],
+    per_trial = dict(
+        objectives=[shared[fid] if fid in shared else BenchmarkObjective(specs[fid], rng)
+                    for (fid, _, _), rng in zip(cells, rngs)],
+        box=[specs[fid].box for fid, _, _ in cells],
         rngs=rngs,
-        # the config has no Levy field: every estimator has the default parameters
-        levy_params=inputs[config.algorithms[0]]["levy_params"],
+        # references to each algorithm's one schedule row and init mode
+        **{name: [inputs[algorithm][name] for _, algorithm, _ in cells]
+           for name in ("pa", "alpha", "init")},
     )
-    rows = [
-        {
-            "function": function_id,
-            "algorithm": algorithm,
-            "trial": trial,
-            "seed": seed,
-            "best_fitness": result.best_fitness,
-            "evaluations": result.evaluations,
-        }
-        for (function_id, algorithm, trial), seed, result in zip(cells, seeds, results)
-    ]
+    # the config has no Levy field: every estimator has the default parameters
+    results = _run_split(per_trial, population=config.population,
+                         levy_params=inputs[config.algorithms[0]]["levy_params"])
+    rows = [dict(zip(RESULT_FIELDS, (*cell, seed, result.best_fitness, result.evaluations)))
+            for cell, seed, result in zip(cells, seeds, results)]
     traces = {cell: result.best_fitness_per_iteration for cell, result in zip(cells, results)}
     return rows, traces
 
@@ -294,7 +279,7 @@ def read_results_csv(path):
 
     Function ids and algorithm names must be known ones, a
     ``best_fitness`` may be infinite but not NaN, and each (function,
-    algorithm, trial) cell appears once.
+    algorithm, trial) cell appears once.  A file with no rows is an error.
     """
     rows, lines = [], {}
     with open(path, newline="") as handle:
@@ -319,6 +304,8 @@ def read_results_csv(path):
                 )
             lines[cell] = reader.line_num
             rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: no result rows")
     return rows
 
 
@@ -484,16 +471,17 @@ def run_allocation(
 ) -> AllocationReport:
     """Run the discretized optimizer over the unit cube of area scores for one algorithm.
 
-    The trials are one :func:`_run_split` call, which checks the
-    estimator's settings and ``ECSA_WORKERS`` before any fit; a trial
-    gives the same result in any split, so the report does not depend on
-    the worker count.  The oracle runs after the fits.
+    The trials are one :func:`_run_split` call that shares the box and the
+    schedule rows; a trial gives the same result in any split, so the
+    report does not depend on the worker count.  The oracle runs after
+    the fits.
     """
     estimator = make_optimizer(algorithm, config)
     objective = AllocationObjective(instance)
     seeds = [trial_seed(config.base_seed, algorithm, "LA", t) for t in range(config.trials)]
-    results = _run_split([objective] * len(seeds), objective.box, population=estimator.population,
-                         rngs=[RandomSource(seed) for seed in seeds], **estimator.engine_inputs())
+    rngs = [RandomSource(seed) for seed in seeds]
+    results = _run_split(dict(objectives=[objective] * len(seeds), rngs=rngs), box=objective.box,
+                         population=estimator.population, **estimator.engine_inputs())
     _, oracle_fitness = optimal_assignment(instance)
     rows = [
         {

@@ -182,31 +182,40 @@ def _checked_settings(trials: int, population: int, pa, alpha, init, box=None, o
     """The one check of each engine setting, for a stack of ``trials`` trials.
 
     :func:`run_trials` and ``engine_inputs`` run it before any evaluation.
-    Returns ``pa`` and ``alpha`` as ``(trials, iterations)`` arrays and
-    ``init`` and ``box`` as lists of one mode and one :class:`SearchBox`
-    per trial (``box`` stays ``None`` when not given).  ``objectives``,
-    when given, must hold one objective per trial.
+    Returns ``pa``, ``alpha``, ``init`` and ``box`` as lists of one entry
+    per trial (``box`` stays ``None`` when not given): a shared entry is
+    repeated by reference and a given float64 row stays that object.
+    ``objectives``, when given, must hold one objective per trial.
     """
     if objectives is not None and len(objectives) != trials:
         raise ValueError(f"got {len(objectives)} objectives for {trials} random sources")
     checked_int("population", population, 1)
-    pa = np.asarray(pa, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    iterations = pa.shape[-1] if pa.ndim else -1
-    shapes = ((iterations,), (trials, iterations))
-    if pa.shape not in shapes or alpha.shape not in shapes:
+    # each schedule's rows and whether one row serves every trial: a 2-D array
+    # or a sequence of rows holds one row per trial, anything else is one row
+    schedules = [([np.asarray(row, dtype=float) for row in schedule], False)
+                 if isinstance(schedule, np.ndarray) and schedule.ndim == 2
+                 or isinstance(schedule, (list, tuple)) and len(schedule) and np.ndim(schedule[0])
+                 else ([np.asarray(schedule, dtype=float)], True) for schedule in (pa, alpha)]
+    (pa, _), (alpha, _) = schedules
+    shapes = {row.shape for row in pa + alpha}
+    if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes) or any(
+            not shared and len(rows) != trials for rows, shared in schedules):
+        given = [f"shape {rows[0].shape}" if shared
+                 else f"{len(rows)} rows of shapes {sorted({row.shape for row in rows})}"
+                 for rows, shared in schedules]
         raise ValueError(
             f"pa and alpha must be 1-D arrays of equal length or one such row per trial "
-            f"({trials}), got shapes {pa.shape} and {alpha.shape}"
+            f"({trials}), got {given[0]} and {given[1]}"
         )
-    pa = np.broadcast_to(pa, (trials, iterations))
-    alpha = np.broadcast_to(alpha, (trials, iterations))
-    if not (np.all(np.isfinite(pa)) and np.all(np.isfinite(alpha))):
+    if not all(np.isfinite(row).all() for row in pa + alpha):
         raise ValueError("pa and alpha must be finite")
-    if np.any((pa < 0.0) | (pa > 1.0)):
-        raise ValueError(f"pa must be in [0, 1], got {pa[(pa < 0.0) | (pa > 1.0)][0]}")
-    if np.any(alpha <= 0.0):
-        raise ValueError(f"alpha must be positive, got {alpha[alpha <= 0.0][0]}")
+    for row in pa:
+        if np.any((row < 0.0) | (row > 1.0)):
+            raise ValueError(f"pa must be in [0, 1], got {row[(row < 0.0) | (row > 1.0)][0]}")
+    for row in alpha:
+        if np.any(row <= 0.0):
+            raise ValueError(f"alpha must be positive, got {row[row <= 0.0][0]}")
+    pa, alpha = (rows * trials if shared else rows for rows, shared in schedules)
     init = [init] * trials if isinstance(init, str) else list(init)
     if len(init) != trials:
         raise ValueError(f"got {len(init)} init modes for {trials} random sources")
@@ -282,14 +291,15 @@ def _discover(X, F, pa, rngs, bounds, evaluate, work: _WorkArrays) -> np.ndarray
 def _run_stack(objectives, boxes, population, pa, alpha, init, rngs, params) -> list[RunTrace]:
     """Advance one stack of trials in lockstep; inputs are already checked.
 
-    ``pa`` and ``alpha`` are ``(trials, iterations)``, and ``init`` and
-    ``boxes`` hold one mode and one box per trial.  The first nests, the
-    box's first Sobol points or uniform draws, are evaluated like every
-    later phase.  The stack's bounds and work arrays are built once, here,
-    and every iteration writes its normals, proposals and walks into the
-    work arrays.
+    ``pa``, ``alpha``, ``init`` and ``boxes`` hold one schedule row, mode
+    and box per trial.  The first nests, the box's first Sobol points or
+    uniform draws, are evaluated like every later phase.  The stack's
+    ``(trials, iterations)`` schedules, bounds and work arrays are built
+    once, here, and every iteration writes its normals, proposals and
+    walks into the work arrays.
     """
     evaluate = _stack_evaluator(objectives)
+    pa, alpha = np.stack(pa), np.stack(alpha)
     trials, iterations = pa.shape
     trial = np.arange(trials)
     dim = boxes[0].dim
@@ -355,12 +365,12 @@ def run_trials(
     Trial ``i`` minimizes ``objectives[i]`` from ``rngs[i]``.  ``pa[t]`` and
     ``alpha[t]`` are the discovery rate (in ``[0, 1]``) and the positive
     step size of iteration ``t``; the number of iterations is their length.
-    Either may instead be a ``(trials, iterations)`` array whose row ``i``
-    is trial ``i``'s schedule.  ``init`` is one of :data:`INIT_MODES` for
-    every trial, or a sequence holding one mode per trial, and ``box`` is
-    one :class:`SearchBox` for every trial, or a sequence holding one box
-    per trial, all of one ``dim``.  Every input is checked before the
-    first evaluation.
+    Each is one row for every trial, or one row per trial as a 2-D array
+    or a list of rows, which may repeat one row object.  ``init`` is one of
+    :data:`INIT_MODES` for every trial, or a sequence holding one mode per
+    trial, and ``box`` is one :class:`SearchBox` for every trial, or a
+    sequence holding one box per trial, all of one ``dim``.  Every input
+    is checked before the first evaluation.
 
     A trial with random initialization first draws its ``population * dim``
     initial uniforms, before the initial nests are evaluated.  Per

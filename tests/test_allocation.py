@@ -90,6 +90,15 @@ class TestLoadValidate:
                 [{"id": "b", "x": float("nan"), "y": 0}], [{"id": "a", "x": 0, "y": 0}]
             )
 
+    @pytest.mark.parametrize("x", [1e308, 1e200], ids=["subtract", "square"])
+    def test_overflowing_distance_rejected(self, x):
+        # an inf distance used to give an inf oracle and NaN gaps; 1e308 - -1e308
+        # overflows in the subtraction, (2e200)**2 in the square
+        with pytest.raises(ValueError, match=re.escape(
+                "the distance from block 'b0' to area 'a1' is not finite")):
+            instance_from_records([{"id": "b0", "x": x, "y": 0}],
+                                  [{"id": "a0", "x": x, "y": 0}, {"id": "a1", "x": -x, "y": 0}])
+
     def test_csv_loader(self, tmp_path):
         blocks = tmp_path / "blocks.csv"
         areas = tmp_path / "areas.csv"

@@ -283,6 +283,18 @@ class TestCompareCommand:
         assert "Error:" in result.output and message in result.output
         assert str(path) in result.output
 
+    def test_header_only_results_fail_cleanly(self, runner, tmp_path):
+        # an empty table used to print and be written, and --level 7 went
+        # unchecked because no p-value was ever judged
+        path = tmp_path / "results.csv"
+        path.write_text(RESULTS.splitlines()[0] + "\n")
+        result = runner.invoke(main, ["compare", "--results", str(path),
+                                      "--out", str(tmp_path / "c"), "--level", "7"])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"Error: {path}: no result rows" in result.output
+        assert not (tmp_path / "c").exists()
+
     def test_infinite_fitness_accepted(self, runner, tmp_path):
         # the engine can report +inf (every evaluation NaN or inf), so it is data
         path = tmp_path / "results.csv"
@@ -413,6 +425,19 @@ class TestAllocateCommand:
         assert result.exit_code == 1
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "Error: the blocks section must be a list of id,x,y records, got int" in result.output
+
+    def test_overflowing_distance_fails_cleanly(self, runner, tmp_path):
+        # used to warn of an overflow, report an inf oracle and write NaN gaps
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"blocks": [{"id": "b0", "x": 1e308, "y": 0}],
+                                    "areas": [{"id": "a0", "x": -1e308, "y": 0}]}))
+        result = runner.invoke(main, ["allocate", "--instance", str(path),
+                                      "--out", str(tmp_path / "la")])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Error: the distance from block 'b0' to area 'a0' is not finite" in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "la").exists()
 
     def test_requires_exactly_one_source(self, runner):
         result = runner.invoke(main, ["allocate"])

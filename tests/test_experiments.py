@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 from ecsa.experiments import (
     ALGORITHMS,
     ExperimentConfig,
-    _run_split,
     _write_table,
     compare_rows,
     comparison_table,
@@ -29,8 +29,6 @@ from ecsa.experiments import (
     write_results_csv,
 )
 from ecsa.allocation import synth_instance
-from ecsa.core import SearchBox
-from ecsa.rng import RandomSource
 
 
 def tiny_config(**overrides):
@@ -155,6 +153,37 @@ class TestRunBenchmark:
                 serial = (tmp_path / "1" / name).read_bytes()
                 assert serial == (tmp_path / workers / name).read_bytes()
 
+    def test_pool_tasks_carry_each_schedule_row_once(self, monkeypatch):
+        # a task holds, per trial, a reference to its algorithm's one pa and
+        # alpha row, so it pickles each row once; an allocate task holds the
+        # one shared row itself
+        from ecsa import experiments
+
+        tasks = []
+
+        def recording(function, task_list):
+            tasks.extend(pickle.loads(pickle.dumps(task)) for task in task_list)
+            return map_tasks(function, task_list)
+
+        map_tasks = experiments._map_tasks
+        monkeypatch.setattr(experiments, "_map_tasks", recording)
+        monkeypatch.setenv("ECSA_WORKERS", "2")
+        run_benchmark(tiny_config(functions=("F1", "F2"), trials=3, population=4, iterations=3))
+        assert len(tasks) == 2
+        for task in tasks:
+            assert len(task["rngs"]) == 6 and set(task["init"]) == {"random", "sobol"}
+            for name in ("pa", "alpha"):
+                assert isinstance(task[name], list)  # its rows stay alive, so their ids are apart
+                rows = {mode: {id(row) for row, m in zip(task[name], task["init"]) if m == mode}
+                        for mode in ("random", "sobol")}  # csa's rows, then ecsa's
+                assert [len(ids) for ids in rows.values()] == [1, 1]
+                assert rows["random"] != rows["sobol"]
+        tasks.clear()
+        run_allocation(synth_instance(4, 2, seed=1), "ecsa", tiny_config(trials=3, iterations=3))
+        assert len(tasks) == 2
+        for task in tasks:  # one 1-D row for the task's trials, not one row per trial
+            assert task["pa"].shape == task["alpha"].shape == (3,)
+
     def test_pool_parent_never_imports_numpy_random(self):
         # the parent only builds and pickles the trials' random sources (F7's
         # objectives hold theirs); a generator made there would import
@@ -175,15 +204,6 @@ class TestRunBenchmark:
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["False"]
-
-    def test_split_checks_every_input_before_the_pool(self, monkeypatch):
-        monkeypatch.setenv("ECSA_WORKERS", "2")
-        with mock.patch("ecsa.experiments._map_tasks") as map_tasks:
-            with pytest.raises(ValueError, match="^got 3 init modes for 4 random sources$"):
-                _run_split([np.sum] * 4, SearchBox.unit(2), population=3, pa=np.full(2, 0.25),
-                           alpha=np.full(2, 0.01), init=["random"] * 3,
-                           rngs=[RandomSource(seed) for seed in range(4)])
-        map_tasks.assert_not_called()
 
     def test_summary_matches_recomputation(self, tmp_path):
         rows, _ = run_benchmark(tiny_config(trials=3))

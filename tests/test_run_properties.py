@@ -138,33 +138,45 @@ def trial_objectives(mode, boxes, rngs):
 
 @settings(max_examples=150, deadline=None)
 @given(engine_inputs(), st.integers(1, 6), st.sampled_from(["shared", "noisy", "mixed"]),
-       st.integers(0, 3), st.booleans())
-@example(edge_inputs(1, 1, 0, "random"), 4, "noisy", 0, False)
-@example(edge_inputs(1, 1, 6, "sobol"), 3, "noisy", 1, False)
-@example(edge_inputs(1, 2, 6, "random"), 4, "noisy", 3, False)
-@example(edge_inputs(3, 2, 6, "sobol"), 4, "shared", 2, False)
-@example(edge_inputs(2, 3, 5, "random"), 4, "shared", 0, True)
-@example(edge_inputs(1, 1, 0, "sobol"), 3, "noisy", 2, True)
-@example(edge_inputs(2, 3, 5, "random"), 6, "mixed", 0, True)
-@example(edge_inputs(1, 2, 4, "sobol"), 5, "mixed", 2, False)
-def test_stack_matches_single_trials(inputs, trials, mode, budget_trials, per_trial):
+       st.integers(0, 3), st.sampled_from(["shared", "array", "list"]))
+@example(edge_inputs(1, 1, 0, "random"), 4, "noisy", 0, "shared")
+@example(edge_inputs(1, 1, 6, "sobol"), 3, "noisy", 1, "shared")
+@example(edge_inputs(1, 2, 6, "random"), 4, "noisy", 3, "shared")
+@example(edge_inputs(3, 2, 6, "sobol"), 4, "shared", 2, "shared")
+@example(edge_inputs(2, 3, 5, "random"), 4, "shared", 0, "array")
+@example(edge_inputs(1, 1, 0, "sobol"), 3, "noisy", 2, "array")
+@example(edge_inputs(2, 3, 5, "random"), 6, "mixed", 0, "array")
+@example(edge_inputs(1, 2, 4, "sobol"), 5, "mixed", 2, "shared")
+@example(edge_inputs(2, 3, 5, "random"), 5, "mixed", 2, "list")
+@example(edge_inputs(1, 1, 0, "sobol"), 3, "noisy", 0, "list")
+def test_stack_matches_single_trials(inputs, trials, mode, budget_trials, schedules):
     """Every trial of a stack gives the bits of its one-trial run.
 
     ``budget_trials`` > 0 shrinks the coordinate budget so the trials are
-    split into stacks of that many; 0 keeps the default budget.  With
-    ``per_trial`` every trial has its own ``pa``/``alpha`` rows and init
-    mode, as when ``bench`` stacks both algorithms.  In ``mixed`` mode
-    every trial also has its own box, of its own width and offset, as
-    when ``bench`` stacks several functions (see :func:`trial_objectives`).
+    split into stacks of that many; 0 keeps the default budget.
+    ``schedules`` other than ``shared`` give every trial its own init mode
+    and ``pa``/``alpha`` rows, as when ``bench`` stacks both algorithms:
+    ``array`` as 2-D arrays, ``list`` as lists of row references in which
+    trials ``2j`` and ``2j + 1`` share one row object, as ``bench``'s
+    trials of one algorithm do, and must give the bits of the same rows
+    given as 2-D arrays.  In ``mixed`` mode every trial also has its own
+    box, of its own width and offset, as when ``bench`` stacks several
+    functions (see :func:`trial_objectives`).
     """
     box, population = inputs["box"], inputs["population"]
     seeds = [inputs["seed"] + k for k in range(trials)]
     pa, alpha, init = inputs["pa"], inputs["alpha"], inputs["init"]
-    if per_trial:
-        pa, alpha, init = per_trial_inputs(pa, alpha, init, trials)
-        singles = [dict(pa=pa[i], alpha=alpha[i], init=init[i]) for i in range(trials)]
-    else:
+    if schedules == "shared":
         singles = [dict(pa=pa, alpha=alpha, init=init)] * trials
+    else:
+        pa, alpha, init = per_trial_inputs(pa, alpha, init, trials)
+        if schedules == "list":
+            pa, alpha = ([rows[k - k % 2] for k in range(trials)]
+                         for rows in (list(pa), list(alpha)))
+            checked = optimizer._checked_settings(trials, population, pa, alpha, init)
+            assert all(row is given for rows, refs in zip(checked, (pa, alpha))
+                       for row, given in zip(rows, refs))
+        singles = [dict(pa=pa[i], alpha=alpha[i], init=init[i]) for i in range(trials)]
     if mode == "mixed":
         boxes = [SearchBox(box.lower + 3.0 * k, box.lower + 3.0 * k + box.width * (1 + k))
                  for k in range(trials)]
@@ -172,12 +184,18 @@ def test_stack_matches_single_trials(inputs, trials, mode, budget_trials, per_tr
     else:
         boxes, stack_box = [box] * trials, box
 
-    budget = budget_trials * population * box.dim or optimizer.STACK_COORDINATES
-    with mock.patch.object(optimizer, "STACK_COORDINATES", budget):
-        rngs = [RandomSource(seed) for seed in seeds]
-        stacked = run_trials(trial_objectives(mode, boxes, rngs), stack_box,
-                             population=population, pa=pa, alpha=alpha, init=init, rngs=rngs)
+    def run_stacked(pa, alpha):
+        budget = budget_trials * population * box.dim or optimizer.STACK_COORDINATES
+        with mock.patch.object(optimizer, "STACK_COORDINATES", budget):
+            rngs = [RandomSource(seed) for seed in seeds]
+            return run_trials(trial_objectives(mode, boxes, rngs), stack_box,
+                              population=population, pa=pa, alpha=alpha, init=init, rngs=rngs)
+
+    stacked = run_stacked(pa, alpha)
     assert len(stacked) == trials
+    if schedules == "list":  # the same rows as 2-D arrays
+        for trace, from_array in zip(stacked, run_stacked(np.array(pa), np.array(alpha))):
+            assert_same_trace(trace, from_array)
     for k, (trace, single) in enumerate(zip(stacked, singles)):
         rngs = [RandomSource(seed) for seed in seeds]
         objective = trial_objectives(mode, boxes, rngs)[k]
