@@ -15,7 +15,7 @@ from .allocation import (
 from .benchmarks import BenchmarkObjective, ObjectiveSpec, evaluate, evaluate_many, suite
 from .core import SearchBox, as_search_box
 from .levy import LevyParams, mantegna_sigma
-from .optimizer import CuckooSearch, EnhancedCuckooSearch, RunTrace, run_trials
+from .optimizer import CuckooSearch, EngineInputs, EnhancedCuckooSearch, RunTrace, run_trials
 from .rng import RandomSource, as_random_source, stable_seed
 from .schedule import cosine_schedule
 from .sobol import SobolSequence, sobol_population
@@ -28,6 +28,7 @@ __all__ = [
     "AllocationObjective",
     "BenchmarkObjective",
     "CuckooSearch",
+    "EngineInputs",
     "EnhancedCuckooSearch",
     "LevyParams",
     "ObjectiveSpec",

@@ -244,7 +244,7 @@ def schedule(t0, tmult, iters, pa_min, pa_max, alpha_min, alpha_max):
     except ValueError as exc:
         raise click.ClickException(str(exc))
     click.echo("iteration,pa,alpha")
-    for iteration, (p, a) in enumerate(zip(inputs["pa"].tolist(), inputs["alpha"].tolist())):
+    for iteration, (p, a) in enumerate(zip(inputs.pa.tolist(), inputs.alpha.tolist())):
         click.echo(f"{iteration},{p!r},{a!r}")
 
 

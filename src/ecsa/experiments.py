@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import allocation, benchmarks
+from . import allocation, benchmarks, sobol
 from .allocation import AllocationInstance, AllocationObjective, optimal_assignment
 from .benchmarks import BenchmarkObjective, FUNCTION_IDS
 from .core import checked_int
@@ -123,7 +123,9 @@ def check_benchmark(config: ExperimentConfig) -> None:
     The summary std and the comparison need two trials per cell, every
     function must exist at ``dim``, every configured algorithm's
     settings must pass the engine's checks (through its estimator's
-    ``engine_inputs``), and ``ECSA_WORKERS`` must be an integer >= 1.
+    ``engine_inputs``), the Sobol table must cover ``dim`` for an
+    algorithm with Sobol initialization, and ``ECSA_WORKERS`` must be an
+    integer >= 1.
     """
     if config.trials < 2:
         raise ValueError(
@@ -132,7 +134,8 @@ def check_benchmark(config: ExperimentConfig) -> None:
     for function_id in config.functions:
         benchmarks.get_spec(function_id, config.dim)
     for algorithm in config.algorithms:
-        make_optimizer(algorithm, config).engine_inputs()
+        if make_optimizer(algorithm, config).engine_inputs().init == "sobol":
+            sobol.check_dim(config.dim)
     worker_count()
 
 
@@ -160,27 +163,26 @@ def _map_tasks(function, tasks) -> list:
     return [function(task) for task in tasks]
 
 
-def _run_task(kwargs) -> list:
-    """``run_trials(**kwargs)``; top level so pools can pickle it."""
-    return run_trials(**kwargs)
+def _run_task(task) -> list:
+    """``run_trials(*task)``; top level so pools can pickle it."""
+    return run_trials(*task)
 
 
-def _run_split(per_trial: dict, **shared) -> list:
+def _run_split(objectives, boxes, settings, rngs) -> list:
     """:func:`run_trials` with its trials split between the workers; one trace per trial, in order.
 
-    ``per_trial`` maps :func:`run_trials` arguments, ``rngs`` among them,
-    to lists of one entry per trial, and ``shared`` holds the others.
-    Worker ``k`` of ``W = min(worker_count(), trials)`` runs the share
-    ``[k::W]`` of every list, with ``shared``, as one :func:`run_trials`
-    call, which checks it.  A task is one pickle, so an entry that trials
-    share by reference, such as a schedule row, is pickled once per task,
-    and an objective holding its trial's random source still holds it.
+    Every argument is a list of one entry per trial, as :func:`run_trials`
+    takes it.  Worker ``k`` of ``W = min(worker_count(), trials)`` runs the
+    share ``[k::W]`` of every list as one :func:`run_trials` call, which
+    checks it.  A task is one pickle, so an entry that trials share by
+    reference, such as an algorithm's :class:`EngineInputs`, is pickled
+    once per task, and an objective holding its trial's random source
+    still holds it.
     """
-    trials = len(per_trial["rngs"])
-    workers = min(worker_count(), trials)
-    tasks = [{name: value[k::workers] for name, value in per_trial.items()} | shared
+    workers = min(worker_count(), len(rngs))
+    tasks = [tuple(entries[k::workers] for entries in (objectives, boxes, settings, rngs))
              for k in range(workers)]
-    traces = [None] * trials
+    traces = [None] * len(rngs)
     for k, share in enumerate(_map_tasks(_run_task, tasks)):
         traces[k::workers] = share
     return traces
@@ -193,10 +195,10 @@ def run_benchmark(config: ExperimentConfig):
     ``(function, algorithm, trial)`` to the per-iteration best-fitness
     array.  :func:`check_benchmark` runs first.  The cells, sorted by
     function id, algorithm name and trial, are one :func:`_run_split`
-    call: each cell's objective, box, seed, schedules and init mode are
-    built here.  Every function shares one objective across its trials,
-    except F7, which draws its noise from each trial's own stream and so
-    gets one objective per trial.
+    call: each cell's objective, box, seed and its algorithm's one
+    :class:`EngineInputs` are gathered here.  Every function shares one
+    objective across its trials, except F7, which draws its noise from
+    each trial's own stream and so gets one objective per trial.
     """
     check_benchmark(config)
     cells = [
@@ -210,18 +212,13 @@ def run_benchmark(config: ExperimentConfig):
     inputs = {name: make_optimizer(name, config).engine_inputs() for name in config.algorithms}
     seeds = [trial_seed(config.base_seed, algorithm, fid, trial) for fid, algorithm, trial in cells]
     rngs = [RandomSource(seed) for seed in seeds]
-    per_trial = dict(
-        objectives=[shared[fid] if fid in shared else BenchmarkObjective(specs[fid], rng)
-                    for (fid, _, _), rng in zip(cells, rngs)],
-        box=[specs[fid].box for fid, _, _ in cells],
-        rngs=rngs,
-        # references to each algorithm's one schedule row and init mode
-        **{name: [inputs[algorithm][name] for _, algorithm, _ in cells]
-           for name in ("pa", "alpha", "init")},
+    results = _run_split(
+        [shared[fid] if fid in shared else BenchmarkObjective(specs[fid], rng)
+         for (fid, _, _), rng in zip(cells, rngs)],
+        [specs[fid].box for fid, _, _ in cells],
+        [inputs[algorithm] for _, algorithm, _ in cells],
+        rngs,
     )
-    # the config has no Levy field: every estimator has the default parameters
-    results = _run_split(per_trial, population=config.population,
-                         levy_params=inputs[config.algorithms[0]]["levy_params"])
     rows = [dict(zip(RESULT_FIELDS, (*cell, seed, result.best_fitness, result.evaluations)))
             for cell, seed, result in zip(cells, seeds, results)]
     traces = {cell: result.best_fitness_per_iteration for cell, result in zip(cells, results)}
@@ -471,17 +468,17 @@ def run_allocation(
 ) -> AllocationReport:
     """Run the discretized optimizer over the unit cube of area scores for one algorithm.
 
-    The trials are one :func:`_run_split` call that shares the box and the
-    schedule rows; a trial gives the same result in any split, so the
-    report does not depend on the worker count.  The oracle runs after
-    the fits.
+    The trials are one :func:`_run_split` call that shares the objective,
+    the box and the estimator's :class:`EngineInputs`; a trial gives the
+    same result in any split, so the report does not depend on the worker
+    count.  The oracle runs after the fits.
     """
     estimator = make_optimizer(algorithm, config)
     objective = AllocationObjective(instance)
     seeds = [trial_seed(config.base_seed, algorithm, "LA", t) for t in range(config.trials)]
     rngs = [RandomSource(seed) for seed in seeds]
-    results = _run_split(dict(objectives=[objective] * len(seeds), rngs=rngs), box=objective.box,
-                         population=estimator.population, **estimator.engine_inputs())
+    results = _run_split([objective] * config.trials, [objective.box] * config.trials,
+                         [estimator.engine_inputs()] * config.trials, rngs)
     _, oracle_fitness = optimal_assignment(instance)
     rows = [
         {

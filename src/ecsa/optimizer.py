@@ -1,11 +1,11 @@
 """Cuckoo search: one engine for the standard algorithm and the enhanced variant.
 
 The engine :func:`run_trials` advances a stack of independent trials in
-lockstep.  It takes the discovery rate ``pa`` and the step size ``alpha``
-as arrays holding one value per iteration, either one row shared by every
-trial or one row per trial, and one init mode and one search box, each
-shared or one per trial.  The standard algorithm feeds it constant arrays
-and random initialization; the enhanced variant feeds it cosine
+lockstep.  Each trial has its own objective, search box, random source and
+:class:`EngineInputs`: the population, the discovery rate ``pa`` and the
+step size ``alpha`` as arrays holding one value per iteration, the init
+mode and the Levy parameters.  The standard algorithm feeds it constant
+arrays and random initialization; the enhanced variant feeds it cosine
 warm-restart schedules and Sobol initialization, so trials of both, on
 different objectives and boxes of one dimension, can share one stack.
 With constant schedules and random initialization the two are
@@ -57,7 +57,7 @@ from .core import SearchBox, as_search_box, checked_int
 from .levy import LevyParams, levy_steps
 from .rng import RandomSource, as_random_source, box_muller
 from .schedule import cosine_schedule
-from .sobol import sobol_population
+from .sobol import check_dim, sobol_population
 
 INIT_MODES = ("random", "sobol")
 
@@ -178,58 +178,45 @@ def _levy(params: LevyParams, rngs, n: int, work: _WorkArrays) -> np.ndarray:
     return levy_steps(params, work.steps, work.scale, out=work.steps, work=work.scale)
 
 
-def _checked_settings(trials: int, population: int, pa, alpha, init, box=None, objectives=None):
-    """The one check of each engine setting, for a stack of ``trials`` trials.
+@dataclass(frozen=True, eq=False)
+class EngineInputs:
+    """One trial's engine settings, checked when made.
 
-    :func:`run_trials` and ``engine_inputs`` run it before any evaluation.
-    Returns ``pa``, ``alpha``, ``init`` and ``box`` as lists of one entry
-    per trial (``box`` stays ``None`` when not given): a shared entry is
-    repeated by reference and a given float64 row stays that object.
-    ``objectives``, when given, must hold one objective per trial.
+    ``population`` is an integer >= 1; ``pa[t]`` and ``alpha[t]`` are the
+    discovery rate and the step size of iteration ``t``, 1-D rows of equal
+    length (the number of iterations), finite, with ``pa`` in ``[0, 1]``
+    and ``alpha > 0``; ``init`` is one of :data:`INIT_MODES`; ``levy``
+    holds the Levy stability index.  ``pa`` and ``alpha`` are kept as
+    read-only float64 copies, so a made value stays valid.  Trials that
+    share settings share one object, which compares by identity.
     """
-    if objectives is not None and len(objectives) != trials:
-        raise ValueError(f"got {len(objectives)} objectives for {trials} random sources")
-    checked_int("population", population, 1)
-    # each schedule's rows and whether one row serves every trial: a 2-D array
-    # or a sequence of rows holds one row per trial, anything else is one row
-    schedules = [([np.asarray(row, dtype=float) for row in schedule], False)
-                 if isinstance(schedule, np.ndarray) and schedule.ndim == 2
-                 or isinstance(schedule, (list, tuple)) and len(schedule) and np.ndim(schedule[0])
-                 else ([np.asarray(schedule, dtype=float)], True) for schedule in (pa, alpha)]
-    (pa, _), (alpha, _) = schedules
-    shapes = {row.shape for row in pa + alpha}
-    if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes) or any(
-            not shared and len(rows) != trials for rows, shared in schedules):
-        given = [f"shape {rows[0].shape}" if shared
-                 else f"{len(rows)} rows of shapes {sorted({row.shape for row in rows})}"
-                 for rows, shared in schedules]
-        raise ValueError(
-            f"pa and alpha must be 1-D arrays of equal length or one such row per trial "
-            f"({trials}), got {given[0]} and {given[1]}"
-        )
-    if not all(np.isfinite(row).all() for row in pa + alpha):
-        raise ValueError("pa and alpha must be finite")
-    for row in pa:
-        if np.any((row < 0.0) | (row > 1.0)):
-            raise ValueError(f"pa must be in [0, 1], got {row[(row < 0.0) | (row > 1.0)][0]}")
-    for row in alpha:
-        if np.any(row <= 0.0):
-            raise ValueError(f"alpha must be positive, got {row[row <= 0.0][0]}")
-    pa, alpha = (rows * trials if shared else rows for rows, shared in schedules)
-    init = [init] * trials if isinstance(init, str) else list(init)
-    if len(init) != trials:
-        raise ValueError(f"got {len(init)} init modes for {trials} random sources")
-    for mode in init:
-        if mode not in INIT_MODES:
-            raise ValueError(f"init must be one of {INIT_MODES}, got {mode!r}")
-    if box is not None:
-        box = [box] * trials if isinstance(box, SearchBox) else list(box)
-        if len(box) != trials:
-            raise ValueError(f"got {len(box)} boxes for {trials} random sources")
-        dims = sorted({b.dim for b in box})
-        if len(dims) > 1:
-            raise ValueError(f"every box of a stack must have one dim, got dims {dims}")
-    return pa, alpha, init, box
+
+    population: int
+    pa: np.ndarray
+    alpha: np.ndarray
+    init: str
+    levy: LevyParams = LevyParams()
+
+    def __post_init__(self):
+        object.__setattr__(self, "population", checked_int("population", self.population, 1))
+        pa, alpha = (np.array(row, dtype=float) for row in (self.pa, self.alpha))
+        if pa.ndim != 1 or pa.shape != alpha.shape:
+            raise ValueError(
+                f"pa and alpha must be 1-D arrays of equal length, "
+                f"got shape {pa.shape} and shape {alpha.shape}"
+            )
+        if not (np.isfinite(pa).all() and np.isfinite(alpha).all()):
+            raise ValueError("pa and alpha must be finite")
+        outside = (pa < 0.0) | (pa > 1.0)
+        if outside.any():
+            raise ValueError(f"pa must be in [0, 1], got {pa[outside][0]}")
+        if np.any(alpha <= 0.0):
+            raise ValueError(f"alpha must be positive, got {alpha[alpha <= 0.0][0]}")
+        if self.init not in INIT_MODES:
+            raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
+        for name, row in (("pa", pa), ("alpha", alpha)):
+            row.flags.writeable = False
+            object.__setattr__(self, name, row)
 
 
 def _clamp(P, bounds) -> np.ndarray:
@@ -288,25 +275,27 @@ def _discover(X, F, pa, rngs, bounds, evaluate, work: _WorkArrays) -> np.ndarray
     return accept.reshape(trials, pop - 1).sum(axis=1)
 
 
-def _run_stack(objectives, boxes, population, pa, alpha, init, rngs, params) -> list[RunTrace]:
+def _run_stack(objectives, boxes, settings, rngs) -> list[RunTrace]:
     """Advance one stack of trials in lockstep; inputs are already checked.
 
-    ``pa``, ``alpha``, ``init`` and ``boxes`` hold one schedule row, mode
-    and box per trial.  The first nests, the box's first Sobol points or
-    uniform draws, are evaluated like every later phase.  The stack's
+    ``boxes`` and ``settings`` hold one box and one :class:`EngineInputs`
+    per trial.  The first nests, the box's first Sobol points or uniform
+    draws, are evaluated like every later phase.  The stack's
     ``(trials, iterations)`` schedules, bounds and work arrays are built
     once, here, and every iteration writes its normals, proposals and
     walks into the work arrays.
     """
     evaluate = _stack_evaluator(objectives)
-    pa, alpha = np.stack(pa), np.stack(alpha)
+    pa = np.stack([inputs.pa for inputs in settings])
+    alpha = np.stack([inputs.alpha for inputs in settings])
+    population, params = settings[0].population, settings[0].levy
     trials, iterations = pa.shape
     trial = np.arange(trials)
     dim = boxes[0].dim
     X = np.stack([
-        sobol_population(box, population) if mode == "sobol"
+        sobol_population(box, population) if inputs.init == "sobol"
         else box.lower + rng.random((population, dim)) * box.width
-        for box, rng, mode in zip(boxes, rngs, init)
+        for box, rng, inputs in zip(boxes, rngs, settings)
     ])
     F = evaluate(X)
     F[np.isnan(F)] = np.inf
@@ -349,28 +338,18 @@ def _run_stack(objectives, boxes, population, pa, alpha, init, rngs, params) -> 
     ]
 
 
-def run_trials(
-    objectives,
-    box,
-    *,
-    population: int,
-    pa,
-    alpha,
-    init,
-    rngs,
-    levy_params: LevyParams | None = None,
-) -> list[RunTrace]:
+def run_trials(objectives, boxes, settings, rngs) -> list[RunTrace]:
     """Run one trial per random source and return their traces, in order.
 
-    Trial ``i`` minimizes ``objectives[i]`` from ``rngs[i]``.  ``pa[t]`` and
-    ``alpha[t]`` are the discovery rate (in ``[0, 1]``) and the positive
-    step size of iteration ``t``; the number of iterations is their length.
-    Each is one row for every trial, or one row per trial as a 2-D array
-    or a list of rows, which may repeat one row object.  ``init`` is one of
-    :data:`INIT_MODES` for every trial, or a sequence holding one mode per
-    trial, and ``box`` is one :class:`SearchBox` for every trial, or a
-    sequence holding one box per trial, all of one ``dim``.  Every input
-    is checked before the first evaluation.
+    Trial ``i`` minimizes ``objectives[i]`` over the :class:`SearchBox`
+    ``boxes[i]`` with the :class:`EngineInputs` ``settings[i]``, drawing
+    from ``rngs[i]``.  Each argument holds one entry per trial, and trials
+    that share an objective, a box or settings repeat one object.  The
+    settings were checked when made; this checks the list lengths and
+    entry types, that every trial of the call has one ``dim``, one
+    population, one iteration count and one Levy ``beta``, and that the
+    Sobol table covers the ``dim`` of a ``sobol`` trial, all before the
+    first evaluation.
 
     A trial with random initialization first draws its ``population * dim``
     initial uniforms, before the initial nests are evaluated.  Per
@@ -390,18 +369,29 @@ def run_trials(
     objective receives are overwritten later: an objective that keeps
     them must copy them.
     """
-    objectives, rngs = list(objectives), list(rngs)
-    pa, alpha, init, boxes = _checked_settings(len(rngs), population, pa, alpha, init, box,
-                                               objectives)
-    params = levy_params or LevyParams()
-    size = max(1, STACK_COORDINATES // (population * boxes[0].dim)) if boxes else 1
+    objectives, boxes, settings, rngs = map(list, (objectives, boxes, settings, rngs))
+    for name, entries in (("objectives", objectives), ("boxes", boxes), ("settings", settings)):
+        if len(entries) != len(rngs):
+            raise ValueError(f"got {len(entries)} {name} for {len(rngs)} random sources")
+    for name, entries, kind in (("boxes", boxes, SearchBox), ("settings", settings, EngineInputs)):
+        for entry in entries:
+            if not isinstance(entry, kind):
+                raise TypeError(
+                    f"{name} must hold {kind.__name__} entries, got {type(entry).__name__}"
+                )
+    for name, values in (("dim", {box.dim for box in boxes}),
+                         ("population", {inputs.population for inputs in settings}),
+                         ("iteration count", {inputs.pa.size for inputs in settings}),
+                         ("Levy beta", {inputs.levy.beta for inputs in settings})):
+        if len(values) > 1:
+            raise ValueError(f"every trial of one call must have one {name}, got {sorted(values)}")
+    if any(inputs.init == "sobol" for inputs in settings):
+        check_dim(boxes[0].dim)
+    size = max(1, STACK_COORDINATES // (settings[0].population * boxes[0].dim)) if rngs else 1
     traces = []
     for lo in range(0, len(rngs), size):
         stack = slice(lo, lo + size)
-        traces += _run_stack(
-            objectives[stack], boxes[stack], population, pa[stack], alpha[stack], init[stack],
-            rngs[stack], params,
-        )
+        traces += _run_stack(objectives[stack], boxes[stack], settings[stack], rngs[stack])
     return traces
 
 
@@ -413,12 +403,12 @@ class BaseOptimizer:
     ``seed``), stored verbatim, and maps them to the engine's inputs
     (:meth:`engine_inputs`): ``_schedules`` returns the per-iteration
     ``pa`` and ``alpha`` arrays, and raises on a hyperparameter those
-    arrays cannot show to be wrong.  Everything else is checked by the
-    engine's own checks.  Estimators compare and hash by identity.
+    arrays cannot show to be wrong.  Everything else is checked by
+    :class:`EngineInputs`.  Estimators compare and hash by identity.
 
     After ``fit``: ``best_position_``, ``best_fitness_``, ``trace_``
-    (best fitness per iteration), ``n_evaluations_``,
-    ``n_walk_replacements_`` and ``run_trace_``.
+    (best fitness per iteration), ``n_evaluations_`` and
+    ``n_walk_replacements_``.
     """
 
     def get_params(self, deep: bool = True) -> dict:
@@ -435,17 +425,16 @@ class BaseOptimizer:
             setattr(self, name, value)
         return self
 
-    def engine_inputs(self) -> dict:
-        """Check the hyperparameters and return this estimator's :func:`run_trials` inputs.
+    def engine_inputs(self) -> EngineInputs:
+        """Check the hyperparameters and return this estimator's settings for :func:`run_trials`.
 
-        Returns ``pa``, ``alpha``, ``init`` and ``levy_params``.  A bad
-        hyperparameter raises here, with the message :func:`run_trials`
-        would give, so callers can check settings before any work starts.
+        A bad hyperparameter raises here, with the message
+        :class:`EngineInputs` gives, so callers can check settings before
+        any work starts.
         """
         checked_int("iterations", self.iterations, 0)
         pa, alpha = self._schedules()
-        _checked_settings(1, self.population, pa, alpha, self.init)
-        return dict(pa=pa, alpha=alpha, init=self.init, levy_params=LevyParams(beta=self.levy_beta))
+        return EngineInputs(self.population, pa, alpha, self.init, LevyParams(beta=self.levy_beta))
 
     def fit(self, objective, bounds):
         """Minimize ``objective`` over ``bounds`` and store the results.
@@ -456,11 +445,8 @@ class BaseOptimizer:
         ``(n,)``.  ``bounds`` is anything :func:`as_search_box`
         accepts.  Returns ``self``.
         """
-        box = as_search_box(bounds)
-        (result,) = run_trials([objective], box, population=self.population,
-                               rngs=[as_random_source(self.seed)], **self.engine_inputs())
-        self.box_ = box
-        self.run_trace_ = result
+        (result,) = run_trials([objective], [as_search_box(bounds)], [self.engine_inputs()],
+                               [as_random_source(self.seed)])
         self.trace_ = result.best_fitness_per_iteration
         self.best_position_ = result.best_position
         self.best_fitness_ = result.best_fitness

@@ -60,6 +60,12 @@ def table_capacity() -> int:
     return max(_load_table())
 
 
+def check_dim(dim: int) -> None:
+    """Raise ``ValueError`` when the direction-number table does not cover ``dim``."""
+    if dim > table_capacity():
+        raise ValueError(f"dim={dim} exceeds direction-number table capacity {table_capacity()}")
+
+
 @cache
 def _direction_numbers(dim: int) -> np.ndarray:
     """Direction numbers as a read-only ``(dim, BITS)`` uint64 array of V_j values.
@@ -70,8 +76,7 @@ def _direction_numbers(dim: int) -> np.ndarray:
     Built once per dimension, then shared by every generator; ``dim`` is
     the integer ``>= 1`` that :class:`SobolSequence` checked.
     """
-    if dim > table_capacity():
-        raise ValueError(f"dim={dim} exceeds direction-number table capacity {table_capacity()}")
+    check_dim(dim)
     table = _load_table()
     v = np.zeros((dim, BITS), dtype=np.uint64)
     v[0] = [1 << (BITS - j) for j in range(1, BITS + 1)]

@@ -7,6 +7,7 @@ PUBLIC_API = [
     "AllocationObjective",
     "BenchmarkObjective",
     "CuckooSearch",
+    "EngineInputs",
     "EnhancedCuckooSearch",
     "LevyParams",
     "ObjectiveSpec",

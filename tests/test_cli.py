@@ -5,8 +5,9 @@ from unittest import mock
 import pytest
 from click.testing import CliRunner
 
+from ecsa.benchmarks import BenchmarkObjective
 from ecsa.cli import bench, main
-from ecsa.experiments import ExperimentConfig
+from ecsa.experiments import ExperimentConfig, check_benchmark
 
 
 @pytest.fixture
@@ -222,6 +223,21 @@ class TestBenchCommand:
         assert message in result.output
         assert "running" not in result.output
         assert not out.exists()
+
+    def test_dim_beyond_sobol_table_fails_before_any_fit(self, runner, tmp_path):
+        # every CSA fit used to run before the first ECSA trial's Sobol init
+        # raised, leaving an empty output directory
+        out = tmp_path / "out"
+        with mock.patch.object(BenchmarkObjective, "evaluate_many") as evaluate_many:
+            result = runner.invoke(main, ["bench", "--functions", "F1", "--dim", "1112",
+                                          "--trials", "4", "--iterations", "300",
+                                          "--out", str(out)])
+        assert result.exit_code == 1
+        assert "Error: dim=1112 exceeds direction-number table capacity 1111" in result.output
+        evaluate_many.assert_not_called()
+        assert not out.exists()
+        # random initialization needs no table
+        check_benchmark(ExperimentConfig(functions="F1", algorithms="csa", dim=1112, trials=2))
 
     def test_bench_list(self, runner):
         result = runner.invoke(main, ["bench", "list"])

@@ -154,10 +154,10 @@ class TestRunBenchmark:
                 assert serial == (tmp_path / workers / name).read_bytes()
 
     def test_pool_tasks_carry_each_schedule_row_once(self, monkeypatch):
-        # a task holds, per trial, a reference to its algorithm's one pa and
-        # alpha row, so it pickles each row once; an allocate task holds the
-        # one shared row itself
-        from ecsa import experiments
+        # a task holds, per trial, a reference to its algorithm's one
+        # EngineInputs, so it pickles each schedule row once; an allocate
+        # task holds one EngineInputs for all its trials
+        from ecsa import EngineInputs, experiments
 
         tasks = []
 
@@ -170,19 +170,17 @@ class TestRunBenchmark:
         monkeypatch.setenv("ECSA_WORKERS", "2")
         run_benchmark(tiny_config(functions=("F1", "F2"), trials=3, population=4, iterations=3))
         assert len(tasks) == 2
-        for task in tasks:
-            assert len(task["rngs"]) == 6 and set(task["init"]) == {"random", "sobol"}
-            for name in ("pa", "alpha"):
-                assert isinstance(task[name], list)  # its rows stay alive, so their ids are apart
-                rows = {mode: {id(row) for row, m in zip(task[name], task["init"]) if m == mode}
-                        for mode in ("random", "sobol")}  # csa's rows, then ecsa's
-                assert [len(ids) for ids in rows.values()] == [1, 1]
-                assert rows["random"] != rows["sobol"]
+        for _, _, settings, rngs in tasks:  # settings stay alive, so their ids are apart
+            assert len(rngs) == len(settings) == 6
+            distinct = list({id(inputs): inputs for inputs in settings}.values())
+            assert all(isinstance(inputs, EngineInputs) for inputs in distinct)
+            assert sorted(inputs.init for inputs in distinct) == ["random", "sobol"]
         tasks.clear()
         run_allocation(synth_instance(4, 2, seed=1), "ecsa", tiny_config(trials=3, iterations=3))
         assert len(tasks) == 2
-        for task in tasks:  # one 1-D row for the task's trials, not one row per trial
-            assert task["pa"].shape == task["alpha"].shape == (3,)
+        for _, _, settings, _ in tasks:
+            (inputs,) = {id(inputs): inputs for inputs in settings}.values()
+            assert inputs.pa.shape == inputs.alpha.shape == (3,)
 
     def test_pool_parent_never_imports_numpy_random(self):
         # the parent only builds and pickles the trials' random sources (F7's

@@ -10,7 +10,9 @@ import pytest
 
 from ecsa import (
     CuckooSearch,
+    EngineInputs,
     EnhancedCuckooSearch,
+    LevyParams,
     RandomSource,
     SearchBox,
     cosine_schedule,
@@ -18,6 +20,7 @@ from ecsa import (
 from ecsa import optimizer
 from ecsa.allocation import AllocationObjective, synth_instance
 from ecsa.optimizer import run_trials
+from ecsa.sobol import table_capacity
 
 try:
     import resource
@@ -33,9 +36,9 @@ def inside(x, box):
     return bool(np.all(x >= box.lower) and np.all(x <= box.upper))
 
 
-def run_one(objective, box, *, rng, **kwargs):
-    """One trial on the engine: a stack of one."""
-    (trace,) = run_trials([objective], box, rngs=[rng], **kwargs)
+def run_one(objective, box, *, rng, **settings):
+    """One trial on the engine: a stack of one, with ``settings`` the fields of its EngineInputs."""
+    (trace,) = run_trials([objective], [box], [EngineInputs(**settings)], [rng])
     return trace
 
 
@@ -363,32 +366,38 @@ class TestRun:
             run_one(counting, box, pa=np.full(4, 0.25), alpha=np.full(4, 0.01), init="grid",
                     **common)
         with pytest.raises(ValueError, match="2 objectives for 1 random sources"):
-            run_trials([counting, counting], box, pa=np.full(4, 0.25), alpha=np.full(4, 0.01),
-                       init="random", population=5, rngs=[RandomSource(0)])
+            run_trials([counting, counting], [box],
+                       [EngineInputs(5, np.full(4, 0.25), np.full(4, 0.01), "random")],
+                       [RandomSource(0)])
         assert counting.calls == 0
 
     @pytest.mark.parametrize(
         "pa, alpha, init, message",
         [
-            # three schedule rows for two trials
-            (np.full((3, 4), 0.25), np.full(4, 0.01), "random",
-             re.escape("one such row per trial (2)")),
-            (np.full(4, 0.25), np.full((2, 5), 0.01), "random", "equal length"),
-            (np.full((2, 4, 1), 0.25), np.full(4, 0.01), "random", "equal length"),
-            (np.full(4, 0.25), np.full(4, 0.01), ["random"], "got 1 init modes for 2"),
-            (np.full(4, 0.25), np.full(4, 0.01), ["sobol", "random", "sobol"],
-             "got 3 init modes for 2"),
-            (np.full(4, 0.25), np.full(4, 0.01), ["sobol", "grid"], "init must be one of"),
-            (np.array([[0.25] * 4, [0.25, 0.25, 1.5, 0.25]]), np.full(4, 0.01), "random",
+            # three trials' settings for two trials
+            (np.full((3, 4), 0.25), np.full((3, 4), 0.01), "random",
+             "got 3 settings for 2 random sources"),
+            (np.full((2, 4), 0.25), np.full((2, 5), 0.01), "random", "equal length"),
+            (np.full((2, 4, 1), 0.25), np.full((2, 4), 0.01), "random", "equal length"),
+            (np.full((1, 4), 0.25), np.full((1, 4), 0.01), ["random"],
+             "got 1 settings for 2 random sources"),
+            (np.full((3, 4), 0.25), np.full((3, 4), 0.01), ["sobol", "random", "sobol"],
+             "got 3 settings for 2 random sources"),
+            (np.full((2, 4), 0.25), np.full((2, 4), 0.01), ["sobol", "grid"],
+             "init must be one of"),
+            (np.array([[0.25] * 4, [0.25, 0.25, 1.5, 0.25]]), np.full((2, 4), 0.01), "random",
              re.escape("pa must be in [0, 1], got 1.5")),
         ],
     )
     def test_per_trial_inputs_checked_before_any_evaluation(self, pa, alpha, init, message):
+        # one EngineInputs per row of pa and alpha, with its mode, for a call of two trials
         box = SearchBox.cube(3, -1, 1)
         counting = CountingObjective(sphere, box)
+        modes = [init] * len(pa) if isinstance(init, str) else init
         with pytest.raises(ValueError, match=message):
-            run_trials([counting, counting], box, population=5, pa=pa, alpha=alpha, init=init,
-                       rngs=[RandomSource(0), RandomSource(1)])
+            settings = [EngineInputs(5, p, a, mode) for p, a, mode in zip(pa, alpha, modes)]
+            run_trials([counting, counting], [box, box], settings,
+                       [RandomSource(0), RandomSource(1)])
         assert counting.calls == 0
 
     @pytest.mark.parametrize("name", ["pa", "alpha"])
@@ -424,7 +433,7 @@ class TestRun:
     @pytest.mark.parametrize(
         "dims, message",
         [
-            ((3, 2), "every box of a stack must have one dim, got dims [2, 3]"),
+            ((3, 2), "every trial of one call must have one dim, got [2, 3]"),
             ((3,), "got 1 boxes for 2 random sources"),
             ((3, 3, 3), "got 3 boxes for 2 random sources"),
         ],
@@ -432,10 +441,61 @@ class TestRun:
     )
     def test_per_trial_boxes_checked_before_any_evaluation(self, dims, message):
         counting = CountingObjective(sphere, SearchBox.cube(3, -1, 1))
+        settings = EngineInputs(5, np.full(4, 0.25), np.full(4, 0.01), "random")
         with pytest.raises(ValueError, match=re.escape(message)):
             run_trials([counting, counting], [SearchBox.cube(d, -1, 1) for d in dims],
-                       population=5, pa=np.full(4, 0.25), alpha=np.full(4, 0.01),
-                       init="random", rngs=[RandomSource(0), RandomSource(1)])
+                       [settings, settings], [RandomSource(0), RandomSource(1)])
+        assert counting.calls == 0
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(population=6), "one population, got [5, 6]"),
+            (dict(pa=np.full(5, 0.25), alpha=np.full(5, 0.01)), "one iteration count, got [4, 5]"),
+            (dict(levy=LevyParams(beta=1.2)), "one Levy beta, got [1.2, 1.5]"),
+        ],
+        ids=["population", "iterations", "beta"],
+    )
+    def test_one_call_mixes_no_sizes_or_beta(self, change, message):
+        # the stack shares its work arrays, its iteration loop and its Levy scale
+        box = SearchBox.cube(3, -1, 1)
+        counting = CountingObjective(sphere, box)
+        fields = dict(population=5, pa=np.full(4, 0.25), alpha=np.full(4, 0.01), init="random")
+        settings = [EngineInputs(**fields), EngineInputs(**fields | change)]
+        message = f"every trial of one call must have {message}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_trials([counting, counting], [box, box], settings,
+                       [RandomSource(0), RandomSource(1)])
+        assert counting.calls == 0
+
+    @pytest.mark.parametrize("entry", ["box", "settings"])
+    def test_entry_types_checked_before_any_evaluation(self, entry):
+        box = SearchBox.cube(3, -1, 1)
+        counting = CountingObjective(sphere, box)
+        fields = dict(population=5, pa=np.full(4, 0.25), alpha=np.full(4, 0.01), init="random")
+        boxes, settings = [box, box], [EngineInputs(**fields)] * 2
+        if entry == "box":
+            boxes[1] = [[-1, 1]] * 3
+            message = "boxes must hold SearchBox entries, got list"
+        else:
+            settings[1] = fields
+            message = "settings must hold EngineInputs entries, got dict"
+        with pytest.raises(TypeError, match=message):
+            run_trials([counting, counting], boxes, settings, [RandomSource(0), RandomSource(1)])
+        assert counting.calls == 0
+
+    def test_sobol_dim_beyond_the_table_rejected_before_any_stack(self):
+        # the random trials used to run, one stack each, before the Sobol
+        # trial's stack raised
+        box = SearchBox.cube(table_capacity() + 1, -1, 1)
+        counting = CountingObjective(sphere, box)
+        random, sobol = (EngineInputs(2, np.full(3, 0.25), np.full(3, 0.01), mode)
+                         for mode in ("random", "sobol"))
+        with mock.patch.object(optimizer, "STACK_COORDINATES", 2 * box.dim):
+            with pytest.raises(ValueError, match=f"dim={box.dim} exceeds direction-number table "
+                                                 f"capacity {table_capacity()}"):
+                run_trials([counting] * 3, [box] * 3, [random, random, sobol],
+                           [RandomSource(k) for k in range(3)])
         assert counting.calls == 0
 
 

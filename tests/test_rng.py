@@ -3,7 +3,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ecsa import LevyParams, RandomSource, SearchBox, as_random_source, run_trials, stable_seed
+from ecsa import (EngineInputs, LevyParams, RandomSource, SearchBox, as_random_source, run_trials,
+                  stable_seed)
 from ecsa import optimizer
 from ecsa.rng import box_muller
 
@@ -52,8 +53,8 @@ class TestUniform:
             seen.append(X.copy())
             return np.zeros(len(X))
 
-        run_trials([SimpleNamespace(evaluate_many=record)], box, population=10_000, pa=[], alpha=[], init="random",
-                   rngs=[RandomSource(5)])
+        run_trials([SimpleNamespace(evaluate_many=record)], [box],
+                   [EngineInputs(10_000, [], [], "random")], [RandomSource(5)])
         (values,) = seen
         assert np.array_equal(values, -3.0 + RandomSource(5).random((10_000, 1)) * 5.0)
         assert np.all(values >= -3.0) and np.all(values < 2.0)

@@ -1,12 +1,15 @@
 """Property tests of the engine over random sizes, schedules and both init modes."""
 
+import math
+import re
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecsa import RandomSource, SearchBox, optimizer
+from ecsa import EngineInputs, RandomSource, SearchBox, optimizer
 from ecsa.optimizer import run_trials
 
 from test_optimizer import observe_discovery, run_one
@@ -138,69 +141,117 @@ def trial_objectives(mode, boxes, rngs):
 
 @settings(max_examples=150, deadline=None)
 @given(engine_inputs(), st.integers(1, 6), st.sampled_from(["shared", "noisy", "mixed"]),
-       st.integers(0, 3), st.sampled_from(["shared", "array", "list"]))
-@example(edge_inputs(1, 1, 0, "random"), 4, "noisy", 0, "shared")
-@example(edge_inputs(1, 1, 6, "sobol"), 3, "noisy", 1, "shared")
-@example(edge_inputs(1, 2, 6, "random"), 4, "noisy", 3, "shared")
-@example(edge_inputs(3, 2, 6, "sobol"), 4, "shared", 2, "shared")
-@example(edge_inputs(2, 3, 5, "random"), 4, "shared", 0, "array")
-@example(edge_inputs(1, 1, 0, "sobol"), 3, "noisy", 2, "array")
-@example(edge_inputs(2, 3, 5, "random"), 6, "mixed", 0, "array")
-@example(edge_inputs(1, 2, 4, "sobol"), 5, "mixed", 2, "shared")
-@example(edge_inputs(2, 3, 5, "random"), 5, "mixed", 2, "list")
-@example(edge_inputs(1, 1, 0, "sobol"), 3, "noisy", 0, "list")
-def test_stack_matches_single_trials(inputs, trials, mode, budget_trials, schedules):
+       st.integers(0, 3), st.booleans())
+@example(edge_inputs(1, 1, 0, "random"), 4, "noisy", 0, False)
+@example(edge_inputs(1, 1, 6, "sobol"), 3, "noisy", 1, False)
+@example(edge_inputs(1, 2, 6, "random"), 4, "noisy", 3, False)
+@example(edge_inputs(3, 2, 6, "sobol"), 4, "shared", 2, False)
+@example(edge_inputs(2, 3, 5, "random"), 4, "shared", 0, True)
+@example(edge_inputs(1, 1, 0, "sobol"), 3, "noisy", 2, True)
+@example(edge_inputs(2, 3, 5, "random"), 6, "mixed", 0, True)
+@example(edge_inputs(1, 2, 4, "sobol"), 5, "mixed", 2, False)
+@example(edge_inputs(2, 3, 5, "random"), 5, "mixed", 2, True)
+@example(edge_inputs(1, 1, 0, "sobol"), 3, "noisy", 0, True)
+def test_stack_matches_single_trials(inputs, trials, mode, budget_trials, per_trial):
     """Every trial of a stack gives the bits of its one-trial run.
 
     ``budget_trials`` > 0 shrinks the coordinate budget so the trials are
-    split into stacks of that many; 0 keeps the default budget.
-    ``schedules`` other than ``shared`` give every trial its own init mode
-    and ``pa``/``alpha`` rows, as when ``bench`` stacks both algorithms:
-    ``array`` as 2-D arrays, ``list`` as lists of row references in which
-    trials ``2j`` and ``2j + 1`` share one row object, as ``bench``'s
-    trials of one algorithm do, and must give the bits of the same rows
-    given as 2-D arrays.  In ``mixed`` mode every trial also has its own
-    box, of its own width and offset, as when ``bench`` stacks several
-    functions (see :func:`trial_objectives`).
+    split into stacks of that many; 0 keeps the default budget.  Without
+    ``per_trial`` one :class:`EngineInputs` object serves every trial;
+    with it every trial has its own, with its own init mode and
+    ``pa``/``alpha`` rows, as when ``bench`` stacks both algorithms.  In
+    ``mixed`` mode every trial also has its own box, of its own width and
+    offset, as when ``bench`` stacks several functions (see
+    :func:`trial_objectives`).
     """
     box, population = inputs["box"], inputs["population"]
     seeds = [inputs["seed"] + k for k in range(trials)]
     pa, alpha, init = inputs["pa"], inputs["alpha"], inputs["init"]
-    if schedules == "shared":
-        singles = [dict(pa=pa, alpha=alpha, init=init)] * trials
+    if per_trial:
+        trial_settings = [EngineInputs(population, *row)
+                    for row in zip(*per_trial_inputs(pa, alpha, init, trials))]
     else:
-        pa, alpha, init = per_trial_inputs(pa, alpha, init, trials)
-        if schedules == "list":
-            pa, alpha = ([rows[k - k % 2] for k in range(trials)]
-                         for rows in (list(pa), list(alpha)))
-            checked = optimizer._checked_settings(trials, population, pa, alpha, init)
-            assert all(row is given for rows, refs in zip(checked, (pa, alpha))
-                       for row, given in zip(rows, refs))
-        singles = [dict(pa=pa[i], alpha=alpha[i], init=init[i]) for i in range(trials)]
+        trial_settings = [EngineInputs(population, pa, alpha, init)] * trials
     if mode == "mixed":
         boxes = [SearchBox(box.lower + 3.0 * k, box.lower + 3.0 * k + box.width * (1 + k))
                  for k in range(trials)]
-        stack_box = boxes
     else:
-        boxes, stack_box = [box] * trials, box
+        boxes = [box] * trials
 
-    def run_stacked(pa, alpha):
-        budget = budget_trials * population * box.dim or optimizer.STACK_COORDINATES
-        with mock.patch.object(optimizer, "STACK_COORDINATES", budget):
-            rngs = [RandomSource(seed) for seed in seeds]
-            return run_trials(trial_objectives(mode, boxes, rngs), stack_box,
-                              population=population, pa=pa, alpha=alpha, init=init, rngs=rngs)
-
-    stacked = run_stacked(pa, alpha)
+    budget = budget_trials * population * box.dim or optimizer.STACK_COORDINATES
+    with mock.patch.object(optimizer, "STACK_COORDINATES", budget):
+        rngs = [RandomSource(seed) for seed in seeds]
+        stacked = run_trials(trial_objectives(mode, boxes, rngs), boxes, trial_settings, rngs)
     assert len(stacked) == trials
-    if schedules == "list":  # the same rows as 2-D arrays
-        for trace, from_array in zip(stacked, run_stacked(np.array(pa), np.array(alpha))):
-            assert_same_trace(trace, from_array)
-    for k, (trace, single) in enumerate(zip(stacked, singles)):
+    for k, trace in enumerate(stacked):
         rngs = [RandomSource(seed) for seed in seeds]
         objective = trial_objectives(mode, boxes, rngs)[k]
-        assert_same_trace(trace, run_one(objective, boxes[k], population=population,
-                                         rng=rngs[k], **single))
+        (single,) = run_trials([objective], [boxes[k]], [trial_settings[k]], [rngs[k]])
+        assert_same_trace(trace, single)
+
+
+SCHEDULE_VALUES = st.one_of(st.floats(1e-3, 1.0), st.floats(-0.5, 1.5),
+                            st.sampled_from([0.0, 1.0, np.nan, np.inf, -np.inf]))
+ROW_SHAPES = {"row": (-1,), "column": (-1, 1), "matrix": (1, -1)}
+
+
+@st.composite
+def settings_fields(draw):
+    """Fields for :class:`EngineInputs`, valid or not: every kind of rejection is drawn."""
+    size = draw(st.integers(0, 5))
+    pa, alpha = (
+        np.array(draw(st.lists(SCHEDULE_VALUES, min_size=n, max_size=n)), dtype=float)
+        .reshape(ROW_SHAPES[draw(st.sampled_from(["row", "row", "column", "matrix"]))])
+        for n in (size, draw(st.sampled_from([size, size, size + 1])))
+    )
+    return dict(
+        population=draw(st.one_of(st.integers(1, 4), st.integers(-1, 4),
+                                  st.sampled_from([2.0, 2.5, "3", None]))),
+        pa=pa,
+        alpha=alpha,
+        init=draw(st.sampled_from(["random", "sobol", "grid", "Sobol"])),
+    )
+
+
+def rejection(population, pa, alpha, init):
+    """The message :class:`EngineInputs` must raise for these fields, or None for valid ones."""
+    if not isinstance(population, int):
+        return f"population must be an integer, got {population!r}"
+    if population < 1:
+        return f"population must be >= 1, got {population}"
+    if pa.ndim != 1 or pa.shape != alpha.shape:
+        return f"pa and alpha must be 1-D arrays of equal length, got shape {pa.shape} and "
+    if not all(math.isfinite(value) for value in pa.tolist() + alpha.tolist()):
+        return "pa and alpha must be finite"
+    outside = [value for value in pa.tolist() if not 0.0 <= value <= 1.0]
+    if outside:
+        return f"pa must be in [0, 1], got {outside[0]}"
+    not_positive = [value for value in alpha.tolist() if value <= 0.0]
+    if not_positive:
+        return f"alpha must be positive, got {not_positive[0]}"
+    if init not in ("random", "sobol"):
+        return f"init must be one of ('random', 'sobol'), got {init!r}"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(settings_fields())
+@example(dict(population=3, pa=np.array([0.0, 1.0]), alpha=np.array([0.5, 2.0]), init="sobol"))
+@example(dict(population=1, pa=np.array([]), alpha=np.array([]), init="random"))
+def test_engine_inputs_reject_exactly_the_invalid_settings(fields):
+    message = rejection(**fields)
+    if message is not None:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EngineInputs(**fields)
+        return
+    given = {name: fields[name].copy() for name in ("pa", "alpha")}
+    made = EngineInputs(**fields)
+    fields["pa"][...], fields["alpha"][...] = 7.0, -1.0  # the caller's arrays change later
+    for name, row in given.items():
+        kept = getattr(made, name)
+        assert kept.dtype == np.float64 and np.array_equal(kept, row)
+        assert not kept.flags.writeable
+    assert (made.population, made.init) == (fields["population"], fields["init"])
 
 
 # each well-formed ``evaluate_many`` result kind: the value of one row, and
