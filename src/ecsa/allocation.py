@@ -85,10 +85,16 @@ def instance_from_records(blocks, areas) -> AllocationInstance:
     with np.errstate(over="ignore"):  # an overflow is reported below, by name
         deltas = block_xy[:, None, :] - area_xy[None, :, :]
         distance = np.sqrt((deltas**2).sum(axis=2))
+        # hypot may differ in the last bit, so it only mends a square that overflowed
+        overflowed = ~np.isfinite(distance)
+        distance[overflowed] = np.hypot(deltas[overflowed, 0], deltas[overflowed, 1])
+        farthest_total = distance.max(axis=1).sum()
     if not np.isfinite(distance).all():
         block, area = np.argwhere(~np.isfinite(distance))[0]
         raise ValueError(f"the distance from block {block_ids[block]!r} to area "
                          f"{area_ids[area]!r} is not finite")
+    if not np.isfinite(farthest_total):  # it bounds every fitness, the oracle's included
+        raise ValueError("the total distance from every block to its farthest area is not finite")
     return AllocationInstance(
         block_ids=block_ids,
         block_xy=block_xy,

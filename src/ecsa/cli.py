@@ -178,12 +178,8 @@ def allocate(instance_path, blocks_path, areas_path, synthetic, blocks_count,
             "choose exactly one instance source: --instance, --blocks/--areas or --synthetic"
         )
     try:
-        config = ExperimentConfig(
-            trials=trials,
-            base_seed=base_seed,
-            population=population,
-            iterations=iterations,
-        )
+        config = ExperimentConfig(algorithms=(algorithm,), trials=trials, base_seed=base_seed,
+                                  population=population, iterations=iterations)
         if instance_path:
             instance = load_instance(instance_path)
         elif blocks_path:
@@ -192,8 +188,7 @@ def allocate(instance_path, blocks_path, areas_path, synthetic, blocks_count,
             instance = load_instance_csv(blocks_path, areas_path)
         else:
             instance = synth_instance(blocks_count, areas_count, seed=base_seed)
-        experiments.make_optimizer(algorithm, config).engine_inputs()
-        experiments.worker_count()
+        experiments.check_settings(config, instance.decision_dim)
         out = _writable_dir(out_dir)
         report = experiments.run_allocation(instance, algorithm, config)
     except ValueError as exc:

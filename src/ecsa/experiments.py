@@ -50,8 +50,9 @@ class ExperimentConfig:
     Every field is also a ``bench`` flag and a ``--config`` key.
     ``functions`` and ``algorithms`` take a sequence of names or one
     comma-separated string (``"F1, F2"``); ``"all"`` names every function.
-    ``trials`` (>= 1) and ``base_seed`` must be integers.  The
-    allocation experiment ignores ``functions``, ``algorithms`` and ``dim``.
+    ``trials`` (>= 1) and ``base_seed`` must be integers.  ``allocate`` sets
+    ``algorithms`` to its one algorithm; :func:`run_allocation` ignores it,
+    ``functions`` and ``dim``.
     Every other field is an estimator parameter of the same name, with
     the estimator's default, and :func:`make_optimizer` passes it on.
     """
@@ -117,15 +118,23 @@ def make_optimizer(algorithm: str, config: ExperimentConfig):
     return estimator(**{name: values[name] for name in estimator().get_params() if name in values})
 
 
+def check_settings(config: ExperimentConfig, dim: int) -> None:
+    """Reject settings that cannot run at ``dim``; ``bench`` and ``allocate`` run it before output.
+
+    Every configured algorithm's ``engine_inputs()`` must pass, the Sobol table
+    must cover ``dim`` for a Sobol algorithm, and ``ECSA_WORKERS`` must be an integer >= 1.
+    """
+    for algorithm in config.algorithms:
+        if make_optimizer(algorithm, config).engine_inputs().init == "sobol":
+            sobol.check_dim(dim)
+    worker_count()
+
+
 def check_benchmark(config: ExperimentConfig) -> None:
     """Reject a protocol that cannot run, before any fit or output.
 
-    The summary std and the comparison need two trials per cell, every
-    function must exist at ``dim``, every configured algorithm's
-    settings must pass the engine's checks (through its estimator's
-    ``engine_inputs``), the Sobol table must cover ``dim`` for an
-    algorithm with Sobol initialization, and ``ECSA_WORKERS`` must be an
-    integer >= 1.
+    The summary std and the comparison need two trials per cell, every function
+    must exist at ``dim``, and the settings must pass :func:`check_settings` there.
     """
     if config.trials < 2:
         raise ValueError(
@@ -133,10 +142,7 @@ def check_benchmark(config: ExperimentConfig) -> None:
         )
     for function_id in config.functions:
         benchmarks.get_spec(function_id, config.dim)
-    for algorithm in config.algorithms:
-        if make_optimizer(algorithm, config).engine_inputs().init == "sobol":
-            sobol.check_dim(config.dim)
-    worker_count()
+    check_settings(config, config.dim)
 
 
 def worker_count() -> int:
@@ -149,41 +155,29 @@ def worker_count() -> int:
     return checked_int(WORKERS_ENV, count, 1)
 
 
-def _map_tasks(function, tasks) -> list:
-    """``function`` applied to each task, in task order.
-
-    More than one task runs on a process pool of one worker per task; a
-    single task runs here.
-    """
-    if len(tasks) > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(len(tasks)) as pool:
-            return pool.map(function, tasks, chunksize=1)
-    return [function(task) for task in tasks]
-
-
-def _run_task(task) -> list:
-    """``run_trials(*task)``; top level so pools can pickle it."""
-    return run_trials(*task)
-
-
 def _run_split(objectives, boxes, settings, rngs) -> list:
     """:func:`run_trials` with its trials split between the workers; one trace per trial, in order.
 
     Every argument is a list of one entry per trial, as :func:`run_trials`
     takes it.  Worker ``k`` of ``W = min(worker_count(), trials)`` runs the
     share ``[k::W]`` of every list as one :func:`run_trials` call, which
-    checks it.  A task is one pickle, so an entry that trials share by
-    reference, such as an algorithm's :class:`EngineInputs`, is pickled
-    once per task, and an objective holding its trial's random source
-    still holds it.
+    checks it; with ``W > 1`` each share is one task of a ``multiprocessing.Pool``.
+    A task is one pickle, so an entry that trials share by reference, such
+    as an algorithm's :class:`EngineInputs`, is pickled once per task, and
+    an objective holding its trial's random source still holds it.
     """
     workers = min(worker_count(), len(rngs))
     tasks = [tuple(entries[k::workers] for entries in (objectives, boxes, settings, rngs))
              for k in range(workers)]
+    if workers > 1:
+        import multiprocessing
+
+        with multiprocessing.Pool(workers) as pool:
+            shares = pool.starmap(run_trials, tasks, chunksize=1)
+    else:
+        shares = [run_trials(*task) for task in tasks]
     traces = [None] * len(rngs)
-    for k, share in enumerate(_map_tasks(_run_task, tasks)):
+    for k, share in enumerate(shares):
         traces[k::workers] = share
     return traces
 
@@ -471,7 +465,8 @@ def run_allocation(
     The trials are one :func:`_run_split` call that shares the objective,
     the box and the estimator's :class:`EngineInputs`; a trial gives the
     same result in any split, so the report does not depend on the worker
-    count.  The oracle runs after the fits.
+    count.  The oracle runs after the fits.  A zero oracle makes a trial's
+    gap ``0.0`` if its fit reaches it and ``inf`` if not.
     """
     estimator = make_optimizer(algorithm, config)
     objective = AllocationObjective(instance)
@@ -486,7 +481,9 @@ def run_allocation(
             "trial": trial,
             "seed": seed,
             "best_fitness": result.best_fitness,
-            "gap_to_oracle": (result.best_fitness - oracle_fitness) / oracle_fitness,
+            "gap_to_oracle": ((result.best_fitness - oracle_fitness) / oracle_fitness
+                              if oracle_fitness else 0.0 if result.best_fitness == 0
+                              else math.inf),
             "evaluations": result.evaluations,
             "best_position": result.best_position,
         }

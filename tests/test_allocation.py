@@ -90,14 +90,27 @@ class TestLoadValidate:
                 [{"id": "b", "x": float("nan"), "y": 0}], [{"id": "a", "x": 0, "y": 0}]
             )
 
-    @pytest.mark.parametrize("x", [1e308, 1e200], ids=["subtract", "square"])
-    def test_overflowing_distance_rejected(self, x):
-        # an inf distance used to give an inf oracle and NaN gaps; 1e308 - -1e308
-        # overflows in the subtraction, (2e200)**2 in the square
-        with pytest.raises(ValueError, match=re.escape(
-                "the distance from block 'b0' to area 'a1' is not finite")):
-            instance_from_records([{"id": "b0", "x": x, "y": 0}],
-                                  [{"id": "a0", "x": x, "y": 0}, {"id": "a1", "x": -x, "y": 0}])
+    @pytest.mark.parametrize("blocks, areas, message", [
+        # 1e308 - -1e308 overflows in the subtraction
+        ([1e308], [1e308, -1e308], "the distance from block 'b0' to area 'a1' is not finite"),
+        # two finite distances of 1e308 would sum to an inf fitness and oracle
+        ([1e308, 1e308], [0.0],
+         "the total distance from every block to its farthest area is not finite"),
+    ], ids=["subtract", "farthest_total"])
+    def test_overflowing_distance_rejected(self, blocks, areas, message):
+        # an inf distance used to give an inf oracle and NaN gaps
+        with pytest.raises(ValueError, match=re.escape(message)):
+            instance_from_records([{"id": f"b{j}", "x": x, "y": 0} for j, x in enumerate(blocks)],
+                                  [{"id": f"a{i}", "x": x, "y": 0} for i, x in enumerate(areas)])
+
+    def test_distance_whose_square_overflows_accepted(self):
+        # (2e200)**2 overflows, but the distance 2e200 is finite
+        instance = instance_from_records(
+            [{"id": "b0", "x": 1e200, "y": 0}],
+            [{"id": "a0", "x": 1e200, "y": 0}, {"id": "a1", "x": -1e200, "y": 0}],
+        )
+        assert instance.distance.tolist() == [[0.0, 2e200]]
+        assert optimal_assignment(instance)[1] == 0.0
 
     def test_csv_loader(self, tmp_path):
         blocks = tmp_path / "blocks.csv"

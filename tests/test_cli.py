@@ -5,6 +5,7 @@ from unittest import mock
 import pytest
 from click.testing import CliRunner
 
+from ecsa.allocation import AllocationObjective
 from ecsa.benchmarks import BenchmarkObjective
 from ecsa.cli import bench, main
 from ecsa.experiments import ExperimentConfig, check_benchmark
@@ -421,6 +422,45 @@ class TestAllocateCommand:
             assert result.exit_code != 0
             assert f"Error: ECSA_WORKERS {message}" in result.output
             assert not out.exists()
+
+    def test_dim_beyond_sobol_table_fails_before_any_output(self, runner, tmp_path):
+        # 102 x 11 = 1122-D: the Sobol check used to come only in run_trials,
+        # after the output directory was made
+        out = tmp_path / "la_big"
+        flags = ["allocate", "--synthetic", "--blocks-count", "102", "--areas-count", "11"]
+        with mock.patch.object(AllocationObjective, "evaluate_many") as evaluate_many:
+            result = runner.invoke(main, [*flags, "--trials", "2", "--iterations", "3",
+                                          "--out", str(out)])
+        assert result.exit_code == 1
+        assert "Error: dim=1122 exceeds direction-number table capacity 1111" in result.output
+        evaluate_many.assert_not_called()
+        assert not out.exists()
+        # random initialization needs no table
+        result = runner.invoke(main, [*flags, "--algorithm", "csa", "--trials", "1",
+                                      "--iterations", "1", "--population", "2", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert (out / "allocation_csa.csv").exists()
+
+    @pytest.mark.parametrize("area_xs, flags, gap, printed", [
+        ([0, 1], ["--iterations", "2", "--population", "3"], "0.0", "0.00%"),
+        # Sobol's first two points both pick area a0, 1 away: the fit misses the oracle
+        ([1, 0], ["--iterations", "0", "--population", "2"], "inf", "inf%"),
+    ], ids=["reached", "missed"])
+    def test_zero_oracle_gives_zero_or_infinite_gaps(self, runner, tmp_path, area_xs, flags,
+                                                     gap, printed):
+        # the block sits on an area, so the oracle is 0; its gap used to
+        # divide by zero after every fit had run
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"blocks": [{"id": "b0", "x": 0, "y": 0}],
+                                    "areas": [{"id": f"a{i}", "x": x, "y": 0}
+                                              for i, x in enumerate(area_xs)]}))
+        result = runner.invoke(main, ["allocate", "--instance", str(path), "--trials", "2",
+                                      *flags, "--out", str(tmp_path / "la")])
+        assert result.exit_code == 0, result.output
+        assert "Traceback" not in result.output
+        assert f"best gap {printed}" in result.output
+        lines = (tmp_path / "la" / "allocation_ecsa.csv").read_text().splitlines()
+        assert [line.split(",")[4] for line in lines] == ["gap_to_oracle", gap, gap]
 
     def test_blocked_output_directory_fails_before_any_fit(self, runner, tmp_path):
         # every fit used to run first, then writing ended in a NotADirectoryError

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import multiprocessing
+import multiprocessing.pool
 import os
 import pickle
 import subprocess
@@ -29,6 +31,24 @@ from ecsa.experiments import (
     write_results_csv,
 )
 from ecsa.allocation import synth_instance
+
+
+@pytest.fixture
+def pool_tasks(monkeypatch):
+    """The task list of every pool ``starmap``, in call order.
+
+    The real pool is subclassed, so its workers stay real processes; a
+    serial run makes no pool and records nothing.
+    """
+    calls = []
+
+    class RecordingPool(multiprocessing.pool.Pool):
+        def starmap(self, func, iterable, chunksize=None):
+            calls.append(list(iterable))
+            return super().starmap(func, calls[-1], chunksize)
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    return calls
 
 
 def tiny_config(**overrides):
@@ -124,26 +144,16 @@ class TestRunBenchmark:
         trace_files = sorted(p.name for p in (tmp_path / "a" / "traces").iterdir())
         assert len(trace_files) == 4 + 2  # per-run + per-cell mean
 
-    def test_worker_count_does_not_change_outputs(self, tmp_path, monkeypatch):
+    def test_worker_count_does_not_change_outputs(self, tmp_path, monkeypatch, pool_tasks):
         # 12 cells (F1, F7 and F11 have three boxes; F7 has one objective
         # per trial) split between 1, 2 and 3 workers; every file must
         # match the serial run's byte for byte
-        from ecsa import experiments
-
         config = tiny_config(functions=("F1", "F7", "F11"), population=6, iterations=8)
-        tasks = []
-
-        def recording(function, task_list):
-            tasks.append(len(task_list))
-            return map_tasks(function, task_list)
-
-        map_tasks = experiments._map_tasks
-        monkeypatch.setattr(experiments, "_map_tasks", recording)
         for workers in ("1", "2", "3"):
             monkeypatch.setenv("ECSA_WORKERS", workers)
             write_benchmark_outputs(*run_benchmark(config), tmp_path / workers)
         run_benchmark(tiny_config(algorithms=("csa",), population=4, iterations=2))  # 2 cells
-        assert tasks == [1, 2, 3, 2]
+        assert [len(tasks) for tasks in pool_tasks] == [2, 3, 2]  # the serial run made no pool
         files = sorted(p.relative_to(tmp_path / "1") for p in (tmp_path / "1").rglob("*.csv"))
         assert len(files) == 2 + 12 + 6  # results, summary, per-run and per-cell mean traces
         for workers in ("2", "3"):
@@ -153,31 +163,25 @@ class TestRunBenchmark:
                 serial = (tmp_path / "1" / name).read_bytes()
                 assert serial == (tmp_path / workers / name).read_bytes()
 
-    def test_pool_tasks_carry_each_schedule_row_once(self, monkeypatch):
+    def test_pool_tasks_carry_each_schedule_row_once(self, monkeypatch, pool_tasks):
         # a task holds, per trial, a reference to its algorithm's one
         # EngineInputs, so it pickles each schedule row once; an allocate
         # task holds one EngineInputs for all its trials
-        from ecsa import EngineInputs, experiments
+        from ecsa import EngineInputs
 
-        tasks = []
-
-        def recording(function, task_list):
-            tasks.extend(pickle.loads(pickle.dumps(task)) for task in task_list)
-            return map_tasks(function, task_list)
-
-        map_tasks = experiments._map_tasks
-        monkeypatch.setattr(experiments, "_map_tasks", recording)
         monkeypatch.setenv("ECSA_WORKERS", "2")
         run_benchmark(tiny_config(functions=("F1", "F2"), trials=3, population=4, iterations=3))
+        (tasks,) = pool_tasks
+        tasks = [pickle.loads(pickle.dumps(task)) for task in tasks]
         assert len(tasks) == 2
         for _, _, settings, rngs in tasks:  # settings stay alive, so their ids are apart
             assert len(rngs) == len(settings) == 6
             distinct = list({id(inputs): inputs for inputs in settings}.values())
             assert all(isinstance(inputs, EngineInputs) for inputs in distinct)
             assert sorted(inputs.init for inputs in distinct) == ["random", "sobol"]
-        tasks.clear()
         run_allocation(synth_instance(4, 2, seed=1), "ecsa", tiny_config(trials=3, iterations=3))
-        assert len(tasks) == 2
+        tasks = [pickle.loads(pickle.dumps(task)) for task in pool_tasks[1]]
+        assert len(pool_tasks) == 2 and len(tasks) == 2
         for _, _, settings, _ in tasks:
             (inputs,) = {id(inputs): inputs for inputs in settings}.values()
             assert inputs.pa.shape == inputs.alpha.shape == (3,)
@@ -325,27 +329,20 @@ class TestAllocationExperiment:
                 run_allocation(instance, "ecsa", tiny_config(**overrides))
         oracle.assert_not_called()
 
-    def test_worker_count_does_not_change_outputs(self, tmp_path, monkeypatch):
-        # 3 trials on 2 workers run as a 1-trial and a 2-trial task; every
+    def test_worker_count_does_not_change_outputs(self, tmp_path, monkeypatch, pool_tasks):
+        # 3 trials on 2 workers run as a 2-trial and a 1-trial task; every
         # file must match the serial run's byte for byte
         from ecsa import experiments
 
         instance = synth_instance(6, 3, seed=1)
         config = tiny_config(trials=3, iterations=12, population=5)
-        tasks = []
-
-        def recording(function, task_list):
-            tasks.append(len(task_list))
-            return map_tasks(function, task_list)
-
-        map_tasks = experiments._map_tasks
-        monkeypatch.setattr(experiments, "_map_tasks", recording)
         for workers in ("1", "2"):
             monkeypatch.setenv("ECSA_WORKERS", workers)
             for algorithm in ("csa", "ecsa"):
                 report = run_allocation(instance, algorithm, config)
                 experiments.write_allocation_outputs(instance, report, tmp_path / workers)
-        assert tasks == [1, 1, 2, 2]
+        # the serial runs made no pool
+        assert [[len(rngs) for *_, rngs in tasks] for tasks in pool_tasks] == [[2, 1], [2, 1]]
         files = sorted(p.relative_to(tmp_path / "1") for p in (tmp_path / "1").rglob("*.csv"))
         assert len(files) == 2 * (2 + 3 + 1)  # per algorithm: 2 CSVs, 3 trial traces, 1 mean
         assert files == sorted(p.relative_to(tmp_path / "2") for p in (tmp_path / "2").rglob("*.csv"))
