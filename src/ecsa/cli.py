@@ -13,7 +13,7 @@ from . import benchmarks, experiments
 from .allocation import load_instance, load_instance_csv, synth_instance
 from .experiments import ExperimentConfig
 from .optimizer import EnhancedCuckooSearch
-from .sobol import SobolSequence
+from .sobol import BITS, SobolSequence
 
 # every option that sets a config field takes its default from here
 _DEFAULTS = ExperimentConfig()
@@ -210,6 +210,8 @@ def sobol(dim, count):
     """Emit Sobol points as CSV on standard output."""
     if count < 1:
         raise click.UsageError(f"--count must be >= 1, got {count}")
+    if count > 2**BITS - 1:
+        raise click.UsageError(f"--count must be <= 2**{BITS} - 1 = {2**BITS - 1}, got {count}")
     try:
         sequence = SobolSequence(dim)
     except ValueError as exc:

@@ -114,8 +114,9 @@ def make_optimizer(algorithm: str, config: ExperimentConfig):
     if algorithm not in _ESTIMATORS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     estimator = _ESTIMATORS[algorithm]
-    values = {field.name: getattr(config, field.name) for field in fields(config)}
-    return estimator(**{name: values[name] for name in estimator().get_params() if name in values})
+    names = {field.name for field in fields(config)}
+    return estimator(**{field.name: getattr(config, field.name)
+                        for field in fields(estimator) if field.name in names})
 
 
 def check_settings(config: ExperimentConfig, dim: int) -> None:

@@ -39,17 +39,16 @@ iteration.  A NaN objective value ranks as ``+inf``: initial NaN values
 are replaced by ``+inf``, and later a NaN proposal is never accepted
 because acceptance needs a strict improvement.
 
-Estimators follow the scikit-learn protocol: each is a dataclass whose
-fields are its hyperparameters, stored verbatim and validated by
-``engine_inputs`` when ``fit`` runs; results land in trailing-underscore
-attributes and ``get_params``/``set_params`` allow programmatic
-configuration.
+Each estimator is a dataclass whose fields are its hyperparameters,
+stored verbatim and validated by ``engine_inputs`` when ``fit`` runs;
+``dataclasses.replace`` gives a copy with other values.  As in
+scikit-learn, results land in trailing-underscore attributes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,7 +75,6 @@ class RunTrace:
     best_position: np.ndarray
     best_fitness: float
     evaluations: int
-    walk_replacements: int
 
 
 def _batch_evaluator(objective):
@@ -231,14 +229,27 @@ def _clamp(P, bounds) -> np.ndarray:
     return np.minimum(P, upper, out=P)
 
 
-def _discover(X, F, pa, rngs, bounds, evaluate, work: _WorkArrays) -> np.ndarray:
+def _keep_better(X, F, P, FP) -> None:
+    """Keep each proposal of ``P`` whose value in ``FP`` is strictly lower than its nest's; in place.
+
+    ``X`` and ``P`` are ``(trials, population, dim)``, ``F`` and ``FP``
+    ``(trials, population)``.  A NaN value is never lower, so it is never
+    kept.  Both phases select through this one rule.
+    """
+    accept = FP < F
+    np.copyto(X, P, where=accept[..., None])
+    np.copyto(F, FP, where=accept)
+
+
+def _discover(X, F, pa, rngs, bounds, evaluate, work: _WorkArrays) -> None:
     """Discovery walk on a stack; updates ``X`` and ``F`` in place.
 
     ``pa`` holds each trial's discovery rate, shaped ``(trials, 1, 1)``,
     and ``bounds`` each trial's box as in :func:`_clamp`.  Draws each
-    trial's discovery block from its stream and returns the number of
-    accepted walk proposals per trial.  The walk is built in ``work``, the
-    stack's work arrays (see :class:`_WorkArrays`), which are overwritten.
+    trial's discovery block from its stream.  The walk is built in
+    ``work``, the stack's work arrays (see :class:`_WorkArrays`), which are
+    overwritten.  The best nest's walk is not evaluated: its value stays
+    ``inf``, so the best nest is never replaced.
     """
     trials, pop, dim = X.shape
     walk, spare, mask = work.walk, work.spare, work.mask
@@ -247,7 +258,7 @@ def _discover(X, F, pa, rngs, bounds, evaluate, work: _WorkArrays) -> np.ndarray
     # r, the first partners and (pop > 1) the second
     picks = _draw(rngs, np.empty((trials, 1 + pop * min(pop, 2))))
     if pop == 1:  # the only nest is the best one: nothing is evaluated
-        return np.zeros(trials, dtype=np.int64)
+        return
     r = picks[:, 0, None, None]
     # partner indices floor(u * n), by truncation since u * n >= 0
     p = (picks[:, 1 : pop + 1] * pop).astype(np.int64)
@@ -262,17 +273,12 @@ def _discover(X, F, pa, rngs, bounds, evaluate, work: _WorkArrays) -> np.ndarray
     np.multiply(r, mask, out=spare)
     np.multiply(spare, walk, out=walk)
     np.add(X, walk, out=walk)
-    W = _clamp(walk, bounds).reshape(-1, dim)
+    _clamp(walk, bounds)
     rows = np.flatnonzero(np.arange(pop) != F.argmin(axis=1)[:, None])
-    W.take(rows, axis=0, out=work.candidates.reshape(-1, dim), mode="clip")
-    FW = evaluate(work.candidates).ravel()
-    accept = FW < F.reshape(-1)[rows]
-    rows = rows[accept]
-    moved = np.zeros((trials * pop, 1), dtype=bool)
-    moved[rows] = True
-    np.copyto(nests, W, where=moved)
-    F.reshape(-1)[rows] = FW[accept]
-    return accept.reshape(trials, pop - 1).sum(axis=1)
+    walk.reshape(-1, dim).take(rows, axis=0, out=work.candidates.reshape(-1, dim), mode="clip")
+    FW = np.full((trials, pop), np.inf)
+    FW.reshape(-1)[rows] = evaluate(work.candidates).ravel()
+    _keep_better(X, F, walk, FW)
 
 
 def _run_stack(objectives, boxes, settings, rngs) -> list[RunTrace]:
@@ -302,7 +308,6 @@ def _run_stack(objectives, boxes, settings, rngs) -> list[RunTrace]:
     bounds = tuple(np.stack([getattr(box, side) for box in boxes])[:, None, :]
                    for side in ("lower", "upper"))
     work = _WorkArrays(trials, population, dim)
-    walk_replacements = np.zeros(trials, dtype=np.int64)
     trace = np.empty((trials, iterations))
     # per iteration t, each trial's pa and alpha as (trials, 1, 1) columns
     columns = zip(pa.T[:, :, None, None], alpha.T[:, :, None, None])
@@ -317,12 +322,8 @@ def _run_stack(objectives, boxes, settings, rngs) -> list[RunTrace]:
         np.multiply(scaled, P, out=P)
         np.add(X, P, out=P)
         _clamp(P, bounds)
-        FP = evaluate(P)
-        accept = FP < F
-        np.copyto(X, P, where=accept[..., None])
-        np.copyto(F, FP, where=accept)
-
-        walk_replacements += _discover(X, F, pa_t, rngs, bounds, evaluate, work)
+        _keep_better(X, F, P, evaluate(P))
+        _discover(X, F, pa_t, rngs, bounds, evaluate, work)
         trace[:, t] = F.min(axis=1)
 
     best = F.argmin(axis=1)
@@ -332,7 +333,6 @@ def _run_stack(objectives, boxes, settings, rngs) -> list[RunTrace]:
             best_position=X[i, best[i]].copy(),
             best_fitness=float(F[i, best[i]]),
             evaluations=population + iterations * (2 * population - 1),
-            walk_replacements=int(walk_replacements[i]),
         )
         for i in range(trials)
     ]
@@ -407,23 +407,8 @@ class BaseOptimizer:
     :class:`EngineInputs`.  Estimators compare and hash by identity.
 
     After ``fit``: ``best_position_``, ``best_fitness_``, ``trace_``
-    (best fitness per iteration), ``n_evaluations_`` and
-    ``n_walk_replacements_``.
+    (best fitness per iteration) and ``n_evaluations_``.
     """
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {field.name: getattr(self, field.name) for field in fields(self)}
-
-    def set_params(self, **params):
-        valid = self.get_params()
-        for name, value in params.items():
-            if name not in valid:
-                raise ValueError(
-                    f"invalid parameter {name!r} for {type(self).__name__}; "
-                    f"valid parameters are {sorted(valid)}"
-                )
-            setattr(self, name, value)
-        return self
 
     def engine_inputs(self) -> EngineInputs:
         """Check the hyperparameters and return this estimator's settings for :func:`run_trials`.
@@ -451,7 +436,6 @@ class BaseOptimizer:
         self.best_position_ = result.best_position
         self.best_fitness_ = result.best_fitness
         self.n_evaluations_ = result.evaluations
-        self.n_walk_replacements_ = result.walk_replacements
         return self
 
 

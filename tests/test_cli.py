@@ -34,6 +34,13 @@ class TestSobolCommand:
         result = runner.invoke(main, ["sobol", "--dim", "2", "--count", "0"])
         assert result.exit_code != 0
 
+    def test_count_beyond_the_sequence_fails_before_any_row(self, runner):
+        # the sequence ends after 2**32 - 1 points: a larger count must fail
+        # before the first row, not after hours of output
+        result = runner.invoke(main, ["sobol", "--dim", "2", "--count", str(2**32)])
+        assert result.exit_code == 2 and result.stdout == ""
+        assert "--count must be <= 2**32 - 1 = 4294967295, got 4294967296" in result.output
+
 
 class TestScheduleCommand:
     def test_table_endpoints(self, runner):

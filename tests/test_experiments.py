@@ -95,9 +95,9 @@ class TestConfig:
         value = field.default + 1
         config = ExperimentConfig(**{field.name: value})
         reached = [
-            make_optimizer(algorithm, config).get_params()[field.name]
+            getattr(make_optimizer(algorithm, config), field.name)
             for algorithm in ALGORITHMS
-            if field.name in make_optimizer(algorithm, ExperimentConfig()).get_params()
+            if field.name in {f.name for f in dataclasses.fields(make_optimizer(algorithm, config))}
         ]
         assert reached and all(setting == value for setting in reached)
 
