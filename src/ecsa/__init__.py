@@ -14,9 +14,9 @@ from .allocation import (
 )
 from .benchmarks import BenchmarkObjective, ObjectiveSpec, evaluate, evaluate_many, suite
 from .core import SearchBox, as_search_box
-from .levy import LevyParams, mantegna_sigma
+from .levy import mantegna_sigma
 from .optimizer import CuckooSearch, EngineInputs, EnhancedCuckooSearch, RunTrace, run_trials
-from .rng import RandomSource, as_random_source, stable_seed
+from .rng import RandomSource, stable_seed
 from .schedule import cosine_schedule
 from .sobol import SobolSequence, sobol_population
 from .stats import decide, rank_sum_p, summarize
@@ -30,13 +30,11 @@ __all__ = [
     "CuckooSearch",
     "EngineInputs",
     "EnhancedCuckooSearch",
-    "LevyParams",
     "ObjectiveSpec",
     "RandomSource",
     "RunTrace",
     "SearchBox",
     "SobolSequence",
-    "as_random_source",
     "as_search_box",
     "cosine_schedule",
     "decide",

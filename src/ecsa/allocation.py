@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SearchBox, checked_int
-from .rng import as_random_source
+from .rng import RandomSource
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def load_instance(path) -> AllocationInstance:
     with open(path) as handle:
         try:
             payload = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON or text that is not UTF-8
             raise ValueError(f"{path}: not valid JSON ({exc})")
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object with blocks and areas sections, "
@@ -125,10 +125,13 @@ def load_instance_csv(blocks_path, areas_path) -> AllocationInstance:
 
     def read(path):
         with open(path, newline="") as handle:
-            reader = csv.DictReader(handle)
-            if reader.fieldnames is None or not {"id", "x", "y"} <= set(reader.fieldnames):
-                raise ValueError(f"{path}: expected header columns id,x,y")
-            return list(reader)
+            try:
+                reader = csv.DictReader(handle)
+                if reader.fieldnames is None or not {"id", "x", "y"} <= set(reader.fieldnames):
+                    raise ValueError(f"{path}: expected header columns id,x,y")
+                return list(reader)
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: not UTF-8 text ({exc})")
 
     return instance_from_records(read(blocks_path), read(areas_path))
 
@@ -136,7 +139,7 @@ def load_instance_csv(blocks_path, areas_path) -> AllocationInstance:
 def synth_instance(n_blocks: int = 50, n_areas: int = 11, seed: int = 0) -> AllocationInstance:
     """Random instance with uniform coordinates in the unit square."""
     n_blocks, n_areas = checked_int("n_blocks", n_blocks, 1), checked_int("n_areas", n_areas, 1)
-    rng = as_random_source(seed)
+    rng = RandomSource(seed)
     block_xy = rng.random((n_blocks, 2))
     area_xy = rng.random((n_areas, 2))
     return instance_from_records(

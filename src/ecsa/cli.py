@@ -46,7 +46,7 @@ def _load_config(ctx, param, config_path):
         return
     try:
         config_data = json.loads(Path(config_path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: invalid JSON or text that is not UTF-8
         raise click.ClickException(f"cannot read config file: {exc}")
     if not isinstance(config_data, dict):
         raise click.ClickException("config file must hold a JSON object")

@@ -4,10 +4,11 @@ The engine :func:`run_trials` advances a stack of independent trials in
 lockstep.  Each trial has its own objective, search box, random source and
 :class:`EngineInputs`: the population, the discovery rate ``pa`` and the
 step size ``alpha`` as arrays holding one value per iteration, the init
-mode and the Levy parameters.  The standard algorithm feeds it constant
-arrays and random initialization; the enhanced variant feeds it cosine
-warm-restart schedules and Sobol initialization, so trials of both, on
-different objectives and boxes of one dimension, can share one stack.
+mode and the Levy stability index ``levy_beta``.  The standard algorithm
+feeds it constant arrays and random initialization; the enhanced variant
+feeds it cosine warm-restart schedules and Sobol initialization, so
+trials of both, on different objectives and boxes of one dimension, can
+share one stack.
 With constant schedules and random initialization the two are
 bit-identical under the same seed.  Per iteration every trial runs:
 
@@ -41,8 +42,9 @@ because acceptance needs a strict improvement.
 
 Each estimator is a dataclass whose fields are its hyperparameters,
 stored verbatim and validated by ``engine_inputs`` when ``fit`` runs;
-``dataclasses.replace`` gives a copy with other values.  As in
-scikit-learn, results land in trailing-underscore attributes.
+``dataclasses.replace`` gives a copy with other values.  Its ``seed`` is
+an integer, 0 by default.  As in scikit-learn, results land in
+trailing-underscore attributes.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SearchBox, as_search_box, checked_int
-from .levy import LevyParams, levy_steps
-from .rng import RandomSource, as_random_source, box_muller
+from .levy import levy_steps, mantegna_sigma
+from .rng import RandomSource, box_muller
 from .schedule import cosine_schedule
 from .sobol import check_dim, sobol_population
 
@@ -165,15 +167,16 @@ def _positions(block: np.ndarray, shape) -> np.ndarray:
     return block[: math.prod(shape)].reshape(shape)
 
 
-def _levy(params: LevyParams, rngs, n: int, work: _WorkArrays) -> np.ndarray:
+def _levy(beta: float, rngs, n: int, work: _WorkArrays) -> np.ndarray:
     """``n`` Levy step coordinates per trial, as ``(trials, n)``: its ``u`` normals, then its ``v`` normals.
 
-    The steps are written into ``work.steps`` (see :class:`_WorkArrays`).
-    Box-Muller runs in place on each uniform block.
+    The steps, of stability index ``beta``, are written into
+    ``work.steps`` (see :class:`_WorkArrays`).  Box-Muller runs in place
+    on each uniform block.
     """
     box_muller(_draw(rngs, work.u), out=work.u, work=work.radius)
     box_muller(_draw(rngs, work.v), out=work.v, work=work.radius)
-    return levy_steps(params, work.steps, work.scale, out=work.steps, work=work.scale)
+    return levy_steps(beta, work.steps, work.scale, out=work.steps, work=work.scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,17 +186,18 @@ class EngineInputs:
     ``population`` is an integer >= 1; ``pa[t]`` and ``alpha[t]`` are the
     discovery rate and the step size of iteration ``t``, 1-D rows of equal
     length (the number of iterations), finite, with ``pa`` in ``[0, 1]``
-    and ``alpha > 0``; ``init`` is one of :data:`INIT_MODES`; ``levy``
-    holds the Levy stability index.  ``pa`` and ``alpha`` are kept as
-    read-only float64 copies, so a made value stays valid.  Trials that
-    share settings share one object, which compares by identity.
+    and ``alpha > 0``; ``init`` is one of :data:`INIT_MODES`;
+    ``levy_beta`` is the Levy stability index, in ``(0, 2]``.  ``pa`` and
+    ``alpha`` are kept as read-only float64 copies, so a made value stays
+    valid.  Trials that share settings share one object, which compares by
+    identity.
     """
 
     population: int
     pa: np.ndarray
     alpha: np.ndarray
     init: str
-    levy: LevyParams = LevyParams()
+    levy_beta: float = 1.5
 
     def __post_init__(self):
         object.__setattr__(self, "population", checked_int("population", self.population, 1))
@@ -212,6 +216,7 @@ class EngineInputs:
             raise ValueError(f"alpha must be positive, got {alpha[alpha <= 0.0][0]}")
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
+        mantegna_sigma(self.levy_beta)  # raises on a beta outside (0, 2]
         for name, row in (("pa", pa), ("alpha", alpha)):
             row.flags.writeable = False
             object.__setattr__(self, name, row)
@@ -294,7 +299,7 @@ def _run_stack(objectives, boxes, settings, rngs) -> list[RunTrace]:
     evaluate = _stack_evaluator(objectives)
     pa = np.stack([inputs.pa for inputs in settings])
     alpha = np.stack([inputs.alpha for inputs in settings])
-    population, params = settings[0].population, settings[0].levy
+    population, beta = settings[0].population, settings[0].levy_beta
     trials, iterations = pa.shape
     trial = np.arange(trials)
     dim = boxes[0].dim
@@ -314,7 +319,7 @@ def _run_stack(objectives, boxes, settings, rngs) -> list[RunTrace]:
 
     for t, (pa_t, alpha_t) in enumerate(columns):
         best = F.argmin(axis=1)
-        scaled = _levy(params, rngs, population * dim, work).reshape(X.shape)
+        scaled = _levy(beta, rngs, population * dim, work).reshape(X.shape)
         np.multiply(scaled, alpha_t, out=scaled)
         # P holds the spread x - x_best, then the proposal
         P = np.subtract(X, X[trial, best][:, None, :], out=work.proposals)
@@ -373,7 +378,8 @@ def run_trials(objectives, boxes, settings, rngs) -> list[RunTrace]:
     for name, entries in (("objectives", objectives), ("boxes", boxes), ("settings", settings)):
         if len(entries) != len(rngs):
             raise ValueError(f"got {len(entries)} {name} for {len(rngs)} random sources")
-    for name, entries, kind in (("boxes", boxes, SearchBox), ("settings", settings, EngineInputs)):
+    for name, entries, kind in (("boxes", boxes, SearchBox), ("settings", settings, EngineInputs),
+                                ("rngs", rngs, RandomSource)):
         for entry in entries:
             if not isinstance(entry, kind):
                 raise TypeError(
@@ -382,7 +388,7 @@ def run_trials(objectives, boxes, settings, rngs) -> list[RunTrace]:
     for name, values in (("dim", {box.dim for box in boxes}),
                          ("population", {inputs.population for inputs in settings}),
                          ("iteration count", {inputs.pa.size for inputs in settings}),
-                         ("Levy beta", {inputs.levy.beta for inputs in settings})):
+                         ("Levy beta", {inputs.levy_beta for inputs in settings})):
         if len(values) > 1:
             raise ValueError(f"every trial of one call must have one {name}, got {sorted(values)}")
     if any(inputs.init == "sobol" for inputs in settings):
@@ -404,7 +410,10 @@ class BaseOptimizer:
     (:meth:`engine_inputs`): ``_schedules`` returns the per-iteration
     ``pa`` and ``alpha`` arrays, and raises on a hyperparameter those
     arrays cannot show to be wrong.  Everything else is checked by
-    :class:`EngineInputs`.  Estimators compare and hash by identity.
+    :class:`EngineInputs`, except ``seed``: an integer, 0 by default, from
+    which ``fit`` makes the run's :class:`RandomSource`, which raises
+    ``TypeError`` on anything else.  Estimators compare and hash by
+    identity.
 
     After ``fit``: ``best_position_``, ``best_fitness_``, ``trace_``
     (best fitness per iteration) and ``n_evaluations_``.
@@ -419,7 +428,7 @@ class BaseOptimizer:
         """
         checked_int("iterations", self.iterations, 0)
         pa, alpha = self._schedules()
-        return EngineInputs(self.population, pa, alpha, self.init, LevyParams(beta=self.levy_beta))
+        return EngineInputs(self.population, pa, alpha, self.init, self.levy_beta)
 
     def fit(self, objective, bounds):
         """Minimize ``objective`` over ``bounds`` and store the results.
@@ -431,7 +440,7 @@ class BaseOptimizer:
         accepts.  Returns ``self``.
         """
         (result,) = run_trials([objective], [as_search_box(bounds)], [self.engine_inputs()],
-                               [as_random_source(self.seed)])
+                               [RandomSource(self.seed)])
         self.trace_ = result.best_fitness_per_iteration
         self.best_position_ = result.best_position
         self.best_fitness_ = result.best_fitness
@@ -455,7 +464,7 @@ class CuckooSearch(BaseOptimizer):
     alpha: float = 0.01
     levy_beta: float = 1.5
     init: str = "random"
-    seed: int | RandomSource | None = None
+    seed: int = 0
 
     def _schedules(self) -> tuple[np.ndarray, np.ndarray]:
         return np.full(self.iterations, float(self.pa)), np.full(self.iterations, float(self.alpha))
@@ -485,7 +494,7 @@ class EnhancedCuckooSearch(BaseOptimizer):
     t_mult: float = 2.0
     levy_beta: float = 1.5
     init: str = "sobol"
-    seed: int | RandomSource | None = None
+    seed: int = 0
 
     def _schedules(self) -> tuple[np.ndarray, np.ndarray]:
         """Both schedules on one clock; ``cosine_schedule`` checks ``t0`` and ``t_mult``."""

@@ -1,8 +1,11 @@
 """Deterministic random source used by every stochastic component.
 
 All randomness flows through :class:`RandomSource` so that an optimization
-run is reproducible from a single 64-bit seed.  Two pinned, documented
-forms of the stream are used:
+run is reproducible from a single 64-bit seed.  A seed is always an
+integer: an estimator's ``fit`` and ``synth_instance`` make their source
+with ``RandomSource(seed)``, and :func:`ecsa.optimizer.run_trials` takes
+the sources themselves.  Two pinned, documented forms of the stream are
+used:
 
 * ``random(...)``       -> the raw [0, 1) doubles of a PCG64 bit generator
 * ``box_muller(u)``     -> standard normals from consecutive uniform pairs
@@ -88,19 +91,6 @@ def box_muller(u: np.ndarray, out=None, work=None) -> np.ndarray:
     np.sin(angle, out=angle)
     np.multiply(radius, angle, out=angle)
     return out
-
-
-def as_random_source(seed) -> RandomSource:
-    """Coerce ``seed`` (int, None or RandomSource) to a RandomSource.
-
-    ``None`` maps to seed 0 so that omitting a seed still yields a
-    reproducible run; pass an explicit seed for anything that matters.
-    """
-    if isinstance(seed, RandomSource):
-        return seed
-    if seed is None:
-        return RandomSource(0)
-    return RandomSource(seed)
 
 
 def stable_seed(base_seed: int, *labels) -> int:

@@ -9,13 +9,11 @@ PUBLIC_API = [
     "CuckooSearch",
     "EngineInputs",
     "EnhancedCuckooSearch",
-    "LevyParams",
     "ObjectiveSpec",
     "RandomSource",
     "RunTrace",
     "SearchBox",
     "SobolSequence",
-    "as_random_source",
     "as_search_box",
     "cosine_schedule",
     "decide",

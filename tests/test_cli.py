@@ -167,6 +167,18 @@ class TestBenchCommand:
         assert "Error:" in result.output and message in result.output
         assert not out.exists()
 
+    def test_config_file_not_utf8_fails_cleanly(self, runner, tmp_path):
+        # an uncaught UnicodeDecodeError used to end the command with a traceback
+        config_path = tmp_path / "config.json"
+        config_path.write_bytes(b"\xff\xfe{}")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["bench", "--config", str(config_path), "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Error: cannot read config file: 'utf-8' codec can't decode" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
     def test_every_config_key_is_a_bench_flag(self):
         # a config key without a flag would be accepted from --config and
         # then silently dropped; the keys must be exactly the flags
@@ -488,6 +500,26 @@ class TestAllocateCommand:
         assert result.exit_code == 1
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "Error: the blocks section must be a list of id,x,y records, got int" in result.output
+
+    @pytest.mark.parametrize("source", ["json", "csv"])
+    def test_instance_not_utf8_fails_cleanly(self, runner, tmp_path, source):
+        # the message used to be the decoder's alone, without the file's name
+        if source == "json":
+            path = tmp_path / "instance.json"
+            path.write_bytes(b"\xff\xfe{}")
+            args, message = ["--instance", str(path)], "not valid JSON"
+        else:
+            blocks, path = tmp_path / "blocks.csv", tmp_path / "areas.csv"
+            blocks.write_text("id,x,y\nb0,0.0,0.0\n")
+            path.write_bytes(b"id,x,y\na\xff0,0.2,0.0\n")
+            args, message = ["--blocks", str(blocks), "--areas", str(path)], "not UTF-8 text"
+        out = tmp_path / "la"
+        result = runner.invoke(main, ["allocate", *args, "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"Error: {path}: {message} ('utf-8' codec can't decode" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
 
     def test_overflowing_distance_fails_cleanly(self, runner, tmp_path):
         # used to warn of an overflow, report an inf oracle and write NaN gaps

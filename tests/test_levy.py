@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from ecsa import CuckooSearch, LevyParams, RandomSource, SearchBox, mantegna_sigma
+from ecsa import CuckooSearch, RandomSource, SearchBox, mantegna_sigma
 from ecsa.levy import levy_steps
 from ecsa.rng import box_muller
 
@@ -14,10 +14,10 @@ def normals(rng, n):
     return box_muller(rng.random(2 * ((n + 1) // 2)))[:n]
 
 
-def levy_matrix(params, rng, rows, dim):
+def levy_matrix(beta, rng, rows, dim):
     """``rows`` Levy steps of dimension ``dim`` from ``rng``: the ``u`` normals, then the ``v``."""
     u = normals(rng, rows * dim)
-    return levy_steps(params, u, normals(rng, rows * dim)).reshape(rows, dim)
+    return levy_steps(beta, u, normals(rng, rows * dim)).reshape(rows, dim)
 
 # Recorded once from the pinned sampling scheme (seed 777, beta 1.5, dim 3).
 PINNED_STEP_SEED_777 = (-1.4457951175029335, 0.9412748569006597, 0.7887344511099382)
@@ -43,14 +43,10 @@ class TestMantegnaSigma:
         with pytest.raises(ValueError):
             mantegna_sigma(beta)
 
-    def test_params_recompute_coherence(self):
-        params = LevyParams(beta=1.2)
-        assert params.sigma_u == mantegna_sigma(1.2)
-
 
 class TestLevyStep:
     def test_pinned_regression_vector(self):
-        step = levy_matrix(LevyParams(beta=1.5), RandomSource(777), 1, 3)[0]
+        step = levy_matrix(1.5, RandomSource(777), 1, 3)[0]
         assert step.tolist() == pytest.approx(PINNED_STEP_SEED_777, rel=0, abs=0)
 
     def test_dim_validation(self):
@@ -62,45 +58,39 @@ class TestLevyStep:
             CuckooSearch(seed=0).fit(calls.append, ([], []))
         assert calls == []
 
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            LevyParams(beta=3.0)
-        with pytest.raises(TypeError):  # the scale is derived from beta, never passed
-            LevyParams(beta=1.5, sigma_u=1.0)
-
     def test_stacked_normals_match_single_draws(self):
         # the engine transforms one row of uniforms per trial at once; each
         # row must give the bits of the same trial drawn alone
-        params = LevyParams(beta=1.5)
+        beta = 1.5
         rngs = [RandomSource(seed) for seed in range(4)]
         u = box_muller(np.stack([rng.random(16) for rng in rngs]))[:, :15]
         v = box_muller(np.stack([rng.random(16) for rng in rngs]))[:, :15]
-        stacked = levy_steps(params, u, v).reshape(4, 5, 3)
+        stacked = levy_steps(beta, u, v).reshape(4, 5, 3)
         for seed in range(4):
-            assert np.array_equal(stacked[seed], levy_matrix(params, RandomSource(seed), 5, 3))
+            assert np.array_equal(stacked[seed], levy_matrix(beta, RandomSource(seed), 5, 3))
 
     def test_scale_coherence_doubling_sigma_doubles_steps(self):
         # steps are linear in the u normals; doubling is exact in floating point
-        params = LevyParams(beta=1.5)
+        beta = 1.5
         rng = RandomSource(31)
         u, v = normals(rng, 24), normals(rng, 24)
-        assert np.array_equal(levy_steps(params, 2 * u, v), 2 * levy_steps(params, u, v))
+        assert np.array_equal(levy_steps(beta, 2 * u, v), 2 * levy_steps(beta, u, v))
 
     def test_in_place_matches_new_arrays(self):
         # the engine writes the steps over u and the scale over v
-        params = LevyParams(beta=1.5)
+        beta = 1.5
         rng = RandomSource(31)
         u, v = normals(rng, 24), normals(rng, 24)
-        steps = levy_steps(params, u, v)
+        steps = levy_steps(beta, u, v)
         assert np.array_equal(u, normals(RandomSource(31), 24))
-        assert levy_steps(params, u, v, out=u, work=v) is u
+        assert levy_steps(beta, u, v, out=u, work=v) is u
         assert np.array_equal(u, steps)
 
 
 # one shared million-draw sample keeps the Monte-Carlo tests cheap
 @pytest.fixture(scope="module")
 def million_steps():
-    return levy_matrix(LevyParams(beta=1.5), RandomSource(2024), 1000, 1000).ravel()
+    return levy_matrix(1.5, RandomSource(2024), 1000, 1000).ravel()
 
 
 class TestTailBehaviour:

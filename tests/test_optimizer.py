@@ -13,7 +13,6 @@ from ecsa import (
     CuckooSearch,
     EngineInputs,
     EnhancedCuckooSearch,
-    LevyParams,
     RandomSource,
     SearchBox,
     cosine_schedule,
@@ -452,7 +451,7 @@ class TestRun:
         [
             (dict(population=6), "one population, got [5, 6]"),
             (dict(pa=np.full(5, 0.25), alpha=np.full(5, 0.01)), "one iteration count, got [4, 5]"),
-            (dict(levy=LevyParams(beta=1.2)), "one Levy beta, got [1.2, 1.5]"),
+            (dict(levy_beta=1.2), "one Levy beta, got [1.2, 1.5]"),
         ],
         ids=["population", "iterations", "beta"],
     )
@@ -468,20 +467,26 @@ class TestRun:
                        [RandomSource(0), RandomSource(1)])
         assert counting.calls == 0
 
-    @pytest.mark.parametrize("entry", ["box", "settings"])
+    @pytest.mark.parametrize("entry", ["box", "settings", "rng"])
     def test_entry_types_checked_before_any_evaluation(self, entry):
         box = SearchBox.cube(3, -1, 1)
         counting = CountingObjective(sphere, box)
         fields = dict(population=5, pa=np.full(4, 0.25), alpha=np.full(4, 0.01), init="random")
         boxes, settings = [box, box], [EngineInputs(**fields)] * 2
+        rngs = [RandomSource(0), RandomSource(1)]
         if entry == "box":
             boxes[1] = [[-1, 1]] * 3
             message = "boxes must hold SearchBox entries, got list"
-        else:
+        elif entry == "settings":
             settings[1] = fields
             message = "settings must hold EngineInputs entries, got dict"
+        else:
+            # a Sobol trial draws nothing before its first nests are evaluated
+            settings = [EngineInputs(**fields | dict(init="sobol"))] * 2
+            rngs[1] = 5
+            message = "rngs must hold RandomSource entries, got int"
         with pytest.raises(TypeError, match=message):
-            run_trials([counting, counting], boxes, settings, [RandomSource(0), RandomSource(1)])
+            run_trials([counting, counting], boxes, settings, rngs)
         assert counting.calls == 0
 
     def test_sobol_dim_beyond_the_table_rejected_before_any_stack(self):
@@ -607,10 +612,10 @@ class TestEstimators:
         assert counting.calls == 0
 
     CSA_PARAMS = [("population", 50), ("iterations", 500), ("pa", 0.25), ("alpha", 0.01),
-                  ("levy_beta", 1.5), ("init", "random"), ("seed", None)]
+                  ("levy_beta", 1.5), ("init", "random"), ("seed", 0)]
     ECSA_PARAMS = [("population", 50), ("iterations", 500), ("pa_min", 0.25), ("pa_max", 0.5),
                    ("alpha_min", 0.01), ("alpha_max", 0.05), ("t0", 100), ("t_mult", 2.0),
-                   ("levy_beta", 1.5), ("init", "sobol"), ("seed", None)]
+                   ("levy_beta", 1.5), ("init", "sobol"), ("seed", 0)]
 
     @pytest.mark.parametrize(
         "estimator, params",
@@ -626,12 +631,12 @@ class TestEstimators:
     def test_default_repr(self):
         assert repr(CuckooSearch()) == (
             "CuckooSearch(population=50, iterations=500, pa=0.25, alpha=0.01, levy_beta=1.5, "
-            "init='random', seed=None)"
+            "init='random', seed=0)"
         )
         assert repr(EnhancedCuckooSearch()) == (
             "EnhancedCuckooSearch(population=50, iterations=500, pa_min=0.25, pa_max=0.5, "
             "alpha_min=0.01, alpha_max=0.05, t0=100, t_mult=2.0, levy_beta=1.5, init='sobol', "
-            "seed=None)"
+            "seed=0)"
         )
 
     @pytest.mark.parametrize("estimator", [CuckooSearch, EnhancedCuckooSearch])
@@ -661,11 +666,14 @@ class TestEstimators:
         assert np.array_equal(csa.trace_, reduced.trace_)
         assert np.array_equal(csa.best_position_, reduced.best_position_)
 
-    def test_seed_accepts_random_source(self):
+    @pytest.mark.parametrize("seed, kind", [(None, "NoneType"), (RandomSource(77), "RandomSource"),
+                                            (1.5, "float")])
+    def test_non_integer_seed_rejected_before_any_evaluation(self, seed, kind):
         box = SearchBox.cube(3, -1, 1)
-        a = CuckooSearch(population=5, iterations=5, seed=RandomSource(77)).fit(sphere, box)
-        b = CuckooSearch(population=5, iterations=5, seed=77).fit(sphere, box)
-        assert np.array_equal(a.trace_, b.trace_)
+        counting = CountingObjective(sphere, box)
+        with pytest.raises(TypeError, match=f"seed must be an integer, got {kind}"):
+            CuckooSearch(population=5, iterations=5, seed=seed).fit(counting, box)
+        assert counting.calls == 0
 
     def test_nan_during_initialization_does_not_poison_the_run(self):
         box = SearchBox.cube(4, -5, 5)

@@ -3,8 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ecsa import (EngineInputs, LevyParams, RandomSource, SearchBox, as_random_source, run_trials,
-                  stable_seed)
+from ecsa import EngineInputs, RandomSource, SearchBox, run_trials, stable_seed
 from ecsa import optimizer
 from ecsa.rng import box_muller
 
@@ -89,19 +88,13 @@ class TestNormal:
         # for their v normals: the next draw must match a reference stream
         # that consumed 8 uniforms before it.
         a = RandomSource(21)
-        optimizer._levy(LevyParams(), [a], 3, optimizer._WorkArrays(1, 1, 3))
+        optimizer._levy(1.5, [a], 3, optimizer._WorkArrays(1, 1, 3))
         ref = RandomSource(21)
         ref.random(8)
         assert a.random() == ref.random()
 
 
 class TestHelpers:
-    def test_as_random_source(self):
-        rng = RandomSource(9)
-        assert as_random_source(rng) is rng
-        assert as_random_source(9).seed == 9
-        assert as_random_source(None).seed == 0
-
     def test_seed_type_check(self):
         with pytest.raises(TypeError):
             RandomSource(1.5)

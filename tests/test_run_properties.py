@@ -210,10 +210,11 @@ def settings_fields(draw):
         pa=pa,
         alpha=alpha,
         init=draw(st.sampled_from(["random", "sobol", "grid", "Sobol"])),
+        levy_beta=draw(st.sampled_from([1.5, 1.5, 2.0, 0.0, -1, 2.0001, math.nan])),
     )
 
 
-def rejection(population, pa, alpha, init):
+def rejection(population, pa, alpha, init, levy_beta):
     """The message :class:`EngineInputs` must raise for these fields, or None for valid ones."""
     if not isinstance(population, int):
         return f"population must be an integer, got {population!r}"
@@ -231,13 +232,18 @@ def rejection(population, pa, alpha, init):
         return f"alpha must be positive, got {not_positive[0]}"
     if init not in ("random", "sobol"):
         return f"init must be one of ('random', 'sobol'), got {init!r}"
+    if not 0.0 < levy_beta <= 2.0:
+        return f"beta must be in (0, 2], got {levy_beta}"
     return None
 
 
 @settings(max_examples=300, deadline=None)
 @given(settings_fields())
-@example(dict(population=3, pa=np.array([0.0, 1.0]), alpha=np.array([0.5, 2.0]), init="sobol"))
-@example(dict(population=1, pa=np.array([]), alpha=np.array([]), init="random"))
+@example(dict(population=3, pa=np.array([0.0, 1.0]), alpha=np.array([0.5, 2.0]), init="sobol",
+              levy_beta=2.0))
+@example(dict(population=1, pa=np.array([]), alpha=np.array([]), init="random", levy_beta=1.5))
+@example(dict(population=1, pa=np.array([]), alpha=np.array([]), init="random",
+              levy_beta=math.nan))
 def test_engine_inputs_reject_exactly_the_invalid_settings(fields):
     message = rejection(**fields)
     if message is not None:
@@ -251,7 +257,8 @@ def test_engine_inputs_reject_exactly_the_invalid_settings(fields):
         kept = getattr(made, name)
         assert kept.dtype == np.float64 and np.array_equal(kept, row)
         assert not kept.flags.writeable
-    assert (made.population, made.init) == (fields["population"], fields["init"])
+    assert (made.population, made.init, made.levy_beta) == (
+        fields["population"], fields["init"], fields["levy_beta"])
 
 
 # each well-formed ``evaluate_many`` result kind: the value of one row, and
