@@ -13,7 +13,7 @@ from .allocation import (
     synth_instance,
 )
 from .benchmarks import BenchmarkObjective, ObjectiveSpec, evaluate, evaluate_many, suite
-from .core import SearchBox, as_search_box
+from .core import SearchBox
 from .levy import mantegna_sigma
 from .optimizer import CuckooSearch, EngineInputs, EnhancedCuckooSearch, RunTrace, run_trials
 from .rng import RandomSource, stable_seed
@@ -35,7 +35,6 @@ __all__ = [
     "RunTrace",
     "SearchBox",
     "SobolSequence",
-    "as_search_box",
     "cosine_schedule",
     "decide",
     "decode",

@@ -28,7 +28,7 @@ from .rng import RandomSource
 
 @dataclass(frozen=True)
 class AllocationInstance:
-    """Block/area coordinates plus the derived distance matrix."""
+    """Block/area coordinates plus the derived distance matrix; the search box is the objective's."""
 
     block_ids: tuple
     block_xy: np.ndarray
@@ -47,10 +47,6 @@ class AllocationInstance:
     @property
     def decision_dim(self) -> int:
         return self.n_blocks * self.n_areas
-
-    @property
-    def search_box(self) -> SearchBox:
-        return SearchBox.unit(self.decision_dim)
 
 
 def instance_from_records(blocks, areas) -> AllocationInstance:
@@ -188,11 +184,11 @@ def optimal_assignment(instance: AllocationInstance) -> tuple[np.ndarray, float]
 
 
 class AllocationObjective:
-    """Continuous objective over the unit cube for the discretized model."""
+    """Continuous objective over ``box``, the unit cube that :func:`decode` reads, for the discretized model."""
 
     def __init__(self, instance: AllocationInstance):
         self.instance = instance
-        self.box = instance.search_box
+        self.box = SearchBox.cube(instance.decision_dim, 0.0, 1.0)
 
     def __call__(self, x) -> float:
         return fitness(self.instance, decode(x, self.instance))

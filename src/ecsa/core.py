@@ -1,12 +1,15 @@
-"""Shared domain types: bounded search boxes, and the one integer setting check.
+"""Shared domain types: the search box, and the integer and number setting checks.
 
+A box is ``SearchBox(lower, upper)`` of two 1-D arrays, or ``SearchBox.cube``.
 Every count and size (dimension, population, iteration, trial or Sobol count,
-schedule length, seed) goes through :func:`checked_int` where it enters, so a
-fraction such as ``3.0`` or a value below the minimum fails naming the setting.
+schedule length, seed) goes through :func:`checked_int` where it enters, and every
+float hyperparameter through :func:`checked_real`, so a fraction such as ``3.0``, a
+``bool``, a string or a value below the minimum fails naming the setting.
 """
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -17,17 +20,18 @@ import numpy as np
 class SearchBox:
     """Axis-aligned box constraining the decision variables.
 
-    ``lower`` and ``upper`` are per-dimension arrays with
-    ``lower[k] < upper[k]`` for every ``k``, both finite, and a finite
-    width ``upper[k] - lower[k]``.
+    ``lower`` and ``upper`` are 1-D arrays of equal, nonzero length,
+    with ``lower[k] < upper[k]`` for every ``k``, both finite, and a
+    finite width ``upper[k] - lower[k]``; a scalar bound is rejected.
+    :meth:`cube` gives the same bounds in every dimension.
     """
 
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        lower = np.asarray(self.lower, dtype=float)
+        upper = np.asarray(self.upper, dtype=float)
         if lower.ndim != 1 or upper.ndim != 1 or lower.shape != upper.shape:
             raise ValueError("lower and upper must be 1-D arrays of equal length")
         if lower.size < 1:
@@ -64,30 +68,22 @@ class SearchBox:
         dim = checked_int("dim", dim, 1)
         return cls(np.full(dim, float(lower)), np.full(dim, float(upper)))
 
-    @classmethod
-    def unit(cls, dim: int) -> "SearchBox":
-        return cls.cube(dim, 0.0, 1.0)
-
-
-def as_search_box(bounds) -> SearchBox:
-    """Coerce a SearchBox or an (N, 2) array of (lower, upper) rows."""
-    if isinstance(bounds, SearchBox):
-        return bounds
-    arr = np.asarray(bounds, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(
-            "bounds must be a SearchBox(lower, upper) or an (N, 2) array of (lower, upper) "
-            f"rows, got shape {arr.shape}"
-        )
-    return SearchBox(arr[:, 0], arr[:, 1])
-
 
 def checked_int(name: str, value, minimum: int | None = None) -> int:
-    """``operator.index(value)``, at least ``minimum``; anything else raises a ``ValueError`` naming ``name``."""
+    """``operator.index(value)``, at least ``minimum``; anything else, a ``bool`` too, raises a ``ValueError`` naming ``name``."""
     try:
         number = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        number = None
+    if number is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and number < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {number}")
     return number
+
+
+def checked_real(name: str, value):
+    """``value`` if it is a real number other than a ``bool``; anything else raises a ``ValueError`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value

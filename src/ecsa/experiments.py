@@ -361,8 +361,8 @@ def compare_rows(rows, level: float = 0.05):
 
     Returns a list of dicts with means, stds, the rank-sum p-value, the
     verdict at ``level`` and the winner flag (lower mean, ``tie`` on an
-    exact mean tie).  A cell holding both ``-inf`` and ``inf`` has no mean
-    and raises ``ValueError``.
+    exact mean tie).  A cell with under 2 trials, or holding both ``-inf``
+    and ``inf`` (no mean), raises a ``ValueError`` naming it.
     """
     grouped = {}
     for row in rows:
@@ -377,6 +377,10 @@ def compare_rows(rows, level: float = 0.05):
             raise ValueError(
                 f"comparison for {function_id} needs both algorithms; missing {missing}"
             )
+        for algorithm in ALGORITHMS:
+            if len(cells[algorithm]) < 2:
+                raise ValueError(f"{function_id} {algorithm}: compare needs at least 2 trials "
+                                 f"per cell, got {len(cells[algorithm])}")
         csa = np.asarray(cells["csa"], dtype=float)
         ecsa = np.asarray(cells["ecsa"], dtype=float)
         csa_mean, csa_std = summarize(csa)

@@ -50,11 +50,11 @@ trailing-underscore attributes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import SearchBox, as_search_box, checked_int
+from .core import SearchBox, checked_int, checked_real
 from .levy import levy_steps, mantegna_sigma
 from .rng import RandomSource, box_muller
 from .schedule import cosine_schedule
@@ -167,12 +167,12 @@ def _positions(block: np.ndarray, shape) -> np.ndarray:
     return block[: math.prod(shape)].reshape(shape)
 
 
-def _levy(beta: float, rngs, n: int, work: _WorkArrays) -> np.ndarray:
-    """``n`` Levy step coordinates per trial, as ``(trials, n)``: its ``u`` normals, then its ``v`` normals.
+def _levy(beta: float, rngs, work: _WorkArrays) -> np.ndarray:
+    """Each trial's Levy steps, one per nest coordinate, from its ``u`` normals then its ``v`` normals.
 
-    The steps, of stability index ``beta``, are written into
-    ``work.steps`` (see :class:`_WorkArrays`).  Box-Muller runs in place
-    on each uniform block.
+    The steps, of stability index ``beta``, fill ``work.steps`` (see
+    :class:`_WorkArrays`), which sets their number.  Box-Muller runs in
+    place on each uniform block.
     """
     box_muller(_draw(rngs, work.u), out=work.u, work=work.radius)
     box_muller(_draw(rngs, work.v), out=work.v, work=work.radius)
@@ -187,10 +187,10 @@ class EngineInputs:
     discovery rate and the step size of iteration ``t``, 1-D rows of equal
     length (the number of iterations), finite, with ``pa`` in ``[0, 1]``
     and ``alpha > 0``; ``init`` is one of :data:`INIT_MODES`;
-    ``levy_beta`` is the Levy stability index, in ``(0, 2]``.  ``pa`` and
-    ``alpha`` are kept as read-only float64 copies, so a made value stays
-    valid.  Trials that share settings share one object, which compares by
-    identity.
+    ``levy_beta`` is the Levy stability index, a number in ``(0, 2]``.
+    ``pa`` and ``alpha`` are kept as read-only float64 copies, so a made
+    value stays valid.  Trials that share settings share one object, which
+    compares by identity.
     """
 
     population: int
@@ -216,7 +216,7 @@ class EngineInputs:
             raise ValueError(f"alpha must be positive, got {alpha[alpha <= 0.0][0]}")
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
-        mantegna_sigma(self.levy_beta)  # raises on a beta outside (0, 2]
+        mantegna_sigma(checked_real("levy_beta", self.levy_beta))  # raises outside (0, 2]
         for name, row in (("pa", pa), ("alpha", alpha)):
             row.flags.writeable = False
             object.__setattr__(self, name, row)
@@ -319,7 +319,7 @@ def _run_stack(objectives, boxes, settings, rngs) -> list[RunTrace]:
 
     for t, (pa_t, alpha_t) in enumerate(columns):
         best = F.argmin(axis=1)
-        scaled = _levy(beta, rngs, population * dim, work).reshape(X.shape)
+        scaled = _levy(beta, rngs, work).reshape(X.shape)
         np.multiply(scaled, alpha_t, out=scaled)
         # P holds the spread x - x_best, then the proposal
         P = np.subtract(X, X[trial, best][:, None, :], out=work.proposals)
@@ -409,7 +409,8 @@ class BaseOptimizer:
     ``seed``), stored verbatim, and maps them to the engine's inputs
     (:meth:`engine_inputs`): ``_schedules`` returns the per-iteration
     ``pa`` and ``alpha`` arrays, and raises on a hyperparameter those
-    arrays cannot show to be wrong.  Everything else is checked by
+    arrays cannot show to be wrong.  A field with a float default must
+    be a number other than a ``bool``.  Everything else is checked by
     :class:`EngineInputs`, except ``seed``: an integer, 0 by default, from
     which ``fit`` makes the run's :class:`RandomSource`, which raises
     ``TypeError`` on anything else.  Estimators compare and hash by
@@ -427,20 +428,22 @@ class BaseOptimizer:
         any work starts.
         """
         checked_int("iterations", self.iterations, 0)
+        for field in fields(self):
+            if isinstance(field.default, float):
+                checked_real(field.name, getattr(self, field.name))
         pa, alpha = self._schedules()
         return EngineInputs(self.population, pa, alpha, self.init, self.levy_beta)
 
-    def fit(self, objective, bounds):
-        """Minimize ``objective`` over ``bounds`` and store the results.
+    def fit(self, objective, box: SearchBox):
+        """Minimize ``objective`` over the :class:`SearchBox` ``box`` and store the results.
 
         ``objective`` is a callable mapping a position vector to a float;
         objects additionally exposing ``evaluate_many(X)`` are evaluated
         in batches, and ``evaluate_many`` of ``n`` rows must return shape
-        ``(n,)``.  ``bounds`` is anything :func:`as_search_box`
-        accepts.  Returns ``self``.
+        ``(n,)``.  A ``box`` that is not a :class:`SearchBox` raises
+        ``TypeError`` before the first evaluation.  Returns ``self``.
         """
-        (result,) = run_trials([objective], [as_search_box(bounds)], [self.engine_inputs()],
-                               [RandomSource(self.seed)])
+        (result,) = run_trials([objective], [box], [self.engine_inputs()], [RandomSource(self.seed)])
         self.trace_ = result.best_fitness_per_iteration
         self.best_position_ = result.best_position
         self.best_fitness_ = result.best_fitness

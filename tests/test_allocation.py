@@ -257,7 +257,7 @@ class TestSynthInstance:
     def test_default_shape_and_decision_space(self):
         instance = synth_instance(50, 11, seed=3)
         assert instance.decision_dim == 550
-        assert instance.search_box.dim == 550
+        assert AllocationObjective(instance).box.dim == 550
 
     def test_unit_square_coordinates(self):
         instance = synth_instance(30, 5, seed=1)

@@ -14,7 +14,6 @@ PUBLIC_API = [
     "RunTrace",
     "SearchBox",
     "SobolSequence",
-    "as_search_box",
     "cosine_schedule",
     "decide",
     "decode",

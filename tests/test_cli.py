@@ -331,6 +331,19 @@ class TestCompareCommand:
         assert f"Error: {path}: no result rows" in result.output
         assert not (tmp_path / "c").exists()
 
+    def test_one_trial_cell_fails_naming_it(self, runner, tmp_path):
+        # it used to fail with "summarize needs at least 2 values, got 1",
+        # naming neither the function nor the algorithm
+        path = tmp_path / "results.csv"
+        path.write_text(RESULTS.replace("F1,csa,1,12,2.5,20\n", ""))
+        result = runner.invoke(main, ["compare", "--results", str(path),
+                                      "--out", str(tmp_path / "c")])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Error: F1 csa: compare needs at least 2 trials per cell, got 1" in result.output
+        assert "csa_mean" not in result.output
+        assert not (tmp_path / "c").exists()
+
     def test_infinite_fitness_accepted(self, runner, tmp_path):
         # the engine can report +inf (every evaluation NaN or inf), so it is data
         path = tmp_path / "results.csv"

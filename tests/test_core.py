@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from ecsa import SearchBox, as_search_box, cosine_schedule, stable_seed
+from ecsa import SearchBox, cosine_schedule, stable_seed
 from ecsa.allocation import synth_instance
 from ecsa.experiments import ExperimentConfig, run_allocation, run_benchmark
 from ecsa.sobol import SobolSequence, sobol_population
@@ -32,22 +32,10 @@ class TestSearchBox:
         with pytest.raises(ValueError):
             SearchBox(np.array([0.0]), np.array([np.inf]))
 
-    def test_as_search_box_pairs(self):
-        box = as_search_box([(-1, 1), (-2, 2)])
-        assert box.dim == 2
-        assert box.upper[1] == 2
-
-    def test_as_search_box_passthrough(self):
-        box = SearchBox.unit(3)
-        assert as_search_box(box) is box
-
-    def test_as_search_box_reads_only_rows(self):
-        # a 2-D (lower, upper) pair used to read as two rows, and a pair of
-        # any other dim as a pair; a pair is SearchBox(lower, upper)
-        box = as_search_box(([0.0, 1.0], [2.0, 3.0]))
-        assert box.lower.tolist() == [0.0, 2.0] and box.upper.tolist() == [1.0, 3.0]
-        with pytest.raises(ValueError, match=re.escape("SearchBox(lower, upper)")):
-            as_search_box(([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]))
+    def test_rejects_scalar_bounds(self):
+        # a scalar pair used to read as a 1-D box; SearchBox.cube makes that box
+        with pytest.raises(ValueError, match="^lower and upper must be 1-D arrays of equal length$"):
+            SearchBox(0.0, 1.0)
 
     def test_rejects_overflowing_width(self):
         # the width used to overflow to inf and put initial nests at [inf, inf]
@@ -91,36 +79,45 @@ def _allocate(**settings):
 # messages they give; population, iterations and t0 are in test_optimizer
 INTEGER_SETTINGS = {
     "cosine_schedule_n": (lambda n: cosine_schedule(0.25, 0.5, 10, 2.0, n),
-                          [(3.0, "n must be an integer, got 3.0"), (-1, "n must be >= 0, got -1")]),
+                          [(3.0, "n must be an integer, got 3.0"), (-1, "n must be >= 0, got -1"),
+                           (True, "n must be an integer, got True")]),
     "cube_dim": (lambda dim: SearchBox.cube(dim, 0.0, 1.0),
-                 [(2.5, "dim must be an integer, got 2.5"), (0, "dim must be >= 1, got 0")]),
+                 [(2.5, "dim must be an integer, got 2.5"), (0, "dim must be >= 1, got 0"),
+                  (True, "dim must be an integer, got True")]),
     "sobol_dim": (SobolSequence,
                   [(2.7, "dim must be an integer, got 2.7"), (0, "dim must be >= 1, got 0")]),
     "sobol_take": (_take,
-                   [(2.5, "count must be an integer, got 2.5"), (-1, "count must be >= 0, got -1")]),
+                   [(2.5, "count must be an integer, got 2.5"), (-1, "count must be >= 0, got -1"),
+                    (True, "count must be an integer, got True")]),
     "sobol_population": (lambda count: sobol_population(SearchBox.cube(2, -1, 1), count),
                          [(2.5, "count must be an integer, got 2.5"),
                           (0, "count must be >= 1, got 0")]),
     "synth_blocks": (lambda n: synth_instance(n, 2),
                      [(2.5, "n_blocks must be an integer, got 2.5"),
-                      (0, "n_blocks must be >= 1, got 0")]),
+                      (0, "n_blocks must be >= 1, got 0"),
+                      (True, "n_blocks must be an integer, got True")]),
     "synth_areas": (lambda n: synth_instance(3, n),
                     [(2.5, "n_areas must be an integer, got 2.5"),
                      (0, "n_areas must be >= 1, got 0")]),
     "stable_seed": (lambda seed: stable_seed(seed, "ecsa", "F1", 0),
                     [(1.5, "base_seed must be an integer, got 1.5"),
-                     ("1", "base_seed must be an integer, got '1'")]),
+                     ("1", "base_seed must be an integer, got '1'"),
+                     (False, "base_seed must be an integer, got False")]),
+    # a bool used to pass as 1: ExperimentConfig(trials=True) ran one trial
     "bench_trials": (lambda trials: _bench(trials=trials),
-                     [(2.5, "trials must be an integer, got 2.5"), (0, "trials must be >= 1, got 0")]),
+                     [(2.5, "trials must be an integer, got 2.5"), (0, "trials must be >= 1, got 0"),
+                      (True, "trials must be an integer, got True")]),
     "bench_seed": (lambda seed: _bench(base_seed=seed),
                    [(1.5, "base_seed must be an integer, got 1.5"),
                     ("1", "base_seed must be an integer, got '1'")]),
     "bench_dim": (lambda dim: _bench(dim=dim),
                   [(15.0, "dim must be an integer, got 15.0"),
-                   (1, "benchmark functions require dim >= 2, got 1")]),
+                   (1, "benchmark functions require dim >= 2, got 1"),
+                   (True, "dim must be an integer, got True")]),
     "allocate_trials": (lambda trials: _allocate(trials=trials),
                         [(2.5, "trials must be an integer, got 2.5"),
-                         (0, "trials must be >= 1, got 0")]),
+                         (0, "trials must be >= 1, got 0"),
+                         (True, "trials must be an integer, got True")]),
 }
 
 

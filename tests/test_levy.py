@@ -55,7 +55,7 @@ class TestLevyStep:
             SearchBox([], [])
         calls = []
         with pytest.raises(ValueError):
-            CuckooSearch(seed=0).fit(calls.append, ([], []))
+            CuckooSearch(seed=0).fit(calls.append, SearchBox([], []))
         assert calls == []
 
     def test_stacked_normals_match_single_draws(self):

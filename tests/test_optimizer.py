@@ -217,7 +217,14 @@ class TestLevyUpdate:
         box = SearchBox.cube(2, -1, 1)
         counting = CountingObjective(sphere, box)
         with pytest.raises(ValueError):
-            CuckooSearch(seed=0).fit(counting, ([-1.0, -1.0], [1.0, 1.0, 1.0]))
+            CuckooSearch(seed=0).fit(counting, SearchBox([-1.0, -1.0], [1.0, 1.0, 1.0]))
+        assert counting.calls == 0
+
+    def test_bounds_other_than_a_search_box_rejected_before_any_evaluation(self):
+        # (lower, upper) rows used to be read as a box
+        counting = CountingObjective(sphere, SearchBox.cube(2, -2, 2))
+        with pytest.raises(TypeError, match="^boxes must hold SearchBox entries, got list$"):
+            CuckooSearch(seed=0).fit(counting, [(-1, 1), (-2, 2)])
         assert counting.calls == 0
 
 
@@ -605,6 +612,22 @@ class TestEstimators:
             (EnhancedCuckooSearch(t_mult=1e308), "t_mult=1e+308 is too large"),
             (EnhancedCuckooSearch(init="grid"), "init must be one of ('random', 'sobol'), got 'grid'"),
             (CuckooSearch(levy_beta=3.0), "beta must be in (0, 2], got 3.0"),
+            # a bool used to pass as 1, or to crash inside numpy (iterations)
+            (CuckooSearch(iterations=True), "iterations must be an integer, got True"),
+            (CuckooSearch(population=True), "population must be an integer, got True"),
+            (EnhancedCuckooSearch(t0=True), "t0 must be an integer, got True"),
+            # a float setting that is not a number used to fail in a comparison,
+            # or (pa="0.3") to run as 0.3
+            (CuckooSearch(levy_beta="1.5"), "levy_beta must be a number, got '1.5'"),
+            (CuckooSearch(pa="0.3"), "pa must be a number, got '0.3'"),
+            (CuckooSearch(pa=None), "pa must be a number, got None"),
+            (CuckooSearch(alpha=True), "alpha must be a number, got True"),
+            (EnhancedCuckooSearch(pa_min="0.1"), "pa_min must be a number, got '0.1'"),
+            (EnhancedCuckooSearch(pa_max=[0.5]), "pa_max must be a number, got [0.5]"),
+            (EnhancedCuckooSearch(alpha_min=False), "alpha_min must be a number, got False"),
+            (EnhancedCuckooSearch(alpha_max=None), "alpha_max must be a number, got None"),
+            (EnhancedCuckooSearch(t_mult="2"), "t_mult must be a number, got '2'"),
+            (EnhancedCuckooSearch(levy_beta="1.5"), "levy_beta must be a number, got '1.5'"),
         ]
         for model, message in cases:
             with pytest.raises(ValueError, match=re.escape(message)):

@@ -88,7 +88,7 @@ class TestNormal:
         # for their v normals: the next draw must match a reference stream
         # that consumed 8 uniforms before it.
         a = RandomSource(21)
-        optimizer._levy(1.5, [a], 3, optimizer._WorkArrays(1, 1, 3))
+        optimizer._levy(1.5, [a], optimizer._WorkArrays(1, 1, 3))
         ref = RandomSource(21)
         ref.random(8)
         assert a.random() == ref.random()

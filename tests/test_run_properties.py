@@ -206,17 +206,17 @@ def settings_fields(draw):
     )
     return dict(
         population=draw(st.one_of(st.integers(1, 4), st.integers(-1, 4),
-                                  st.sampled_from([2.0, 2.5, "3", None]))),
+                                  st.sampled_from([2.0, 2.5, "3", None, True]))),
         pa=pa,
         alpha=alpha,
         init=draw(st.sampled_from(["random", "sobol", "grid", "Sobol"])),
-        levy_beta=draw(st.sampled_from([1.5, 1.5, 2.0, 0.0, -1, 2.0001, math.nan])),
+        levy_beta=draw(st.sampled_from([1.5, 1.5, 2.0, 0.0, -1, 2.0001, math.nan, "1.5", True])),
     )
 
 
 def rejection(population, pa, alpha, init, levy_beta):
     """The message :class:`EngineInputs` must raise for these fields, or None for valid ones."""
-    if not isinstance(population, int):
+    if isinstance(population, bool) or not isinstance(population, int):
         return f"population must be an integer, got {population!r}"
     if population < 1:
         return f"population must be >= 1, got {population}"
@@ -232,6 +232,8 @@ def rejection(population, pa, alpha, init, levy_beta):
         return f"alpha must be positive, got {not_positive[0]}"
     if init not in ("random", "sobol"):
         return f"init must be one of ('random', 'sobol'), got {init!r}"
+    if isinstance(levy_beta, bool) or not isinstance(levy_beta, (int, float)):
+        return f"levy_beta must be a number, got {levy_beta!r}"
     if not 0.0 < levy_beta <= 2.0:
         return f"beta must be in (0, 2], got {levy_beta}"
     return None
@@ -244,6 +246,8 @@ def rejection(population, pa, alpha, init, levy_beta):
 @example(dict(population=1, pa=np.array([]), alpha=np.array([]), init="random", levy_beta=1.5))
 @example(dict(population=1, pa=np.array([]), alpha=np.array([]), init="random",
               levy_beta=math.nan))
+@example(dict(population=1, pa=np.array([]), alpha=np.array([]), init="random",
+              levy_beta="1.5"))
 def test_engine_inputs_reject_exactly_the_invalid_settings(fields):
     message = rejection(**fields)
     if message is not None:

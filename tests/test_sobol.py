@@ -187,7 +187,7 @@ class TestPopulation:
         assert np.all(population[0] == 0.0)
 
     def test_unit_box_is_identity(self):
-        box = SearchBox.unit(5)
+        box = SearchBox.cube(5, 0.0, 1.0)
         assert np.array_equal(sobol_population(box, 20), SobolSequence(5).take(20))
 
     def test_population_distinct_and_inside(self):
@@ -198,4 +198,4 @@ class TestPopulation:
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
-            sobol_population(SearchBox.unit(3), 0)
+            sobol_population(SearchBox.cube(3, 0.0, 1.0), 0)
