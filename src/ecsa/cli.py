@@ -145,10 +145,11 @@ def compare(results_path, level, out_dir):
     except ValueError as exc:
         raise click.ClickException(str(exc))
     out = _writable_dir(out_dir) if out_dir else None
-    click.echo(experiments.comparison_table(comparison))
+    table = experiments.comparison_table(comparison)
+    click.echo(table)
     if out:
         experiments.write_comparison_csv(comparison, out / "comparison.csv")
-        (out / "comparison.txt").write_text(experiments.comparison_table(comparison) + "\n")
+        (out / "comparison.txt").write_text(table + "\n")
         click.echo(f"wrote {out / 'comparison.csv'}", err=True)
 
 

@@ -22,7 +22,8 @@ class SearchBox:
 
     ``lower`` and ``upper`` are 1-D arrays of equal, nonzero length,
     with ``lower[k] < upper[k]`` for every ``k``, both finite, and a
-    finite width ``upper[k] - lower[k]``; a scalar bound is rejected.
+    finite width ``upper[k] - lower[k]``; a scalar bound, or one of other
+    than integers or floats (strings, objects, booleans), is rejected.
     :meth:`cube` gives the same bounds in every dimension.
     """
 
@@ -30,6 +31,10 @@ class SearchBox:
     upper: np.ndarray
 
     def __post_init__(self):
+        for name in ("lower", "upper"):
+            dtype = np.asarray(getattr(self, name)).dtype
+            if dtype.kind not in "iuf":
+                raise ValueError(f"{name} must hold integers or floats, got dtype {dtype}")
         lower = np.asarray(self.lower, dtype=float)
         upper = np.asarray(self.upper, dtype=float)
         if lower.ndim != 1 or upper.ndim != 1 or lower.shape != upper.shape:
@@ -66,6 +71,7 @@ class SearchBox:
     def cube(cls, dim: int, lower: float, upper: float) -> "SearchBox":
         """Box with identical bounds in every dimension."""
         dim = checked_int("dim", dim, 1)
+        lower, upper = checked_real("lower", lower), checked_real("upper", upper)
         return cls(np.full(dim, float(lower)), np.full(dim, float(upper)))
 
 

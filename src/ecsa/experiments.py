@@ -317,31 +317,44 @@ def write_traces(traces, out_dir: Path) -> None:
         write_trace_csv(mean_trace, out_dir / f"{function_id}_{algorithm}_mean.csv")
 
 
-def summarize_rows(rows):
-    """Wide per-function summary mirroring the result-table layout."""
+def _cells(rows):
+    """``(functions, algorithms, cells)``: the functions and algorithms present, in suite and
+    :data:`ALGORITHMS` order, and each (function, algorithm) cell's ``best_fitness`` array."""
     grouped = {}
     for row in rows:
         grouped.setdefault((row["function"], row["algorithm"]), []).append(row["best_fitness"])
     functions = sorted({f for f, _ in grouped}, key=FUNCTION_IDS.index)
     algorithms = [a for a in ALGORITHMS if any(k[1] == a for k in grouped)]
-    summary = []
-    for function_id in functions:
-        entry = {"function": function_id}
-        for algorithm in algorithms:
-            values = grouped.get((function_id, algorithm))
-            if values:
-                mean, std = summarize(np.asarray(values))
-                entry[f"{algorithm}_mean"] = mean
-                entry[f"{algorithm}_std"] = std
-        summary.append(entry)
-    return summary, algorithms
+    return functions, algorithms, {k: np.asarray(v, dtype=float) for k, v in grouped.items()}
+
+
+# each arm's columns, with their width and format in the comparison table
+_ARM_STATS = {"mean": (12, ".4e"), "std": (10, ".3e")}
+
+
+def _arm_columns(algorithms):
+    """``(name, width, format)`` of the ``{algorithm}_mean``/``{algorithm}_std`` columns."""
+    return [(f"{a}_{stat}", *layout) for a in algorithms for stat, layout in _ARM_STATS.items()]
+
+
+def _summary_entry(function_id, algorithms, cells):
+    entry = {"function": function_id}
+    for algorithm in algorithms:
+        if (function_id, algorithm) in cells:
+            mean, std = summarize(cells[function_id, algorithm])
+            entry[f"{algorithm}_mean"], entry[f"{algorithm}_std"] = mean, std
+    return entry
+
+
+def summarize_rows(rows):
+    """Wide per-function summary mirroring the result-table layout."""
+    functions, algorithms, cells = _cells(rows)
+    return [_summary_entry(f, algorithms, cells) for f in functions], algorithms
 
 
 def write_summary_csv(rows, path) -> None:
     summary, algorithms = summarize_rows(rows)
-    columns = ["function"]
-    for algorithm in algorithms:
-        columns += [f"{algorithm}_mean", f"{algorithm}_std"]
+    columns = ["function", *(name for name, _, _ in _arm_columns(algorithms))]
     _write_table(path, columns, ([entry.get(c, "") for c in columns] for entry in summary))
 
 
@@ -357,70 +370,40 @@ def write_benchmark_outputs(rows, traces, out_dir) -> None:
 
 
 def compare_rows(rows, level: float = 0.05):
-    """Per-function comparison of both algorithms.
+    """Per-function comparison of the two :data:`ALGORITHMS`, baseline first.
 
     Returns a list of dicts with means, stds, the rank-sum p-value, the
-    verdict at ``level`` and the winner flag (lower mean, ``tie`` on an
-    exact mean tie).  A cell with under 2 trials, or holding both ``-inf``
-    and ``inf`` (no mean), raises a ``ValueError`` naming it.
+    verdict at ``level`` and the winner (the arm with the lower mean,
+    ``tie`` on an exact mean tie).  A cell with under 2 trials, or holding
+    both ``-inf`` and ``inf`` (no mean), raises a ``ValueError`` naming it.
     """
-    grouped = {}
-    for row in rows:
-        grouped.setdefault(row["function"], {}).setdefault(row["algorithm"], []).append(
-            row["best_fitness"]
-        )
+    functions, _, cells = _cells(rows)
+    base, cand = ALGORITHMS
     comparison = []
-    for function_id in sorted(grouped, key=FUNCTION_IDS.index):
-        cells = grouped[function_id]
-        missing = [a for a in ALGORITHMS if a not in cells]
+    for function_id in functions:
+        missing = [a for a in ALGORITHMS if (function_id, a) not in cells]
         if missing:
-            raise ValueError(
-                f"comparison for {function_id} needs both algorithms; missing {missing}"
-            )
+            raise ValueError(f"comparison for {function_id} needs both algorithms; missing {missing}")
         for algorithm in ALGORITHMS:
-            if len(cells[algorithm]) < 2:
+            count = cells[function_id, algorithm].size
+            if count < 2:
                 raise ValueError(f"{function_id} {algorithm}: compare needs at least 2 trials "
-                                 f"per cell, got {len(cells[algorithm])}")
-        csa = np.asarray(cells["csa"], dtype=float)
-        ecsa = np.asarray(cells["ecsa"], dtype=float)
-        csa_mean, csa_std = summarize(csa)
-        ecsa_mean, ecsa_std = summarize(ecsa)
-        for algorithm, mean in (("csa", csa_mean), ("ecsa", ecsa_mean)):
-            if math.isnan(mean):
-                raise ValueError(
-                    f"{function_id} {algorithm}: best_fitness holds both -inf and inf, "
-                    "so its mean is undefined"
-                )
-        p = rank_sum_p(csa, ecsa)
-        if csa_mean == ecsa_mean:
-            winner = "tie"
-        else:
-            winner = "ecsa" if ecsa_mean < csa_mean else "csa"
-        comparison.append(
-            {
-                "function": function_id,
-                "csa_mean": csa_mean,
-                "csa_std": csa_std,
-                "ecsa_mean": ecsa_mean,
-                "ecsa_std": ecsa_std,
-                "p_value": p,
-                "verdict": decide(p, level),
-                "winner": winner,
-            }
-        )
+                                 f"per cell, got {count}")
+        entry = _summary_entry(function_id, ALGORITHMS, cells)
+        for algorithm in ALGORITHMS:
+            if math.isnan(entry[f"{algorithm}_mean"]):
+                raise ValueError(f"{function_id} {algorithm}: best_fitness holds both -inf and inf, "
+                                 "so its mean is undefined")
+        p = rank_sum_p(cells[function_id, base], cells[function_id, cand])
+        base_mean, cand_mean = entry[f"{base}_mean"], entry[f"{cand}_mean"]
+        winner = "tie" if base_mean == cand_mean else cand if cand_mean < base_mean else base
+        entry.update(p_value=p, verdict=decide(p, level), winner=winner)
+        comparison.append(entry)
     return comparison
 
 
-COMPARISON_FIELDS = (
-    "function",
-    "csa_mean",
-    "csa_std",
-    "ecsa_mean",
-    "ecsa_std",
-    "p_value",
-    "verdict",
-    "winner",
-)
+COMPARISON_FIELDS = ("function", *(name for name, _, _ in _arm_columns(ALGORITHMS)),
+                     "p_value", "verdict", "winner")
 
 
 def write_comparison_csv(comparison, path) -> None:
@@ -430,14 +413,14 @@ def write_comparison_csv(comparison, path) -> None:
 
 def comparison_table(comparison) -> str:
     """Aligned, human-readable comparison table."""
-    header = f"{'func':<5} {'csa_mean':>12} {'csa_std':>10} {'ecsa_mean':>12} {'ecsa_std':>10} {'p_value':>10} {'verdict':<24} {'winner':<6}"
+    arms = _arm_columns(ALGORITHMS)
+    header = " ".join([f"{'func':<5}", *(f"{name:>{width}}" for name, width, _ in arms),
+                       f"{'p_value':>10} {'verdict':<24} {'winner':<6}"])
     lines = [header, "-" * len(header)]
     for e in comparison:
-        lines.append(
-            f"{e['function']:<5} {e['csa_mean']:>12.4e} {e['csa_std']:>10.3e} "
-            f"{e['ecsa_mean']:>12.4e} {e['ecsa_std']:>10.3e} {e['p_value']:>10.3g} "
-            f"{e['verdict']:<24} {e['winner']:<6}"
-        )
+        lines.append(" ".join([f"{e['function']:<5}",
+                               *(f"{e[name]:>{width}{spec}}" for name, width, spec in arms),
+                               f"{e['p_value']:>10.3g} {e['verdict']:<24} {e['winner']:<6}"]))
     return "\n".join(lines)
 
 

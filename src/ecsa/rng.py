@@ -31,7 +31,8 @@ class RandomSource:
     ----------
     seed : int
         64-bit seed.  Values outside ``[0, 2**64)`` are reduced modulo
-        ``2**64``.  Same seed, same stream, bit for bit.
+        ``2**64``.  Same seed, same stream, bit for bit.  Anything but
+        an integer, a ``bool`` too, raises ``TypeError``.
 
     The PCG64 generator is made at the first draw, so a worker pool's
     parent, which only builds and pickles sources, never imports
@@ -39,7 +40,7 @@ class RandomSource:
     """
 
     def __init__(self, seed: int):
-        if not isinstance(seed, (int, np.integer)):
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
             raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
         self.seed = int(seed) & _UINT64_MASK
         self._gen = None

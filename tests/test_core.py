@@ -37,6 +37,22 @@ class TestSearchBox:
         with pytest.raises(ValueError, match="^lower and upper must be 1-D arrays of equal length$"):
             SearchBox(0.0, 1.0)
 
+    def test_cube_rejects_string_bounds(self):
+        # "-1" and "1" used to give the [-1, 1] box through float()
+        with pytest.raises(ValueError, match="^lower must be a number, got '-1'$"):
+            SearchBox.cube(2, "-1", "1")
+
+    @pytest.mark.parametrize("lower, upper, message", [
+        (["-1"], ["1"], "lower must hold integers or floats, got dtype <U2"),
+        ([-1.0], ["1"], "upper must hold integers or floats, got dtype <U1"),
+        (np.array([-1.0], dtype=object), [1.0], "lower must hold integers or floats, got dtype object"),
+        ([False], [True], "lower must hold integers or floats, got dtype bool"),
+    ], ids=["str", "str_upper", "object", "bool"])
+    def test_rejects_bounds_that_are_not_numbers(self, lower, upper, message):
+        # numeric strings used to be converted to floats
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SearchBox(lower, upper)
+
     def test_rejects_overflowing_width(self):
         # the width used to overflow to inf and put initial nests at [inf, inf]
         with pytest.raises(ValueError, match=re.escape("finite, got 1e+308 - (-1e+308) at index 0")):

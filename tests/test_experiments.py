@@ -31,6 +31,7 @@ from ecsa.experiments import (
     write_results_csv,
 )
 from ecsa.allocation import synth_instance
+from ecsa.benchmarks import FUNCTION_IDS
 
 
 @pytest.fixture
@@ -294,6 +295,33 @@ class TestCompare:
         entry = compare_rows(rows)[0]
         assert entry["winner"] == "ecsa"
         assert entry["verdict"] == "significantly_different"
+
+
+    # |values| <= 1e150, so the squares in a std stay finite
+    @given(st.dictionaries(
+        st.sampled_from(FUNCTION_IDS),
+        st.tuples(*[st.lists(st.floats(-1e150, 1e150), min_size=2, max_size=6)] * len(ALGORITHMS)),
+        min_size=1, max_size=4))
+    def test_compare_agrees_with_summary(self, cells):
+        rows = [
+            {"function": function_id, "algorithm": algorithm, "trial": trial, "seed": trial,
+             "best_fitness": value, "evaluations": 1}
+            for function_id, samples in cells.items()
+            for algorithm, values in zip(ALGORITHMS, samples)
+            for trial, value in enumerate(values)
+        ]
+        summary, algorithms = summarize_rows(rows)
+        comparison = compare_rows(rows)
+        assert algorithms == list(ALGORITHMS)
+        functions = sorted(cells, key=FUNCTION_IDS.index)
+        assert [e["function"] for e in summary] == [e["function"] for e in comparison] == functions
+        for entry, expected in zip(comparison, summary):
+            for algorithm in ALGORITHMS:
+                for column in (f"{algorithm}_mean", f"{algorithm}_std"):
+                    assert entry[column] == expected[column]
+            means = [expected[f"{algorithm}_mean"] for algorithm in ALGORITHMS]
+            lowest = [a for a, mean in zip(ALGORITHMS, means) if mean == min(means)]
+            assert entry["winner"] == (lowest[0] if len(lowest) == 1 else "tie")
 
 
 class TestAllocationExperiment:

@@ -227,6 +227,14 @@ class TestLevyUpdate:
             CuckooSearch(seed=0).fit(counting, [(-1, 1), (-2, 2)])
         assert counting.calls == 0
 
+    def test_bool_seed_rejected_before_any_evaluation(self):
+        # seed=True used to run as seed 1
+        box = SearchBox.cube(2, -1, 1)
+        counting = CountingObjective(sphere, box)
+        with pytest.raises(TypeError, match="^seed must be an integer, got bool$"):
+            CuckooSearch(seed=True).fit(counting, box)
+        assert counting.calls == 0
+
 
 class TestAbandonWorst:
     """The discovery phase, observed on every iteration of ``run``."""

@@ -96,8 +96,9 @@ class TestNormal:
 
 class TestHelpers:
     def test_seed_type_check(self):
-        with pytest.raises(TypeError):
-            RandomSource(1.5)
+        for seed in (1.5, True):  # True used to run as seed 1
+            with pytest.raises(TypeError, match="^seed must be an integer, got "):
+                RandomSource(seed)
 
     def test_stable_seed_is_process_independent(self):
         # sha256-based: a fixed expected value guards against hash() creep
