@@ -12,7 +12,7 @@ from .allocation import (
     optimal_assignment,
     synth_instance,
 )
-from .benchmarks import BenchmarkObjective, ObjectiveSpec, evaluate, evaluate_many, suite
+from .benchmarks import BenchmarkObjective, ObjectiveSpec, evaluate_many, suite
 from .core import SearchBox
 from .levy import mantegna_sigma
 from .optimizer import CuckooSearch, EngineInputs, EnhancedCuckooSearch, RunTrace, run_trials
@@ -38,7 +38,6 @@ __all__ = [
     "cosine_schedule",
     "decide",
     "decode",
-    "evaluate",
     "evaluate_many",
     "fitness",
     "load_instance",

@@ -185,14 +185,6 @@ def evaluate_many(spec: ObjectiveSpec, X, rng: RandomSource | None = None) -> np
     return kernel(X)
 
 
-def evaluate(spec: ObjectiveSpec, x, rng: RandomSource | None = None) -> float:
-    """Evaluate one point (strict dimension and bounds checks)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"{spec.id} expects a 1-D point, got shape {x.shape}")
-    return float(evaluate_many(spec, x[None, :], rng)[0])
-
-
 class BenchmarkObjective:
     """A spec bound to a run's random source, ready for an optimizer.
 
@@ -207,7 +199,11 @@ class BenchmarkObjective:
         self.rng = rng
 
     def __call__(self, x) -> float:
-        return evaluate(self.spec, x, self.rng)
+        """Evaluate one point (strict dimension and bounds checks)."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1:
+            raise ValueError(f"{self.spec.id} expects a 1-D point, got shape {x.shape}")
+        return float(evaluate_many(self.spec, x[None, :], self.rng)[0])
 
     def evaluate_many(self, X) -> np.ndarray:
         return evaluate_many(self.spec, X, self.rng)

@@ -189,7 +189,7 @@ def allocate(instance_path, blocks_path, areas_path, synthetic, blocks_count,
             instance = load_instance_csv(blocks_path, areas_path)
         else:
             instance = synth_instance(blocks_count, areas_count, seed=base_seed)
-        experiments.check_settings(config, instance.decision_dim)
+        experiments.check_settings(config, instance.decision_dim, trials)
         out = _writable_dir(out_dir)
         report = experiments.run_allocation(instance, algorithm, config)
     except ValueError as exc:

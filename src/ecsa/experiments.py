@@ -30,7 +30,7 @@ from . import allocation, benchmarks, sobol
 from .allocation import AllocationInstance, AllocationObjective, optimal_assignment
 from .benchmarks import BenchmarkObjective, FUNCTION_IDS
 from .core import checked_int
-from .optimizer import CuckooSearch, EnhancedCuckooSearch, run_trials
+from .optimizer import CuckooSearch, EnhancedCuckooSearch, run_trials, stack_bytes
 from .rng import RandomSource, stable_seed
 from .stats import decide, rank_sum_p, summarize
 
@@ -119,12 +119,28 @@ def make_optimizer(algorithm: str, config: ExperimentConfig):
                         for field in fields(estimator) if field.name in names})
 
 
-def check_settings(config: ExperimentConfig, dim: int) -> None:
-    """Reject settings that cannot run at ``dim``; ``bench`` and ``allocate`` run it before output.
+def physical_memory() -> int | None:
+    """The machine's physical memory in bytes, or None where ``os.sysconf`` cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
-    Every configured algorithm's ``engine_inputs()`` must pass, the Sobol table
-    must cover ``dim`` for a Sobol algorithm, and ``ECSA_WORKERS`` must be an integer >= 1.
+
+def check_settings(config: ExperimentConfig, dim: int, trials: int) -> None:
+    """Reject ``trials`` fits that cannot run at ``dim``; ``bench`` and ``allocate`` call it first.
+
+    The largest stack's arrays (:func:`ecsa.optimizer.stack_bytes`) must fit in
+    the physical memory, every configured algorithm's ``engine_inputs()`` must
+    pass, the Sobol table must cover ``dim`` for a Sobol algorithm, and
+    ``ECSA_WORKERS`` must be an integer >= 1.
     """
+    population = checked_int("population", config.population, 1)
+    iterations = checked_int("iterations", config.iterations, 0)
+    needed, memory = stack_bytes(trials, population, dim, iterations), physical_memory()
+    if memory is not None and needed > memory:
+        raise ValueError(f"population={population} and iterations={iterations} at dim={dim} need "
+                         f"about {needed} bytes, more than the {memory} bytes of physical memory")
     for algorithm in config.algorithms:
         if make_optimizer(algorithm, config).engine_inputs().init == "sobol":
             sobol.check_dim(dim)
@@ -143,7 +159,8 @@ def check_benchmark(config: ExperimentConfig) -> None:
         )
     for function_id in config.functions:
         benchmarks.get_spec(function_id, config.dim)
-    check_settings(config, config.dim)
+    check_settings(config, config.dim,
+                   len(config.functions) * len(config.algorithms) * config.trials)
 
 
 def worker_count() -> int:

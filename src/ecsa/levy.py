@@ -2,11 +2,11 @@
 
 A step coordinate is ``u / |v|**(1/beta)`` with ``u ~ N(0, sigma_u**2)``
 and ``v ~ N(0, 1)``, where ``sigma_u`` is Mantegna's closed form of the
-stability index ``beta``.  :func:`levy_steps` takes ``beta`` itself, a
-float, and derives ``sigma_u`` from it.  All normals come from the pinned
-Box-Muller transform (:func:`ecsa.rng.box_muller`), drawn as one ``u``
-block followed by one ``v`` block (row-major for matrices), so streams are
-reproducible.
+stability index ``beta``.  As in Mantegna (1994) and Yang & Deb (2009),
+``beta`` is fixed at :data:`LEVY_BETA` = 1.5, so ``sigma_u`` is worked out
+once, here.  All normals come from the pinned Box-Muller transform
+(:func:`ecsa.rng.box_muller`), drawn as one ``u`` block followed by one
+``v`` block (row-major for matrices), so streams are reproducible.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+LEVY_BETA = 1.5
 
 
 def mantegna_sigma(beta: float) -> float:
@@ -28,19 +30,18 @@ def mantegna_sigma(beta: float) -> float:
     return (numerator / denominator) ** (1.0 / beta)
 
 
-def levy_steps(beta: float, u: np.ndarray, v: np.ndarray, out=None, work=None) -> np.ndarray:
-    """Mantegna steps ``sigma_u * u / |v| ** (1 / beta)`` from standard normals.
+_SIGMA_U = mantegna_sigma(LEVY_BETA)
 
-    ``sigma_u`` is :func:`mantegna_sigma` of ``beta``, which raises on a
-    ``beta`` outside (0, 2] before any array is written.  Elementwise, so
-    ``u`` and ``v`` may have any (equal) shape: the engine passes one row
-    of normals per trial, drawn as the ``u`` block and then the ``v``
-    block.  ``out`` receives the steps and ``work`` the scale
-    ``|v| ** (1 / beta)``; each may be its own input array (the engine
-    passes ``out=u, work=v``), and a missing one is allocated.
+
+def levy_steps(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Mantegna steps ``sigma_u * u / |v| ** (1 / LEVY_BETA)`` from standard normals, in place.
+
+    Elementwise, so ``u`` and ``v`` may have any (equal) shape: the engine
+    passes one row of normals per trial, drawn as the ``u`` block and then
+    the ``v`` block.  The steps are written over ``u``, which is returned,
+    and the scale ``|v| ** (1 / LEVY_BETA)`` over ``v``.
     """
-    sigma_u = mantegna_sigma(beta)
-    scale = np.abs(v, out=work)
-    np.power(scale, 1.0 / beta, out=scale)
-    steps = np.multiply(u, sigma_u, out=out)
-    return np.divide(steps, scale, out=steps)
+    np.abs(v, out=v)
+    np.power(v, 1.0 / LEVY_BETA, out=v)
+    np.multiply(u, _SIGMA_U, out=u)
+    return np.divide(u, v, out=u)

@@ -3,21 +3,20 @@
 The engine :func:`run_trials` advances a stack of independent trials in
 lockstep.  Each trial has its own objective, search box, random source and
 :class:`EngineInputs`: the population, the discovery rate ``pa`` and the
-step size ``alpha`` as arrays holding one value per iteration, the init
-mode and the Levy stability index ``levy_beta``.  The standard algorithm
-feeds it constant arrays and random initialization; the enhanced variant
-feeds it cosine warm-restart schedules and Sobol initialization, so
-trials of both, on different objectives and boxes of one dimension, can
-share one stack.
+step size ``alpha`` as arrays holding one value per iteration, and the
+init mode.  The standard algorithm feeds it constant arrays and random
+initialization; the enhanced variant feeds it cosine warm-restart
+schedules and Sobol initialization, so trials of both, on different
+objectives and boxes of one dimension, can share one stack.
 With constant schedules and random initialization the two are
 bit-identical under the same seed.  Per iteration every trial runs:
 
 1. Levy phase.  Every nest proposes
    ``x' = clamp(x + alpha * L (x - x_best))`` with ``L`` a Mantegna Levy
-   step (elementwise product); the best nest itself proposes
-   ``x' = clamp(x_best + alpha * L)`` so it is not frozen at zero
-   displacement.  A proposal replaces its parent only when strictly
-   better.
+   step of the fixed index :data:`ecsa.levy.LEVY_BETA` (elementwise
+   product); the best nest itself proposes ``x' = clamp(x_best + alpha * L)``
+   so it is not frozen at zero displacement.  A proposal replaces its
+   parent only when strictly better.
 2. Discovery phase.  Every coordinate of every nest except the global
    best is discovered independently with probability ``pa``; discovered
    coordinates move along a biased random walk
@@ -55,7 +54,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import SearchBox, checked_int, checked_real
-from .levy import levy_steps, mantegna_sigma
+from .levy import levy_steps
 from .rng import RandomSource, box_muller
 from .schedule import cosine_schedule
 from .sobol import check_dim, sobol_population
@@ -167,16 +166,26 @@ def _positions(block: np.ndarray, shape) -> np.ndarray:
     return block[: math.prod(shape)].reshape(shape)
 
 
-def _levy(beta: float, rngs, work: _WorkArrays) -> np.ndarray:
+def stack_bytes(trials: int, population: int, dim: int, iterations: int) -> int:
+    """About the bytes the largest stack of a :func:`run_trials` call of ``trials`` trials holds.
+
+    Per stacked trial: the three blocks of :class:`_WorkArrays`, the nests
+    and their values, and the trial's ``pa``, ``alpha`` and trace rows.
+    """
+    n = population * dim
+    stacked = min(trials, max(1, STACK_COORDINATES // n))
+    return 8 * stacked * (6 * ((n + 1) // 2) + n + population + 3 * iterations)
+
+
+def _levy(rngs, work: _WorkArrays) -> np.ndarray:
     """Each trial's Levy steps, one per nest coordinate, from its ``u`` normals then its ``v`` normals.
 
-    The steps, of stability index ``beta``, fill ``work.steps`` (see
-    :class:`_WorkArrays`), which sets their number.  Box-Muller runs in
-    place on each uniform block.
+    The steps fill ``work.steps`` (see :class:`_WorkArrays`), which sets
+    their number.  Box-Muller runs in place on each uniform block.
     """
-    box_muller(_draw(rngs, work.u), out=work.u, work=work.radius)
-    box_muller(_draw(rngs, work.v), out=work.v, work=work.radius)
-    return levy_steps(beta, work.steps, work.scale, out=work.steps, work=work.scale)
+    box_muller(_draw(rngs, work.u), work.radius)
+    box_muller(_draw(rngs, work.v), work.radius)
+    return levy_steps(work.steps, work.scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,8 +195,7 @@ class EngineInputs:
     ``population`` is an integer >= 1; ``pa[t]`` and ``alpha[t]`` are the
     discovery rate and the step size of iteration ``t``, 1-D rows of equal
     length (the number of iterations), finite, with ``pa`` in ``[0, 1]``
-    and ``alpha > 0``; ``init`` is one of :data:`INIT_MODES`;
-    ``levy_beta`` is the Levy stability index, a number in ``(0, 2]``.
+    and ``alpha > 0``; ``init`` is one of :data:`INIT_MODES`.
     ``pa`` and ``alpha`` are kept as read-only float64 copies, so a made
     value stays valid.  Trials that share settings share one object, which
     compares by identity.
@@ -197,7 +205,6 @@ class EngineInputs:
     pa: np.ndarray
     alpha: np.ndarray
     init: str
-    levy_beta: float = 1.5
 
     def __post_init__(self):
         object.__setattr__(self, "population", checked_int("population", self.population, 1))
@@ -216,7 +223,6 @@ class EngineInputs:
             raise ValueError(f"alpha must be positive, got {alpha[alpha <= 0.0][0]}")
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
-        mantegna_sigma(checked_real("levy_beta", self.levy_beta))  # raises outside (0, 2]
         for name, row in (("pa", pa), ("alpha", alpha)):
             row.flags.writeable = False
             object.__setattr__(self, name, row)
@@ -299,7 +305,7 @@ def _run_stack(objectives, boxes, settings, rngs) -> list[RunTrace]:
     evaluate = _stack_evaluator(objectives)
     pa = np.stack([inputs.pa for inputs in settings])
     alpha = np.stack([inputs.alpha for inputs in settings])
-    population, beta = settings[0].population, settings[0].levy_beta
+    population = settings[0].population
     trials, iterations = pa.shape
     trial = np.arange(trials)
     dim = boxes[0].dim
@@ -319,7 +325,7 @@ def _run_stack(objectives, boxes, settings, rngs) -> list[RunTrace]:
 
     for t, (pa_t, alpha_t) in enumerate(columns):
         best = F.argmin(axis=1)
-        scaled = _levy(beta, rngs, work).reshape(X.shape)
+        scaled = _levy(rngs, work).reshape(X.shape)
         np.multiply(scaled, alpha_t, out=scaled)
         # P holds the spread x - x_best, then the proposal
         P = np.subtract(X, X[trial, best][:, None, :], out=work.proposals)
@@ -352,9 +358,8 @@ def run_trials(objectives, boxes, settings, rngs) -> list[RunTrace]:
     that share an objective, a box or settings repeat one object.  The
     settings were checked when made; this checks the list lengths and
     entry types, that every trial of the call has one ``dim``, one
-    population, one iteration count and one Levy ``beta``, and that the
-    Sobol table covers the ``dim`` of a ``sobol`` trial, all before the
-    first evaluation.
+    population and one iteration count, and that the Sobol table covers
+    the ``dim`` of a ``sobol`` trial, all before the first evaluation.
 
     A trial with random initialization first draws its ``population * dim``
     initial uniforms, before the initial nests are evaluated.  Per
@@ -387,8 +392,7 @@ def run_trials(objectives, boxes, settings, rngs) -> list[RunTrace]:
                 )
     for name, values in (("dim", {box.dim for box in boxes}),
                          ("population", {inputs.population for inputs in settings}),
-                         ("iteration count", {inputs.pa.size for inputs in settings}),
-                         ("Levy beta", {inputs.levy_beta for inputs in settings})):
+                         ("iteration count", {inputs.pa.size for inputs in settings})):
         if len(values) > 1:
             raise ValueError(f"every trial of one call must have one {name}, got {sorted(values)}")
     if any(inputs.init == "sobol" for inputs in settings):
@@ -405,8 +409,8 @@ class BaseOptimizer:
     """Scikit-learn style estimator over the shared engine.
 
     A subclass is a dataclass that declares its hyperparameters as fields
-    (including ``population``, ``iterations``, ``levy_beta``, ``init`` and
-    ``seed``), stored verbatim, and maps them to the engine's inputs
+    (including ``population``, ``iterations``, ``init`` and ``seed``),
+    stored verbatim, and maps them to the engine's inputs
     (:meth:`engine_inputs`): ``_schedules`` returns the per-iteration
     ``pa`` and ``alpha`` arrays, and raises on a hyperparameter those
     arrays cannot show to be wrong.  A field with a float default must
@@ -432,7 +436,7 @@ class BaseOptimizer:
             if isinstance(field.default, float):
                 checked_real(field.name, getattr(self, field.name))
         pa, alpha = self._schedules()
-        return EngineInputs(self.population, pa, alpha, self.init, self.levy_beta)
+        return EngineInputs(self.population, pa, alpha, self.init)
 
     def fit(self, objective, box: SearchBox):
         """Minimize ``objective`` over the :class:`SearchBox` ``box`` and store the results.
@@ -465,7 +469,6 @@ class CuckooSearch(BaseOptimizer):
     iterations: int = 500
     pa: float = 0.25
     alpha: float = 0.01
-    levy_beta: float = 1.5
     init: str = "random"
     seed: int = 0
 
@@ -495,7 +498,6 @@ class EnhancedCuckooSearch(BaseOptimizer):
     alpha_max: float = 0.05
     t0: int = 100
     t_mult: float = 2.0
-    levy_beta: float = 1.5
     init: str = "sobol"
     seed: int = 0
 

@@ -8,7 +8,8 @@ the sources themselves.  Two pinned, documented forms of the stream are
 used:
 
 * ``random(...)``       -> the raw [0, 1) doubles of a PCG64 bit generator
-* ``box_muller(u)``     -> standard normals from consecutive uniform pairs
+* ``box_muller(u, radius)`` -> standard normals from consecutive uniform pairs,
+  written over ``u``
 
 Normal variates deliberately avoid the bit generator's native ziggurat
 sampler: the Box-Muller transform is fixed here once and cannot drift
@@ -59,39 +60,28 @@ class RandomSource:
         return self._gen.random(size, out=out)
 
 
-def box_muller(u: np.ndarray, out=None, work=None) -> np.ndarray:
-    """Standard normals from uniform pairs along the last axis of ``u``.
+def box_muller(u: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Standard normals from uniform pairs along the last axis of ``u``, in place.
 
     Each pair ``(u1, u2)`` of consecutive values becomes
     ``r = sqrt(-2 ln(1 - u1))``, ``z0 = r cos(2 pi u2)``,
-    ``z1 = r sin(2 pi u2)`` in the same two places.  The kernels are
-    elementwise, so a row of a stacked block gives the same bits as the
-    same uniforms transformed alone.
-
-    The transform runs in place on ``out``, which may be ``u`` itself
-    (otherwise ``u`` is copied into it first); ``work`` is a contiguous
-    ``(*u.shape[:-1], u.shape[-1] // 2)`` array that holds the radius.
-    Either missing array is allocated, so a caller passing neither gets a
-    new array and ``u`` is left as it was.  The engine passes both, from
-    work arrays allocated once per stack.
+    ``z1 = r sin(2 pi u2)`` in the same two places of ``u``, which is
+    returned.  ``radius`` is a contiguous ``(*u.shape[:-1], u.shape[-1] // 2)``
+    array that holds ``r`` (the engine passes one allocated once per
+    stack).  The kernels are elementwise, so a row of a stacked block gives
+    the same bits as the same uniforms transformed alone.
     """
-    if out is None:
-        out = u.copy()
-    elif out is not u:
-        np.copyto(out, u)
-    if work is None:
-        work = np.empty((*u.shape[:-1], u.shape[-1] // 2))
-    radius, angle = work, out[..., 1::2]
-    np.negative(out[..., 0::2], out=radius)
+    first, angle = u[..., 0::2], u[..., 1::2]
+    np.negative(first, out=radius)
     np.log1p(radius, out=radius)
     np.multiply(radius, -2.0, out=radius)
     np.sqrt(radius, out=radius)
     np.multiply(angle, 2.0 * np.pi, out=angle)
-    np.cos(angle, out=out[..., 0::2])
-    np.multiply(radius, out[..., 0::2], out=out[..., 0::2])
+    np.cos(angle, out=first)
+    np.multiply(radius, first, out=first)
     np.sin(angle, out=angle)
     np.multiply(radius, angle, out=angle)
-    return out
+    return u
 
 
 def stable_seed(base_seed: int, *labels) -> int:

@@ -26,15 +26,24 @@ def summarize(sample) -> tuple[float, float]:
 
     The spread of a sample holding an infinite value is unbounded, so its
     std is ``inf`` (the formula would give NaN); its mean is infinite, or
-    NaN when it holds infinities of both signs.
+    NaN when it holds infinities of both signs.  When a sum or a square
+    overflows on finite values (``[1e308, 1e308]``), both are redone on the
+    values scaled by a power of two, so they stay finite wherever the true
+    value is.
     """
     values = np.asarray(sample, dtype=float)
     if values.size < 2:
         raise ValueError(f"summarize needs at least 2 values, got {values.size}")
-    if np.isinf(values).any():
-        with np.errstate(invalid="ignore"):  # inf + -inf
-            return float(values.mean()), math.inf
-    return float(values.mean()), float(values.std(ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow, and inf + -inf
+        mean, std = values.mean(), values.std(ddof=1)
+        if np.isinf(values).any():
+            return float(mean), math.inf
+        if np.isfinite(values).all() and not np.isfinite([mean, std]).all():
+            # scaling by a power of two changes no rounding (short of subnormals)
+            _, exponent = np.frexp(np.abs(values).max())
+            scaled = np.ldexp(values, -exponent)
+            mean, std = np.ldexp([scaled.mean(), scaled.std(ddof=1)], exponent)
+    return float(mean), float(std)
 
 
 def _midranks(pooled: np.ndarray) -> np.ndarray:

@@ -23,12 +23,11 @@ from ecsa import (
     SearchBox,
     SobolSequence,
     cosine_schedule,
-    evaluate,
     rank_sum_p,
     suite,
     synth_instance,
 )
-from ecsa.benchmarks import MULTIMODAL_IDS, SCHWEFEL_ARGMIN, get_spec
+from ecsa.benchmarks import MULTIMODAL_IDS, SCHWEFEL_ARGMIN, BenchmarkObjective, get_spec
 from ecsa.experiments import ExperimentConfig, compare_rows, run_allocation, run_benchmark
 
 from test_benchmarks import ORACLES
@@ -164,20 +163,20 @@ def test_criterion_6_benchmark_oracles():
         for _ in range(100):
             x = (-1.0 + 2.0 * rng.random(spec.dim)) * spec.box.upper
             expected = oracle(x.tolist())
-            got = evaluate(spec, x)
+            got = BenchmarkObjective(spec)(x)
             scale = max(abs(expected), 1e-300)
             worst_rel = max(worst_rel, abs(got - expected) / scale)
     oracle_ok = worst_rel <= 1e-12
 
     optima_ok = (
-        evaluate(get_spec("F1"), np.zeros(15)) <= 1e-9
-        and evaluate(get_spec("F8"), np.zeros(15)) <= 1e-9
-        and abs(evaluate(get_spec("F9"), np.zeros(15))) <= 1e-9
-        and evaluate(get_spec("F10"), np.zeros(15)) <= 1e-9
-        and evaluate(get_spec("F12"), -np.ones(15)) <= 1e-9
-        and evaluate(get_spec("F5"), np.ones(15)) == 0.0
+        BenchmarkObjective(get_spec("F1"))(np.zeros(15)) <= 1e-9
+        and BenchmarkObjective(get_spec("F8"))(np.zeros(15)) <= 1e-9
+        and abs(BenchmarkObjective(get_spec("F9"))(np.zeros(15))) <= 1e-9
+        and BenchmarkObjective(get_spec("F10"))(np.zeros(15)) <= 1e-9
+        and BenchmarkObjective(get_spec("F12"))(-np.ones(15)) <= 1e-9
+        and BenchmarkObjective(get_spec("F5"))(np.ones(15)) == 0.0
         and abs(
-            evaluate(get_spec("F11"), np.full(15, SCHWEFEL_ARGMIN))
+            BenchmarkObjective(get_spec("F11"))(np.full(15, SCHWEFEL_ARGMIN))
             - (-418.9829 * 15)
         )
         <= 0.01

@@ -17,7 +17,6 @@ PUBLIC_API = [
     "cosine_schedule",
     "decide",
     "decode",
-    "evaluate",
     "evaluate_many",
     "fitness",
     "load_instance",

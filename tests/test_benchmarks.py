@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ecsa import RandomSource, evaluate, evaluate_many, suite
+from ecsa import RandomSource, evaluate_many, suite
 from ecsa.benchmarks import (
     FUNCTION_IDS,
     MULTIMODAL_IDS,
@@ -159,20 +159,20 @@ class TestSuite:
 
 class TestKnownOptima:
     def test_sphere_at_origin(self):
-        assert evaluate(get_spec("F1"), np.zeros(15)) == 0.0
+        assert BenchmarkObjective(get_spec("F1"))(np.zeros(15)) == 0.0
 
     def test_rosenbrock_at_ones(self):
-        assert evaluate(get_spec("F5"), np.ones(15)) == 0.0
+        assert BenchmarkObjective(get_spec("F5"))(np.ones(15)) == 0.0
 
     def test_step_at_quarter(self):
-        assert evaluate(get_spec("F6"), np.full(15, 0.4)) == 0.0
+        assert BenchmarkObjective(get_spec("F6"))(np.full(15, 0.4)) == 0.0
 
     def test_ackley_at_origin_cancels(self):
-        assert abs(evaluate(get_spec("F9"), np.zeros(15))) <= 1e-14
+        assert abs(BenchmarkObjective(get_spec("F9"))(np.zeros(15))) <= 1e-14
 
     def test_schwefel_near_quoted_optimum(self):
         spec = get_spec("F11")
-        value = evaluate(spec, np.full(15, SCHWEFEL_ARGMIN))
+        value = BenchmarkObjective(spec)(np.full(15, SCHWEFEL_ARGMIN))
         assert value == pytest.approx(spec.known_optimum_value, abs=0.01)
 
     def test_deterministic_optima_within_1e9(self):
@@ -180,7 +180,7 @@ class TestKnownOptima:
             if spec.stochastic:
                 continue
             tolerance = 0.01 if spec.id == "F11" else 1e-9
-            value = evaluate(spec, spec.known_optimizer)
+            value = BenchmarkObjective(spec)(spec.known_optimizer)
             assert abs(value - spec.known_optimum_value) <= tolerance, spec.id
 
     def test_axis_perturbation_local_minimality(self):
@@ -188,23 +188,25 @@ class TestKnownOptima:
         for spec in suite():
             if spec.stochastic:
                 continue
-            base = evaluate(spec, spec.known_optimizer)
+            objective = BenchmarkObjective(spec)
+            base = objective(spec.known_optimizer)
             for axis in range(spec.dim):
                 probe = spec.known_optimizer.copy()
                 probe[axis] += eps
-                assert base <= evaluate(spec, probe) + 1e-12, (spec.id, axis)
+                assert base <= objective(probe) + 1e-12, (spec.id, axis)
 
 
 class TestOracleAgreement:
     @pytest.mark.parametrize("function_id", sorted(ORACLES))
     def test_100_random_points(self, function_id):
         spec = get_spec(function_id)
+        objective = BenchmarkObjective(spec)
         rng = RandomSource(4000 + FUNCTION_IDS.index(function_id))
         oracle = ORACLES[function_id]
         for _ in range(100):
             x = (-1.0 + 2.0 * rng.random(spec.dim)) * spec.box.upper
             expected = oracle(x.tolist())
-            got = evaluate(spec, x)
+            got = objective(x)
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-300), function_id
 
 
@@ -213,7 +215,7 @@ class TestQuarticNoise:
         spec = get_spec("F7")
         rng = RandomSource(17)
         for _ in range(500):
-            value = evaluate(spec, np.zeros(15), rng)
+            value = BenchmarkObjective(spec, rng)(np.zeros(15))
             assert 0.0 <= value < 1.0
 
     def test_noise_term_matches_weighted_quartic_plus_uniform(self):
@@ -221,37 +223,40 @@ class TestQuarticNoise:
         x = np.full(15, 0.5)
         deterministic = sum((i + 1) * 0.5**4 for i in range(15))
         rng = RandomSource(18)
-        value = evaluate(spec, x, rng)
+        value = BenchmarkObjective(spec, rng)(x)
         noise = RandomSource(18).random(1)[0]
         assert value == pytest.approx(deterministic + noise, rel=1e-14)
 
     def test_requires_rng(self):
         with pytest.raises(ValueError):
-            evaluate(get_spec("F7"), np.zeros(15))
+            BenchmarkObjective(get_spec("F7"))(np.zeros(15))
 
 
 class TestStrictMode:
     def test_out_of_box_rejected(self):
         spec = get_spec("F1")
         with pytest.raises(ValueError):
-            evaluate(spec, np.full(15, 101.0))
+            BenchmarkObjective(spec)(np.full(15, 101.0))
 
     def test_dimension_mismatch_rejected(self):
-        spec = get_spec("F1")
-        with pytest.raises(ValueError):
-            evaluate(spec, np.zeros(14))
+        objective = BenchmarkObjective(get_spec("F1"))
+        with pytest.raises(ValueError, match=r"F1 expects shape \(n, 15\), got \(1, 14\)"):
+            objective(np.zeros(14))
+        with pytest.raises(ValueError, match=r"F1 expects a 1-D point, got shape \(1, 15\)"):
+            objective(np.zeros((1, 15)))
 
     def test_batch_matches_single(self):
         spec = get_spec("F3")
         rng = RandomSource(88)
         X = -100.0 + 200.0 * rng.random((20, 15))
         batch = evaluate_many(spec, X)
-        singles = [evaluate(spec, x) for x in X]
+        objective = BenchmarkObjective(spec)
+        singles = [objective(x) for x in X]
         assert np.allclose(batch, singles, rtol=0, atol=0)
 
     def test_bound_objective_interface(self):
         spec = get_spec("F2")
         objective = BenchmarkObjective(spec)
         x = np.ones(15)
-        assert objective(x) == evaluate(spec, x)
-        assert objective.evaluate_many(x[None, :])[0] == evaluate(spec, x)
+        expected = evaluate_many(spec, x[None, :])[0]
+        assert objective(x) == objective.evaluate_many(x[None, :])[0] == expected

@@ -7,8 +7,10 @@ from click.testing import CliRunner
 
 from ecsa.allocation import AllocationObjective
 from ecsa.benchmarks import BenchmarkObjective
+from ecsa import experiments
 from ecsa.cli import bench, main
 from ecsa.experiments import ExperimentConfig, check_benchmark
+from ecsa.optimizer import stack_bytes
 
 
 @pytest.fixture
@@ -565,3 +567,54 @@ class TestAllocateCommand:
         )
         assert result.exit_code == 0, result.output
         assert (tmp_path / "la" / "allocation_csa.csv").exists()
+
+
+class TestSizePreflight:
+    """A run whose largest stack cannot fit in physical memory fails before any output."""
+
+    def test_unallocatable_population_fails_cleanly(self, runner, tmp_path):
+        # the engine's first allocation used to raise numpy's _ArrayMemoryError
+        # ("Unable to allocate 107. PiB"), a traceback after an empty --out
+        out = tmp_path / "bigpop"
+        population = 10**15
+        with mock.patch.object(BenchmarkObjective, "evaluate_many") as evaluate_many:
+            result = runner.invoke(main, ["bench", "--functions", "F1", "--trials", "2",
+                                          "--iterations", "1", "--population", str(population),
+                                          "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        needed = stack_bytes(2, population, 15, 1)
+        assert result.output.splitlines() == [
+            f"Error: population={population} and iterations=1 at dim=15 need about {needed} "
+            f"bytes, more than the {experiments.physical_memory()} bytes of physical memory"]
+        evaluate_many.assert_not_called()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["bench", "allocate"])
+    def test_stack_beyond_memory_fails_before_any_output(self, runner, tmp_path, monkeypatch,
+                                                         command):
+        # a stack of 2 trials at 15-D, 1 trial at 550-D: a few kB each
+        flags = (["bench", "--functions", "F1", "--trials", "3"] if command == "bench"
+                 else ["allocate", "--synthetic", "--trials", "2"])
+        dim, trials = (15, 6) if command == "bench" else (550, 2)
+        needed = stack_bytes(trials, 4, dim, 5)
+        out = tmp_path / "out"
+        args = [*flags, "--population", "4", "--iterations", "5", "--out", str(out)]
+        monkeypatch.setattr(experiments, "physical_memory", lambda: needed - 1)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            f"Error: population=4 and iterations=5 at dim={dim} need about {needed} bytes, "
+            f"more than the {needed - 1} bytes of physical memory"]
+        assert not out.exists()
+        # the same run fits in one more byte, and when the memory is unknown
+        for memory in (needed, None):
+            monkeypatch.setattr(experiments, "physical_memory", lambda: memory)
+            assert runner.invoke(main, args).exit_code == 0
+
+    def test_memory_unknown_without_sysconf(self, monkeypatch):
+        def unknown(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        monkeypatch.setattr(experiments.os, "sysconf", unknown)
+        assert experiments.physical_memory() is None

@@ -297,10 +297,11 @@ class TestCompare:
         assert entry["verdict"] == "significantly_different"
 
 
-    # |values| <= 1e150, so the squares in a std stay finite
+    # every finite float: a sum or a square beyond the float range is rescaled by summarize
     @given(st.dictionaries(
         st.sampled_from(FUNCTION_IDS),
-        st.tuples(*[st.lists(st.floats(-1e150, 1e150), min_size=2, max_size=6)] * len(ALGORITHMS)),
+        st.tuples(*[st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                             min_size=2, max_size=6)] * len(ALGORITHMS)),
         min_size=1, max_size=4))
     def test_compare_agrees_with_summary(self, cells):
         rows = [

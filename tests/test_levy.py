@@ -5,19 +5,20 @@ import pytest
 import scipy.special
 
 from ecsa import CuckooSearch, RandomSource, SearchBox, mantegna_sigma
-from ecsa.levy import levy_steps
+from ecsa.levy import LEVY_BETA, levy_steps
 from ecsa.rng import box_muller
 
 
 def normals(rng, n):
     """``n`` Box-Muller normals from ``2 * ceil(n / 2)`` uniforms of ``rng``."""
-    return box_muller(rng.random(2 * ((n + 1) // 2)))[:n]
+    pairs = (n + 1) // 2
+    return box_muller(rng.random(2 * pairs), np.empty(pairs))[:n]
 
 
-def levy_matrix(beta, rng, rows, dim):
+def levy_matrix(rng, rows, dim):
     """``rows`` Levy steps of dimension ``dim`` from ``rng``: the ``u`` normals, then the ``v``."""
     u = normals(rng, rows * dim)
-    return levy_steps(beta, u, normals(rng, rows * dim)).reshape(rows, dim)
+    return levy_steps(u, normals(rng, rows * dim)).reshape(rows, dim)
 
 # Recorded once from the pinned sampling scheme (seed 777, beta 1.5, dim 3).
 PINNED_STEP_SEED_777 = (-1.4457951175029335, 0.9412748569006597, 0.7887344511099382)
@@ -46,7 +47,7 @@ class TestMantegnaSigma:
 
 class TestLevyStep:
     def test_pinned_regression_vector(self):
-        step = levy_matrix(1.5, RandomSource(777), 1, 3)[0]
+        step = levy_matrix(RandomSource(777), 1, 3)[0]
         assert step.tolist() == pytest.approx(PINNED_STEP_SEED_777, rel=0, abs=0)
 
     def test_dim_validation(self):
@@ -61,36 +62,36 @@ class TestLevyStep:
     def test_stacked_normals_match_single_draws(self):
         # the engine transforms one row of uniforms per trial at once; each
         # row must give the bits of the same trial drawn alone
-        beta = 1.5
         rngs = [RandomSource(seed) for seed in range(4)]
-        u = box_muller(np.stack([rng.random(16) for rng in rngs]))[:, :15]
-        v = box_muller(np.stack([rng.random(16) for rng in rngs]))[:, :15]
-        stacked = levy_steps(beta, u, v).reshape(4, 5, 3)
+        radius = np.empty((4, 8))
+        u = box_muller(np.stack([rng.random(16) for rng in rngs]), radius)[:, :15]
+        v = box_muller(np.stack([rng.random(16) for rng in rngs]), radius)[:, :15]
+        stacked = levy_steps(u, v).reshape(4, 5, 3)
         for seed in range(4):
-            assert np.array_equal(stacked[seed], levy_matrix(beta, RandomSource(seed), 5, 3))
+            assert np.array_equal(stacked[seed], levy_matrix(RandomSource(seed), 5, 3))
 
     def test_scale_coherence_doubling_sigma_doubles_steps(self):
         # steps are linear in the u normals; doubling is exact in floating point
-        beta = 1.5
         rng = RandomSource(31)
         u, v = normals(rng, 24), normals(rng, 24)
-        assert np.array_equal(levy_steps(beta, 2 * u, v), 2 * levy_steps(beta, u, v))
+        assert np.array_equal(levy_steps(2 * u, v.copy()), 2 * levy_steps(u, v))
 
     def test_in_place_matches_new_arrays(self):
-        # the engine writes the steps over u and the scale over v
-        beta = 1.5
+        # the steps are written over u and the scale over v, with the bits
+        # of the formula evaluated into new arrays
         rng = RandomSource(31)
         u, v = normals(rng, 24), normals(rng, 24)
-        steps = levy_steps(beta, u, v)
-        assert np.array_equal(u, normals(RandomSource(31), 24))
-        assert levy_steps(beta, u, v, out=u, work=v) is u
+        scale = np.abs(v) ** (1.0 / LEVY_BETA)
+        steps = u * mantegna_sigma(LEVY_BETA) / scale
+        assert levy_steps(u, v) is u
         assert np.array_equal(u, steps)
+        assert np.array_equal(v, scale)
 
 
 # one shared million-draw sample keeps the Monte-Carlo tests cheap
 @pytest.fixture(scope="module")
 def million_steps():
-    return levy_matrix(1.5, RandomSource(2024), 1000, 1000).ravel()
+    return levy_matrix(RandomSource(2024), 1000, 1000).ravel()
 
 
 class TestTailBehaviour:

@@ -466,12 +466,11 @@ class TestRun:
         [
             (dict(population=6), "one population, got [5, 6]"),
             (dict(pa=np.full(5, 0.25), alpha=np.full(5, 0.01)), "one iteration count, got [4, 5]"),
-            (dict(levy_beta=1.2), "one Levy beta, got [1.2, 1.5]"),
         ],
-        ids=["population", "iterations", "beta"],
+        ids=["population", "iterations"],
     )
-    def test_one_call_mixes_no_sizes_or_beta(self, change, message):
-        # the stack shares its work arrays, its iteration loop and its Levy scale
+    def test_one_call_mixes_no_sizes(self, change, message):
+        # the stack shares its work arrays and its iteration loop
         box = SearchBox.cube(3, -1, 1)
         counting = CountingObjective(sphere, box)
         fields = dict(population=5, pa=np.full(4, 0.25), alpha=np.full(4, 0.01), init="random")
@@ -619,14 +618,12 @@ class TestEstimators:
             (EnhancedCuckooSearch(t_mult=0.5), "t_mult must be >= 1, got 0.5"),
             (EnhancedCuckooSearch(t_mult=1e308), "t_mult=1e+308 is too large"),
             (EnhancedCuckooSearch(init="grid"), "init must be one of ('random', 'sobol'), got 'grid'"),
-            (CuckooSearch(levy_beta=3.0), "beta must be in (0, 2], got 3.0"),
             # a bool used to pass as 1, or to crash inside numpy (iterations)
             (CuckooSearch(iterations=True), "iterations must be an integer, got True"),
             (CuckooSearch(population=True), "population must be an integer, got True"),
             (EnhancedCuckooSearch(t0=True), "t0 must be an integer, got True"),
             # a float setting that is not a number used to fail in a comparison,
             # or (pa="0.3") to run as 0.3
-            (CuckooSearch(levy_beta="1.5"), "levy_beta must be a number, got '1.5'"),
             (CuckooSearch(pa="0.3"), "pa must be a number, got '0.3'"),
             (CuckooSearch(pa=None), "pa must be a number, got None"),
             (CuckooSearch(alpha=True), "alpha must be a number, got True"),
@@ -635,7 +632,6 @@ class TestEstimators:
             (EnhancedCuckooSearch(alpha_min=False), "alpha_min must be a number, got False"),
             (EnhancedCuckooSearch(alpha_max=None), "alpha_max must be a number, got None"),
             (EnhancedCuckooSearch(t_mult="2"), "t_mult must be a number, got '2'"),
-            (EnhancedCuckooSearch(levy_beta="1.5"), "levy_beta must be a number, got '1.5'"),
         ]
         for model, message in cases:
             with pytest.raises(ValueError, match=re.escape(message)):
@@ -643,10 +639,10 @@ class TestEstimators:
         assert counting.calls == 0
 
     CSA_PARAMS = [("population", 50), ("iterations", 500), ("pa", 0.25), ("alpha", 0.01),
-                  ("levy_beta", 1.5), ("init", "random"), ("seed", 0)]
+                  ("init", "random"), ("seed", 0)]
     ECSA_PARAMS = [("population", 50), ("iterations", 500), ("pa_min", 0.25), ("pa_max", 0.5),
                    ("alpha_min", 0.01), ("alpha_max", 0.05), ("t0", 100), ("t_mult", 2.0),
-                   ("levy_beta", 1.5), ("init", "sobol"), ("seed", 0)]
+                   ("init", "sobol"), ("seed", 0)]
 
     @pytest.mark.parametrize(
         "estimator, params",
@@ -661,13 +657,12 @@ class TestEstimators:
 
     def test_default_repr(self):
         assert repr(CuckooSearch()) == (
-            "CuckooSearch(population=50, iterations=500, pa=0.25, alpha=0.01, levy_beta=1.5, "
-            "init='random', seed=0)"
+            "CuckooSearch(population=50, iterations=500, pa=0.25, alpha=0.01, init='random', "
+            "seed=0)"
         )
         assert repr(EnhancedCuckooSearch()) == (
             "EnhancedCuckooSearch(population=50, iterations=500, pa_min=0.25, pa_max=0.5, "
-            "alpha_min=0.01, alpha_max=0.05, t0=100, t_mult=2.0, levy_beta=1.5, init='sobol', "
-            "seed=0)"
+            "alpha_min=0.01, alpha_max=0.05, t0=100, t_mult=2.0, init='sobol', seed=0)"
         )
 
     @pytest.mark.parametrize("estimator", [CuckooSearch, EnhancedCuckooSearch])

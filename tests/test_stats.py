@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,26 @@ class TestSummarize:
     def test_infinite_value_has_infinite_std(self, sample):
         # the engine reports +inf for a trial whose every evaluation was NaN or inf
         assert summarize(sample) == (math.inf, math.inf)
+
+    def test_large_finite_values_do_not_overflow(self):
+        # the sum and the squares overflowed to inf, with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert summarize([1e308, 1e308]) == (1e308, 0.0)
+            mean, std = summarize([1e308, -1e308])
+        assert mean == 0.0
+        assert std == pytest.approx(math.sqrt(2.0) * 1e308, rel=1e-15)
+
+    # |v| > 1e-100 keeps every square of a deviation clear of underflow
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6).filter(lambda v: v == 0.0 or abs(v) > 1e-100),
+                    min_size=2, max_size=8))
+    def test_scaled_values_give_scaled_bits(self, sample):
+        # near the top of the float range the sums overflow and summarize
+        # rescales; scaling by a power of two must not change a bit
+        exponent = 1003  # 1e6 * 2**1003 < 2**1023
+        big = summarize(np.ldexp(sample, exponent))
+        assert big == tuple(np.ldexp(summarize(sample), exponent))
 
 
 class TestRankSumExact:
