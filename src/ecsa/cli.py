@@ -8,9 +8,11 @@ from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import benchmarks, experiments
 from .allocation import load_instance, load_instance_csv, synth_instance
+from .core import checked_int
 from .experiments import ExperimentConfig
 from .optimizer import EnhancedCuckooSearch
 from .sobol import BITS, SobolSequence
@@ -29,38 +31,25 @@ def main():
     comparison and the discretized location-allocation experiment."""
 
 
-def _expected_type(value, default):
-    """What a config value must be to replace ``default``, or None when ``value`` is that."""
-    if isinstance(default, tuple):
-        strings = isinstance(value, list) and all(isinstance(item, str) for item in value)
-        return None if isinstance(value, str) or strings else "a string or a list of strings"
-    kinds = int if isinstance(default, int) else (int, float)
-    if isinstance(value, kinds) and not isinstance(value, bool):
-        return None
-    return "an integer" if kinds is int else "a number"
-
-
-def _load_config(ctx, param, config_path):
-    """Eager ``--config`` callback: check the file and make its values the defaults that flags override."""
+def _load_config(ctx, param, config_path) -> dict:
+    """``--config`` callback: the file's settings by name, for ``ExperimentConfig`` to check."""
     if config_path is None:
-        return
+        return {}
     try:
         config_data = json.loads(Path(config_path).read_text())
     except (OSError, ValueError) as exc:  # ValueError: invalid JSON or text that is not UTF-8
         raise click.ClickException(f"cannot read config file: {exc}")
     if not isinstance(config_data, dict):
         raise click.ClickException("config file must hold a JSON object")
-    defaults = {f.name: f.default for f in dataclass_fields(ExperimentConfig)}
-    unknown = set(config_data) - set(defaults)
+    unknown = set(config_data) - {field.name for field in dataclass_fields(ExperimentConfig)}
     if unknown:
         raise click.ClickException(f"unknown config keys: {sorted(unknown)}")
-    for name, value in config_data.items():
-        expected = _expected_type(value, defaults[name])
-        if expected:
-            raise click.ClickException(f"config key {name!r} must be {expected}, got {value!r}")
-    # click's string type would str() a list: join the ids into their flag's comma string
-    ctx.default_map = {name: ",".join(value) if isinstance(value, list) else value
-                       for name, value in config_data.items()}
+    return config_data
+
+
+def _given(ctx, name) -> bool:
+    """Whether the user gave the parameter ``name``, rather than leaving it at its default."""
+    return ctx.get_parameter_source(name) is not ParameterSource.DEFAULT
 
 
 def _writable_dir(out_dir) -> Path:
@@ -94,17 +83,18 @@ def _writable_dir(out_dir) -> Path:
 @click.option("--t0", default=_DEFAULTS.t0, show_default=True, type=int)
 @click.option("--t-mult", default=_DEFAULTS.t_mult, show_default=True, type=float)
 @click.option("--config", "config_path", default=None, type=click.Path(exists=True),
-              is_eager=True, expose_value=False, callback=_load_config,
-              help="JSON config file; explicit flags override its values.")
+              callback=_load_config, help="JSON config file; explicit flags override its values.")
 @click.option("--out", "out_dir", default="results", show_default=True,
               type=click.Path(file_okay=False))
 @click.pass_context
-def bench(ctx, out_dir, **flags):
+def bench(ctx, config_path, out_dir, **flags):
     """Run the benchmark protocol and write results, summary and traces."""
     if ctx.invoked_subcommand is not None:
         return
     try:
-        config = ExperimentConfig(**flags)
+        # config_path holds the file's settings, as _load_config returns them
+        given = {name: value for name, value in flags.items() if _given(ctx, name)}
+        config = ExperimentConfig(**config_path | given)
         experiments.check_benchmark(config)
     except ValueError as exc:
         raise click.ClickException(str(exc))
@@ -170,7 +160,8 @@ def compare(results_path, level, out_dir):
 @click.option("--iterations", default=_DEFAULTS.iterations, show_default=True, type=int)
 @click.option("--out", "out_dir", default="allocation_results", show_default=True,
               type=click.Path(file_okay=False))
-def allocate(instance_path, blocks_path, areas_path, synthetic, blocks_count,
+@click.pass_context
+def allocate(ctx, instance_path, blocks_path, areas_path, synthetic, blocks_count,
              areas_count, algorithm, trials, base_seed, population, iterations, out_dir):
     """Optimize block-to-area assignment and report the oracle gap."""
     sources = sum([instance_path is not None, blocks_path is not None, synthetic])
@@ -178,18 +169,25 @@ def allocate(instance_path, blocks_path, areas_path, synthetic, blocks_count,
         raise click.UsageError(
             "choose exactly one instance source: --instance, --blocks/--areas or --synthetic"
         )
+    if blocks_path and not areas_path:
+        raise click.UsageError("--blocks requires --areas")
+    if areas_path and not blocks_path:
+        raise click.UsageError("--areas requires --blocks")
+    for name in ("blocks_count", "areas_count"):
+        if not synthetic and _given(ctx, name):
+            raise click.UsageError(f"--{name.replace('_', '-')} requires --synthetic")
     try:
         config = ExperimentConfig(algorithms=(algorithm,), trials=trials, base_seed=base_seed,
                                   population=population, iterations=iterations)
-        if instance_path:
-            instance = load_instance(instance_path)
-        elif blocks_path:
-            if not areas_path:
-                raise click.UsageError("--blocks requires --areas")
-            instance = load_instance_csv(blocks_path, areas_path)
-        else:
+        if synthetic:
+            # the instance's arrays come after the pre-flight, which needs counts >= 1
+            dim = checked_int("n_blocks", blocks_count, 1) * checked_int("n_areas", areas_count, 1)
+            experiments.check_settings(config, dim, trials)
             instance = synth_instance(blocks_count, areas_count, seed=base_seed)
-        experiments.check_settings(config, instance.decision_dim, trials)
+        else:
+            instance = (load_instance(instance_path) if instance_path
+                        else load_instance_csv(blocks_path, areas_path))
+            experiments.check_settings(config, instance.decision_dim, trials)
         out = _writable_dir(out_dir)
         report = experiments.run_allocation(instance, algorithm, config)
     except ValueError as exc:
@@ -234,6 +232,11 @@ def schedule(t0, tmult, iters, pa_min, pa_max, alpha_min, alpha_max):
     """Emit the (iteration, discovery rate, step size) annealing table."""
     if iters < 0:
         raise click.UsageError(f"--iters must be >= 0, got {iters}")
+    # the table is two columns of iters + 1 floats
+    needed, memory = 16 * (iters + 1), experiments.physical_memory()
+    if memory is not None and needed > memory:
+        raise click.ClickException(f"--iters={iters} needs about {needed} bytes, more than the "
+                                   f"{memory} bytes of physical memory")
     try:
         inputs = EnhancedCuckooSearch(
             iterations=iters + 1, pa_min=pa_min, pa_max=pa_max, alpha_min=alpha_min,

@@ -29,7 +29,7 @@ import numpy as np
 from . import allocation, benchmarks, sobol
 from .allocation import AllocationInstance, AllocationObjective, optimal_assignment
 from .benchmarks import BenchmarkObjective, FUNCTION_IDS
-from .core import checked_int
+from .core import checked_int, checked_real
 from .optimizer import CuckooSearch, EnhancedCuckooSearch, run_trials, stack_bytes
 from .rng import RandomSource, stable_seed
 from .stats import decide, rank_sum_p, summarize
@@ -42,15 +42,19 @@ _CSA, _ECSA = CuckooSearch(), EnhancedCuckooSearch()
 RESULT_FIELDS = ("function", "algorithm", "trial", "seed", "best_fitness", "evaluations")
 WORKERS_ENV = "ECSA_WORKERS"
 
+# the lower bounds of the ``ExperimentConfig`` integers that have one
+_MINIMUMS = {"trials": 1, "population": 1, "iterations": 0}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Experiment settings (defaults reproduce the full protocol).
 
-    Every field is also a ``bench`` flag and a ``--config`` key.
-    ``functions`` and ``algorithms`` take a sequence of names or one
-    comma-separated string (``"F1, F2"``); ``"all"`` names every function.
-    ``trials`` (>= 1) and ``base_seed`` must be integers.  ``allocate`` sets
+    Every field is also a ``bench`` flag and a ``--config`` key, checked
+    here: ``functions`` and ``algorithms`` take a list or tuple of names or
+    one comma-separated string (``"F1, F2"``; ``"all"`` names every function),
+    an int field an integer (``trials``, ``population`` >= 1, ``iterations``
+    >= 0), a float field a number but not a ``bool``.  ``allocate`` sets
     ``algorithms`` to its one algorithm; :func:`run_allocation` ignores it,
     ``functions`` and ``dim``.
     Every other field is an estimator parameter of the same name, with
@@ -74,7 +78,8 @@ class ExperimentConfig:
     t_mult: float = _ECSA.t_mult
 
     def __post_init__(self):
-        functions, algorithms = _names(self.functions), _names(self.algorithms)
+        functions = _names("functions", self.functions)
+        algorithms = _names("algorithms", self.algorithms)
         if "all" in functions:
             functions = FUNCTION_IDS
         unknown = [f for f in functions if f not in FUNCTION_IDS]
@@ -91,16 +96,21 @@ class ExperimentConfig:
             repeated = sorted({name for name in names if names.count(name) > 1})
             if repeated:
                 raise ValueError(f"repeated {label}: {repeated}")
-        checked_int("trials", self.trials, 1)
-        checked_int("base_seed", self.base_seed)
+        for field in fields(self):
+            if isinstance(field.default, int):
+                checked_int(field.name, getattr(self, field.name), _MINIMUMS.get(field.name))
+            elif isinstance(field.default, float):
+                checked_real(field.name, getattr(self, field.name))
         object.__setattr__(self, "functions", functions)
         object.__setattr__(self, "algorithms", algorithms)
 
 
-def _names(value) -> tuple:
-    """A comma-separated string as its stripped, non-empty parts; any other sequence as a tuple."""
+def _names(name: str, value) -> tuple:
+    """A comma-separated string as its stripped, non-empty parts; a list or tuple of strings as is."""
     if isinstance(value, str):
         return tuple(part.strip() for part in value.split(",") if part.strip())
+    if not isinstance(value, (list, tuple)) or not all(isinstance(item, str) for item in value):
+        raise ValueError(f"{name} must be a string or a list of strings, got {value!r}")
     return tuple(value)
 
 
@@ -130,21 +140,23 @@ def physical_memory() -> int | None:
 def check_settings(config: ExperimentConfig, dim: int, trials: int) -> None:
     """Reject ``trials`` fits that cannot run at ``dim``; ``bench`` and ``allocate`` call it first.
 
-    The largest stack's arrays (:func:`ecsa.optimizer.stack_bytes`) must fit in
-    the physical memory, every configured algorithm's ``engine_inputs()`` must
-    pass, the Sobol table must cover ``dim`` for a Sobol algorithm, and
-    ``ECSA_WORKERS`` must be an integer >= 1.
+    ``ECSA_WORKERS`` must be an integer >= 1, the largest stacks of all
+    ``W = min(workers, trials)`` workers (:func:`ecsa.optimizer.stack_bytes`
+    of the ``ceil(trials / W)`` trials of the largest :func:`_run_split`
+    share, ``W`` times) must fit in the physical memory, every configured
+    algorithm's ``engine_inputs()`` must pass, and the Sobol table must
+    cover ``dim`` for a Sobol algorithm.
     """
-    population = checked_int("population", config.population, 1)
-    iterations = checked_int("iterations", config.iterations, 0)
-    needed, memory = stack_bytes(trials, population, dim, iterations), physical_memory()
+    workers = min(worker_count(), trials)
+    population, iterations = config.population, config.iterations
+    needed = workers * stack_bytes(-(-trials // workers), population, dim, iterations)
+    memory = physical_memory()
     if memory is not None and needed > memory:
         raise ValueError(f"population={population} and iterations={iterations} at dim={dim} need "
                          f"about {needed} bytes, more than the {memory} bytes of physical memory")
     for algorithm in config.algorithms:
         if make_optimizer(algorithm, config).engine_inputs().init == "sobol":
             sobol.check_dim(dim)
-    worker_count()
 
 
 def check_benchmark(config: ExperimentConfig) -> None:

@@ -1,15 +1,19 @@
 import json
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ecsa.allocation import AllocationObjective
-from ecsa.benchmarks import BenchmarkObjective
+from ecsa.benchmarks import FUNCTION_IDS, BenchmarkObjective
 from ecsa import experiments
 from ecsa.cli import bench, main
-from ecsa.experiments import ExperimentConfig, check_benchmark
+from ecsa.experiments import ALGORITHMS, ExperimentConfig, check_benchmark
 from ecsa.optimizer import stack_bytes
 
 
@@ -81,6 +85,25 @@ class TestScheduleCommand:
         assert bench_result.exit_code == 1
         assert message in bench_result.output
 
+    def test_table_beyond_memory_fails_before_any_row(self, runner, monkeypatch):
+        # the table's first allocation used to raise numpy's _ArrayMemoryError
+        iters = 10**15
+        result = runner.invoke(main, ["schedule", "--iters", str(iters)])
+        assert result.exit_code == 1 and result.stdout == ""
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (f"Error: --iters={iters} needs about {16 * (iters + 1)} bytes, "
+                                 f"more than the {experiments.physical_memory()} bytes of "
+                                 f"physical memory\n")
+        # 9 iterations make a table of 2 x 10 floats, 160 bytes
+        monkeypatch.setattr(experiments, "physical_memory", lambda: 159)
+        result = runner.invoke(main, ["schedule", "--iters", "9"])
+        assert result.exit_code == 1
+        assert result.output == ("Error: --iters=9 needs about 160 bytes, more than the 159 bytes "
+                                 "of physical memory\n")
+        monkeypatch.setattr(experiments, "physical_memory", lambda: 160)
+        result = runner.invoke(main, ["schedule", "--iters", "9"])
+        assert result.exit_code == 0 and len(result.output.splitlines()) == 1 + 10
+
 
 class TestBenchCommand:
     def test_tiny_protocol_and_determinism(self, runner, tmp_path):
@@ -126,8 +149,7 @@ class TestBenchCommand:
         assert all(line.startswith("F2") for line in lines[1:])
 
     def test_flag_before_config_wins(self, runner, tmp_path):
-        # --config loads eagerly, before the flags, but a flag still wins
-        # wherever it stands on the command line
+        # a flag still wins over --config wherever it stands on the command line
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"trials": 3}))
         result = runner.invoke(
@@ -149,10 +171,10 @@ class TestBenchCommand:
     @pytest.mark.parametrize(
         "config, message",
         [
-            ({"trials": "2"}, "config key 'trials' must be an integer, got '2'"),
-            ({"trials": 2.5}, "config key 'trials' must be an integer, got 2.5"),
-            ({"pa_min": "0.3"}, "config key 'pa_min' must be a number, got '0.3'"),
-            ({"pa": "0.3"}, "config key 'pa' must be a number, got '0.3'"),
+            ({"trials": "2"}, "trials must be an integer, got '2'"),
+            ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+            ({"pa_min": "0.3"}, "pa_min must be a number, got '0.3'"),
+            ({"pa": "0.3"}, "pa must be a number, got '0.3'"),
             ([1, 2], "config file must hold a JSON object"),
         ],
         ids=["trials_string", "trials_fraction", "pa_min_string", "pa_string", "not_an_object"],
@@ -268,6 +290,76 @@ class TestBenchCommand:
         assert len(lines) == 2 + 13
         assert "Sphere" in result.output
         assert "Generalized Penalized 2" in result.output
+
+
+CONFIG_DEFAULTS = {field.name: field.default for field in fields(ExperimentConfig)}
+
+
+def wrong_values(name):
+    """Values of the wrong type for the ``ExperimentConfig`` field ``name``, all JSON values."""
+    if isinstance(CONFIG_DEFAULTS[name], tuple):
+        return st.one_of(st.integers(), st.none(), st.booleans(),
+                         st.lists(st.integers(), min_size=1, max_size=3),
+                         st.dictionaries(st.sampled_from(FUNCTION_IDS), st.integers(), max_size=2))
+    wrong = st.one_of(st.booleans(), st.integers(-9, 9).map(str), st.floats(-9, 9).map(repr),
+                      st.none(), st.lists(st.integers(), max_size=3),
+                      st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+    if isinstance(CONFIG_DEFAULTS[name], int):
+        return st.one_of(wrong, st.floats(-1e6, 1e6))
+    return wrong
+
+
+def right_values(name):
+    """Values of the right type for the field ``name`` that pass its own checks."""
+    if name == "functions":
+        return st.lists(st.sampled_from(FUNCTION_IDS), min_size=1, unique=True)
+    if name == "algorithms":
+        return st.lists(st.sampled_from(ALGORITHMS), min_size=1, unique=True).map(",".join)
+    if isinstance(CONFIG_DEFAULTS[name], int):
+        return st.integers(1, 10**6)
+    return st.one_of(st.integers(-9, 9), st.floats(allow_nan=False))
+
+
+def field_and(values):
+    return st.sampled_from(sorted(CONFIG_DEFAULTS)).flatmap(
+        lambda name: st.tuples(st.just(name), values(name)))
+
+
+class TestConfigTypes:
+    """``ExperimentConfig`` checks every field's type, for the library and for ``--config``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(field_and(wrong_values))
+    # t0 and pa_min used to pass check_benchmark for csa, and functions=5 raised a TypeError
+    @example(("t0", "x"))
+    @example(("pa_min", True))
+    @example(("functions", 5))
+    def test_wrong_type_fails_naming_the_field(self, setting):
+        name, value = setting
+        with pytest.raises(ValueError) as raised:
+            ExperimentConfig(**{name: value})
+        message = str(raised.value)
+        assert message.startswith(f"{name} must be ")
+        # the same value from a config file fails the same way, before any output;
+        # a --functions flag would win over a functions key
+        flags = [] if name == "functions" else ["--functions", "F1"]
+        with tempfile.TemporaryDirectory() as tmp:
+            config_path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+            config_path.write_text(json.dumps({name: value}))
+            with mock.patch.object(BenchmarkObjective, "evaluate_many") as evaluate_many:
+                result = CliRunner().invoke(main, ["bench", *flags, "--config", str(config_path),
+                                                   "--out", str(out)])
+            assert result.exit_code == 1
+            assert isinstance(result.exception, SystemExit)
+            assert result.output == f"Error: {message}\n"
+            evaluate_many.assert_not_called()
+            assert not out.exists()
+
+    @settings(max_examples=150, deadline=None)
+    @given(field_and(right_values))
+    def test_right_type_constructs(self, setting):
+        name, value = setting
+        ExperimentConfig(**{name: value})
 
 
 # a valid results file: F1, both algorithms, two trials each
@@ -549,6 +641,51 @@ class TestAllocateCommand:
         assert "Traceback" not in result.output
         assert not (tmp_path / "la").exists()
 
+    def test_unallocatable_synthetic_instance_fails_cleanly(self, runner, tmp_path):
+        # synth_instance used to raise numpy's _ArrayMemoryError, a traceback
+        out = tmp_path / "la"
+        with mock.patch.object(AllocationObjective, "evaluate_many") as evaluate_many:
+            result = runner.invoke(main, ["allocate", "--synthetic", "--blocks-count",
+                                          str(10**15), "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        dim = 11 * 10**15
+        needed = stack_bytes(30, 50, dim, 500)
+        assert result.output.splitlines() == [
+            f"Error: population=50 and iterations=500 at dim={dim} need about {needed} bytes, "
+            f"more than the {experiments.physical_memory()} bytes of physical memory"]
+        evaluate_many.assert_not_called()
+        assert not out.exists()
+        # a zero count is refused by its own check, before the size estimate
+        result = runner.invoke(main, ["allocate", "--synthetic", "--blocks-count", "0",
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == "Error: n_blocks must be >= 1, got 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--synthetic", "--areas", "a.csv"], "--areas requires --blocks"),
+        (["--instance", "i.json", "--areas", "a.csv"], "--areas requires --blocks"),
+        (["--instance", "i.json", "--blocks-count", "50"], "--blocks-count requires --synthetic"),
+        (["--instance", "i.json", "--areas-count", "3"], "--areas-count requires --synthetic"),
+        (["--blocks", "a.csv", "--areas", "a.csv", "--areas-count", "3"],
+         "--areas-count requires --synthetic"),
+    ], ids=["areas_with_synthetic", "areas_with_instance", "blocks_count_with_instance",
+            "areas_count_with_instance", "areas_count_with_csv"])
+    def test_flag_the_source_ignores_is_refused(self, runner, tmp_path, monkeypatch, flags,
+                                                 message):
+        # a flag the chosen source does not read used to be dropped without a word
+        monkeypatch.chdir(tmp_path)
+        Path("a.csv").touch()
+        Path("i.json").write_text("{}")
+        with mock.patch("ecsa.experiments._run_split") as run_split:
+            result = runner.invoke(main, ["allocate", *flags, "--out", "la"])
+        assert result.exit_code == 2
+        assert result.output.startswith("Usage:")
+        assert result.output.endswith(f"Error: {message}\n")
+        run_split.assert_not_called()
+        assert not Path("la").exists()
+
     def test_requires_exactly_one_source(self, runner):
         result = runner.invoke(main, ["allocate"])
         assert result.exit_code != 0
@@ -611,6 +748,24 @@ class TestSizePreflight:
         for memory in (needed, None):
             monkeypatch.setattr(experiments, "physical_memory", lambda: memory)
             assert runner.invoke(main, args).exit_code == 0
+
+    def test_estimate_counts_every_worker_stack(self, runner, tmp_path, monkeypatch):
+        # 60 nests at 550-D exceed one stack's coordinates, so every trial is
+        # a stack of its own: one worker holds one, two workers hold two
+        single = stack_bytes(1, 60, 550, 2)
+        assert stack_bytes(2, 60, 550, 2) == single
+        monkeypatch.setattr(experiments, "physical_memory", lambda: 2 * single - 1)
+        out = tmp_path / "la"
+        args = ["allocate", "--synthetic", "--trials", "2", "--population", "60",
+                "--iterations", "2", "--out", str(out)]
+        result = runner.invoke(main, args, env={"ECSA_WORKERS": "2"})
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            f"Error: population=60 and iterations=2 at dim=550 need about {2 * single} bytes, "
+            f"more than the {2 * single - 1} bytes of physical memory"]
+        assert not out.exists()
+        result = runner.invoke(main, args, env={"ECSA_WORKERS": "1"})
+        assert result.exit_code == 0, result.output
 
     def test_memory_unknown_without_sysconf(self, monkeypatch):
         def unknown(name):
