@@ -135,10 +135,17 @@ _DEFINITIONS = {
 }
 
 
-def _make_spec(function_id: str, dim: int) -> ObjectiveSpec:
-    # one rule for every function: at 1-D Rosenbrock has no terms and is always 0
+def check_suite_dim(dim: int) -> None:
+    """Raise ``ValueError`` unless ``dim`` is an integer >= 2, without building any array.
+
+    One rule for every function: at 1-D Rosenbrock has no terms and is always 0.
+    """
     if checked_int("dim", dim) < 2:
         raise ValueError(f"benchmark functions require dim >= 2, got {dim}")
+
+
+def _make_spec(function_id: str, dim: int) -> ObjectiveSpec:
+    check_suite_dim(dim)
     name, half_width, _ = _DEFINITIONS[function_id]
     box = SearchBox.cube(dim, -half_width, half_width)
     optimizer = {

@@ -25,7 +25,17 @@ _DEFAULTS = ExperimentConfig()
 _SOBOL_BLOCK = 1024
 
 
-@click.group()
+class _ErrorBoundary(click.Group):
+    """The CLI's one error boundary: a ``ValueError`` from any command exits 1 with its message."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_ErrorBoundary)
 def main():
     """Cuckoo-search optimization toolkit: benchmark protocol, statistical
     comparison and the discretized location-allocation experiment."""
@@ -52,6 +62,21 @@ def _given(ctx, name) -> bool:
     return ctx.get_parameter_source(name) is not ParameterSource.DEFAULT
 
 
+def _settings(*names):
+    """Options for the ``ExperimentConfig`` fields ``names``, in order: ``--<name>`` (``--seed`` for
+    ``base_seed``), with the field's default and that default's type."""
+
+    def decorate(command):
+        for name in reversed(names):
+            default = getattr(_DEFAULTS, name)
+            flag = "--seed" if name == "base_seed" else f"--{name.replace('_', '-')}"
+            command = click.option(flag, name, default=default, show_default=True,
+                                   type=type(default))(command)
+        return command
+
+    return decorate
+
+
 def _writable_dir(out_dir) -> Path:
     """``out_dir``, created if missing; exits 1 before any work when it cannot be written."""
     out = Path(out_dir)
@@ -69,19 +94,8 @@ def _writable_dir(out_dir) -> Path:
 @click.option("--functions", default="all", show_default=True,
               help="Comma-separated function ids (F1..F13) or 'all'.")
 @click.option("--algorithms", default=",".join(_DEFAULTS.algorithms), show_default=True)
-@click.option("--trials", default=_DEFAULTS.trials, show_default=True, type=int)
-@click.option("--seed", "base_seed", default=_DEFAULTS.base_seed, show_default=True, type=int)
-@click.option("--dim", default=_DEFAULTS.dim, show_default=True, type=int)
-@click.option("--population", default=_DEFAULTS.population, show_default=True, type=int)
-@click.option("--iterations", default=_DEFAULTS.iterations, show_default=True, type=int)
-@click.option("--pa", default=_DEFAULTS.pa, show_default=True, type=float)
-@click.option("--alpha", default=_DEFAULTS.alpha, show_default=True, type=float)
-@click.option("--pa-min", default=_DEFAULTS.pa_min, show_default=True, type=float)
-@click.option("--pa-max", default=_DEFAULTS.pa_max, show_default=True, type=float)
-@click.option("--alpha-min", default=_DEFAULTS.alpha_min, show_default=True, type=float)
-@click.option("--alpha-max", default=_DEFAULTS.alpha_max, show_default=True, type=float)
-@click.option("--t0", default=_DEFAULTS.t0, show_default=True, type=int)
-@click.option("--t-mult", default=_DEFAULTS.t_mult, show_default=True, type=float)
+@_settings(*(field.name for field in dataclass_fields(ExperimentConfig)
+              if not isinstance(field.default, tuple)))
 @click.option("--config", "config_path", default=None, type=click.Path(exists=True),
               callback=_load_config, help="JSON config file; explicit flags override its values.")
 @click.option("--out", "out_dir", default="results", show_default=True,
@@ -90,21 +104,20 @@ def _writable_dir(out_dir) -> Path:
 def bench(ctx, config_path, out_dir, **flags):
     """Run the benchmark protocol and write results, summary and traces."""
     if ctx.invoked_subcommand is not None:
+        # the subcommand reads none of bench's options
+        for param in ctx.command.params:
+            if _given(ctx, param.name):
+                raise click.UsageError(f"{param.opts[0]} does not apply to bench "
+                                       f"{ctx.invoked_subcommand}")
         return
-    try:
-        # config_path holds the file's settings, as _load_config returns them
-        given = {name: value for name, value in flags.items() if _given(ctx, name)}
-        config = ExperimentConfig(**config_path | given)
-        experiments.check_benchmark(config)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    # config_path holds the file's settings, as _load_config returns them
+    given = {name: value for name, value in flags.items() if _given(ctx, name)}
+    config = ExperimentConfig(**config_path | given)
+    experiments.check_benchmark(config)
     out = _writable_dir(out_dir)
     total = len(config.functions) * len(config.algorithms) * config.trials
     click.echo(f"running {total} optimization runs -> {out}", err=True)
-    try:
-        rows, traces = experiments.run_benchmark(config)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    rows, traces = experiments.run_benchmark(config)
     experiments.write_benchmark_outputs(rows, traces, out)
     click.echo(f"wrote {out / 'results.csv'}", err=True)
 
@@ -129,11 +142,8 @@ def bench_list():
 @click.option("--out", "out_dir", default=None, type=click.Path(file_okay=False))
 def compare(results_path, level, out_dir):
     """Compare both algorithms per function on a bench results file."""
-    try:
-        rows = experiments.read_results_csv(results_path)
-        comparison = experiments.compare_rows(rows, level=level)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    rows = experiments.read_results_csv(results_path)
+    comparison = experiments.compare_rows(rows, level=level)
     out = _writable_dir(out_dir) if out_dir else None
     table = experiments.comparison_table(comparison)
     click.echo(table)
@@ -154,15 +164,12 @@ def compare(results_path, level, out_dir):
 @click.option("--areas-count", default=11, show_default=True, type=int)
 @click.option("--algorithm", default="ecsa", show_default=True,
               type=click.Choice(experiments.ALGORITHMS))
-@click.option("--trials", default=_DEFAULTS.trials, show_default=True, type=int)
-@click.option("--seed", "base_seed", default=_DEFAULTS.base_seed, show_default=True, type=int)
-@click.option("--population", default=_DEFAULTS.population, show_default=True, type=int)
-@click.option("--iterations", default=_DEFAULTS.iterations, show_default=True, type=int)
+@_settings("trials", "base_seed", "population", "iterations")
 @click.option("--out", "out_dir", default="allocation_results", show_default=True,
               type=click.Path(file_okay=False))
 @click.pass_context
 def allocate(ctx, instance_path, blocks_path, areas_path, synthetic, blocks_count,
-             areas_count, algorithm, trials, base_seed, population, iterations, out_dir):
+             areas_count, algorithm, out_dir, **settings):
     """Optimize block-to-area assignment and report the oracle gap."""
     sources = sum([instance_path is not None, blocks_path is not None, synthetic])
     if sources != 1:
@@ -176,22 +183,18 @@ def allocate(ctx, instance_path, blocks_path, areas_path, synthetic, blocks_coun
     for name in ("blocks_count", "areas_count"):
         if not synthetic and _given(ctx, name):
             raise click.UsageError(f"--{name.replace('_', '-')} requires --synthetic")
-    try:
-        config = ExperimentConfig(algorithms=(algorithm,), trials=trials, base_seed=base_seed,
-                                  population=population, iterations=iterations)
-        if synthetic:
-            # the instance's arrays come after the pre-flight, which needs counts >= 1
-            dim = checked_int("n_blocks", blocks_count, 1) * checked_int("n_areas", areas_count, 1)
-            experiments.check_settings(config, dim, trials)
-            instance = synth_instance(blocks_count, areas_count, seed=base_seed)
-        else:
-            instance = (load_instance(instance_path) if instance_path
-                        else load_instance_csv(blocks_path, areas_path))
-            experiments.check_settings(config, instance.decision_dim, trials)
-        out = _writable_dir(out_dir)
-        report = experiments.run_allocation(instance, algorithm, config)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    config = ExperimentConfig(algorithms=(algorithm,), **settings)
+    if synthetic:
+        # the instance's arrays come after the pre-flight, which needs counts >= 1
+        dim = checked_int("n_blocks", blocks_count, 1) * checked_int("n_areas", areas_count, 1)
+        experiments.check_settings(config, dim, config.trials)
+        instance = synth_instance(blocks_count, areas_count, seed=config.base_seed)
+    else:
+        instance = (load_instance(instance_path) if instance_path
+                    else load_instance_csv(blocks_path, areas_path))
+        experiments.check_settings(config, instance.decision_dim, config.trials)
+    out = _writable_dir(out_dir)
+    report = experiments.run_allocation(instance, algorithm, config)
     experiments.write_allocation_outputs(instance, report, out)
     click.echo(
         f"{algorithm}: oracle {report.oracle_fitness:.6f}  "
@@ -211,10 +214,7 @@ def sobol(dim, count):
         raise click.UsageError(f"--count must be >= 1, got {count}")
     if count > 2**BITS - 1:
         raise click.UsageError(f"--count must be <= 2**{BITS} - 1 = {2**BITS - 1}, got {count}")
-    try:
-        sequence = SobolSequence(dim)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    sequence = SobolSequence(dim)
     for start in range(0, count, _SOBOL_BLOCK):
         for point in sequence.take(min(_SOBOL_BLOCK, count - start)).tolist():
             click.echo(",".join(map(repr, point)))
@@ -237,13 +237,10 @@ def schedule(t0, tmult, iters, pa_min, pa_max, alpha_min, alpha_max):
     if memory is not None and needed > memory:
         raise click.ClickException(f"--iters={iters} needs about {needed} bytes, more than the "
                                    f"{memory} bytes of physical memory")
-    try:
-        inputs = EnhancedCuckooSearch(
-            iterations=iters + 1, pa_min=pa_min, pa_max=pa_max, alpha_min=alpha_min,
-            alpha_max=alpha_max, t0=t0, t_mult=tmult,
-        ).engine_inputs()
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    inputs = EnhancedCuckooSearch(
+        iterations=iters + 1, pa_min=pa_min, pa_max=pa_max, alpha_min=alpha_min,
+        alpha_max=alpha_max, t0=t0, t_mult=tmult,
+    ).engine_inputs()
     click.echo("iteration,pa,alpha")
     for iteration, (p, a) in enumerate(zip(inputs.pa.tolist(), inputs.alpha.tolist())):
         click.echo(f"{iteration},{p!r},{a!r}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -137,23 +137,34 @@ def physical_memory() -> int | None:
         return None
 
 
+# the bytes of the Python objects each fit keeps until its outputs are written: its cell,
+# seed, RandomSource, RunTrace and row dict.  Under tracemalloc a serial run_benchmark at
+# 0 iterations and dim 2 peaks at 1.37-1.41 kB per fit (5.2k and 20.8k fits; Python 3.11,
+# numpy 2.4), its trace row and best position included; run_allocation at 0.96 kB.
+_FIT_BYTES = 1500
+
+
 def check_settings(config: ExperimentConfig, dim: int, trials: int) -> None:
     """Reject ``trials`` fits that cannot run at ``dim``; ``bench`` and ``allocate`` call it first.
 
-    ``ECSA_WORKERS`` must be an integer >= 1, the largest stacks of all
-    ``W = min(workers, trials)`` workers (:func:`ecsa.optimizer.stack_bytes`
-    of the ``ceil(trials / W)`` trials of the largest :func:`_run_split`
-    share, ``W`` times) must fit in the physical memory, every configured
-    algorithm's ``engine_inputs()`` must pass, and the Sobol table must
-    cover ``dim`` for a Sobol algorithm.
+    ``ECSA_WORKERS`` must be an integer >= 1, and the estimate must fit in the
+    physical memory: the largest stacks of all ``W = min(workers, trials)``
+    workers (:func:`ecsa.optimizer.stack_bytes` of the ``ceil(trials / W)``
+    trials of the largest :func:`_run_split` share, ``W`` times), plus what
+    every fit keeps, its trace row and best position (``8 * (iterations +
+    dim)`` bytes) and its Python objects (:data:`_FIT_BYTES`).  Every
+    configured algorithm's ``engine_inputs()`` must pass, and the Sobol
+    table must cover ``dim`` for a Sobol algorithm.
     """
     workers = min(worker_count(), trials)
     population, iterations = config.population, config.iterations
-    needed = workers * stack_bytes(-(-trials // workers), population, dim, iterations)
+    needed = (workers * stack_bytes(-(-trials // workers), population, dim, iterations)
+              + trials * (8 * (iterations + dim) + _FIT_BYTES))
     memory = physical_memory()
     if memory is not None and needed > memory:
-        raise ValueError(f"population={population} and iterations={iterations} at dim={dim} need "
-                         f"about {needed} bytes, more than the {memory} bytes of physical memory")
+        raise ValueError(f"{trials} fits of population={population} and iterations={iterations} "
+                         f"at dim={dim} need about {needed} bytes, more than the {memory} bytes "
+                         f"of physical memory")
     for algorithm in config.algorithms:
         if make_optimizer(algorithm, config).engine_inputs().init == "sobol":
             sobol.check_dim(dim)
@@ -162,15 +173,15 @@ def check_settings(config: ExperimentConfig, dim: int, trials: int) -> None:
 def check_benchmark(config: ExperimentConfig) -> None:
     """Reject a protocol that cannot run, before any fit or output.
 
-    The summary std and the comparison need two trials per cell, every function
-    must exist at ``dim``, and the settings must pass :func:`check_settings` there.
+    The summary std and the comparison need two trials per cell, ``dim``
+    must pass :func:`ecsa.benchmarks.check_suite_dim`, which builds no
+    array, and the settings must pass :func:`check_settings` there.
     """
     if config.trials < 2:
         raise ValueError(
             f"bench needs --trials >= 2 for the summary std and compare, got {config.trials}"
         )
-    for function_id in config.functions:
-        benchmarks.get_spec(function_id, config.dim)
+    benchmarks.check_suite_dim(config.dim)
     check_settings(config, config.dim,
                    len(config.functions) * len(config.algorithms) * config.trials)
 
@@ -483,8 +494,10 @@ def run_allocation(
     the box and the estimator's :class:`EngineInputs`; a trial gives the
     same result in any split, so the report does not depend on the worker
     count.  The oracle runs after the fits.  A zero oracle makes a trial's
-    gap ``0.0`` if its fit reaches it and ``inf`` if not.
+    gap ``0.0`` if its fit reaches it and ``inf`` if not.  :func:`check_settings`
+    runs first, at the instance's decision dimension.
     """
+    check_settings(replace(config, algorithms=(algorithm,)), instance.decision_dim, config.trials)
     estimator = make_optimizer(algorithm, config)
     objective = AllocationObjective(instance)
     seeds = [trial_seed(config.base_seed, algorithm, "LA", t) for t in range(config.trials)]

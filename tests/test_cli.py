@@ -6,7 +6,7 @@ from unittest import mock
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from ecsa.allocation import AllocationObjective
@@ -20,6 +20,11 @@ from ecsa.optimizer import stack_bytes
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def kept_bytes(fits, iterations, dim):
+    """What the size pre-flight counts for the outputs every fit keeps."""
+    return fits * (8 * (iterations + dim) + experiments._FIT_BYTES)
 
 
 class TestSobolCommand:
@@ -282,6 +287,23 @@ class TestBenchCommand:
         assert not out.exists()
         # random initialization needs no table
         check_benchmark(ExperimentConfig(functions="F1", algorithms="csa", dim=1112, trials=2))
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["--trials", "1", "--functions", "F99", "--dim", "3"], "--functions"),
+        # a flag given at its default value is given too
+        (["--seed", "0"], "--seed"),
+        (["--config", "c.json"], "--config"),
+        (["--out", "o"], "--out"),
+    ], ids=["bad_settings", "default_value", "config", "out"])
+    def test_bench_list_refuses_bench_options(self, runner, tmp_path, monkeypatch, flags, flag):
+        # list used to ignore them and print the 15-D table
+        monkeypatch.chdir(tmp_path)
+        Path("c.json").write_text("{}")
+        result = runner.invoke(main, ["bench", *flags, "list"])
+        assert result.exit_code == 2
+        assert result.output.startswith("Usage:")
+        assert result.output.endswith(f"Error: {flag} does not apply to bench list\n")
+        assert not Path("o").exists()
 
     def test_bench_list(self, runner):
         result = runner.invoke(main, ["bench", "list"])
@@ -650,10 +672,10 @@ class TestAllocateCommand:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         dim = 11 * 10**15
-        needed = stack_bytes(30, 50, dim, 500)
+        needed = stack_bytes(30, 50, dim, 500) + kept_bytes(30, 500, dim)
         assert result.output.splitlines() == [
-            f"Error: population=50 and iterations=500 at dim={dim} need about {needed} bytes, "
-            f"more than the {experiments.physical_memory()} bytes of physical memory"]
+            f"Error: 30 fits of population=50 and iterations=500 at dim={dim} need about {needed} "
+            f"bytes, more than the {experiments.physical_memory()} bytes of physical memory"]
         evaluate_many.assert_not_called()
         assert not out.exists()
         # a zero count is refused by its own check, before the size estimate
@@ -720,10 +742,11 @@ class TestSizePreflight:
                                           "--out", str(out)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        needed = stack_bytes(2, population, 15, 1)
+        needed = stack_bytes(2, population, 15, 1) + kept_bytes(4, 1, 15)
         assert result.output.splitlines() == [
-            f"Error: population={population} and iterations=1 at dim=15 need about {needed} "
-            f"bytes, more than the {experiments.physical_memory()} bytes of physical memory"]
+            f"Error: 4 fits of population={population} and iterations=1 at dim=15 need about "
+            f"{needed} bytes, more than the {experiments.physical_memory()} bytes of physical "
+            f"memory"]
         evaluate_many.assert_not_called()
         assert not out.exists()
 
@@ -734,15 +757,15 @@ class TestSizePreflight:
         flags = (["bench", "--functions", "F1", "--trials", "3"] if command == "bench"
                  else ["allocate", "--synthetic", "--trials", "2"])
         dim, trials = (15, 6) if command == "bench" else (550, 2)
-        needed = stack_bytes(trials, 4, dim, 5)
+        needed = stack_bytes(trials, 4, dim, 5) + kept_bytes(trials, 5, dim)
         out = tmp_path / "out"
         args = [*flags, "--population", "4", "--iterations", "5", "--out", str(out)]
         monkeypatch.setattr(experiments, "physical_memory", lambda: needed - 1)
         result = runner.invoke(main, args)
         assert result.exit_code == 1
         assert result.output.splitlines() == [
-            f"Error: population=4 and iterations=5 at dim={dim} need about {needed} bytes, "
-            f"more than the {needed - 1} bytes of physical memory"]
+            f"Error: {trials} fits of population=4 and iterations=5 at dim={dim} need about "
+            f"{needed} bytes, more than the {needed - 1} bytes of physical memory"]
         assert not out.exists()
         # the same run fits in one more byte, and when the memory is unknown
         for memory in (needed, None):
@@ -752,20 +775,69 @@ class TestSizePreflight:
     def test_estimate_counts_every_worker_stack(self, runner, tmp_path, monkeypatch):
         # 60 nests at 550-D exceed one stack's coordinates, so every trial is
         # a stack of its own: one worker holds one, two workers hold two
-        single = stack_bytes(1, 60, 550, 2)
+        single, kept = stack_bytes(1, 60, 550, 2), kept_bytes(2, 2, 550)
         assert stack_bytes(2, 60, 550, 2) == single
-        monkeypatch.setattr(experiments, "physical_memory", lambda: 2 * single - 1)
+        monkeypatch.setattr(experiments, "physical_memory", lambda: 2 * single + kept - 1)
         out = tmp_path / "la"
         args = ["allocate", "--synthetic", "--trials", "2", "--population", "60",
                 "--iterations", "2", "--out", str(out)]
         result = runner.invoke(main, args, env={"ECSA_WORKERS": "2"})
         assert result.exit_code == 1
         assert result.output.splitlines() == [
-            f"Error: population=60 and iterations=2 at dim=550 need about {2 * single} bytes, "
-            f"more than the {2 * single - 1} bytes of physical memory"]
+            f"Error: 2 fits of population=60 and iterations=2 at dim=550 need about "
+            f"{2 * single + kept} bytes, more than the {2 * single + kept - 1} bytes of physical "
+            f"memory"]
         assert not out.exists()
         result = runner.invoke(main, args, env={"ECSA_WORKERS": "1"})
         assert result.exit_code == 0, result.output
+
+    def test_unallocatable_dim_fails_before_any_spec(self, runner, tmp_path):
+        # check_benchmark used to build every function's box first, and numpy's
+        # _ArrayMemoryError ("Unable to allocate 7.11 PiB") ended in a traceback
+        dim, out = 10**15, tmp_path / "out"
+        result = runner.invoke(main, ["bench", "--functions", "F1", "--trials", "2",
+                                      "--algorithms", "csa", "--dim", str(dim), "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        needed = stack_bytes(2, 50, dim, 500) + kept_bytes(2, 500, dim)
+        assert result.output.splitlines() == [
+            f"Error: 2 fits of population=50 and iterations=500 at dim={dim} need about {needed} "
+            f"bytes, more than the {experiments.physical_memory()} bytes of physical memory"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["bench", "allocate"])
+    def test_fit_count_beyond_memory_fails_before_any_list(self, runner, tmp_path, command):
+        # the estimate used to count the stacks alone, so 10**15 trials passed
+        # it and then started a cell or seed list that would never finish
+        trials, out = 10**15, tmp_path / "out"
+        flags = (["bench", "--functions", "F1"] if command == "bench"
+                 else ["allocate", "--synthetic"])
+        with mock.patch("ecsa.experiments.trial_seed") as seed, \
+                mock.patch.object(BenchmarkObjective, "evaluate_many") as bench_calls, \
+                mock.patch.object(AllocationObjective, "evaluate_many") as allocation_calls:
+            result = runner.invoke(main, [*flags, "--trials", str(trials), "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        fits = 2 * trials if command == "bench" else trials
+        assert len(result.output.splitlines()) == 1
+        assert result.output.startswith(f"Error: {fits} fits of population=50 and iterations=500 ")
+        for calls in (seed, bench_calls, allocation_calls):
+            calls.assert_not_called()
+        assert not out.exists()
+
+    def test_estimate_counts_what_every_fit_keeps(self, runner, tmp_path, monkeypatch):
+        # 1000 fits of 4 nests at 15-D: their stacks alone would fit
+        stack, kept = stack_bytes(1000, 4, 15, 5), kept_bytes(1000, 5, 15)
+        monkeypatch.setattr(experiments, "physical_memory", lambda: stack + kept // 2)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["bench", "--functions", "F1", "--trials", "500",
+                                      "--population", "4", "--iterations", "5",
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            f"Error: 1000 fits of population=4 and iterations=5 at dim=15 need about "
+            f"{stack + kept} bytes, more than the {stack + kept // 2} bytes of physical memory"]
+        assert not out.exists()
 
     def test_memory_unknown_without_sysconf(self, monkeypatch):
         def unknown(name):
@@ -773,3 +845,121 @@ class TestSizePreflight:
 
         monkeypatch.setattr(experiments.os, "sysconf", unknown)
         assert experiments.physical_memory() is None
+
+
+# hostile values as command-line text; in a --config file each stands for the
+# JSON value of the same meaning, with the numeric strings quoted
+HOSTILE = ("true", "2", "0.5", "nan", "inf", "1e400", "0", "-1", str(2**64), str(10**15),
+           str(10**16))
+JSON_TOKENS = {"nan": "NaN", "inf": "Infinity", "2": '"2"', "0.5": '"0.5"'}
+
+
+def setting_values(kind):
+    """A hostile value, or a valid one of ``kind`` (``int`` or ``float``): a size stays <= 8."""
+    valid = st.integers(1, 8).map(str) if kind is int else st.floats(0.001, 1.0).map(repr)
+    return st.one_of(st.sampled_from(HOSTILE), valid)
+
+
+def drawn_settings(kinds):
+    """Up to two of the settings in ``kinds`` (name: ``int`` or ``float``), with drawn values."""
+    return st.lists(st.sampled_from(sorted(kinds)), max_size=2, unique=True).flatmap(
+        lambda names: st.fixed_dictionaries({name: setting_values(kinds[name])
+                                             for name in names}))
+
+
+def flag_args(chosen):
+    return [item for name, value in chosen.items()
+            for item in ("--seed" if name == "base_seed" else f"--{name.replace('_', '-')}",
+                         value)]
+
+
+def counting(cls):
+    """``cls.evaluate_many``, patched to count its calls and still run."""
+    return mock.patch.object(cls, "evaluate_many", autospec=True, side_effect=cls.evaluate_many)
+
+
+BENCH_KINDS = {name: type(default) for name, default in CONFIG_DEFAULTS.items()
+               if not isinstance(default, tuple)}
+ALLOCATE_KINDS = {"trials": int, "base_seed": int, "population": int, "iterations": int,
+                  "blocks_count": int, "areas_count": int}
+SCHEDULE_KINDS = {"t0": int, "tmult": float, "iters": int, "pa_min": float, "pa_max": float,
+                  "alpha_min": float, "alpha_max": float}
+# every run stays small unless a drawn value says otherwise
+BENCH_SIZES = {"trials": "2", "population": "4", "iterations": "3", "dim": "2"}
+ALLOCATE_SIZES = {"trials": "2", "population": "4", "iterations": "3", "blocks_count": "2",
+                  "areas_count": "2"}
+BENCH_OUTPUTS = ["out/results.csv", "out/summary.csv", "out/traces"]
+
+
+@st.composite
+def invocations(draw):
+    """``(args, files, outputs)``: a command line, the text of each file it reads by name,
+    and what a success writes: paths under the run's directory, or ``"stdout"``."""
+    command = draw(st.sampled_from(["bench", "bench --config", "bench list", "allocate",
+                                    "compare", "schedule", "sobol"]))
+    if command == "bench list":
+        return ["bench", *flag_args(draw(drawn_settings(BENCH_KINDS))), "list"], {}, ["stdout"]
+    if command.startswith("bench"):
+        chosen = BENCH_SIZES | draw(drawn_settings(BENCH_KINDS))
+        if command == "bench":
+            return (["bench", "--functions", "F1", *flag_args(chosen), "--out", "out"], {},
+                    BENCH_OUTPUTS)
+        config = "{" + ", ".join(f'"{name}": {JSON_TOKENS.get(value, value)}'
+                                 for name, value in chosen.items()) + "}"
+        return (["bench", "--functions", "F1", "--config", "config.json", "--out", "out"],
+                {"config.json": config}, BENCH_OUTPUTS)
+    if command == "allocate":
+        algorithm = draw(st.sampled_from(ALGORITHMS))
+        chosen = ALLOCATE_SIZES | draw(drawn_settings(ALLOCATE_KINDS))
+        return (["allocate", "--synthetic", "--algorithm", algorithm, *flag_args(chosen),
+                 "--out", "out"], {},
+                [f"out/allocation_{algorithm}.csv", f"out/assignment_{algorithm}.csv"])
+    if command == "compare":
+        level = draw(setting_values(float))
+        return (["compare", "--results", "results.csv", "--level", level, "--out", "out"],
+                {"results.csv": RESULTS}, ["out/comparison.csv", "out/comparison.txt"])
+    if command == "schedule":
+        chosen = {"iters": "8"} | draw(drawn_settings(SCHEDULE_KINDS))
+        return ["schedule", *flag_args(chosen)], {}, ["stdout"]
+    return (["sobol", "--dim", draw(setting_values(int)), "--count", draw(setting_values(int))],
+            {}, ["stdout"])
+
+
+class TestCliContract:
+    """Every command either runs and writes its outputs, or fails with one message first."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(invocations())
+    # a numpy _ArrayMemoryError traceback, and two lists that would never finish
+    @example((["bench", "--functions", "F1", "--trials", "2", "--dim", str(10**15),
+               "--out", "out"], {}, BENCH_OUTPUTS))
+    @example((["bench", "--functions", "F1", "--trials", str(10**15), "--out", "out"], {},
+              BENCH_OUTPUTS))
+    @example((["allocate", "--synthetic", "--trials", str(10**15), "--out", "out"], {},
+              ["out/allocation_ecsa.csv"]))
+    def test_runs_or_fails_with_one_message_before_any_work(self, invocation):
+        args, files, outputs = invocation
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in files.items():
+                (Path(tmp) / name).write_text(text)
+            with counting(BenchmarkObjective) as bench_calls, \
+                    counting(AllocationObjective) as allocation_calls:
+                result = CliRunner().invoke(
+                    main, [str(Path(tmp) / arg) if arg in (*files, "out") else arg
+                           for arg in args],
+                    env={experiments.WORKERS_ENV: None})
+            lines = result.output.splitlines()
+            event(f"{args[0]}{' list' if args[-1] == 'list' else ''} exit {result.exit_code}")
+            if result.exit_code == 0:
+                for output in outputs:
+                    assert lines if output == "stdout" else (Path(tmp) / output).exists()
+                return
+            assert result.exit_code in (1, 2), result.output
+            assert result.exception is None or isinstance(result.exception, SystemExit), \
+                result.exception
+            assert [line for line in lines if line.startswith("Error:")] == lines[-1:]
+            assert lines[0].startswith("Usage:" if result.exit_code == 2 else "Error:")
+            if result.exit_code == 1:
+                assert len(lines) == 1, result.output
+            assert bench_calls.call_count == allocation_calls.call_count == 0
+            assert not (Path(tmp) / "out").exists()

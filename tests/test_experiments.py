@@ -358,6 +358,16 @@ class TestAllocationExperiment:
                 run_allocation(instance, "ecsa", tiny_config(**overrides))
         oracle.assert_not_called()
 
+    def test_fit_count_beyond_memory_rejected_before_any_evaluation(self):
+        # library callers used to get a seed list of 10**15 entries before any check
+        instance = synth_instance(4, 2, seed=2)
+        with mock.patch("ecsa.experiments.trial_seed") as seed, \
+                mock.patch("ecsa.experiments.AllocationObjective") as objective:
+            with pytest.raises(ValueError, match=r"^1000000000000000 fits of population=50 "):
+                run_allocation(instance, "ecsa", ExperimentConfig(trials=10**15))
+        seed.assert_not_called()
+        objective.assert_not_called()
+
     def test_worker_count_does_not_change_outputs(self, tmp_path, monkeypatch, pool_tasks):
         # 3 trials on 2 workers run as a 2-trial and a 1-trial task; every
         # file must match the serial run's byte for byte
