@@ -8,8 +8,9 @@ cell by cell and adding cells never shifts existing streams.
 
 Both experiments run their trials through :func:`_run_split`, which
 splits them between the workers of a process pool (``ECSA_WORKERS``
-environment variable, default 1).  A trial gives the same bits wherever
-it runs, so file contents do not depend on the worker count.
+environment variable, default 1, at most the CPUs the process may use).
+A trial gives the same bits wherever it runs, so file contents do not
+depend on the worker count.
 
 All outputs are flat CSV files plus an aligned text table; convergence
 traces are emitted per run and as a per-cell mean so plots can be drawn
@@ -148,7 +149,7 @@ def check_settings(config: ExperimentConfig, dim: int, trials: int) -> None:
     """Reject ``trials`` fits that cannot run at ``dim``; ``bench`` and ``allocate`` call it first.
 
     ``ECSA_WORKERS`` must be an integer >= 1, and the estimate must fit in the
-    physical memory: the largest stacks of all ``W = min(workers, trials)``
+    physical memory: the largest stacks of all ``W = worker_count(trials)``
     workers (:func:`ecsa.optimizer.stack_bytes` of the ``ceil(trials / W)``
     trials of the largest :func:`_run_split` share, ``W`` times), plus what
     every fit keeps, its trace row and best position (``8 * (iterations +
@@ -156,7 +157,7 @@ def check_settings(config: ExperimentConfig, dim: int, trials: int) -> None:
     configured algorithm's ``engine_inputs()`` must pass, and the Sobol
     table must cover ``dim`` for a Sobol algorithm.
     """
-    workers = min(worker_count(), trials)
+    workers = worker_count(trials)
     population, iterations = config.population, config.iterations
     needed = (workers * stack_bytes(-(-trials // workers), population, dim, iterations)
               + trials * (8 * (iterations + dim) + _FIT_BYTES))
@@ -186,28 +187,42 @@ def check_benchmark(config: ExperimentConfig) -> None:
                    len(config.functions) * len(config.algorithms) * config.trials)
 
 
-def worker_count() -> int:
-    """Worker-pool size from the environment (defaults to serial); at least 1."""
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS tells, else all of them."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def worker_count(trials: int) -> int:
+    """Pool size for ``trials`` trials: ``min(ECSA_WORKERS, usable CPUs, trials)``.
+
+    ``ECSA_WORKERS`` (default 1, serial) must be an integer >= 1.  A
+    trial's bits do not depend on the pool size, and a CPU-bound pool gains
+    nothing past the CPUs it may use.  :func:`_run_split` and
+    :func:`check_settings` both size the pool here.
+    """
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
         count = int(raw)
     except ValueError:
         raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    return checked_int(WORKERS_ENV, count, 1)
+    return min(checked_int(WORKERS_ENV, count, 1), _usable_cpus(), trials)
 
 
 def _run_split(objectives, boxes, settings, rngs) -> list:
     """:func:`run_trials` with its trials split between the workers; one trace per trial, in order.
 
     Every argument is a list of one entry per trial, as :func:`run_trials`
-    takes it.  Worker ``k`` of ``W = min(worker_count(), trials)`` runs the
+    takes it.  Worker ``k`` of ``W = worker_count(trials)`` runs the
     share ``[k::W]`` of every list as one :func:`run_trials` call, which
     checks it; with ``W > 1`` each share is one task of a ``multiprocessing.Pool``.
     A task is one pickle, so an entry that trials share by reference, such
     as an algorithm's :class:`EngineInputs`, is pickled once per task, and
     an objective holding its trial's random source still holds it.
     """
-    workers = min(worker_count(), len(rngs))
+    workers = worker_count(len(rngs))
     tasks = [tuple(entries[k::workers] for entries in (objectives, boxes, settings, rngs))
              for k in range(workers)]
     if workers > 1:

@@ -78,45 +78,37 @@ class RunTrace:
     evaluations: int
 
 
-def _batch_evaluator(objective):
-    """Row-wise evaluator; uses ``objective.evaluate_many`` when offered.
-
-    The one place the objective contract is enforced: ``evaluate_many`` of
-    ``n`` rows must return ``n`` values, shape ``(n,)``.
-    """
-    many = getattr(objective, "evaluate_many", None)
-    if not callable(many):
-        return lambda X: np.array([float(objective(x)) for x in X], dtype=float)
-
-    def evaluate(X):
-        F = np.asarray(many(X), dtype=float)
-        if F.shape != (len(X),):
-            raise ValueError(
-                f"{type(objective).__name__}.evaluate_many must return shape (n,), "
-                f"got {F.shape} for n = {len(X)}"
-            )
-        return F
-
-    return evaluate
-
-
 def _stack_evaluator(objectives):
     """Evaluator of ``(trials, rows, dim)`` positions returning ``(trials, rows)`` fitness.
 
     Each run of consecutive trials that share one objective object goes
     to it in one call, trial after trial; the runs are evaluated in trial
-    order.  A trial with its own objective is a run of one.
+    order.  A trial with its own objective is a run of one.  The run's
+    ``n`` rows go to the objective's ``evaluate_many`` when it offers one,
+    which must return shape ``(n,)`` (the one place this contract is
+    enforced); otherwise the objective is called row by row.
     """
     runs, start = [], 0
     for stop in range(1, len(objectives) + 1):
         if stop == len(objectives) or objectives[stop] is not objectives[start]:
-            runs.append((slice(start, stop), _batch_evaluator(objectives[start])))
+            objective = objectives[start]
+            runs.append((slice(start, stop), objective, getattr(objective, "evaluate_many", None)))
             start = stop
 
     def evaluate(X):
         F = np.empty(X.shape[:-1])
-        for trials, batch in runs:
-            F[trials] = batch(X[trials].reshape(-1, X.shape[-1])).reshape(F[trials].shape)
+        for trials, objective, many in runs:
+            rows = X[trials].reshape(-1, X.shape[-1])
+            if not callable(many):
+                values = np.array([float(objective(x)) for x in rows], dtype=float)
+            else:
+                values = np.asarray(many(rows), dtype=float)
+                if values.shape != (len(rows),):
+                    raise ValueError(
+                        f"{type(objective).__name__}.evaluate_many must return shape (n,), "
+                        f"got {values.shape} for n = {len(rows)}"
+                    )
+            F[trials] = values.reshape(F[trials].shape)
         return F
 
     return evaluate
@@ -166,6 +158,18 @@ def _positions(block: np.ndarray, shape) -> np.ndarray:
     return block[: math.prod(shape)].reshape(shape)
 
 
+def _stack_count(trials: int, population: int, dim: int) -> int:
+    """The number of stacks :func:`run_trials` splits ``trials`` trials into.
+
+    The fewest stacks of at most :data:`STACK_COORDINATES` coordinates,
+    ``population * dim`` per trial, or of one trial where one holds more.
+    Stack ``k`` of ``S`` runs the trials from ``k * trials // S`` up to
+    ``(k + 1) * trials // S``, so stack sizes differ by at most one and the
+    last, of ``ceil(trials / S)`` trials, is a largest.
+    """
+    return -(-trials // max(1, STACK_COORDINATES // (population * dim)))
+
+
 def stack_bytes(trials: int, population: int, dim: int, iterations: int) -> int:
     """About the bytes the largest stack of a :func:`run_trials` call of ``trials`` trials holds.
 
@@ -173,7 +177,7 @@ def stack_bytes(trials: int, population: int, dim: int, iterations: int) -> int:
     and their values, and the trial's ``pa``, ``alpha`` and trace rows.
     """
     n = population * dim
-    stacked = min(trials, max(1, STACK_COORDINATES // n))
+    stacked = -(-trials // max(1, _stack_count(trials, population, dim)))
     return 8 * stacked * (6 * ((n + 1) // 2) + n + population + 3 * iterations)
 
 
@@ -370,11 +374,12 @@ def run_trials(objectives, boxes, settings, rngs) -> list[RunTrace]:
     ``population * dim`` mask values, one ``r``, ``population`` values for
     the first walk partner and, when ``population > 1``, ``population``
     values for the second.
-    Trials advance in stacks of at most :data:`STACK_COORDINATES`
-    coordinates; every result is the same whatever the stacking.  Each run
-    of consecutive trials of a stack that share one objective object has
-    it evaluate each phase once on their stacked rows, so a shared
-    objective must not depend on call order.  Each stack allocates its
+    Trials advance in the fewest stacks of at most :data:`STACK_COORDINATES`
+    coordinates, with sizes that differ by at most one (see
+    :func:`_stack_count`); every result is the same whatever the stacking.
+    Each run of consecutive trials of a stack that share one objective
+    object has it evaluate each phase once on their stacked rows, so a
+    shared objective must not depend on call order.  Each stack allocates its
     work arrays once and every iteration reuses them, so the positions an
     objective receives are overwritten later: an objective that keeps
     them must copy them.
@@ -397,10 +402,10 @@ def run_trials(objectives, boxes, settings, rngs) -> list[RunTrace]:
             raise ValueError(f"every trial of one call must have one {name}, got {sorted(values)}")
     if any(inputs.init == "sobol" for inputs in settings):
         check_dim(boxes[0].dim)
-    size = max(1, STACK_COORDINATES // (settings[0].population * boxes[0].dim)) if rngs else 1
+    count = _stack_count(len(rngs), settings[0].population, boxes[0].dim) if rngs else 0
     traces = []
-    for lo in range(0, len(rngs), size):
-        stack = slice(lo, lo + size)
+    for k in range(count):
+        stack = slice(k * len(rngs) // count, (k + 1) * len(rngs) // count)
         traces += _run_stack(objectives[stack], boxes[stack], settings[stack], rngs[stack])
     return traces
 

@@ -84,6 +84,23 @@ class TestLoadValidate:
                 [{"id": "a", "x": 0, "y": 0}],
             )
 
+    @pytest.mark.parametrize("record, reason", [
+        ({"id": "b", "x": 0}, "'y'"),
+        ({"id": "b", "x": "a", "y": 0}, "could not convert string to float: 'a'"),
+        (None, "'NoneType' object is not subscriptable"),
+    ], ids=["missing_y", "text_x", "null"])
+    def test_malformed_record_reports_row(self, record, reason):
+        with pytest.raises(ValueError, match=re.escape(
+                f"block record 0: expected id,x,y fields ({reason})")):
+            instance_from_records([record], [{"id": "a", "x": 0, "y": 0}])
+
+    @pytest.mark.parametrize("label", ["block", "area"])
+    def test_empty_section_rejected(self, label):
+        sections = {"block": [{"id": "b", "x": 0, "y": 0}], "area": [{"id": "a", "x": 0, "y": 0}]}
+        sections[label] = []
+        with pytest.raises(ValueError, match=f"^no {label} records$"):
+            instance_from_records(sections["block"], sections["area"])
+
     def test_non_finite_coordinates_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             instance_from_records(

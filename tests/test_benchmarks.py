@@ -139,6 +139,10 @@ class TestSuite:
                 build()
         assert get_spec("F5", 2).dim == 2
 
+    def test_unknown_function_rejected(self):
+        with pytest.raises(ValueError, match="^unknown benchmark function 'F99'$"):
+            get_spec("F99")
+
     def test_standard_boxes(self):
         half_widths = {
             "F1": 100, "F2": 10, "F3": 100, "F4": 100, "F5": 30, "F6": 100,

@@ -686,14 +686,15 @@ class TestAllocateCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [
+        (["--blocks", "a.csv"], "--blocks requires --areas"),
         (["--synthetic", "--areas", "a.csv"], "--areas requires --blocks"),
         (["--instance", "i.json", "--areas", "a.csv"], "--areas requires --blocks"),
         (["--instance", "i.json", "--blocks-count", "50"], "--blocks-count requires --synthetic"),
         (["--instance", "i.json", "--areas-count", "3"], "--areas-count requires --synthetic"),
         (["--blocks", "a.csv", "--areas", "a.csv", "--areas-count", "3"],
          "--areas-count requires --synthetic"),
-    ], ids=["areas_with_synthetic", "areas_with_instance", "blocks_count_with_instance",
-            "areas_count_with_instance", "areas_count_with_csv"])
+    ], ids=["blocks_without_areas", "areas_with_synthetic", "areas_with_instance",
+            "blocks_count_with_instance", "areas_count_with_instance", "areas_count_with_csv"])
     def test_flag_the_source_ignores_is_refused(self, runner, tmp_path, monkeypatch, flags,
                                                  message):
         # a flag the chosen source does not read used to be dropped without a word
@@ -777,6 +778,7 @@ class TestSizePreflight:
         # a stack of its own: one worker holds one, two workers hold two
         single, kept = stack_bytes(1, 60, 550, 2), kept_bytes(2, 2, 550)
         assert stack_bytes(2, 60, 550, 2) == single
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(experiments, "physical_memory", lambda: 2 * single + kept - 1)
         out = tmp_path / "la"
         args = ["allocate", "--synthetic", "--trials", "2", "--population", "60",

@@ -39,8 +39,13 @@ def pool_tasks(monkeypatch):
     """The task list of every pool ``starmap``, in call order.
 
     The real pool is subclassed, so its workers stay real processes; a
-    serial run makes no pool and records nothing.
+    serial run makes no pool and records nothing.  The usable CPUs, which
+    cap the pool size, are pinned at 3, the most any of these tests asks
+    for, so the pool sizes do not depend on the machine.
     """
+    from ecsa import experiments
+
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
     calls = []
 
     class RecordingPool(multiprocessing.pool.Pool):
@@ -77,6 +82,10 @@ class TestConfig:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(algorithms=("pso",))
+
+    def test_unknown_algorithm_has_no_estimator(self):
+        with pytest.raises(ValueError, match="^unknown algorithm 'xyz'$"):
+            make_optimizer("xyz", ExperimentConfig())
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
@@ -164,6 +173,27 @@ class TestRunBenchmark:
                 serial = (tmp_path / "1" / name).read_bytes()
                 assert serial == (tmp_path / workers / name).read_bytes()
 
+    def test_pool_never_exceeds_the_usable_cpus(self, monkeypatch, pool_tasks):
+        # `ECSA_WORKERS=500 ecsa bench` used to pass the pre-flight and would
+        # have forked 500 interpreters of about 40 MB each; here 3 fits on 2
+        # usable CPUs run as one 2-task pool
+        from ecsa import experiments
+        from ecsa.optimizer import stack_bytes
+
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        monkeypatch.setenv("ECSA_WORKERS", "500")
+        config = tiny_config(algorithms=("csa",), trials=3, population=4, iterations=2)
+        rows, _ = run_benchmark(config)
+        assert len(rows) == 3
+        assert [len(tasks) for tasks in pool_tasks] == [2]
+        # the pre-flight counts the largest stacks of the same 2 workers
+        needed = 2 * stack_bytes(2, 4, 15, 2) + 3 * (8 * (2 + 15) + experiments._FIT_BYTES)
+        monkeypatch.setattr(experiments, "physical_memory", lambda: needed - 1)
+        with pytest.raises(ValueError, match=f"need about {needed} bytes"):
+            experiments.check_benchmark(config)
+        monkeypatch.setattr(experiments, "physical_memory", lambda: needed)
+        experiments.check_benchmark(config)
+
     def test_pool_tasks_carry_each_schedule_row_once(self, monkeypatch, pool_tasks):
         # a task holds, per trial, a reference to its algorithm's one
         # EngineInputs, so it pickles each schedule row once; an allocate
@@ -195,7 +225,9 @@ class TestRunBenchmark:
 
         script = (
             "import sys\n"
+            "from ecsa import experiments\n"
             "from ecsa.experiments import ExperimentConfig, run_benchmark\n"
+            "experiments._usable_cpus = lambda: 2  # a pool of 2 on any machine\n"
             "config = ExperimentConfig(functions='F1,F7', trials=2, population=4, iterations=3)\n"
             "assert len(run_benchmark(config)[0]) == 8\n"
             "print('numpy.random' in sys.modules)\n"

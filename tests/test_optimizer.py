@@ -517,6 +517,25 @@ class TestRun:
                            [RandomSource(k) for k in range(3)])
         assert counting.calls == 0
 
+    def test_trials_split_into_the_fewest_even_stacks(self):
+        # 7 trials under a 3-trial cap used to run as 3 + 3 + 1; the size
+        # pre-flight counts the largest stack of the same split
+        box = SearchBox.cube(2, -1, 1)
+        inputs = EngineInputs(2, np.full(2, 0.25), np.full(2, 0.01), "random")
+        sizes, run_stack = [], optimizer._run_stack
+
+        def recording(objectives, *rest):
+            sizes.append(len(objectives))
+            return run_stack(objectives, *rest)
+
+        with mock.patch.object(optimizer, "STACK_COORDINATES", 3 * 2 * box.dim), \
+                mock.patch.object(optimizer, "_run_stack", recording):
+            traces = run_trials([sphere] * 7, [box] * 7, [inputs] * 7,
+                                [RandomSource(k) for k in range(7)])
+            assert optimizer.stack_bytes(7, 2, box.dim, 2) == optimizer.stack_bytes(3, 2, box.dim, 2)
+        assert sizes == [2, 2, 3]
+        assert len(traces) == 7
+
 
 class LoggedObjective:
     """Row-sum objective that logs its name and row count on every call."""

@@ -121,6 +121,13 @@ class TestRankSumApproximate:
         values = RandomSource(3).random(30)
         assert rank_sum_p(values, values) == 1.0
 
+    def test_all_equal_samples_have_zero_variance(self):
+        # every rank ties, so the tie-corrected variance is 0: a protocol cell
+        # where both algorithms reach one value in all 30 trials
+        p = rank_sum_p([0.0] * 11, [0.0] * 11)
+        assert p == 1.0
+        assert decide(p) == COMPARABLE
+
     def test_shift_sensitivity(self):
         rng = RandomSource(717)
         a = rng.random(30)
