@@ -14,7 +14,6 @@ from .allocation import (
 )
 from .benchmarks import BenchmarkObjective, ObjectiveSpec, evaluate_many, suite
 from .core import SearchBox
-from .levy import mantegna_sigma
 from .optimizer import CuckooSearch, EngineInputs, EnhancedCuckooSearch, RunTrace, run_trials
 from .rng import RandomSource, stable_seed
 from .schedule import cosine_schedule
@@ -42,7 +41,6 @@ __all__ = [
     "fitness",
     "load_instance",
     "load_instance_csv",
-    "mantegna_sigma",
     "optimal_assignment",
     "rank_sum_p",
     "run_trials",

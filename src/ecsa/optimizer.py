@@ -55,7 +55,7 @@ import numpy as np
 
 from .core import SearchBox, checked_int, checked_real
 from .levy import levy_steps
-from .rng import RandomSource, box_muller
+from .rng import RandomSource
 from .schedule import cosine_schedule
 from .sobol import check_dim, sobol_population
 
@@ -127,11 +127,10 @@ class _WorkArrays:
     Three float blocks of ``trials * 2 * ceil(population * dim / 2)``
     values, viewed under the names of the steps that use them in turn:
 
-    * block 0: ``u`` (the ``u`` uniforms, then normals, then the Levy
-      ``steps``), later the discovery ``walk``;
-    * block 1: ``v`` (the ``v`` uniforms, then normals, then the Levy
-      ``scale``), later the Levy ``proposals``, then, as bool, the
-      discovery ``mask``;
+    * block 0: ``u`` (the ``u`` uniforms, then the Levy steps), later
+      the discovery ``walk``;
+    * block 1: ``v`` (the ``v`` uniforms, then the Levy scale), later the
+      Levy ``proposals``, then, as bool, the discovery ``mask``;
     * block 2: the Box-Muller ``radius``, later the discovery ``spare``
       and the rows to evaluate, ``candidates``.
 
@@ -146,7 +145,6 @@ class _WorkArrays:
         shape = (trials, population, dim)
         self.u, self.v = (block.reshape(trials, pairs) for block in blocks[:2])
         self.radius = _positions(blocks[2], (trials, pairs // 2))
-        self.steps, self.scale = self.u[:, :n], self.v[:, :n]
         self.proposals = _positions(blocks[1], shape)
         self.mask = _positions(blocks[1].view(bool), shape)
         self.walk, self.spare = _positions(blocks[0], shape), _positions(blocks[2], shape)
@@ -182,14 +180,14 @@ def stack_bytes(trials: int, population: int, dim: int, iterations: int) -> int:
 
 
 def _levy(rngs, work: _WorkArrays) -> np.ndarray:
-    """Each trial's Levy steps, one per nest coordinate, from its ``u`` normals then its ``v`` normals.
+    """Each trial's row of Levy steps, from its ``u`` uniform block and then its ``v`` block.
 
-    The steps fill ``work.steps`` (see :class:`_WorkArrays`), which sets
-    their number.  Box-Muller runs in place on each uniform block.
+    Every trial's ``u`` block is drawn, then every trial's ``v`` block,
+    and one :func:`levy_steps` call turns them into steps, written over
+    ``work.u``: ``2 * ceil(population * dim / 2)`` per trial, of which the
+    first ``population * dim`` are used.
     """
-    box_muller(_draw(rngs, work.u), work.radius)
-    box_muller(_draw(rngs, work.v), work.radius)
-    return levy_steps(work.steps, work.scale)
+    return levy_steps(_draw(rngs, work.u), _draw(rngs, work.v), work.radius)
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,7 +327,7 @@ def _run_stack(objectives, boxes, settings, rngs) -> list[RunTrace]:
 
     for t, (pa_t, alpha_t) in enumerate(columns):
         best = F.argmin(axis=1)
-        scaled = _levy(rngs, work).reshape(X.shape)
+        scaled = _levy(rngs, work)[:, : X[0].size].reshape(X.shape)
         np.multiply(scaled, alpha_t, out=scaled)
         # P holds the spread x - x_best, then the proposal
         P = np.subtract(X, X[trial, best][:, None, :], out=work.proposals)

@@ -21,7 +21,6 @@ PUBLIC_API = [
     "fitness",
     "load_instance",
     "load_instance_csv",
-    "mantegna_sigma",
     "optimal_assignment",
     "rank_sum_p",
     "run_trials",

@@ -5,7 +5,10 @@ Levy and discovery phases, schedules, Sobol points, CSV formatting), so
 any refactor that changes a single bit of output fails here.  One more
 digest pins the ``--help`` text of every command, the CLI's surface.  They were recorded
 under numpy 2.4; floating-point kernels may differ in the last bit
-between numpy releases, so other versions skip rather than fail.
+between numpy releases, so other versions skip rather than fail.  Within
+numpy 2.4 the ``bench`` digests also depend on the kernel set of float64
+``log1p`` and ``power`` (see ``conftest.kernel_set``), so they are
+recorded for each set seen; a set with none recorded fails.
 """
 
 import hashlib
@@ -38,9 +41,23 @@ def tree_sha256(root) -> str:
     return digest.hexdigest()
 
 
-# every file a run writes (per-run and mean traces, comparison, assignments)
+# the bench slice's results, summary and every file of its run, per kernel
+# set: X86_V4 is AVX-512, and an AVX2 host runs the baseline(X86_V2) kernels
+BENCH_DIGESTS = {
+    "X86_V4": (
+        "1c2d3b512d21d576797bb9362f94e54e1887ab3c38832ca8ed96132b5cf98a78",
+        "faf3e40c13d468c28ae4464621a40077399be2ede405b5dfac1de47177aa56df",
+        "c4c81985874c198217ab9cab49526b9fa475a7412e6bc38cf7cf9ac61721c124",
+    ),
+    "baseline(X86_V2)": (
+        "c0f4ac6dfd03f2c34f1e414b8c9ccc4a4702172233ca538660f4e86901758877",
+        "680cd402fec3be1ed9a4cf4c01fe9424699a08d2eba6463a4ca6e6ddd3ac785a",
+        "ce0826d7c2f0cd7cc3cf0b433b66b76987ba4fd83dfbfc81393446a6c0035dd9",
+    ),
+}
+
+# every file a run writes (per-run and mean traces, assignments)
 TREE_DIGESTS = {
-    "bench": "c4c81985874c198217ab9cab49526b9fa475a7412e6bc38cf7cf9ac61721c124",
     "csa": "5e222cf26819abf40e8c9bc49ab08cc8f989b35b88f9c4cce26bd98165ef6b1e",
     "ecsa": "441771665fb73a0ee4287d6f8e357765466a6403498483b55e9bf5d2f8d9fe3e",
 }
@@ -52,19 +69,16 @@ def invoke(args):
     return result
 
 
-def test_bench_slice_digests(tmp_path):
+def test_bench_slice_digests(tmp_path, kernel_pins):
+    results, summary, tree = kernel_pins(BENCH_DIGESTS)
     bench = tmp_path / "bench"
     invoke(["bench", "--functions", "F1,F5,F7,F11", "--trials", "3", "--population", "10",
             "--iterations", "50", "--out", str(bench)])
-    assert sha256((bench / "results.csv").read_bytes()) == (
-        "1c2d3b512d21d576797bb9362f94e54e1887ab3c38832ca8ed96132b5cf98a78"
-    )
-    assert sha256((bench / "summary.csv").read_bytes()) == (
-        "faf3e40c13d468c28ae4464621a40077399be2ede405b5dfac1de47177aa56df"
-    )
+    assert sha256((bench / "results.csv").read_bytes()) == results
+    assert sha256((bench / "summary.csv").read_bytes()) == summary
     invoke(["compare", "--results", str(bench / "results.csv"),
             "--out", str(tmp_path / "compare")])
-    assert tree_sha256(tmp_path) == TREE_DIGESTS["bench"]
+    assert tree_sha256(tmp_path) == tree
 
 
 @pytest.mark.parametrize(
