@@ -101,8 +101,8 @@ def instance_from_records(blocks, areas) -> AllocationInstance:
 
 
 def load_instance(path) -> AllocationInstance:
-    """Load a JSON instance file with ``blocks`` and ``areas`` arrays."""
-    with open(path) as handle:
+    """Load a UTF-8 JSON instance file (a BOM is allowed) with ``blocks`` and ``areas`` arrays."""
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             payload = json.load(handle)
         except ValueError as exc:  # invalid JSON or text that is not UTF-8
@@ -117,10 +117,10 @@ def load_instance(path) -> AllocationInstance:
 
 
 def load_instance_csv(blocks_path, areas_path) -> AllocationInstance:
-    """Load an instance from two ``id,x,y`` CSV files."""
+    """Load an instance from two UTF-8 ``id,x,y`` CSV files (a BOM is allowed)."""
 
     def read(path):
-        with open(path, newline="") as handle:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
             try:
                 reader = csv.DictReader(handle)
                 if reader.fieldnames is None or not {"id", "x", "y"} <= set(reader.fieldnames):

@@ -144,7 +144,14 @@ def check_suite_dim(dim: int) -> None:
         raise ValueError(f"benchmark functions require dim >= 2, got {dim}")
 
 
-def _make_spec(function_id: str, dim: int) -> ObjectiveSpec:
+def suite(dim: int = DEFAULT_DIM) -> list[ObjectiveSpec]:
+    """All 13 specs in F1..F13 order at the given dimension."""
+    return [get_spec(fid, dim) for fid in FUNCTION_IDS]
+
+
+def get_spec(function_id: str, dim: int = DEFAULT_DIM) -> ObjectiveSpec:
+    if function_id not in _DEFINITIONS:
+        raise ValueError(f"unknown benchmark function {function_id!r}")
     check_suite_dim(dim)
     name, half_width, _ = _DEFINITIONS[function_id]
     box = SearchBox.cube(dim, -half_width, half_width)
@@ -164,17 +171,6 @@ def _make_spec(function_id: str, dim: int) -> ObjectiveSpec:
         known_optimizer=optimizer,
         stochastic=function_id == "F7",
     )
-
-
-def suite(dim: int = DEFAULT_DIM) -> list[ObjectiveSpec]:
-    """All 13 specs in F1..F13 order at the given dimension."""
-    return [_make_spec(fid, dim) for fid in FUNCTION_IDS]
-
-
-def get_spec(function_id: str, dim: int = DEFAULT_DIM) -> ObjectiveSpec:
-    if function_id not in _DEFINITIONS:
-        raise ValueError(f"unknown benchmark function {function_id!r}")
-    return _make_spec(function_id, dim)
 
 
 def evaluate_many(spec: ObjectiveSpec, X, rng: RandomSource | None = None) -> np.ndarray:

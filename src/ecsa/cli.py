@@ -46,7 +46,7 @@ def _load_config(ctx, param, config_path) -> dict:
     if config_path is None:
         return {}
     try:
-        config_data = json.loads(Path(config_path).read_text())
+        config_data = json.loads(Path(config_path).read_text(encoding="utf-8-sig"))
     except (OSError, ValueError) as exc:  # ValueError: invalid JSON or text that is not UTF-8
         raise click.ClickException(f"cannot read config file: {exc}")
     if not isinstance(config_data, dict):
@@ -83,7 +83,7 @@ def _writable_dir(out_dir) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
         probe = out / ".write_probe"
-        probe.write_text("")
+        probe.write_text("", encoding="utf-8")
         probe.unlink()
     except OSError as exc:
         raise click.ClickException(f"output directory not writable: {exc}")
@@ -149,7 +149,7 @@ def compare(results_path, level, out_dir):
     click.echo(table)
     if out:
         experiments.write_comparison_csv(comparison, out / "comparison.csv")
-        (out / "comparison.txt").write_text(table + "\n")
+        (out / "comparison.txt").write_text(table + "\n", encoding="utf-8")
         click.echo(f"wrote {out / 'comparison.csv'}", err=True)
 
 

@@ -12,9 +12,9 @@ environment variable, default 1, at most the CPUs the process may use).
 A trial gives the same bits wherever it runs, so file contents do not
 depend on the worker count.
 
-All outputs are flat CSV files plus an aligned text table; convergence
-traces are emitted per run and as a per-cell mean so plots can be drawn
-with external tools.
+All outputs are flat UTF-8 CSV files plus an aligned text table;
+convergence traces are emitted per run and as a per-cell mean so plots
+can be drawn with external tools.
 """
 
 from __future__ import annotations
@@ -284,14 +284,10 @@ def _write_table(path, header, rows) -> None:
     ``csv`` writes a Python float and a NumPy float64 alike, as the
     shortest digits that round-trip (``repr(float(v))``).
     """
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def write_results_csv(rows, path) -> None:
-    _write_table(path, RESULT_FIELDS, ([row[name] for name in RESULT_FIELDS] for row in rows))
 
 
 def _one_of(choices):
@@ -324,40 +320,39 @@ _RESULT_PARSERS = {
 def read_results_csv(path):
     """Rows of a ``results.csv``; a malformed file raises ``ValueError`` naming the line and field.
 
-    Function ids and algorithm names must be known ones, a
-    ``best_fitness`` may be infinite but not NaN, and each (function,
+    The file is UTF-8, with or without a byte-order mark.  Function ids and algorithm names
+    must be known ones, a ``best_fitness`` may be infinite but not NaN, and each (function,
     algorithm, trial) cell appears once.  A file with no rows is an error.
     """
     rows, lines = [], {}
-    with open(path, newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.DictReader(handle)
-        missing = set(RESULT_FIELDS) - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"{path}: missing result columns {sorted(missing)}")
-        for record in reader:
-            row = {}
-            for name, parse in _RESULT_PARSERS.items():
-                try:
-                    row[name] = parse(record[name])
-                except (TypeError, ValueError):
+        try:
+            missing = set(RESULT_FIELDS) - set(reader.fieldnames or ())
+            if missing:
+                raise ValueError(f"{path}: missing result columns {sorted(missing)}")
+            for record in reader:
+                row = {}
+                for name, parse in _RESULT_PARSERS.items():
+                    try:
+                        row[name] = parse(record[name])
+                    except (TypeError, ValueError):
+                        raise ValueError(
+                            f"{path}: line {reader.line_num}: bad {name} value {record[name]!r}"
+                        ) from None
+                cell = (row["function"], row["algorithm"], row["trial"])
+                if cell in lines:
                     raise ValueError(
-                        f"{path}: line {reader.line_num}: bad {name} value {record[name]!r}"
-                    ) from None
-            cell = (row["function"], row["algorithm"], row["trial"])
-            if cell in lines:
-                raise ValueError(
-                    f"{path}: line {reader.line_num}: repeats the {cell[0]} {cell[1]} "
-                    f"trial {cell[2]} row of line {lines[cell]}"
-                )
-            lines[cell] = reader.line_num
-            rows.append(row)
+                        f"{path}: line {reader.line_num}: repeats the {cell[0]} {cell[1]} "
+                        f"trial {cell[2]} row of line {lines[cell]}"
+                    )
+                lines[cell] = reader.line_num
+                rows.append(row)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
     if not rows:
         raise ValueError(f"{path}: no result rows")
     return rows
-
-
-def write_trace_csv(trace, path) -> None:
-    _write_table(path, ("iteration", "best_fitness"), enumerate(trace))
 
 
 def write_traces(traces, out_dir: Path) -> None:
@@ -365,11 +360,12 @@ def write_traces(traces, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = {}
     for (function_id, algorithm, trial), trace in traces.items():
-        write_trace_csv(trace, out_dir / f"{function_id}_{algorithm}_trial{trial:03d}.csv")
-        cells.setdefault((function_id, algorithm), []).append(trace)
-    for (function_id, algorithm), cell_traces in cells.items():
-        mean_trace = np.mean(np.vstack(cell_traces), axis=0)
-        write_trace_csv(mean_trace, out_dir / f"{function_id}_{algorithm}_mean.csv")
+        cells.setdefault((function_id, algorithm), {})[f"trial{trial:03d}"] = trace
+    for (function_id, algorithm), runs in cells.items():
+        runs["mean"] = np.mean(np.vstack(list(runs.values())), axis=0)
+        for name, trace in runs.items():
+            _write_table(out_dir / f"{function_id}_{algorithm}_{name}.csv",
+                         ("iteration", "best_fitness"), enumerate(trace))
 
 
 def _cells(rows):
@@ -401,23 +397,18 @@ def _summary_entry(function_id, algorithms, cells):
     return entry
 
 
-def summarize_rows(rows):
-    """Wide per-function summary mirroring the result-table layout."""
-    functions, algorithms, cells = _cells(rows)
-    return [_summary_entry(f, algorithms, cells) for f in functions], algorithms
-
-
-def write_summary_csv(rows, path) -> None:
-    summary, algorithms = summarize_rows(rows)
-    columns = ["function", *(name for name, _, _ in _arm_columns(algorithms))]
-    _write_table(path, columns, ([entry.get(c, "") for c in columns] for entry in summary))
-
-
 def write_benchmark_outputs(rows, traces, out_dir) -> None:
+    """``results.csv``, ``summary.csv`` (one row per function: each algorithm's mean and std of
+    ``best_fitness``, empty where it did not run) and :func:`write_traces` under ``traces/``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_results_csv(rows, out_dir / "results.csv")
-    write_summary_csv(rows, out_dir / "summary.csv")
+    _write_table(out_dir / "results.csv", RESULT_FIELDS,
+                 ([row[name] for name in RESULT_FIELDS] for row in rows))
+    functions, algorithms, cells = _cells(rows)
+    columns = ["function", *(name for name, _, _ in _arm_columns(algorithms))]
+    summary = (_summary_entry(f, algorithms, cells) for f in functions)
+    _write_table(out_dir / "summary.csv", columns,
+                 ([entry.get(c, "") for c in columns] for entry in summary))
     write_traces(traces, out_dir / "traces")
 
 
@@ -570,6 +561,5 @@ def write_allocation_outputs(instance, report: AllocationReport, out_dir) -> Non
                  ([row[name] for name in columns] for row in report.rows))
     write_traces({("LA", algorithm, trial): trace for trial, trace in report.traces.items()},
                  out_dir / "traces")
-    best = next(r for r in report.rows if r["trial"] == report.best_trial)
-    area_index = allocation.decode(best["best_position"], instance)
+    area_index = allocation.decode(report.rows[report.best_trial]["best_position"], instance)
     write_assignment_csv(instance, area_index, out_dir / f"assignment_{algorithm}.csv")

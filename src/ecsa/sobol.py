@@ -5,7 +5,8 @@ Points are produced with the Gray-code (Antonov-Saleev) recurrence: point
 the lowest zero bit of ``n - 1``.  Direction numbers are built from the
 primitive-polynomial initialisation table shipped with the package
 (``data/sobol_direction_numbers.txt``, one line per dimension in the
-``d s a m_1 ... m_s`` layout), which covers dimensions up to 1111.
+``d s a m_1 ... m_s`` layout), which covers dimensions up to 1111; a
+dimension reads only the table's lines up to its own.
 
 Fractions use 32 fixed-point bits, so coordinates live on the grid
 ``k / 2**32`` and the generator supports ``2**32 - 1`` points.  The
@@ -20,6 +21,7 @@ equidistribution guarantees apply to (the origin plus the first
 from __future__ import annotations
 
 import importlib.resources
+from contextlib import closing
 from functools import cache
 
 import numpy as np
@@ -32,38 +34,33 @@ _SCALE = float(2**BITS)
 _TABLE_RESOURCE = "sobol_direction_numbers.txt"
 
 
-@cache
-def _load_table():
-    """Parse the direction-number table into ``{dim: (s, a, m-list)}``."""
-    source = importlib.resources.files("ecsa.data").joinpath(_TABLE_RESOURCE).read_text()
-    table = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        try:
-            d, s, a = int(fields[0]), int(fields[1]), int(fields[2])
-            m = [int(v) for v in fields[3:]]
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"malformed direction-number line {lineno}: {line!r}") from exc
-        if len(m) != s:
-            raise ValueError(
-                f"direction-number line {lineno}: expected {s} initial values, got {len(m)}"
-            )
-        table[d] = (s, a, m)
-    return table
+def _table_rows():
+    """The table's ``(s, a, m)`` rows for dimensions 2, 3, ... in file order.
 
-
-def table_capacity() -> int:
-    """Highest dimension supported by the direction-number table."""
-    return max(_load_table())
+    A malformed line, one out of dimension order and one with fewer or more
+    initial values than its degree ``s`` raise ``ValueError`` naming the line.
+    """
+    resource = importlib.resources.files("ecsa.data").joinpath(_TABLE_RESOURCE)
+    with resource.open(encoding="utf-8") as lines:
+        dim = 2
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                d, s, a, *m = map(int, line.split())
+            except ValueError as exc:
+                raise ValueError(f"malformed direction-number line {lineno}: {line!r}") from exc
+            if d != dim or len(m) != s:
+                raise ValueError(f"direction-number line {lineno}: expected dimension {dim} "
+                                 f"with {s} initial values, got {line!r}")
+            yield s, a, m
+            dim += 1
 
 
 def check_dim(dim: int) -> None:
-    """Raise ``ValueError`` when the direction-number table does not cover ``dim``."""
-    if dim > table_capacity():
-        raise ValueError(f"dim={dim} exceeds direction-number table capacity {table_capacity()}")
+    """Raise ``ValueError`` unless ``dim`` is an integer >= 1 that the direction-number table covers."""
+    _direction_numbers(checked_int("dim", dim, 1))
 
 
 @cache
@@ -73,16 +70,17 @@ def _direction_numbers(dim: int) -> np.ndarray:
     Dimension 1 is the canonical sequence ``V_j = 2**(BITS - j)``; higher
     dimensions expand their ``m`` initials with the primitive-polynomial
     recurrence ``m_j = 2 a_1 m_{j-1} ^ ... ^ 2**s m_{j-s} ^ m_{j-s}``.
-    Built once per dimension, then shared by every generator; ``dim`` is
-    the integer ``>= 1`` that :class:`SobolSequence` checked.
+    Only the table's first ``dim - 1`` rows are read, and a table that ends
+    first raises ``ValueError`` before any array is made.  Built once per
+    dimension, then shared by every generator; ``dim`` is an integer ``>= 1``.
     """
-    check_dim(dim)
-    table = _load_table()
+    with closing(_table_rows()) as table:  # the file closes when the last row needed is read
+        rows = [row for _, row in zip(range(dim - 1), table)]
+    if len(rows) < dim - 1:
+        raise ValueError(f"dim={dim} exceeds direction-number table capacity {len(rows) + 1}")
     v = np.zeros((dim, BITS), dtype=np.uint64)
     v[0] = [1 << (BITS - j) for j in range(1, BITS + 1)]
-    for d in range(2, dim + 1):
-        s, a, m_init = table[d]
-        m = list(m_init)
+    for d, (s, a, m) in enumerate(rows, start=2):
         for j in range(s, BITS):
             new = m[j - s] ^ (m[j - s] << s)
             for k in range(1, s):

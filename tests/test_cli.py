@@ -1,4 +1,8 @@
+import codecs
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -9,6 +13,7 @@ from click.testing import CliRunner
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+import ecsa
 from ecsa.allocation import AllocationObjective
 from ecsa.benchmarks import FUNCTION_IDS, BenchmarkObjective
 from ecsa import experiments
@@ -727,6 +732,89 @@ class TestAllocateCommand:
         )
         assert result.exit_code == 0, result.output
         assert (tmp_path / "la" / "allocation_csa.csv").exists()
+
+
+# the C locale with neither of Python's UTF-8 fallbacks: the locale encoding is ASCII
+C_LOCALE = {"PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONUTF8": "0"}
+BOM = codecs.BOM_UTF8
+AREAS_CSV = "id,x,y\na0,0.0,0.0\na1,1.0,1.0\n"
+BLOCKS_CSV = "id,x,y\nBlöck,0.1,0.2\nb1,0.5,0.5\n"
+INSTANCE_JSON = json.dumps({"blocks": [{"id": "Blöck", "x": 0.1, "y": 0.2}],
+                            "areas": [{"id": "a0", "x": 0, "y": 0}, {"id": "a1", "x": 1, "y": 1}]},
+                           ensure_ascii=False)
+SMALL_FIT = ["--trials", "2", "--iterations", "2", "--population", "3"]
+
+
+def written_files(out):
+    """Every file under ``out``, by relative path, as bytes."""
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+class TestEncoding:
+    """Every input and output file is UTF-8 whatever the locale, and an input may start with a BOM."""
+
+    @pytest.mark.parametrize("command, inputs", [
+        (["allocate", "--blocks", "blocks.csv", "--areas", "areas.csv", *SMALL_FIT],
+         {"blocks.csv": BLOCKS_CSV, "areas.csv": AREAS_CSV}),
+        (["allocate", "--instance", "instance.json", *SMALL_FIT],
+         {"instance.json": INSTANCE_JSON}),
+        (["bench", "--functions", "F1", "--config", "config.json"],
+         {"config.json": json.dumps({"trials": 2, "iterations": 3, "population": 4})}),
+        (["compare", "--results", "results.csv"], {"results.csv": RESULTS}),
+    ], ids=["blocks", "instance", "config", "results"])
+    def test_bom_input_runs_like_its_plain_copy(self, runner, tmp_path, command, inputs):
+        # Excel's "CSV UTF-8" export starts the file with a BOM, which used to
+        # read as part of the first column name or as invalid JSON
+        outcomes = []
+        for prefix in (b"", BOM):
+            work = tmp_path / ("bom" if prefix else "plain")
+            work.mkdir()
+            paths = {}
+            for name, text in inputs.items():
+                paths[name] = work / name
+                paths[name].write_bytes(prefix + text.encode("utf-8"))
+            out = work / "out"
+            args = [str(paths[arg]) if arg in paths else arg for arg in command]
+            result = runner.invoke(main, [*args, "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            outcomes.append((result.output.replace(str(work), "WORK"), written_files(out)))
+        assert outcomes[0][1]
+        assert outcomes[1] == outcomes[0]
+
+    def test_results_not_utf8_named(self, runner, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_bytes(RESULTS.replace("F1,ecsa,1", "F1,ecsa,\xff").encode("latin-1"))
+        result = runner.invoke(main, ["compare", "--results", str(path)])
+        assert result.exit_code == 1
+        assert f"Error: {path}: not UTF-8 text ('utf-8' codec can't decode" in result.output
+        assert "Traceback" not in result.output
+
+    def test_ascii_locale_reads_and_writes_utf8(self, runner, tmp_path, monkeypatch):
+        # under an ASCII locale a UTF-8 --blocks file used to be refused, and a
+        # non-ASCII block id ran every fit, then failed writing the assignment
+        src = str(Path(ecsa.__file__).parents[1])
+        env = dict(os.environ, **C_LOCALE,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        probe = subprocess.run(
+            [sys.executable, "-c", "import locale, sys\n"
+             "print(locale.getpreferredencoding(False), sys.flags.utf8_mode)"],
+            env=env, capture_output=True, text=True, timeout=60)
+        encoding, utf8_mode = probe.stdout.split()
+        assert (codecs.lookup(encoding).name, utf8_mode) == ("ascii", "0")
+        for name, text in (("blocks.csv", BLOCKS_CSV), ("areas.csv", AREAS_CSV),
+                           ("instance.json", INSTANCE_JSON)):
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        for source in (["--blocks", "blocks.csv", "--areas", "areas.csv"],
+                       ["--instance", "instance.json"]):
+            args = ["allocate", *source, *SMALL_FIT]
+            done = subprocess.run([sys.executable, "-m", "ecsa.cli", *args, "--out", "ascii"],
+                                  cwd=tmp_path, env=env, capture_output=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            monkeypatch.chdir(tmp_path)
+            assert runner.invoke(main, [*args, "--out", "utf8"]).exit_code == 0
+            assignment = (tmp_path / "ascii" / "assignment_ecsa.csv").read_text(encoding="utf-8")
+            assert "\nBlöck,a0," in assignment
+            assert written_files(tmp_path / "ascii") == written_files(tmp_path / "utf8")
 
 
 class TestSizePreflight:

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 import multiprocessing
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from ecsa.experiments import (
     ALGORITHMS,
+    COMPARISON_FIELDS,
     ExperimentConfig,
     _write_table,
     compare_rows,
@@ -24,11 +26,9 @@ from ecsa.experiments import (
     read_results_csv,
     run_allocation,
     run_benchmark,
-    summarize_rows,
     trial_seed,
     write_benchmark_outputs,
     write_comparison_csv,
-    write_results_csv,
 )
 from ecsa.allocation import synth_instance
 from ecsa.benchmarks import FUNCTION_IDS
@@ -55,6 +55,11 @@ def pool_tasks(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     return calls
+
+
+def read_summary_csv(path):
+    with open(path, encoding="utf-8", newline="") as handle:
+        return list(csv.DictReader(handle))
 
 
 def tiny_config(**overrides):
@@ -241,12 +246,13 @@ class TestRunBenchmark:
         assert done.stdout.split() == ["False"]
 
     def test_summary_matches_recomputation(self, tmp_path):
-        rows, _ = run_benchmark(tiny_config(trials=3))
-        summary, algorithms = summarize_rows(rows)
-        assert algorithms == ["csa", "ecsa"]
+        rows, traces = run_benchmark(tiny_config(trials=3))
+        write_benchmark_outputs(rows, traces, tmp_path)
+        summary = read_summary_csv(tmp_path / "summary.csv")
+        assert list(summary[0]) == ["function", "csa_mean", "csa_std", "ecsa_mean", "ecsa_std"]
         cell = [r["best_fitness"] for r in rows if r["algorithm"] == "csa"]
-        assert summary[0]["csa_mean"] == pytest.approx(np.mean(cell), rel=1e-12)
-        assert summary[0]["csa_std"] == pytest.approx(np.std(cell, ddof=1), rel=1e-12)
+        assert float(summary[0]["csa_mean"]) == pytest.approx(np.mean(cell), rel=1e-12)
+        assert float(summary[0]["csa_std"]) == pytest.approx(np.std(cell, ddof=1), rel=1e-12)
 
 
 class TestTableWriter:
@@ -335,7 +341,7 @@ class TestCompare:
         st.tuples(*[st.lists(st.floats(allow_nan=False, allow_infinity=False),
                              min_size=2, max_size=6)] * len(ALGORITHMS)),
         min_size=1, max_size=4))
-    def test_compare_agrees_with_summary(self, cells):
+    def test_compare_agrees_with_summary(self, tmp_path_factory, cells):
         rows = [
             {"function": function_id, "algorithm": algorithm, "trial": trial, "seed": trial,
              "best_fitness": value, "evaluations": 1}
@@ -343,16 +349,20 @@ class TestCompare:
             for algorithm, values in zip(ALGORITHMS, samples)
             for trial, value in enumerate(values)
         ]
-        summary, algorithms = summarize_rows(rows)
+        out = tmp_path_factory.mktemp("outputs")
+        write_benchmark_outputs(rows, {}, out)
+        summary = read_summary_csv(out / "summary.csv")
         comparison = compare_rows(rows)
-        assert algorithms == list(ALGORITHMS)
         functions = sorted(cells, key=FUNCTION_IDS.index)
         assert [e["function"] for e in summary] == [e["function"] for e in comparison] == functions
         for entry, expected in zip(comparison, summary):
+            assert list(expected) == ["function", *(name for name in COMPARISON_FIELDS
+                                                    if name.endswith(("_mean", "_std")))]
+            # every value is written as its shortest round-trip repr, so it reads back equal
             for algorithm in ALGORITHMS:
                 for column in (f"{algorithm}_mean", f"{algorithm}_std"):
-                    assert entry[column] == expected[column]
-            means = [expected[f"{algorithm}_mean"] for algorithm in ALGORITHMS]
+                    assert entry[column] == float(expected[column])
+            means = [float(expected[f"{algorithm}_mean"]) for algorithm in ALGORITHMS]
             lowest = [a for a, mean in zip(ALGORITHMS, means) if mean == min(means)]
             assert entry["winner"] == (lowest[0] if len(lowest) == 1 else "tie")
 

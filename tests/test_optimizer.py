@@ -8,6 +8,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecsa import (
     CuckooSearch,
@@ -20,7 +22,6 @@ from ecsa import (
 from ecsa import optimizer
 from ecsa.allocation import AllocationObjective, synth_instance
 from ecsa.optimizer import run_trials
-from ecsa.sobol import table_capacity
 
 try:
     import resource
@@ -506,13 +507,13 @@ class TestRun:
     def test_sobol_dim_beyond_the_table_rejected_before_any_stack(self):
         # the random trials used to run, one stack each, before the Sobol
         # trial's stack raised
-        box = SearchBox.cube(table_capacity() + 1, -1, 1)
+        box = SearchBox.cube(1112, -1, 1)  # the Sobol table covers 1111 dimensions
         counting = CountingObjective(sphere, box)
         random, sobol = (EngineInputs(2, np.full(3, 0.25), np.full(3, 0.01), mode)
                          for mode in ("random", "sobol"))
         with mock.patch.object(optimizer, "STACK_COORDINATES", 2 * box.dim):
             with pytest.raises(ValueError, match=f"dim={box.dim} exceeds direction-number table "
-                                                 f"capacity {table_capacity()}"):
+                                                 "capacity 1111"):
                 run_trials([counting] * 3, [box] * 3, [random, random, sobol],
                            [RandomSource(k) for k in range(3)])
         assert counting.calls == 0
@@ -535,6 +536,25 @@ class TestRun:
             assert optimizer.stack_bytes(7, 2, box.dim, 2) == optimizer.stack_bytes(3, 2, box.dim, 2)
         assert sizes == [2, 2, 3]
         assert len(traces) == 7
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 600), st.integers(0, 1000), st.data())
+    def test_stack_bytes_counts_the_work_arrays(self, population, dim, iterations, data):
+        # the pre-flight writes the work-array layout a second time; tie the
+        # two together on single-stack sizes: every trial under the cap, or
+        # one trial that exceeds it alone
+        n = population * dim
+        trials = data.draw(st.integers(1, max(1, optimizer.STACK_COORDINATES // n)))
+        assert optimizer._stack_count(trials, population, dim) == 1
+        work = optimizer._WorkArrays(trials, population, dim)
+        owners = {}
+        for view in vars(work).values():
+            while view.base is not None:
+                view = view.base
+            owners[id(view)] = view.nbytes
+        assert len(owners) == 1
+        kept = 8 * trials * (n + population + 3 * iterations)  # nests, values, pa/alpha/trace rows
+        assert optimizer.stack_bytes(trials, population, dim, iterations) == sum(owners.values()) + kept
 
 
 class LoggedObjective:

@@ -1,12 +1,23 @@
+import hashlib
+import importlib.resources
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ecsa
 from ecsa import RandomSource, SearchBox, SobolSequence, sobol_population
-from ecsa.sobol import BITS, _direction_numbers, table_capacity
+from ecsa.sobol import BITS, _direction_numbers, check_dim
 
 RESOLUTION = 2.0**-BITS
+# the highest dimension the packaged direction-number table covers
+TABLE_CAPACITY = 1111
 
 
 def brute_force(dim, count):
@@ -53,10 +64,95 @@ class TestFirstPoints:
             SobolSequence(0)
 
     def test_capacity_enforced(self):
-        cap = table_capacity()
-        assert cap >= 550
-        with pytest.raises(ValueError):
-            SobolSequence(cap + 1)
+        assert SobolSequence(TABLE_CAPACITY).direction_numbers.shape == (TABLE_CAPACITY, BITS)
+        with pytest.raises(ValueError, match=f"capacity {TABLE_CAPACITY}$"):
+            SobolSequence(TABLE_CAPACITY + 1)
+
+
+class TestDirectionTable:
+    # SHA-256 of the little-endian uint64 bytes of _direction_numbers(dim),
+    # as the whole-table parser built them
+    DIGESTS = {
+        1: "afe0c531991e70260c7359bb7afa59e165a0edc282609b3e7282705a6feeae91",
+        2: "9d1dc90f18a96a30fa64dabf392ebbfe05c81367d8a1a05d54168144b3e2c719",
+        15: "cae5d685cd1d52c90c86d252eb2ab44ec45f17c5517641773c9905d574cf7df4",
+        550: "88ad763a1272f1429b3ae2a188d804104320fbc3d1817733a2169914e7fa3612",
+        1111: "fb7ec1db8e1989ac5791564ee9da3c1f77880eb18dd3fcccaa3ac0c5341e2cdd",
+    }
+
+    @pytest.mark.parametrize("dim", sorted(DIGESTS))
+    def test_direction_numbers_pinned(self, dim):
+        data = np.ascontiguousarray(_direction_numbers(dim), dtype="<u8").tobytes()
+        assert hashlib.sha256(data).hexdigest() == self.DIGESTS[dim]
+
+    @pytest.mark.parametrize("dim", [TABLE_CAPACITY + 1, 10**15])
+    def test_dim_beyond_the_table_rejected_before_any_array(self, dim):
+        with mock.patch.object(np, "zeros", side_effect=AssertionError("an array was made")):
+            with pytest.raises(ValueError, match=f"^dim={dim} exceeds direction-number table "
+                                                 f"capacity {TABLE_CAPACITY}$"):
+                check_dim(dim)
+
+    @pytest.mark.parametrize("dim, message", [(0, "dim must be >= 1, got 0"),
+                                              (2.5, "dim must be an integer, got 2.5")])
+    def test_check_dim_rejects_a_dim_no_generator_takes(self, dim, message):
+        # the table check alone used to accept them
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_dim(dim)
+
+    def test_check_dim_builds_the_array_the_generator_uses(self):
+        _direction_numbers.cache_clear()
+        check_dim(37)
+        assert _direction_numbers.cache_info().currsize == 1
+        hits = _direction_numbers.cache_info().hits
+        SobolSequence(37)
+        assert _direction_numbers.cache_info().hits == hits + 1
+
+    @pytest.mark.parametrize("line, message", [
+        ("3 2 1 1", "line 6: expected dimension 3 with 2 initial values, got '3 2 1 1'"),
+        ("3 2 1 1 3 5", "line 6: expected dimension 3 with 2 initial values"),
+        ("4 3 1 1 3 1", "line 6: expected dimension 3 with 3 initial values"),
+        ("3 2 x 1 3", "malformed direction-number line 6: '3 2 x 1 3'"),
+        ("3 2", "malformed direction-number line 6"),
+    ])
+    def test_bad_table_line_named(self, tmp_path, monkeypatch, line, message):
+        # a short, long, out-of-order or unparsable line; the good lines before it are read
+        table = importlib.resources.files("ecsa.data").joinpath("sobol_direction_numbers.txt")
+        head = table.read_text(encoding="utf-8").splitlines()[:5]
+        (tmp_path / "sobol_direction_numbers.txt").write_text("\n".join([*head, line]) + "\n",
+                                                             encoding="utf-8")
+        monkeypatch.setattr(importlib.resources, "files", lambda package: tmp_path)
+        assert _direction_numbers.__wrapped__(2).tobytes() == _direction_numbers(2).tobytes()
+        with pytest.raises(ValueError, match=message.replace("(", r"\(")):
+            _direction_numbers.__wrapped__(3)
+
+    def test_short_table_capacity_is_its_last_dimension(self, tmp_path, monkeypatch):
+        table = importlib.resources.files("ecsa.data").joinpath("sobol_direction_numbers.txt")
+        head = table.read_text(encoding="utf-8").splitlines()[:6]  # dimensions 2 and 3
+        (tmp_path / "sobol_direction_numbers.txt").write_text("\n".join(head), encoding="utf-8")
+        monkeypatch.setattr(importlib.resources, "files", lambda package: tmp_path)
+        assert _direction_numbers.__wrapped__(3).tobytes() == _direction_numbers(3).tobytes()
+        with pytest.raises(ValueError, match="^dim=4 exceeds direction-number table capacity 3$"):
+            _direction_numbers.__wrapped__(4)
+
+    def test_population_keeps_only_its_own_rows(self):
+        # a fresh interpreter, so no earlier test has built a larger array:
+        # the 15-D population keeps its (15, 32) array, not the whole table
+        script = (
+            "import tracemalloc\n"
+            "from ecsa import SearchBox, sobol, sobol_population\n"
+            "tracemalloc.start()\n"
+            "points = sobol_population(SearchBox.cube(15, 0, 1), 50)\n"
+            "snapshot = tracemalloc.take_snapshot()\n"
+            "kept = snapshot.filter_traces([tracemalloc.Filter(True, sobol.__file__)])\n"
+            "print(sum(stat.size for stat in kept.statistics('filename')))\n"
+        )
+        src = str(Path(ecsa.__file__).parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert 0 < int(done.stdout) < 64 * 1024
 
 
 class TestEquidistribution:
@@ -159,7 +255,7 @@ def sequence_block(dim, m, k):
 
 class TestNetProperty:
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, table_capacity()), st.integers(0, 7), st.integers(0, 7))
+    @given(st.integers(1, TABLE_CAPACITY), st.integers(0, 7), st.integers(0, 7))
     def test_every_coordinate_stratifies_dyadic_blocks(self, dim, m, k):
         # each coordinate is a (0, 1)-sequence: an aligned block of 2**m
         # points puts exactly one point in every interval of width 2**-m
