@@ -804,14 +804,15 @@ class TestEncoding:
         for name, text in (("blocks.csv", BLOCKS_CSV), ("areas.csv", AREAS_CSV),
                            ("instance.json", INSTANCE_JSON)):
             (tmp_path / name).write_text(text, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)  # the in-process runs below use this process's locale
         for source in (["--blocks", "blocks.csv", "--areas", "areas.csv"],
                        ["--instance", "instance.json"]):
             args = ["allocate", *source, *SMALL_FIT]
             done = subprocess.run([sys.executable, "-m", "ecsa.cli", *args, "--out", "ascii"],
                                   cwd=tmp_path, env=env, capture_output=True, timeout=120)
             assert done.returncode == 0, done.stderr
-            monkeypatch.chdir(tmp_path)
-            assert runner.invoke(main, [*args, "--out", "utf8"]).exit_code == 0
+            result = runner.invoke(main, [*args, "--out", "utf8"])
+            assert result.exit_code == 0, result.output
             assignment = (tmp_path / "ascii" / "assignment_ecsa.csv").read_text(encoding="utf-8")
             assert "\nBlöck,a0," in assignment
             assert written_files(tmp_path / "ascii") == written_files(tmp_path / "utf8")
