@@ -145,17 +145,16 @@ def physical_memory() -> int | None:
 _FIT_BYTES = 1500
 
 
-def check_settings(config: ExperimentConfig, dim: int, trials: int) -> None:
-    """Reject ``trials`` fits that cannot run at ``dim``; ``bench`` and ``allocate`` call it first.
+def check_settings(config: ExperimentConfig, dim: int, trials: int) -> dict:
+    """Each algorithm's checked :class:`EngineInputs`, by name, for ``trials`` fits at ``dim``.
 
-    ``ECSA_WORKERS`` must be an integer >= 1, and the estimate must fit in the
-    physical memory: the largest stacks of all ``W = worker_count(trials)``
-    workers (:func:`ecsa.optimizer.stack_bytes` of the ``ceil(trials / W)``
-    trials of the largest :func:`_run_split` share, ``W`` times), plus what
-    every fit keeps, its trace row and best position (``8 * (iterations +
-    dim)`` bytes) and its Python objects (:data:`_FIT_BYTES`).  Every
-    configured algorithm's ``engine_inputs()`` must pass, and the Sobol
-    table must cover ``dim`` for a Sobol algorithm.
+    ``ECSA_WORKERS`` must be an integer >= 1, and the estimate must fit in the physical memory:
+    the largest stacks of all ``W = worker_count(trials)`` workers
+    (:func:`ecsa.optimizer.stack_bytes` of the ``ceil(trials / W)`` trials of the largest
+    :func:`_run_split` share, ``W`` times), plus what every fit keeps, its trace row and best
+    position (``8 * (iterations + dim)`` bytes) and its Python objects (:data:`_FIT_BYTES`).
+    Then, algorithm by algorithm, ``engine_inputs()`` must pass and the Sobol table cover
+    ``dim`` for Sobol starts; :func:`run_benchmark` and :func:`run_allocation` run on the result.
     """
     workers = worker_count(trials)
     population, iterations = config.population, config.iterations
@@ -166,25 +165,28 @@ def check_settings(config: ExperimentConfig, dim: int, trials: int) -> None:
         raise ValueError(f"{trials} fits of population={population} and iterations={iterations} "
                          f"at dim={dim} need about {needed} bytes, more than the {memory} bytes "
                          f"of physical memory")
+    settings = {}
     for algorithm in config.algorithms:
-        if make_optimizer(algorithm, config).engine_inputs().init == "sobol":
+        settings[algorithm] = make_optimizer(algorithm, config).engine_inputs()
+        if settings[algorithm].init == "sobol":
             sobol.check_dim(dim)
+    return settings
 
 
-def check_benchmark(config: ExperimentConfig) -> None:
-    """Reject a protocol that cannot run, before any fit or output.
+def check_benchmark(config: ExperimentConfig) -> dict:
+    """The protocol's :func:`check_settings` result; a protocol that cannot run raises first.
 
-    The summary std and the comparison need two trials per cell, ``dim``
-    must pass :func:`ecsa.benchmarks.check_suite_dim`, which builds no
-    array, and the settings must pass :func:`check_settings` there.
+    The summary std and the comparison need two trials per cell, ``dim`` must pass
+    :func:`ecsa.benchmarks.check_suite_dim`, which builds no array, and the settings
+    must pass :func:`check_settings` there.
     """
     if config.trials < 2:
         raise ValueError(
             f"bench needs --trials >= 2 for the summary std and compare, got {config.trials}"
         )
     benchmarks.check_suite_dim(config.dim)
-    check_settings(config, config.dim,
-                   len(config.functions) * len(config.algorithms) * config.trials)
+    return check_settings(config, config.dim,
+                          len(config.functions) * len(config.algorithms) * config.trials)
 
 
 def _usable_cpus() -> int:
@@ -245,12 +247,12 @@ def run_benchmark(config: ExperimentConfig):
     ``(function, algorithm, trial)`` to the per-iteration best-fitness
     array.  :func:`check_benchmark` runs first.  The cells, sorted by
     function id, algorithm name and trial, are one :func:`_run_split`
-    call: each cell's objective, box, seed and its algorithm's one
-    :class:`EngineInputs` are gathered here.  Every function shares one
+    call: each cell's objective, box, seed and the one :class:`EngineInputs`
+    the check returned for its algorithm.  Every function shares one
     objective across its trials, except F7, which draws its noise from
     each trial's own stream and so gets one objective per trial.
     """
-    check_benchmark(config)
+    inputs = check_benchmark(config)
     cells = [
         (function_id, algorithm, trial)
         for function_id in sorted(config.functions, key=FUNCTION_IDS.index)
@@ -259,7 +261,6 @@ def run_benchmark(config: ExperimentConfig):
     ]
     specs = {fid: benchmarks.get_spec(fid, config.dim) for fid in config.functions}
     shared = {fid: BenchmarkObjective(spec) for fid, spec in specs.items() if not spec.stochastic}
-    inputs = {name: make_optimizer(name, config).engine_inputs() for name in config.algorithms}
     seeds = [trial_seed(config.base_seed, algorithm, fid, trial) for fid, algorithm, trial in cells]
     rngs = [RandomSource(seed) for seed in seeds]
     results = _run_split(
@@ -496,20 +497,19 @@ def run_allocation(
 ) -> AllocationReport:
     """Run the discretized optimizer over the unit cube of area scores for one algorithm.
 
-    The trials are one :func:`_run_split` call that shares the objective,
-    the box and the estimator's :class:`EngineInputs`; a trial gives the
-    same result in any split, so the report does not depend on the worker
-    count.  The oracle runs after the fits.  A zero oracle makes a trial's
-    gap ``0.0`` if its fit reaches it and ``inf`` if not.  :func:`check_settings`
-    runs first, at the instance's decision dimension.
+    The trials are one :func:`_run_split` call that shares the objective, the box and
+    the :class:`EngineInputs` that :func:`check_settings` returns at the instance's
+    decision dimension; a trial gives the same result in any split, so the report does
+    not depend on the worker count.  The oracle runs after the fits.  A zero oracle
+    makes a trial's gap ``0.0`` if its fit reaches it and ``inf`` if not.
     """
-    check_settings(replace(config, algorithms=(algorithm,)), instance.decision_dim, config.trials)
-    estimator = make_optimizer(algorithm, config)
+    inputs = check_settings(replace(config, algorithms=(algorithm,)), instance.decision_dim,
+                            config.trials)[algorithm]
     objective = AllocationObjective(instance)
     seeds = [trial_seed(config.base_seed, algorithm, "LA", t) for t in range(config.trials)]
     rngs = [RandomSource(seed) for seed in seeds]
     results = _run_split([objective] * config.trials, [objective.box] * config.trials,
-                         [estimator.engine_inputs()] * config.trials, rngs)
+                         [inputs] * config.trials, rngs)
     _, oracle_fitness = optimal_assignment(instance)
     rows = [
         {

@@ -1,9 +1,11 @@
 import codecs
+import contextlib
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 from unittest import mock
@@ -101,18 +103,39 @@ class TestScheduleCommand:
         result = runner.invoke(main, ["schedule", "--iters", str(iters)])
         assert result.exit_code == 1 and result.stdout == ""
         assert isinstance(result.exception, SystemExit)
-        assert result.output == (f"Error: --iters={iters} needs about {16 * (iters + 1)} bytes, "
+        assert result.output == (f"Error: --iters={iters} needs about {40 * (iters + 1)} bytes, "
                                  f"more than the {experiments.physical_memory()} bytes of "
                                  f"physical memory\n")
-        # 9 iterations make a table of 2 x 10 floats, 160 bytes
-        monkeypatch.setattr(experiments, "physical_memory", lambda: 159)
+        # 9 iterations make a table of 10 rows, counted at 40 bytes each
+        monkeypatch.setattr(experiments, "physical_memory", lambda: 399)
         result = runner.invoke(main, ["schedule", "--iters", "9"])
         assert result.exit_code == 1
-        assert result.output == ("Error: --iters=9 needs about 160 bytes, more than the 159 bytes "
+        assert result.output == ("Error: --iters=9 needs about 400 bytes, more than the 399 bytes "
                                  "of physical memory\n")
-        monkeypatch.setattr(experiments, "physical_memory", lambda: 160)
+        monkeypatch.setattr(experiments, "physical_memory", lambda: 400)
         result = runner.invoke(main, ["schedule", "--iters", "9"])
         assert result.exit_code == 0 and len(result.output.splitlines()) == 1 + 10
+
+    def test_traced_peak_stays_within_the_count(self, runner, monkeypatch):
+        # the rows used to become two lists of Python floats at once: a
+        # traced peak of 80 bytes a row against a count of 16, so a table
+        # that passed the check could still exhaust the memory
+        iters = 10**5
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "physical_memory", lambda: 0)
+            refused = runner.invoke(main, ["schedule", "--iters", str(iters)])
+        counted = int(refused.output.split(" needs about ")[1].split()[0])
+        tracemalloc.start()
+        try:
+            with open(os.devnull, "w", encoding="utf-8") as sink, \
+                    contextlib.redirect_stdout(sink):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                main(["schedule", "--iters", str(iters)], standalone_mode=False)
+                peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= counted, f"{peak / (iters + 1):.1f} traced bytes a row"
 
 
 class TestBenchCommand:

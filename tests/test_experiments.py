@@ -32,6 +32,7 @@ from ecsa.experiments import (
 )
 from ecsa.allocation import synth_instance
 from ecsa.benchmarks import FUNCTION_IDS
+from ecsa.optimizer import CuckooSearch, EnhancedCuckooSearch
 
 
 @pytest.fixture
@@ -73,6 +74,52 @@ def tiny_config(**overrides):
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
+
+
+class TestOneSettingsBuild:
+    """The runners run on the :class:`EngineInputs` ``check_settings`` returns, built once."""
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        """``(builds, checked, split)``: each estimator's counted ``engine_inputs``, every
+        ``check_settings`` result, and ``_run_split``, wrapped to record its calls."""
+        from ecsa import experiments
+
+        check_settings, checked = experiments.check_settings, []
+
+        def recording(*args):
+            checked.append(check_settings(*args))
+            return checked[-1]
+
+        monkeypatch.setattr(experiments, "check_settings", recording)
+        with mock.patch.object(experiments, "_run_split", wraps=experiments._run_split) as split, \
+                mock.patch.object(CuckooSearch, "engine_inputs", autospec=True,
+                                  side_effect=CuckooSearch.engine_inputs) as csa, \
+                mock.patch.object(EnhancedCuckooSearch, "engine_inputs", autospec=True,
+                                  side_effect=EnhancedCuckooSearch.engine_inputs) as ecsa:
+            yield (csa, ecsa), checked, split
+
+    def test_benchmark_builds_each_algorithm_once(self, spies):
+        # run_benchmark used to build every algorithm's settings again after the check
+        builds, checked, split = spies
+        run_benchmark(tiny_config())
+        assert [build.call_count for build in builds] == [1, 1]
+        (settings,) = checked
+        (call,) = split.call_args_list
+        # the cells run csa's two trials, then ecsa's
+        assert [id(entry) for entry in call.args[2]] == [
+            id(settings[algorithm]) for algorithm in ("csa", "csa", "ecsa", "ecsa")
+        ]
+
+    def test_allocation_builds_its_algorithm_once(self, spies):
+        builds, checked, split = spies
+        instance = synth_instance(3, 2, seed=1)
+        for algorithm in ALGORITHMS:
+            run_allocation(instance, algorithm, tiny_config(trials=3, iterations=3))
+        assert [build.call_count for build in builds] == [1, 1]
+        for algorithm, settings, call in zip(ALGORITHMS, checked, split.call_args_list):
+            assert list(settings) == [algorithm]
+            assert [id(entry) for entry in call.args[2]] == [id(settings[algorithm])] * 3
 
 
 class TestConfig:
