@@ -116,13 +116,12 @@ class TestScheduleCommand:
         result = runner.invoke(main, ["schedule", "--iters", "9"])
         assert result.exit_code == 0 and len(result.output.splitlines()) == 1 + 10
 
-    def test_traced_peak_stays_within_the_count(self, runner, monkeypatch):
+    def test_traced_peak_stays_within_the_count(self, runner):
         # the rows used to become two lists of Python floats at once: a
         # traced peak of 80 bytes a row against a count of 16, so a table
         # that passed the check could still exhaust the memory
         iters = 10**5
-        with monkeypatch.context() as patch:
-            patch.setattr(experiments, "physical_memory", lambda: 0)
+        with mock.patch.object(experiments, "physical_memory", return_value=0):
             refused = runner.invoke(main, ["schedule", "--iters", str(iters)])
         counted = int(refused.output.split(" needs about ")[1].split()[0])
         tracemalloc.start()
