@@ -194,7 +194,7 @@ def allocate(ctx, instance_path, blocks_path, areas_path, synthetic, blocks_coun
                     else load_instance_csv(blocks_path, areas_path))
         experiments.check_settings(config, instance.decision_dim, config.trials)
     out = _writable_dir(out_dir)
-    report = experiments.run_allocation(instance, algorithm, config)
+    report = experiments.run_allocation(instance, config)[algorithm]
     experiments.write_allocation_outputs(instance, report, out)
     click.echo(
         f"{algorithm}: oracle {report.oracle_fitness:.6f}  "

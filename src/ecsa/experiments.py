@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ from .optimizer import CuckooSearch, EnhancedCuckooSearch, run_trials, stack_byt
 from .rng import RandomSource, stable_seed
 from .stats import decide, rank_sum_p, summarize
 
-# every algorithm and its estimator; ``make_optimizer`` configures them by name
+# every algorithm and its estimator; ``check_settings`` configures them by name
 _ESTIMATORS = {estimator.algorithm: estimator for estimator in (CuckooSearch, EnhancedCuckooSearch)}
 ALGORITHMS = tuple(_ESTIMATORS)
 _CSA, _ECSA = CuckooSearch(), EnhancedCuckooSearch()
@@ -56,10 +56,10 @@ class ExperimentConfig:
     one comma-separated string (``"F1, F2"``; ``"all"`` names every function),
     an int field an integer (``trials``, ``population`` >= 1, ``iterations``
     >= 0), a float field a number but not a ``bool``.  ``allocate`` sets
-    ``algorithms`` to its one algorithm; :func:`run_allocation` ignores it,
+    ``algorithms`` to its one algorithm; :func:`run_allocation` ignores
     ``functions`` and ``dim``.
     Every other field is an estimator parameter of the same name, with
-    the estimator's default, and :func:`make_optimizer` passes it on.
+    the estimator's default, and :func:`check_settings` passes it on.
     """
 
     functions: tuple = FUNCTION_IDS
@@ -115,21 +115,6 @@ def _names(name: str, value) -> tuple:
     return tuple(value)
 
 
-def trial_seed(base_seed: int, algorithm: str, function: str, trial: int) -> int:
-    """Per-cell seed: ``base_seed`` plus a stable hash of the cell labels."""
-    return stable_seed(base_seed, algorithm, function, trial)
-
-
-def make_optimizer(algorithm: str, config: ExperimentConfig):
-    """The algorithm's estimator, given every config field named like one of its parameters."""
-    if algorithm not in _ESTIMATORS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    estimator = _ESTIMATORS[algorithm]
-    names = {field.name for field in fields(config)}
-    return estimator(**{field.name: getattr(config, field.name)
-                        for field in fields(estimator) if field.name in names})
-
-
 def physical_memory() -> int | None:
     """The machine's physical memory in bytes, or None where ``os.sysconf`` cannot tell."""
     try:
@@ -153,8 +138,9 @@ def check_settings(config: ExperimentConfig, dim: int, trials: int) -> dict:
     (:func:`ecsa.optimizer.stack_bytes` of the ``ceil(trials / W)`` trials of the largest
     :func:`_run_split` share, ``W`` times), plus what every fit keeps, its trace row and best
     position (``8 * (iterations + dim)`` bytes) and its Python objects (:data:`_FIT_BYTES`).
-    Then, algorithm by algorithm, ``engine_inputs()`` must pass and the Sobol table cover
-    ``dim`` for Sobol starts; :func:`run_benchmark` and :func:`run_allocation` run on the result.
+    Then, algorithm by algorithm, the estimator given every config field named like one of its
+    parameters must pass ``engine_inputs()``, and the Sobol table must cover ``dim`` for a Sobol
+    start; :func:`run_benchmark` and :func:`run_allocation` run on the result.
     """
     workers = worker_count(trials)
     population, iterations = config.population, config.iterations
@@ -165,9 +151,11 @@ def check_settings(config: ExperimentConfig, dim: int, trials: int) -> dict:
         raise ValueError(f"{trials} fits of population={population} and iterations={iterations} "
                          f"at dim={dim} need about {needed} bytes, more than the {memory} bytes "
                          f"of physical memory")
-    settings = {}
+    names, settings = {field.name for field in fields(config)}, {}
     for algorithm in config.algorithms:
-        settings[algorithm] = make_optimizer(algorithm, config).engine_inputs()
+        estimator = _ESTIMATORS[algorithm]
+        given = {f.name: getattr(config, f.name) for f in fields(estimator) if f.name in names}
+        settings[algorithm] = estimator(**given).engine_inputs()
         if settings[algorithm].init == "sobol":
             sobol.check_dim(dim)
     return settings
@@ -261,7 +249,7 @@ def run_benchmark(config: ExperimentConfig):
     ]
     specs = {fid: benchmarks.get_spec(fid, config.dim) for fid in config.functions}
     shared = {fid: BenchmarkObjective(spec) for fid, spec in specs.items() if not spec.stochastic}
-    seeds = [trial_seed(config.base_seed, algorithm, fid, trial) for fid, algorithm, trial in cells]
+    seeds = [stable_seed(config.base_seed, algorithm, fid, trial) for fid, algorithm, trial in cells]
     rngs = [RandomSource(seed) for seed in seeds]
     results = _run_split(
         [shared[fid] if fid in shared else BenchmarkObjective(specs[fid], rng)
@@ -490,69 +478,65 @@ class AllocationReport:
     best_gap: float
 
 
-def run_allocation(
-    instance: AllocationInstance,
-    algorithm: str,
-    config: ExperimentConfig,
-) -> AllocationReport:
-    """Run the discretized optimizer over the unit cube of area scores for one algorithm.
+def run_allocation(instance: AllocationInstance, config: ExperimentConfig) -> dict:
+    """Run the discretized optimizer over the unit cube of area scores for every configured
+    algorithm; ``{algorithm: AllocationReport}`` in ``config.algorithms`` order.
 
-    The trials are one :func:`_run_split` call that shares the objective, the box and
-    the :class:`EngineInputs` that :func:`check_settings` returns at the instance's
-    decision dimension; a trial gives the same result in any split, so the report does
-    not depend on the worker count.  The oracle runs after the fits.  A zero oracle
-    makes a trial's gap ``0.0`` if its fit reaches it and ``inf`` if not.
+    The cells, algorithm-major, are one :func:`_run_split` call that shares the objective, the
+    box and each algorithm's :class:`EngineInputs` that :func:`check_settings` returns for
+    ``len(config.algorithms) * config.trials`` fits at the instance's decision dimension; a
+    trial gives the same result in any split, so a report depends neither on the worker count
+    nor on the other algorithms.  The oracle runs after the fits.  A zero oracle makes a
+    trial's gap ``0.0`` if its fit reaches it and ``inf`` if not.
     """
-    inputs = check_settings(replace(config, algorithms=(algorithm,)), instance.decision_dim,
-                            config.trials)[algorithm]
+    trials = config.trials
+    inputs = check_settings(config, instance.decision_dim, len(config.algorithms) * trials)
     objective = AllocationObjective(instance)
-    seeds = [trial_seed(config.base_seed, algorithm, "LA", t) for t in range(config.trials)]
+    cells = [(algorithm, trial) for algorithm in config.algorithms for trial in range(trials)]
+    seeds = [stable_seed(config.base_seed, algorithm, "LA", trial) for algorithm, trial in cells]
     rngs = [RandomSource(seed) for seed in seeds]
-    results = _run_split([objective] * config.trials, [objective.box] * config.trials,
-                         [inputs] * config.trials, rngs)
+    results = _run_split([objective] * len(cells), [objective.box] * len(cells),
+                         [inputs[algorithm] for algorithm, _ in cells], rngs)
     _, oracle_fitness = optimal_assignment(instance)
-    rows = [
-        {
-            "algorithm": algorithm,
-            "trial": trial,
-            "seed": seed,
-            "best_fitness": result.best_fitness,
-            "gap_to_oracle": ((result.best_fitness - oracle_fitness) / oracle_fitness
-                              if oracle_fitness else 0.0 if result.best_fitness == 0
-                              else math.inf),
-            "evaluations": result.evaluations,
-            "best_position": result.best_position,
-        }
-        for trial, (seed, result) in enumerate(zip(seeds, results))
-    ]
-    values = np.array([result.best_fitness for result in results])
-    best_trial = int(np.argmin(values))  # the first of equal bests
-    mean, std = summarize(values) if values.size > 1 else (float(values[0]), 0.0)
-    return AllocationReport(
-        algorithm=algorithm,
-        oracle_fitness=oracle_fitness,
-        rows=rows,
-        traces={trial: result.best_fitness_per_iteration for trial, result in enumerate(results)},
-        best_trial=best_trial,
-        best_fitness=rows[best_trial]["best_fitness"],
-        mean_fitness=mean,
-        std_fitness=std,
-        mean_gap=float(np.mean([row["gap_to_oracle"] for row in rows])),
-        best_gap=rows[best_trial]["gap_to_oracle"],
-    )
-
-
-def write_assignment_csv(instance: AllocationInstance, area_index, path) -> None:
-    """Write ``block_id,area_id,distance`` rows for each block's area index, plus a total row."""
-    rows = [
-        (block, instance.area_ids[area], instance.distance[j, area])
-        for j, (block, area) in enumerate(zip(instance.block_ids, area_index))
-    ]
-    rows.append(("TOTAL", "", allocation.fitness(instance, area_index)))
-    _write_table(path, ("block_id", "area_id", "distance"), rows)
+    reports = {}
+    for k, algorithm in enumerate(config.algorithms):
+        share = slice(k * trials, (k + 1) * trials)
+        rows = [
+            {
+                "algorithm": algorithm,
+                "trial": trial,
+                "seed": seed,
+                "best_fitness": result.best_fitness,
+                "gap_to_oracle": ((result.best_fitness - oracle_fitness) / oracle_fitness
+                                  if oracle_fitness else 0.0 if result.best_fitness == 0
+                                  else math.inf),
+                "evaluations": result.evaluations,
+                "best_position": result.best_position,
+            }
+            for trial, (seed, result) in enumerate(zip(seeds[share], results[share]))
+        ]
+        values = np.array([row["best_fitness"] for row in rows])
+        best_trial = int(np.argmin(values))  # the first of equal bests
+        mean, std = summarize(values) if values.size > 1 else (float(values[0]), 0.0)
+        reports[algorithm] = AllocationReport(
+            algorithm=algorithm,
+            oracle_fitness=oracle_fitness,
+            rows=rows,
+            traces={trial: result.best_fitness_per_iteration
+                    for trial, result in enumerate(results[share])},
+            best_trial=best_trial,
+            best_fitness=rows[best_trial]["best_fitness"],
+            mean_fitness=mean,
+            std_fitness=std,
+            mean_gap=float(np.mean([row["gap_to_oracle"] for row in rows])),
+            best_gap=rows[best_trial]["gap_to_oracle"],
+        )
+    return reports
 
 
 def write_allocation_outputs(instance, report: AllocationReport, out_dir) -> None:
+    """``allocation_{algorithm}.csv``, :func:`write_traces` under ``traces/``, and the best trial's
+    decoded blocks as ``assignment_{algorithm}.csv`` rows plus a ``TOTAL`` row of its fitness."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     algorithm = report.algorithm
@@ -562,4 +546,7 @@ def write_allocation_outputs(instance, report: AllocationReport, out_dir) -> Non
     write_traces({("LA", algorithm, trial): trace for trial, trace in report.traces.items()},
                  out_dir / "traces")
     area_index = allocation.decode(report.rows[report.best_trial]["best_position"], instance)
-    write_assignment_csv(instance, area_index, out_dir / f"assignment_{algorithm}.csv")
+    rows = [(block, instance.area_ids[area], instance.distance[j, area])
+            for j, (block, area) in enumerate(zip(instance.block_ids, area_index))]
+    _write_table(out_dir / f"assignment_{algorithm}.csv", ("block_id", "area_id", "distance"),
+                 [*rows, ("TOTAL", "", allocation.fitness(instance, area_index))])

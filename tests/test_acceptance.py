@@ -220,8 +220,8 @@ def test_criterion_7_la_oracle_convergence():
     instance = synth_instance(50, 11, seed=LA_INSTANCE_SEED)
     config = ExperimentConfig(base_seed=DEFAULT_BASE_SEED)
     with every_cpu():
-        ecsa_report = run_allocation(instance, "ecsa", config)
-        csa_report = run_allocation(instance, "csa", config)
+        reports = run_allocation(instance, config)
+    ecsa_report, csa_report = reports["ecsa"], reports["csa"]
     best_ok = ecsa_report.best_gap <= 0.05
     mean_ok = ecsa_report.mean_gap <= csa_report.mean_gap
     ok = best_ok and mean_ok

@@ -16,7 +16,7 @@ from ecsa import (
     synth_instance,
 )
 from ecsa.allocation import instance_from_records
-from ecsa.experiments import write_assignment_csv
+from ecsa.experiments import ExperimentConfig, run_allocation, write_allocation_outputs
 
 
 def records(coords, prefix):
@@ -309,11 +309,15 @@ class TestAllocationObjective:
 
     def test_assignment_csv(self, tmp_path):
         instance = square_instance()
-        area_index, value = optimal_assignment(instance)
-        path = tmp_path / "assignment.csv"
-        write_assignment_csv(instance, area_index, path)
-        lines = path.read_text().strip().splitlines()
+        config = ExperimentConfig(algorithms="ecsa", trials=2, population=4, iterations=3)
+        report = run_allocation(instance, config)["ecsa"]
+        write_allocation_outputs(instance, report, tmp_path)
+        lines = (tmp_path / "assignment_ecsa.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "block_id,area_id,distance"
         assert len(lines) == 4  # header + 2 blocks + total row
-        assert lines[-1].startswith("TOTAL")
-        assert float(lines[-1].split(",")[-1]) == pytest.approx(value, rel=1e-12)
+        area_index = decode(report.rows[report.best_trial]["best_position"], instance)
+        assert [line.split(",")[:2] for line in lines[1:3]] == [
+            [block, instance.area_ids[area]] for block, area in zip(instance.block_ids, area_index)
+        ]
+        assert lines[-1].startswith("TOTAL,,")
+        assert float(lines[-1].split(",")[-1]) == fitness(instance, area_index)

@@ -925,7 +925,7 @@ class TestSizePreflight:
         trials, out = 10**15, tmp_path / "out"
         flags = (["bench", "--functions", "F1"] if command == "bench"
                  else ["allocate", "--synthetic"])
-        with mock.patch("ecsa.experiments.trial_seed") as seed, \
+        with mock.patch("ecsa.experiments.stable_seed") as seed, \
                 mock.patch.object(BenchmarkObjective, "evaluate_many") as bench_calls, \
                 mock.patch.object(AllocationObjective, "evaluate_many") as allocation_calls:
             result = runner.invoke(main, [*flags, "--trials", str(trials), "--out", str(out)])

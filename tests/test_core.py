@@ -84,7 +84,7 @@ def _allocate(**settings):
     # ... and before the allocation oracle
     with mock.patch("ecsa.experiments.optimal_assignment") as oracle:
         try:
-            run_allocation(synth_instance(3, 2), "ecsa",
+            run_allocation(synth_instance(3, 2),
                            ExperimentConfig(population=4, iterations=3, **settings))
         finally:
             oracle.assert_not_called()

@@ -20,13 +20,13 @@ from ecsa.experiments import (
     COMPARISON_FIELDS,
     ExperimentConfig,
     _write_table,
+    check_settings,
     compare_rows,
     comparison_table,
-    make_optimizer,
     read_results_csv,
     run_allocation,
     run_benchmark,
-    trial_seed,
+    write_allocation_outputs,
     write_benchmark_outputs,
     write_comparison_csv,
 )
@@ -112,14 +112,16 @@ class TestOneSettingsBuild:
         ]
 
     def test_allocation_builds_its_algorithm_once(self, spies):
+        # one run_allocation call builds each configured algorithm once
         builds, checked, split = spies
-        instance = synth_instance(3, 2, seed=1)
-        for algorithm in ALGORITHMS:
-            run_allocation(instance, algorithm, tiny_config(trials=3, iterations=3))
+        run_allocation(synth_instance(3, 2, seed=1), tiny_config(trials=3, iterations=3))
         assert [build.call_count for build in builds] == [1, 1]
-        for algorithm, settings, call in zip(ALGORITHMS, checked, split.call_args_list):
-            assert list(settings) == [algorithm]
-            assert [id(entry) for entry in call.args[2]] == [id(settings[algorithm])] * 3
+        (settings,) = checked
+        (call,) = split.call_args_list
+        assert list(settings) == ["csa", "ecsa"]
+        assert [id(entry) for entry in call.args[2]] == [
+            id(settings[algorithm]) for algorithm in ["csa"] * 3 + ["ecsa"] * 3
+        ]
 
 
 class TestConfig:
@@ -135,10 +137,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(algorithms=("pso",))
 
-    def test_unknown_algorithm_has_no_estimator(self):
-        with pytest.raises(ValueError, match="^unknown algorithm 'xyz'$"):
-            make_optimizer("xyz", ExperimentConfig())
-
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             ExperimentConfig(trials=0)
@@ -150,25 +148,24 @@ class TestConfig:
 
     @pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig), ids=lambda f: f.name)
     def test_every_setting_reaches_its_estimator(self, field):
-        # make_optimizer matches config fields to estimator parameters by
+        # check_settings matches config fields to estimator parameters by
         # name, so a renamed field would silently fall back to its default
         if field.name in ("functions", "algorithms", "trials", "base_seed", "dim"):
             return
-        value = field.default + 1
-        config = ExperimentConfig(**{field.name: value})
-        reached = [
-            getattr(make_optimizer(algorithm, config), field.name)
-            for algorithm in ALGORITHMS
-            if field.name in {f.name for f in dataclasses.fields(make_optimizer(algorithm, config))}
-        ]
-        assert reached and all(setting == value for setting in reached)
+        # a changed value that every estimator still accepts
+        value = field.default + 1 if isinstance(field.default, int) else field.default * 0.9
+        settings = check_settings(ExperimentConfig(**{field.name: value}), 2, 1)
 
-    def test_trial_seed_stable_and_distinct(self):
-        s = trial_seed(0, "csa", "F1", 0)
-        assert s == trial_seed(0, "csa", "F1", 0)
-        assert s != trial_seed(0, "csa", "F1", 1)
-        assert s != trial_seed(0, "ecsa", "F1", 0)
-        assert s != trial_seed(0, "csa", "F2", 0)
+        def engine(inputs):
+            return inputs.population, inputs.pa.tolist(), inputs.alpha.tolist(), inputs.init
+
+        reached = [estimator for estimator in (CuckooSearch, EnhancedCuckooSearch)
+                   if field.name in {f.name for f in dataclasses.fields(estimator)}]
+        assert reached
+        for estimator in reached:
+            expected = engine(estimator(**{field.name: value}).engine_inputs())
+            assert engine(settings[estimator.algorithm]) == expected
+            assert expected != engine(estimator().engine_inputs())
 
 
 class TestRunBenchmark:
@@ -262,7 +259,8 @@ class TestRunBenchmark:
             distinct = list({id(inputs): inputs for inputs in settings}.values())
             assert all(isinstance(inputs, EngineInputs) for inputs in distinct)
             assert sorted(inputs.init for inputs in distinct) == ["random", "sobol"]
-        run_allocation(synth_instance(4, 2, seed=1), "ecsa", tiny_config(trials=3, iterations=3))
+        run_allocation(synth_instance(4, 2, seed=1),
+                       tiny_config(algorithms="ecsa", trials=3, iterations=3))
         tasks = [pickle.loads(pickle.dumps(task)) for task in pool_tasks[1]]
         assert len(pool_tasks) == 2 and len(tasks) == 2
         for _, _, settings, _ in tasks:
@@ -417,15 +415,15 @@ class TestCompare:
 class TestAllocationExperiment:
     def test_single_pair_reaches_oracle(self):
         instance = synth_instance(1, 1, seed=0)
-        config = tiny_config(trials=2, iterations=5, population=4)
-        report = run_allocation(instance, "csa", config)
+        config = tiny_config(algorithms="csa", trials=2, iterations=5, population=4)
+        report = run_allocation(instance, config)["csa"]
         assert report.best_gap == pytest.approx(0.0, abs=1e-12)
         assert report.mean_gap == pytest.approx(0.0, abs=1e-12)
 
     def test_report_fields_consistent(self):
         instance = synth_instance(6, 3, seed=1)
-        config = tiny_config(trials=3, iterations=20, population=8)
-        report = run_allocation(instance, "ecsa", config)
+        config = tiny_config(algorithms="ecsa", trials=3, iterations=20, population=8)
+        report = run_allocation(instance, config)["ecsa"]
         values = [row["best_fitness"] for row in report.rows]
         assert report.best_fitness == min(values)
         assert report.mean_fitness == pytest.approx(np.mean(values), rel=1e-12)
@@ -444,45 +442,41 @@ class TestAllocationExperiment:
         instance = synth_instance(4, 2, seed=2)
         with mock.patch("ecsa.experiments.optimal_assignment") as oracle:
             with pytest.raises(ValueError, match=message):
-                run_allocation(instance, "ecsa", tiny_config(**overrides))
+                run_allocation(instance, tiny_config(**overrides))
         oracle.assert_not_called()
 
     def test_fit_count_beyond_memory_rejected_before_any_evaluation(self):
         # library callers used to get a seed list of 10**15 entries before any check
         instance = synth_instance(4, 2, seed=2)
-        with mock.patch("ecsa.experiments.trial_seed") as seed, \
+        with mock.patch("ecsa.experiments.stable_seed") as seed, \
                 mock.patch("ecsa.experiments.AllocationObjective") as objective:
             with pytest.raises(ValueError, match=r"^1000000000000000 fits of population=50 "):
-                run_allocation(instance, "ecsa", ExperimentConfig(trials=10**15))
+                run_allocation(instance, ExperimentConfig(algorithms=("ecsa",), trials=10**15))
         seed.assert_not_called()
         objective.assert_not_called()
 
     def test_worker_count_does_not_change_outputs(self, tmp_path, monkeypatch, pool_tasks):
-        # 3 trials on 2 workers run as a 2-trial and a 1-trial task; every
-        # file must match the serial run's byte for byte
-        from ecsa import experiments
-
+        # both algorithms' 4 trials on 3 workers run as tasks of 3, 3 and 2
+        # trials, each mixing the algorithms; every file must match the
+        # serial run's byte for byte
         instance = synth_instance(6, 3, seed=1)
-        config = tiny_config(trials=3, iterations=12, population=5)
-        for workers in ("1", "2"):
+        config = tiny_config(trials=4, iterations=12, population=5)
+        for workers in ("1", "3"):
             monkeypatch.setenv("ECSA_WORKERS", workers)
-            for algorithm in ("csa", "ecsa"):
-                report = run_allocation(instance, algorithm, config)
-                experiments.write_allocation_outputs(instance, report, tmp_path / workers)
-        # the serial runs made no pool
-        assert [[len(rngs) for *_, rngs in tasks] for tasks in pool_tasks] == [[2, 1], [2, 1]]
+            for report in run_allocation(instance, config).values():
+                write_allocation_outputs(instance, report, tmp_path / workers)
+        # the serial run made no pool
+        assert [[len(rngs) for *_, rngs in tasks] for tasks in pool_tasks] == [[3, 3, 2]]
         files = sorted(p.relative_to(tmp_path / "1") for p in (tmp_path / "1").rglob("*.csv"))
-        assert len(files) == 2 * (2 + 3 + 1)  # per algorithm: 2 CSVs, 3 trial traces, 1 mean
-        assert files == sorted(p.relative_to(tmp_path / "2") for p in (tmp_path / "2").rglob("*.csv"))
+        assert len(files) == 2 * (2 + 4 + 1)  # per algorithm: 2 CSVs, 4 trial traces, 1 mean
+        assert files == sorted(p.relative_to(tmp_path / "3") for p in (tmp_path / "3").rglob("*.csv"))
         for name in files:
-            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "3" / name).read_bytes()
 
     def test_outputs_written(self, tmp_path):
-        from ecsa.experiments import write_allocation_outputs
-
         instance = synth_instance(4, 2, seed=2)
-        config = tiny_config(trials=2, iterations=10, population=5)
-        report = run_allocation(instance, "ecsa", config)
+        config = tiny_config(algorithms="ecsa", trials=2, iterations=10, population=5)
+        report = run_allocation(instance, config)["ecsa"]
         write_allocation_outputs(instance, report, tmp_path)
         assert (tmp_path / "allocation_ecsa.csv").exists()
         assert (tmp_path / "assignment_ecsa.csv").exists()
@@ -492,3 +486,40 @@ class TestAllocationExperiment:
             "LA_ecsa_trial000.csv",
             "LA_ecsa_trial001.csv",
         ]
+
+    def test_every_algorithm_runs_as_one_split(self, tmp_path):
+        # every configured algorithm shares one pool split, and a trial's bits
+        # do not depend on the split, so a report is the same run alone
+        from ecsa import experiments
+
+        instance = synth_instance(5, 3, seed=4)
+        config = tiny_config(trials=3, iterations=8, population=5)
+        with mock.patch.object(experiments, "_run_split", wraps=experiments._run_split) as split:
+            reports = run_allocation(instance, config)
+        (call,) = split.call_args_list
+        assert [len(entries) for entries in call.args] == [6] * 4
+        assert list(reports) == ["csa", "ecsa"]
+        for algorithm, report in reports.items():
+            (alone,) = run_allocation(instance, tiny_config(
+                algorithms=algorithm, trials=3, iterations=8, population=5)).values()
+            assert report.algorithm == alone.algorithm == algorithm
+            for row, expected in zip(report.rows, alone.rows, strict=True):
+                for name in ("trial", "seed", "best_fitness", "gap_to_oracle"):
+                    assert row[name] == expected[name]
+                assert row["best_position"].tobytes() == expected["best_position"].tobytes()
+            assert list(report.traces) == list(alone.traces) == [0, 1, 2]
+            for trial, trace in report.traces.items():
+                assert trace.tobytes() == alone.traces[trial].tobytes()
+            write_allocation_outputs(instance, report, tmp_path / "both")
+            write_allocation_outputs(instance, alone, tmp_path / "alone")
+        files = sorted(p.relative_to(tmp_path / "both") for p in (tmp_path / "both").rglob("*.csv"))
+        assert len(files) == 2 * (2 + 3 + 1)
+        assert files == sorted(p.relative_to(tmp_path / "alone")
+                               for p in (tmp_path / "alone").rglob("*.csv"))
+        for name in files:
+            assert (tmp_path / "both" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+        # the pre-flight counts the fits of both algorithms
+        with mock.patch("ecsa.experiments.stable_seed") as seed:
+            with pytest.raises(ValueError, match=r"^2000000000000000 fits of population=50 "):
+                run_allocation(instance, ExperimentConfig(trials=10**15))
+        seed.assert_not_called()
