@@ -26,6 +26,7 @@ from ecsa.experiments import (
     read_results_csv,
     run_allocation,
     run_benchmark,
+    stable_seed,
     write_allocation_outputs,
     write_benchmark_outputs,
     write_comparison_csv,
@@ -145,6 +146,14 @@ class TestConfig:
         # the CLI passes --functions and --algorithms through unsplit
         assert ExperimentConfig(functions="F1, F2,") == ExperimentConfig(functions=("F1", "F2"))
         assert ExperimentConfig(algorithms=" ecsa,csa ") == ExperimentConfig(algorithms=("ecsa", "csa"))
+
+    def test_trial_seed_stable_and_distinct(self):
+        # the runners seed trial t of (algorithm, function) with this call
+        s = stable_seed(0, "csa", "F1", 0)
+        assert s == stable_seed(0, "csa", "F1", 0)
+        assert s != stable_seed(0, "csa", "F1", 1)
+        assert s != stable_seed(0, "ecsa", "F1", 0)
+        assert s != stable_seed(0, "csa", "F2", 0)
 
     @pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig), ids=lambda f: f.name)
     def test_every_setting_reaches_its_estimator(self, field):
