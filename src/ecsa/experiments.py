@@ -228,39 +228,43 @@ def _run_split(objectives, boxes, settings, rngs) -> list:
     return traces
 
 
+def _run_cells(config: ExperimentConfig, inputs: dict, boxes: dict, objective) -> list:
+    """Run every cell as one :func:`_run_split` call; ``(cell, seed, RunTrace)`` in cell order.
+
+    The cells ``(function, algorithm, trial)`` come function by function in the order of
+    ``boxes`` (function id -> box), then in :data:`ALGORITHMS` order among the keys of
+    ``inputs`` (the pre-flight's :class:`EngineInputs` by name), then by trial.  A cell runs
+    on ``RandomSource(stable_seed(base_seed, algorithm, function, trial))`` and
+    ``objective(function, rng)`` of that source.
+    """
+    cells = [(fid, algorithm, trial) for fid in boxes
+             for algorithm in ALGORITHMS if algorithm in inputs
+             for trial in range(config.trials)]
+    seeds = [stable_seed(config.base_seed, algorithm, fid, trial) for fid, algorithm, trial in cells]
+    rngs = [RandomSource(seed) for seed in seeds]
+    results = _run_split([objective(fid, rng) for (fid, _, _), rng in zip(cells, rngs)],
+                         [boxes[fid] for fid, _, _ in cells],
+                         [inputs[algorithm] for _, algorithm, _ in cells], rngs)
+    return list(zip(cells, seeds, results))
+
+
 def run_benchmark(config: ExperimentConfig):
     """Run the protocol; returns (rows, traces) in cell order.
 
-    ``rows`` is a list of result dicts; ``traces`` maps
-    ``(function, algorithm, trial)`` to the per-iteration best-fitness
-    array.  :func:`check_benchmark` runs first.  The cells, sorted by
-    function id, algorithm name and trial, are one :func:`_run_split`
-    call: each cell's objective, box, seed and the one :class:`EngineInputs`
-    the check returned for its algorithm.  Every function shares one
-    objective across its trials, except F7, which draws its noise from
-    each trial's own stream and so gets one objective per trial.
+    ``rows`` is a list of result dicts; ``traces`` maps ``(function, algorithm, trial)`` to the
+    per-iteration best-fitness array.  :func:`_run_cells` runs the functions in suite order on
+    what :func:`check_benchmark` returns.  Every function shares one objective across its trials,
+    except F7, which draws its noise from each trial's own stream and so gets one per trial.
     """
     inputs = check_benchmark(config)
-    cells = [
-        (function_id, algorithm, trial)
-        for function_id in sorted(config.functions, key=FUNCTION_IDS.index)
-        for algorithm in sorted(config.algorithms)
-        for trial in range(config.trials)
-    ]
-    specs = {fid: benchmarks.get_spec(fid, config.dim) for fid in config.functions}
+    specs = {fid: benchmarks.get_spec(fid, config.dim)
+             for fid in sorted(config.functions, key=FUNCTION_IDS.index)}
     shared = {fid: BenchmarkObjective(spec) for fid, spec in specs.items() if not spec.stochastic}
-    seeds = [stable_seed(config.base_seed, algorithm, fid, trial) for fid, algorithm, trial in cells]
-    rngs = [RandomSource(seed) for seed in seeds]
-    results = _run_split(
-        [shared[fid] if fid in shared else BenchmarkObjective(specs[fid], rng)
-         for (fid, _, _), rng in zip(cells, rngs)],
-        [specs[fid].box for fid, _, _ in cells],
-        [inputs[algorithm] for _, algorithm, _ in cells],
-        rngs,
-    )
+    runs = _run_cells(config, inputs, {fid: spec.box for fid, spec in specs.items()},
+                      lambda fid, rng: shared.get(fid) or BenchmarkObjective(specs[fid], rng))
     rows = [dict(zip(RESULT_FIELDS, (*cell, seed, result.best_fitness, result.evaluations)))
-            for cell, seed, result in zip(cells, seeds, results)]
-    traces = {cell: result.best_fitness_per_iteration for cell, result in zip(cells, results)}
+            for cell, seed, result in runs]
+    traces = {cell: result.best_fitness_per_iteration for cell, _, result in runs}
     return rows, traces
 
 
@@ -482,30 +486,22 @@ def run_allocation(instance: AllocationInstance, config: ExperimentConfig) -> di
     """Run the discretized optimizer over the unit cube of area scores for every configured
     algorithm; ``{algorithm: AllocationReport}`` in ``config.algorithms`` order.
 
-    The cells, algorithm-major, are one :func:`_run_split` call that shares the objective, the
-    box and each algorithm's :class:`EngineInputs` that :func:`check_settings` returns for
-    ``len(config.algorithms) * config.trials`` fits at the instance's decision dimension; a
-    trial gives the same result in any split, so a report depends neither on the worker count
-    nor on the other algorithms.  The oracle runs after the fits.  A zero oracle makes a
-    trial's gap ``0.0`` if its fit reaches it and ``inf`` if not.
+    :func:`check_settings` runs first, for ``len(config.algorithms) * config.trials`` fits at
+    the instance's decision dimension, then :func:`_run_cells` on function ``LA`` with one shared
+    objective.  A trial gives the same result in any split, so a report depends neither on the
+    worker count nor on the other algorithms.  The oracle runs after the fits.  A zero oracle
+    makes a trial's gap ``0.0`` if its fit reaches it and ``inf`` if not.
     """
-    trials = config.trials
-    inputs = check_settings(config, instance.decision_dim, len(config.algorithms) * trials)
+    inputs = check_settings(config, instance.decision_dim, len(config.algorithms) * config.trials)
     objective = AllocationObjective(instance)
-    cells = [(algorithm, trial) for algorithm in config.algorithms for trial in range(trials)]
-    seeds = [stable_seed(config.base_seed, algorithm, "LA", trial) for algorithm, trial in cells]
-    rngs = [RandomSource(seed) for seed in seeds]
-    results = _run_split([objective] * len(cells), [objective.box] * len(cells),
-                         [inputs[algorithm] for algorithm, _ in cells], rngs)
+    runs = _run_cells(config, inputs, {"LA": objective.box}, lambda fid, rng: objective)
     _, oracle_fitness = optimal_assignment(instance)
     reports = {}
-    for k, algorithm in enumerate(config.algorithms):
-        share = slice(k * trials, (k + 1) * trials)
+    for algorithm in config.algorithms:
+        share = [(trial, seed, result) for (_, arm, trial), seed, result in runs if arm == algorithm]
         rows = [
             {
-                "algorithm": algorithm,
-                "trial": trial,
-                "seed": seed,
+                "algorithm": algorithm, "trial": trial, "seed": seed,
                 "best_fitness": result.best_fitness,
                 "gap_to_oracle": ((result.best_fitness - oracle_fitness) / oracle_fitness
                                   if oracle_fitness else 0.0 if result.best_fitness == 0
@@ -513,7 +509,7 @@ def run_allocation(instance: AllocationInstance, config: ExperimentConfig) -> di
                 "evaluations": result.evaluations,
                 "best_position": result.best_position,
             }
-            for trial, (seed, result) in enumerate(zip(seeds[share], results[share]))
+            for trial, seed, result in share
         ]
         values = np.array([row["best_fitness"] for row in rows])
         best_trial = int(np.argmin(values))  # the first of equal bests
@@ -522,8 +518,7 @@ def run_allocation(instance: AllocationInstance, config: ExperimentConfig) -> di
             algorithm=algorithm,
             oracle_fitness=oracle_fitness,
             rows=rows,
-            traces={trial: result.best_fitness_per_iteration
-                    for trial, result in enumerate(results[share])},
+            traces={trial: result.best_fitness_per_iteration for trial, _, result in share},
             best_trial=best_trial,
             best_fitness=rows[best_trial]["best_fitness"],
             mean_fitness=mean,

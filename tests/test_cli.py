@@ -157,6 +157,17 @@ class TestBenchCommand:
             tmp_path / "run2" / "results.csv"
         ).read_bytes()
 
+    def test_algorithm_order_does_not_change_results(self, runner, tmp_path):
+        # the cells run in ALGORITHMS order whatever order --algorithms names them
+        args = ["bench", "--functions", "F1,F7", "--trials", "2", "--population", "5",
+                "--iterations", "4"]
+        for name, extra in (("default", []), ("named", ["--algorithms", "ecsa,csa"])):
+            result = runner.invoke(main, [*args, *extra, "--out", str(tmp_path / name)])
+            assert result.exit_code == 0, result.output
+        assert (tmp_path / "default" / "results.csv").read_bytes() == (
+            tmp_path / "named" / "results.csv"
+        ).read_bytes()
+
     def test_invalid_function_fails_before_running(self, runner, tmp_path):
         result = runner.invoke(
             main, ["bench", "--functions", "F99", "--out", str(tmp_path / "x")]

@@ -252,6 +252,17 @@ class TestRunBenchmark:
         monkeypatch.setattr(experiments, "physical_memory", lambda: needed)
         experiments.check_benchmark(config)
 
+    def test_worker_count_falls_back_to_cpu_count(self, monkeypatch):
+        # where the OS has no affinity call the pool takes os.cpu_count(), and 1 if that is unknown
+        from ecsa import experiments
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setenv("ECSA_WORKERS", "64")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert experiments.worker_count(100) == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert experiments.worker_count(100) == 1
+
     def test_pool_tasks_carry_each_schedule_row_once(self, monkeypatch, pool_tasks):
         # a task holds, per trial, a reference to its algorithm's one
         # EngineInputs, so it pickles each schedule row once; an allocate
@@ -481,6 +492,23 @@ class TestAllocationExperiment:
         assert files == sorted(p.relative_to(tmp_path / "3") for p in (tmp_path / "3").rglob("*.csv"))
         for name in files:
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "3" / name).read_bytes()
+
+    def test_algorithm_order_does_not_change_reports(self):
+        # the dict follows config.algorithms; every row and trace is the default order's
+        def plain(row):
+            return {**row, "best_position": row["best_position"].tobytes()}
+
+        instance = synth_instance(5, 3, seed=4)
+        default = run_allocation(instance, tiny_config(trials=2, iterations=6, population=5))
+        named = run_allocation(instance, tiny_config(algorithms="ecsa,csa", trials=2,
+                                                     iterations=6, population=5))
+        assert list(default) == ["csa", "ecsa"] and list(named) == ["ecsa", "csa"]
+        for algorithm, report in named.items():
+            expected = default[algorithm]
+            assert [plain(row) for row in report.rows] == [plain(row) for row in expected.rows]
+            assert list(report.traces) == list(expected.traces) == [0, 1]
+            for trial, trace in report.traces.items():
+                assert trace.tobytes() == expected.traces[trial].tobytes()
 
     def test_outputs_written(self, tmp_path):
         instance = synth_instance(4, 2, seed=2)
