@@ -113,12 +113,11 @@ def bench(ctx, config_path, out_dir, **flags):
     # config_path holds the file's settings, as _load_config returns them
     given = {name: value for name, value in flags.items() if _given(ctx, name)}
     config = ExperimentConfig(**config_path | given)
-    experiments.check_benchmark(config)
+    plan = experiments.plan_benchmark(config)
     out = _writable_dir(out_dir)
     total = len(config.functions) * len(config.algorithms) * config.trials
     click.echo(f"running {total} optimization runs -> {out}", err=True)
-    rows, traces = experiments.run_benchmark(config)
-    experiments.write_benchmark_outputs(rows, traces, out)
+    experiments.write_benchmark_outputs(*plan.run(), out)
     click.echo(f"wrote {out / 'results.csv'}", err=True)
 
 
@@ -187,14 +186,14 @@ def allocate(ctx, instance_path, blocks_path, areas_path, synthetic, blocks_coun
     if synthetic:
         # the instance's arrays come after the pre-flight, which needs counts >= 1
         dim = checked_int("n_blocks", blocks_count, 1) * checked_int("n_areas", areas_count, 1)
-        experiments.check_settings(config, dim, config.trials)
+        plan = experiments.plan_allocation(config, dim)
         instance = synth_instance(blocks_count, areas_count, seed=config.base_seed)
     else:
         instance = (load_instance(instance_path) if instance_path
                     else load_instance_csv(blocks_path, areas_path))
-        experiments.check_settings(config, instance.decision_dim, config.trials)
+        plan = experiments.plan_allocation(config, instance.decision_dim)
     out = _writable_dir(out_dir)
-    report = experiments.run_allocation(instance, config)[algorithm]
+    report = plan.run(instance)[algorithm]
     experiments.write_allocation_outputs(instance, report, out)
     click.echo(
         f"{algorithm}: oracle {report.oracle_fitness:.6f}  "

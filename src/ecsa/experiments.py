@@ -24,6 +24,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -140,7 +141,7 @@ def check_settings(config: ExperimentConfig, dim: int, trials: int) -> dict:
     position (``8 * (iterations + dim)`` bytes) and its Python objects (:data:`_FIT_BYTES`).
     Then, algorithm by algorithm, the estimator given every config field named like one of its
     parameters must pass ``engine_inputs()``, and the Sobol table must cover ``dim`` for a Sobol
-    start; :func:`run_benchmark` and :func:`run_allocation` run on the result.
+    start.  The result is in :data:`ALGORITHMS` order, the order the plans run the cells in.
     """
     workers = worker_count(trials)
     population, iterations = config.population, config.iterations
@@ -158,23 +159,7 @@ def check_settings(config: ExperimentConfig, dim: int, trials: int) -> dict:
         settings[algorithm] = estimator(**given).engine_inputs()
         if settings[algorithm].init == "sobol":
             sobol.check_dim(dim)
-    return settings
-
-
-def check_benchmark(config: ExperimentConfig) -> dict:
-    """The protocol's :func:`check_settings` result; a protocol that cannot run raises first.
-
-    The summary std and the comparison need two trials per cell, ``dim`` must pass
-    :func:`ecsa.benchmarks.check_suite_dim`, which builds no array, and the settings
-    must pass :func:`check_settings` there.
-    """
-    if config.trials < 2:
-        raise ValueError(
-            f"bench needs --trials >= 2 for the summary std and compare, got {config.trials}"
-        )
-    benchmarks.check_suite_dim(config.dim)
-    return check_settings(config, config.dim,
-                          len(config.functions) * len(config.algorithms) * config.trials)
+    return {algorithm: settings[algorithm] for algorithm in ALGORITHMS if algorithm in settings}
 
 
 def _usable_cpus() -> int:
@@ -228,44 +213,81 @@ def _run_split(objectives, boxes, settings, rngs) -> list:
     return traces
 
 
-def _run_cells(config: ExperimentConfig, inputs: dict, boxes: dict, objective) -> list:
-    """Run every cell as one :func:`_run_split` call; ``(cell, seed, RunTrace)`` in cell order.
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """An experiment that passed its pre-flight at decision dimension ``dim``: its config and a
+    read-only copy of the :func:`check_settings` result, each configured algorithm's checked
+    :class:`EngineInputs` in run order.  ``run`` runs those very objects."""
 
-    The cells ``(function, algorithm, trial)`` come function by function in the order of
-    ``boxes`` (function id -> box), then in :data:`ALGORITHMS` order among the keys of
-    ``inputs`` (the pre-flight's :class:`EngineInputs` by name), then by trial.  A cell runs
-    on ``RandomSource(stable_seed(base_seed, algorithm, function, trial))`` and
-    ``objective(function, rng)`` of that source.
+    config: ExperimentConfig
+    dim: int
+    inputs: dict
+
+    def __post_init__(self):
+        object.__setattr__(self, "inputs", MappingProxyType(dict(self.inputs)))
+
+    def _run_cells(self, boxes: dict, objective) -> list:
+        """Run every cell as one :func:`_run_split` call; ``(cell, seed, RunTrace)`` in cell order.
+
+        The cells ``(function, algorithm, trial)`` come function by function in the order of
+        ``boxes`` (function id -> box), then algorithm by algorithm in the order of ``inputs``,
+        then by trial.  A cell runs on ``RandomSource(stable_seed(base_seed, algorithm, function,
+        trial))`` and ``objective(function, rng)`` of that source.
+        """
+        config = self.config
+        cells = [(fid, algorithm, trial) for fid in boxes for algorithm in self.inputs
+                 for trial in range(config.trials)]
+        seeds = [stable_seed(config.base_seed, algorithm, fid, trial)
+                 for fid, algorithm, trial in cells]
+        rngs = [RandomSource(seed) for seed in seeds]
+        results = _run_split([objective(fid, rng) for (fid, _, _), rng in zip(cells, rngs)],
+                             [boxes[fid] for fid, _, _ in cells],
+                             [self.inputs[algorithm] for _, algorithm, _ in cells], rngs)
+        return list(zip(cells, seeds, results))
+
+
+class BenchmarkPlan(_Plan):
+    """A protocol that passed :func:`plan_benchmark`."""
+
+    def run(self):
+        """Run the protocol; returns (rows, traces) in cell order.
+
+        ``rows`` is a list of result dicts; ``traces`` maps ``(function, algorithm, trial)`` to the
+        per-iteration best-fitness array.  The functions run in suite order.  Every function shares
+        one objective across its trials, except F7, which draws its noise from each trial's own
+        stream and so gets one per trial.
+        """
+        specs = {fid: benchmarks.get_spec(fid, self.dim)
+                 for fid in sorted(self.config.functions, key=FUNCTION_IDS.index)}
+        shared = {fid: BenchmarkObjective(spec) for fid, spec in specs.items() if not spec.stochastic}
+        runs = self._run_cells(
+            {fid: spec.box for fid, spec in specs.items()},
+            lambda fid, rng: shared.get(fid) or BenchmarkObjective(specs[fid], rng))
+        rows = [dict(zip(RESULT_FIELDS, (*cell, seed, result.best_fitness, result.evaluations)))
+                for cell, seed, result in runs]
+        traces = {cell: result.best_fitness_per_iteration for cell, _, result in runs}
+        return rows, traces
+
+
+def plan_benchmark(config: ExperimentConfig) -> BenchmarkPlan:
+    """The protocol's :class:`BenchmarkPlan`; a protocol that cannot run raises first.
+
+    The summary std and the comparison need two trials per cell, ``dim`` must pass
+    :func:`ecsa.benchmarks.check_suite_dim`, which builds no array, and the settings
+    must pass :func:`check_settings` there.
     """
-    cells = [(fid, algorithm, trial) for fid in boxes
-             for algorithm in ALGORITHMS if algorithm in inputs
-             for trial in range(config.trials)]
-    seeds = [stable_seed(config.base_seed, algorithm, fid, trial) for fid, algorithm, trial in cells]
-    rngs = [RandomSource(seed) for seed in seeds]
-    results = _run_split([objective(fid, rng) for (fid, _, _), rng in zip(cells, rngs)],
-                         [boxes[fid] for fid, _, _ in cells],
-                         [inputs[algorithm] for _, algorithm, _ in cells], rngs)
-    return list(zip(cells, seeds, results))
+    if config.trials < 2:
+        raise ValueError(
+            f"bench needs --trials >= 2 for the summary std and compare, got {config.trials}"
+        )
+    benchmarks.check_suite_dim(config.dim)
+    fits = len(config.functions) * len(config.algorithms) * config.trials
+    return BenchmarkPlan(config, config.dim, check_settings(config, config.dim, fits))
 
 
 def run_benchmark(config: ExperimentConfig):
-    """Run the protocol; returns (rows, traces) in cell order.
-
-    ``rows`` is a list of result dicts; ``traces`` maps ``(function, algorithm, trial)`` to the
-    per-iteration best-fitness array.  :func:`_run_cells` runs the functions in suite order on
-    what :func:`check_benchmark` returns.  Every function shares one objective across its trials,
-    except F7, which draws its noise from each trial's own stream and so gets one per trial.
-    """
-    inputs = check_benchmark(config)
-    specs = {fid: benchmarks.get_spec(fid, config.dim)
-             for fid in sorted(config.functions, key=FUNCTION_IDS.index)}
-    shared = {fid: BenchmarkObjective(spec) for fid, spec in specs.items() if not spec.stochastic}
-    runs = _run_cells(config, inputs, {fid: spec.box for fid, spec in specs.items()},
-                      lambda fid, rng: shared.get(fid) or BenchmarkObjective(specs[fid], rng))
-    rows = [dict(zip(RESULT_FIELDS, (*cell, seed, result.best_fitness, result.evaluations)))
-            for cell, seed, result in runs]
-    traces = {cell: result.best_fitness_per_iteration for cell, _, result in runs}
-    return rows, traces
+    """:meth:`BenchmarkPlan.run` of ``plan_benchmark(config)``."""
+    return plan_benchmark(config).run()
 
 
 # -- file output --------------------------------------------------------------
@@ -482,51 +504,69 @@ class AllocationReport:
     best_gap: float
 
 
-def run_allocation(instance: AllocationInstance, config: ExperimentConfig) -> dict:
-    """Run the discretized optimizer over the unit cube of area scores for every configured
-    algorithm; ``{algorithm: AllocationReport}`` in ``config.algorithms`` order.
+class AllocationPlan(_Plan):
+    """Allocation fits that passed :func:`plan_allocation`."""
 
-    :func:`check_settings` runs first, for ``len(config.algorithms) * config.trials`` fits at
-    the instance's decision dimension, then :func:`_run_cells` on function ``LA`` with one shared
-    objective.  A trial gives the same result in any split, so a report depends neither on the
-    worker count nor on the other algorithms.  The oracle runs after the fits.  A zero oracle
-    makes a trial's gap ``0.0`` if its fit reaches it and ``inf`` if not.
-    """
-    inputs = check_settings(config, instance.decision_dim, len(config.algorithms) * config.trials)
-    objective = AllocationObjective(instance)
-    runs = _run_cells(config, inputs, {"LA": objective.box}, lambda fid, rng: objective)
-    _, oracle_fitness = optimal_assignment(instance)
-    reports = {}
-    for algorithm in config.algorithms:
-        share = [(trial, seed, result) for (_, arm, trial), seed, result in runs if arm == algorithm]
-        rows = [
-            {
-                "algorithm": algorithm, "trial": trial, "seed": seed,
-                "best_fitness": result.best_fitness,
-                "gap_to_oracle": ((result.best_fitness - oracle_fitness) / oracle_fitness
-                                  if oracle_fitness else 0.0 if result.best_fitness == 0
-                                  else math.inf),
-                "evaluations": result.evaluations,
-                "best_position": result.best_position,
-            }
-            for trial, seed, result in share
-        ]
-        values = np.array([row["best_fitness"] for row in rows])
-        best_trial = int(np.argmin(values))  # the first of equal bests
-        mean, std = summarize(values) if values.size > 1 else (float(values[0]), 0.0)
-        reports[algorithm] = AllocationReport(
-            algorithm=algorithm,
-            oracle_fitness=oracle_fitness,
-            rows=rows,
-            traces={trial: result.best_fitness_per_iteration for trial, _, result in share},
-            best_trial=best_trial,
-            best_fitness=rows[best_trial]["best_fitness"],
-            mean_fitness=mean,
-            std_fitness=std,
-            mean_gap=float(np.mean([row["gap_to_oracle"] for row in rows])),
-            best_gap=rows[best_trial]["gap_to_oracle"],
-        )
-    return reports
+    def run(self, instance: AllocationInstance) -> dict:
+        """Run the discretized optimizer over the unit cube of area scores for every configured
+        algorithm; ``{algorithm: AllocationReport}`` in ``config.algorithms`` order.
+
+        An instance of a decision dimension other than the plan's raises ``ValueError`` first.
+        The cells are function ``LA``'s, with one shared objective.  A trial gives the same
+        result in any split, so a report depends neither on the worker count nor on the other
+        algorithms.  The oracle runs after the fits.  A zero oracle makes a trial's gap ``0.0``
+        if its fit reaches it and ``inf`` if not.
+        """
+        if instance.decision_dim != self.dim:
+            raise ValueError(f"this plan was checked at dim={self.dim}, but the instance's "
+                             f"decision dimension is {instance.decision_dim}")
+        objective = AllocationObjective(instance)
+        runs = self._run_cells({"LA": objective.box}, lambda fid, rng: objective)
+        _, oracle_fitness = optimal_assignment(instance)
+        reports = {}
+        for algorithm in self.config.algorithms:
+            share = [(trial, seed, result) for (_, arm, trial), seed, result in runs
+                     if arm == algorithm]
+            rows = [
+                {
+                    "algorithm": algorithm, "trial": trial, "seed": seed,
+                    "best_fitness": result.best_fitness,
+                    "gap_to_oracle": ((result.best_fitness - oracle_fitness) / oracle_fitness
+                                      if oracle_fitness else 0.0 if result.best_fitness == 0
+                                      else math.inf),
+                    "evaluations": result.evaluations,
+                    "best_position": result.best_position,
+                }
+                for trial, seed, result in share
+            ]
+            values = np.array([row["best_fitness"] for row in rows])
+            best_trial = int(np.argmin(values))  # the first of equal bests
+            mean, std = summarize(values) if values.size > 1 else (float(values[0]), 0.0)
+            reports[algorithm] = AllocationReport(
+                algorithm=algorithm,
+                oracle_fitness=oracle_fitness,
+                rows=rows,
+                traces={trial: result.best_fitness_per_iteration for trial, _, result in share},
+                best_trial=best_trial,
+                best_fitness=rows[best_trial]["best_fitness"],
+                mean_fitness=mean,
+                std_fitness=std,
+                mean_gap=float(np.mean([row["gap_to_oracle"] for row in rows])),
+                best_gap=rows[best_trial]["gap_to_oracle"],
+            )
+        return reports
+
+
+def plan_allocation(config: ExperimentConfig, dim: int) -> AllocationPlan:
+    """The :class:`AllocationPlan` of :func:`check_settings` for ``len(config.algorithms) *
+    config.trials`` fits at the decision dimension ``dim``."""
+    fits = len(config.algorithms) * config.trials
+    return AllocationPlan(config, dim, check_settings(config, dim, fits))
+
+
+def run_allocation(instance: AllocationInstance, config: ExperimentConfig) -> dict:
+    """:meth:`AllocationPlan.run` of ``plan_allocation(config, instance.decision_dim)``."""
+    return plan_allocation(config, instance.decision_dim).run(instance)
 
 
 def write_allocation_outputs(instance, report: AllocationReport, out_dir) -> None:

@@ -15,7 +15,9 @@ bit-identical under the same seed.  Per iteration every trial runs:
    ``x' = clamp(x + alpha * L (x - x_best))`` with ``L`` a Mantegna Levy
    step of the fixed index :data:`ecsa.levy.LEVY_BETA` (elementwise
    product); the best nest itself proposes ``x' = clamp(x_best + alpha * L)``
-   so it is not frozen at zero displacement.  A proposal replaces its
+   so it is not frozen at zero displacement.  A step that overflows is
+   ``+-inf``, which the clamp takes to the bound, except along a zero
+   spread, where the nest does not move.  A proposal replaces its
    parent only when strictly better.
 2. Discovery phase.  Every coordinate of every nest except the global
    best is discovered independently with probability ``pa``; discovered
@@ -285,7 +287,8 @@ def _discover(X, F, pa, rngs, bounds, evaluate, work: _WorkArrays) -> None:
     np.subtract(walk, nests.take(q + offset, axis=0, out=spare, mode="clip"), out=walk)
     np.multiply(r, mask, out=spare)
     np.multiply(spare, walk, out=walk)
-    np.add(X, walk, out=walk)
+    with np.errstate(over="ignore"):  # a walk past the largest double is +-inf, clamped
+        np.add(X, walk, out=walk)
     _clamp(walk, bounds)
     rows = np.flatnonzero(np.arange(pop) != F.argmin(axis=1)[:, None])
     walk.reshape(-1, dim).take(rows, axis=0, out=work.candidates.reshape(-1, dim), mode="clip")
@@ -328,12 +331,20 @@ def _run_stack(objectives, boxes, settings, rngs) -> list[RunTrace]:
     for t, (pa_t, alpha_t) in enumerate(columns):
         best = F.argmin(axis=1)
         scaled = _levy(rngs, work)[:, : X[0].size].reshape(X.shape)
-        np.multiply(scaled, alpha_t, out=scaled)
         # P holds the spread x - x_best, then the proposal
         P = np.subtract(X, X[trial, best][:, None, :], out=work.proposals)
         P[trial, best] = 1.0  # the best nest moves by the scaled step itself
-        np.multiply(scaled, P, out=P)
-        np.add(X, P, out=P)
+        try:
+            # a step past the largest double is +-inf, which _clamp takes to the bound;
+            # only an infinite step along a zero spread, inf * 0, is invalid
+            with np.errstate(over="ignore", invalid="raise"):
+                np.multiply(scaled, alpha_t, out=scaled)
+                np.multiply(scaled, P, out=P)
+                np.add(X, P, out=P)
+        except FloatingPointError:  # a nest moves along a zero spread by zero
+            P[np.isnan(P)] = 0.0
+            with np.errstate(over="ignore"):
+                np.add(X, P, out=P)
         _clamp(P, bounds)
         _keep_better(X, F, P, evaluate(P))
         _discover(X, F, pa_t, rngs, bounds, evaluate, work)

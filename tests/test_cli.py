@@ -20,7 +20,7 @@ from ecsa.allocation import AllocationObjective
 from ecsa.benchmarks import FUNCTION_IDS, BenchmarkObjective
 from ecsa import experiments
 from ecsa.cli import bench, main
-from ecsa.experiments import ALGORITHMS, ExperimentConfig, check_benchmark
+from ecsa.experiments import ALGORITHMS, ExperimentConfig, plan_benchmark
 from ecsa.optimizer import stack_bytes
 
 
@@ -324,7 +324,7 @@ class TestBenchCommand:
         evaluate_many.assert_not_called()
         assert not out.exists()
         # random initialization needs no table
-        check_benchmark(ExperimentConfig(functions="F1", algorithms="csa", dim=1112, trials=2))
+        plan_benchmark(ExperimentConfig(functions="F1", algorithms="csa", dim=1112, trials=2))
 
     @pytest.mark.parametrize("flags, flag", [
         (["--trials", "1", "--functions", "F99", "--dim", "3"], "--functions"),
@@ -781,6 +781,34 @@ SMALL_FIT = ["--trials", "2", "--iterations", "2", "--population", "3"]
 def written_files(out):
     """Every file under ``out``, by relative path, as bytes."""
     return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+class TestOnePreflightPerCommand:
+    """``bench`` and ``allocate`` check their settings once and run what they checked."""
+
+    @pytest.fixture
+    def builds(self):
+        """``(checks, builds)``: ``check_settings`` and each estimator's ``engine_inputs``,
+        csa's then ecsa's, wrapped to count their calls."""
+        with contextlib.ExitStack() as stack:
+            checks = stack.enter_context(mock.patch.object(
+                experiments, "check_settings", wraps=experiments.check_settings))
+            yield checks, [stack.enter_context(mock.patch.object(
+                cls, "engine_inputs", autospec=True, side_effect=cls.engine_inputs))
+                for cls in (ecsa.CuckooSearch, ecsa.EnhancedCuckooSearch)]
+
+    @pytest.mark.parametrize("command, built", [
+        # the command used to check, then run_benchmark or run_allocation checked again
+        (["bench", "--functions", "F1", "--trials", "2"], [1, 1]),
+        (["allocate", "--synthetic", "--trials", "1"], [0, 1]),
+    ], ids=["bench", "allocate"])
+    def test_each_algorithm_is_built_once(self, runner, tmp_path, builds, command, built):
+        checks, estimators = builds
+        result = runner.invoke(main, [*command, "--iterations", "3", "--population", "3",
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        assert [build.call_count for build in estimators] == built
+        assert checks.call_count == 1
 
 
 class TestEncoding:

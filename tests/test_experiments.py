@@ -23,6 +23,8 @@ from ecsa.experiments import (
     check_settings,
     compare_rows,
     comparison_table,
+    plan_allocation,
+    plan_benchmark,
     read_results_csv,
     run_allocation,
     run_benchmark,
@@ -123,6 +125,26 @@ class TestOneSettingsBuild:
         assert [id(entry) for entry in call.args[2]] == [
             id(settings[algorithm]) for algorithm in ["csa"] * 3 + ["ecsa"] * 3
         ]
+
+
+class TestPlans:
+    """A plan holds what its pre-flight checked, and runs only what it was checked for."""
+
+    def test_plan_holds_the_checked_inputs_in_run_order(self):
+        plan = plan_benchmark(tiny_config(algorithms="ecsa,csa"))
+        assert plan.config.algorithms == ("ecsa", "csa")
+        assert list(plan.inputs) == list(ALGORITHMS)
+        with pytest.raises(TypeError):
+            plan.inputs["csa"] = plan.inputs["ecsa"]
+
+    def test_allocation_plan_runs_only_at_its_dimension(self):
+        from ecsa import experiments
+
+        plan = plan_allocation(tiny_config(), 6)
+        with mock.patch.object(experiments, "_run_split") as split:
+            with pytest.raises(ValueError, match="dim=6, but the instance's decision dimension is 9"):
+                plan.run(synth_instance(3, 3))
+        split.assert_not_called()
 
 
 class TestConfig:
@@ -248,9 +270,9 @@ class TestRunBenchmark:
         needed = 2 * stack_bytes(2, 4, 15, 2) + 3 * (8 * (2 + 15) + experiments._FIT_BYTES)
         monkeypatch.setattr(experiments, "physical_memory", lambda: needed - 1)
         with pytest.raises(ValueError, match=f"need about {needed} bytes"):
-            experiments.check_benchmark(config)
+            experiments.plan_benchmark(config)
         monkeypatch.setattr(experiments, "physical_memory", lambda: needed)
-        experiments.check_benchmark(config)
+        experiments.plan_benchmark(config)
 
     def test_worker_count_falls_back_to_cpu_count(self, monkeypatch):
         # where the OS has no affinity call the pool takes os.cpu_count(), and 1 if that is unknown

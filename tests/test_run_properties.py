@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecsa import EngineInputs, RandomSource, SearchBox, optimizer
+from ecsa import (BenchmarkObjective, CuckooSearch, EngineInputs, EnhancedCuckooSearch,
+                  RandomSource, SearchBox, optimizer)
+from ecsa.benchmarks import get_spec
 from ecsa.optimizer import run_trials
 
 from test_optimizer import observe_discovery, run_one
@@ -21,7 +24,10 @@ def engine_inputs(draw):
     population = draw(st.integers(1, 8))
     iterations = draw(st.integers(0, 15))
     pa = draw(st.lists(st.floats(0.0, 1.0), min_size=iterations, max_size=iterations))
-    alpha = draw(st.lists(st.floats(1e-6, 10.0), min_size=iterations, max_size=iterations))
+    # huge steps too, where alpha * L overflows; an eighth of the largest double at most,
+    # so that per_trial_inputs' scaling by up to 6 stays finite
+    steps = st.floats(1e-6, 10.0) | st.floats(1e300, sys.float_info.max / 8)
+    alpha = draw(st.lists(steps, min_size=iterations, max_size=iterations))
     if draw(st.booleans()):  # constant schedules, as the standard algorithm uses
         pa = [pa[0]] * iterations if pa else []
         alpha = [alpha[0]] * iterations if alpha else []
@@ -290,3 +296,67 @@ def test_well_formed_batch_results_run_as_the_plain_callable(inputs, kind):
         for objective in (value, BatchOnly(value, wrap))
     )
     assert_same_trace(plain, batched)
+
+
+class RecordingObjective:
+    """A benchmark objective that keeps a copy of every row it evaluates."""
+
+    def __init__(self, spec):
+        self.objective, self.rows = BenchmarkObjective(spec), []
+
+    def evaluate_many(self, X):
+        self.rows.append(np.array(X))
+        return self.objective.evaluate_many(X)
+
+
+@pytest.mark.parametrize("fid", ["F5", "F11"])
+@pytest.mark.parametrize("estimator", [
+    CuckooSearch(population=5, iterations=50, alpha=sys.float_info.max),
+    EnhancedCuckooSearch(population=5, iterations=50, alpha_min=1e307,
+                         alpha_max=sys.float_info.max),
+], ids=["csa", "ecsa"])
+def test_largest_steps_evaluate_only_points_in_the_box(estimator, fid):
+    # alpha * L used to overflow to inf, and inf * 0 put NaN rows wherever a
+    # nest shared a coordinate with the best one; nests pile up on the bounds
+    # of these two functions, where ECSA hit it too
+    spec = get_spec(fid, 2)
+    for seed in range(10):
+        objective = RecordingObjective(spec)
+        (trace,) = run_trials([objective], [spec.box], [estimator.engine_inputs()],
+                              [RandomSource(seed)])
+        rows = np.concatenate(objective.rows)
+        assert len(rows) == trace.evaluations
+        assert np.all(rows >= spec.box.lower) and np.all(rows <= spec.box.upper)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["csa", "ecsa"]), st.sampled_from(["F1", "F7"]), st.integers(2, 4),
+       st.integers(1, 6), st.integers(1, 3), st.integers(0, 8), st.integers(1, 8),
+       st.integers(1, 4), st.integers(0, 2**32 - 1))
+# the short run ends inside ECSA's first cycle, after which the long one restarts
+@example("ecsa", "F7", 2, 4, 2, 2, 6, 3, 0)
+def test_longer_run_extends_the_shorter_trace(algorithm, fid, dim, population, trials, n, k,
+                                              t0, seed):
+    """The first ``n`` values of an ``n + k``-iteration trace are the ``n``-iteration trace.
+
+    F1's trials share one objective, as ``bench`` runs them; F7 draws its noise from each
+    trial's own stream.  ECSA's short first cycle ``t0`` puts restarts inside both runs.
+    """
+    spec = get_spec(fid, dim)
+
+    def traces(iterations):
+        estimator = (CuckooSearch(population=population, iterations=iterations)
+                     if algorithm == "csa"
+                     else EnhancedCuckooSearch(population=population, iterations=iterations,
+                                               t0=t0))
+        rngs = [RandomSource(seed + trial) for trial in range(trials)]
+        shared = BenchmarkObjective(spec)
+        objectives = [BenchmarkObjective(spec, rng) if spec.stochastic else shared
+                      for rng in rngs]
+        inputs = estimator.engine_inputs()
+        runs = run_trials(objectives, [spec.box] * trials, [inputs] * trials, rngs)
+        return [run.best_fitness_per_iteration for run in runs]
+
+    for short, long in zip(traces(n), traces(n + k)):
+        assert short.shape == (n,)
+        assert np.array_equal(long[:n], short)
