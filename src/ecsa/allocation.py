@@ -159,22 +159,28 @@ def fitness(instance: AllocationInstance, area_index) -> float:
     outside = area_index[(area_index < 0) | (area_index >= instance.n_areas)]
     if outside.size:
         raise ValueError(f"area index {outside[0]} is outside [0, {instance.n_areas})")
-    return float(instance.distance[np.arange(instance.n_blocks), area_index].sum())
+    return float(_total_distance(instance, area_index.astype(np.intp, copy=False)))
+
+
+def _total_distance(instance: AllocationInstance, area_index: np.ndarray) -> np.ndarray:
+    """Total distance of each ``(..., n_blocks)`` assignment, by row-major flat index (unchecked)."""
+    flat = area_index + np.arange(0, instance.decision_dim, instance.n_areas)
+    return instance.distance.ravel().take(flat).sum(axis=-1)
 
 
 def decode(position, instance: AllocationInstance) -> np.ndarray:
-    """Map a continuous position in the unit cube to each block's area index.
+    """Map a ``(decision_dim,)`` point or an ``(n, decision_dim)`` batch to each block's area index.
 
-    The vector is reshaped row-major to ``(n_blocks, n_areas)`` and each
-    block takes the area of its row's argmax; ties break to the lowest index.
+    Each point is reshaped row-major to ``(n_blocks, n_areas)`` and each block
+    takes the area of its row's argmax; ties break to the lowest index.
     """
     position = np.asarray(position, dtype=float)
-    if position.size != instance.decision_dim:
+    if position.ndim not in (1, 2) or position.shape[-1] != instance.decision_dim:
         raise ValueError(
-            f"position length {position.size} != {instance.decision_dim} "
-            f"({instance.n_blocks} blocks x {instance.n_areas} areas)"
+            f"a position has shape ({instance.decision_dim},) or (n, {instance.decision_dim}) "
+            f"({instance.n_blocks} blocks x {instance.n_areas} areas), got {position.shape}"
         )
-    return position.reshape(instance.n_blocks, instance.n_areas).argmax(axis=1)
+    return position.reshape(*position.shape[:-1], instance.n_blocks, instance.n_areas).argmax(axis=-1)
 
 
 def optimal_assignment(instance: AllocationInstance) -> tuple[np.ndarray, float]:
@@ -191,12 +197,15 @@ class AllocationObjective:
         self.box = SearchBox.cube(instance.decision_dim, 0.0, 1.0)
 
     def __call__(self, x) -> float:
-        return fitness(self.instance, decode(x, self.instance))
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.instance.decision_dim,):
+            raise ValueError(f"the allocation objective expects a point of shape "
+                             f"({self.instance.decision_dim},), got {x.shape}")
+        return float(self.evaluate_many(x[None, :])[0])
 
     def evaluate_many(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        blocks, areas = self.instance.n_blocks, self.instance.n_areas
-        chosen = X.reshape(X.shape[0], blocks, areas).argmax(axis=2)
-        # row-major flat index of (block j, its chosen area) in the distance matrix
-        chosen += np.arange(0, blocks * areas, areas)
-        return self.instance.distance.ravel().take(chosen).sum(axis=1)
+        if X.ndim != 2 or X.shape[1] != self.instance.decision_dim:
+            raise ValueError(f"the allocation objective expects shape "
+                             f"(n, {self.instance.decision_dim}), got {X.shape}")
+        return _total_distance(self.instance, decode(X, self.instance))

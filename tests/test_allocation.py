@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecsa import (
     AllocationObjective,
@@ -298,14 +300,34 @@ class TestSynthInstance:
 
 
 class TestAllocationObjective:
-    def test_batch_matches_single(self):
-        instance = synth_instance(12, 5, seed=7)
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 1000), st.data())
+    def test_batch_matches_single(self, n_blocks, n_areas, seed, data):
+        instance = synth_instance(n_blocks, n_areas, seed=seed)
         objective = AllocationObjective(instance)
-        rng = RandomSource(9)
-        X = rng.random((20, 60))
+        # positions on a coarse grid, so that rows often tie
+        point = st.lists(st.sampled_from([0.0, 0.5, 1.0]),
+                         min_size=instance.decision_dim, max_size=instance.decision_dim)
+        X = np.array(data.draw(st.lists(point, min_size=1, max_size=6)))
         batch = objective.evaluate_many(X)
-        singles = [objective(x) for x in X]
-        assert np.allclose(batch, singles, rtol=0, atol=0)
+        decoded = decode(X, instance)
+        assert decoded.shape == (len(X), n_blocks)
+        for x, total, row in zip(X, batch, decoded):
+            area_index = decode(x, instance)
+            assert total == objective(x) == fitness(instance, area_index)
+            assert row.tolist() == area_index.tolist() == [
+                scores.tolist().index(scores.max()) for scores in x.reshape(n_blocks, n_areas)
+            ]
+
+    def test_shape_contract(self):
+        instance = synth_instance(3, 2, seed=0)
+        objective = AllocationObjective(instance)
+        for X in (np.zeros((2, 3, 2)), np.zeros((2, 5)), np.zeros(6)):
+            with pytest.raises(ValueError, match=re.escape(f"expects shape (n, 6), got {X.shape}")):
+                objective.evaluate_many(X)
+        for x in (np.zeros((1, 6)), np.zeros((2, 3))):
+            with pytest.raises(ValueError, match=re.escape(f"a point of shape (6,), got {x.shape}")):
+                objective(x)
 
     def test_assignment_csv(self, tmp_path):
         instance = square_instance()
