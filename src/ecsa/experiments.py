@@ -6,8 +6,8 @@ Every (algorithm, function, trial) cell derives its seed from the base
 seed plus a SHA-256 hash of the cell labels, so results are reproducible
 cell by cell and adding cells never shifts existing streams.
 
-Both experiments run their trials through :func:`_run_split`, which
-splits them between the workers of a process pool (``ECSA_WORKERS``
+Both experiments are plans, checked when made, and a plan splits its
+trials between the workers of a process pool (``ECSA_WORKERS``
 environment variable, default 1, at most the CPUs the process may use).
 A trial gives the same bits wherever it runs, so file contents do not
 depend on the worker count.
@@ -36,7 +36,7 @@ from .optimizer import CuckooSearch, EnhancedCuckooSearch, run_trials, stack_byt
 from .rng import RandomSource, stable_seed
 from .stats import decide, rank_sum_p, summarize
 
-# every algorithm and its estimator; ``check_settings`` configures them by name
+# every algorithm and its estimator; a plan configures them by name
 _ESTIMATORS = {estimator.algorithm: estimator for estimator in (CuckooSearch, EnhancedCuckooSearch)}
 ALGORITHMS = tuple(_ESTIMATORS)
 _CSA, _ECSA = CuckooSearch(), EnhancedCuckooSearch()
@@ -60,7 +60,7 @@ class ExperimentConfig:
     ``algorithms`` to its one algorithm; :func:`run_allocation` ignores
     ``functions`` and ``dim``.
     Every other field is an estimator parameter of the same name, with
-    the estimator's default, and :func:`check_settings` passes it on.
+    the estimator's default, and a plan passes it on.
     """
 
     functions: tuple = FUNCTION_IDS
@@ -131,37 +131,6 @@ def physical_memory() -> int | None:
 _FIT_BYTES = 1500
 
 
-def check_settings(config: ExperimentConfig, dim: int, trials: int) -> dict:
-    """Each algorithm's checked :class:`EngineInputs`, by name, for ``trials`` fits at ``dim``.
-
-    ``ECSA_WORKERS`` must be an integer >= 1, and the estimate must fit in the physical memory:
-    the largest stacks of all ``W = worker_count(trials)`` workers
-    (:func:`ecsa.optimizer.stack_bytes` of the ``ceil(trials / W)`` trials of the largest
-    :func:`_run_split` share, ``W`` times), plus what every fit keeps, its trace row and best
-    position (``8 * (iterations + dim)`` bytes) and its Python objects (:data:`_FIT_BYTES`).
-    Then, algorithm by algorithm, the estimator given every config field named like one of its
-    parameters must pass ``engine_inputs()``, and the Sobol table must cover ``dim`` for a Sobol
-    start.  The result is in :data:`ALGORITHMS` order, the order the plans run the cells in.
-    """
-    workers = worker_count(trials)
-    population, iterations = config.population, config.iterations
-    needed = (workers * stack_bytes(-(-trials // workers), population, dim, iterations)
-              + trials * (8 * (iterations + dim) + _FIT_BYTES))
-    memory = physical_memory()
-    if memory is not None and needed > memory:
-        raise ValueError(f"{trials} fits of population={population} and iterations={iterations} "
-                         f"at dim={dim} need about {needed} bytes, more than the {memory} bytes "
-                         f"of physical memory")
-    names, settings = {field.name for field in fields(config)}, {}
-    for algorithm in config.algorithms:
-        estimator = _ESTIMATORS[algorithm]
-        given = {f.name: getattr(config, f.name) for f in fields(estimator) if f.name in names}
-        settings[algorithm] = estimator(**given).engine_inputs()
-        if settings[algorithm].init == "sobol":
-            sobol.check_dim(dim)
-    return {algorithm: settings[algorithm] for algorithm in ALGORITHMS if algorithm in settings}
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity set where the OS tells, else all of them."""
     try:
@@ -175,8 +144,7 @@ def worker_count(trials: int) -> int:
 
     ``ECSA_WORKERS`` (default 1, serial) must be an integer >= 1.  A
     trial's bits do not depend on the pool size, and a CPU-bound pool gains
-    nothing past the CPUs it may use.  :func:`_run_split` and
-    :func:`check_settings` both size the pool here.
+    nothing past the CPUs it may use.  A plan sizes its pool here once.
     """
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
@@ -186,68 +154,95 @@ def worker_count(trials: int) -> int:
     return min(checked_int(WORKERS_ENV, count, 1), _usable_cpus(), trials)
 
 
-def _run_split(objectives, boxes, settings, rngs) -> list:
-    """:func:`run_trials` with its trials split between the workers; one trace per trial, in order.
-
-    Every argument is a list of one entry per trial, as :func:`run_trials`
-    takes it.  Worker ``k`` of ``W = worker_count(trials)`` runs the
-    share ``[k::W]`` of every list as one :func:`run_trials` call, which
-    checks it; with ``W > 1`` each share is one task of a ``multiprocessing.Pool``.
-    A task is one pickle, so an entry that trials share by reference, such
-    as an algorithm's :class:`EngineInputs`, is pickled once per task, and
-    an objective holding its trial's random source still holds it.
-    """
-    workers = worker_count(len(rngs))
-    tasks = [tuple(entries[k::workers] for entries in (objectives, boxes, settings, rngs))
-             for k in range(workers)]
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            shares = pool.starmap(run_trials, tasks, chunksize=1)
-    else:
-        shares = [run_trials(*task) for task in tasks]
-    traces = [None] * len(rngs)
-    for k, share in enumerate(shares):
-        traces[k::workers] = share
-    return traces
-
-
-@dataclass(frozen=True, eq=False)
 class _Plan:
-    """An experiment that passed its pre-flight at decision dimension ``dim``: its config and a
-    read-only copy of the :func:`check_settings` result, each configured algorithm's checked
-    :class:`EngineInputs` in run order.  ``run`` runs those very objects."""
+    """An experiment checked when made: ``fits`` fits at decision dimension ``dim`` on ``workers
+    = worker_count(fits)`` workers, and ``inputs``, each configured algorithm's checked
+    :class:`EngineInputs` by name, read-only and in :data:`ALGORITHMS` order, the order the cells
+    run in.  ``run`` runs those very objects on that pool.  A plan is read-only.
 
-    config: ExperimentConfig
-    dim: int
-    inputs: dict
+    ``ECSA_WORKERS`` must be an integer >= 1, and the estimate must fit in the physical memory:
+    the largest stacks of all ``workers`` (:func:`ecsa.optimizer.stack_bytes` of the ``ceil(fits
+    / workers)`` trials of the largest share, ``workers`` times), plus what every fit keeps, its
+    trace row and best position (``8 * (iterations + dim)`` bytes) and its Python objects
+    (:data:`_FIT_BYTES`).  Then, algorithm by algorithm, the estimator given every config field
+    named like one of its parameters must pass ``engine_inputs()``, and the Sobol table must
+    cover ``dim`` for a Sobol start.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", MappingProxyType(dict(self.inputs)))
+    def __init__(self, config: ExperimentConfig, dim: int, fits: int):
+        workers = worker_count(fits)
+        population, iterations = config.population, config.iterations
+        needed = (workers * stack_bytes(-(-fits // workers), population, dim, iterations)
+                  + fits * (8 * (iterations + dim) + _FIT_BYTES))
+        memory = physical_memory()
+        if memory is not None and needed > memory:
+            raise ValueError(f"{fits} fits of population={population} and iterations={iterations} "
+                             f"at dim={dim} need about {needed} bytes, more than the {memory} bytes "
+                             f"of physical memory")
+        names, settings = {field.name for field in fields(config)}, {}
+        for algorithm in config.algorithms:
+            estimator = _ESTIMATORS[algorithm]
+            given = {f.name: getattr(config, f.name) for f in fields(estimator) if f.name in names}
+            settings[algorithm] = estimator(**given).engine_inputs()
+            if settings[algorithm].init == "sobol":
+                sobol.check_dim(dim)
+        inputs = MappingProxyType({a: settings[a] for a in ALGORITHMS if a in settings})
+        self.__dict__.update(config=config, dim=dim, fits=fits, workers=workers, inputs=inputs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a plan is read-only: cannot set {name}")
 
     def _run_cells(self, boxes: dict, objective) -> list:
-        """Run every cell as one :func:`_run_split` call; ``(cell, seed, RunTrace)`` in cell order.
+        """Run every cell once on the plan's workers; ``(cell, seed, RunTrace)`` in cell order.
 
         The cells ``(function, algorithm, trial)`` come function by function in the order of
         ``boxes`` (function id -> box), then algorithm by algorithm in the order of ``inputs``,
         then by trial.  A cell runs on ``RandomSource(stable_seed(base_seed, algorithm, function,
-        trial))`` and ``objective(function, rng)`` of that source.
+        trial))`` and ``objective(function, rng)`` of that source.  Worker ``k`` of ``W =
+        workers`` runs the share ``[k::W]`` of the cells as one :func:`run_trials` call, which
+        checks it; with ``W > 1`` each share is one task of a ``multiprocessing.Pool``.  A task is
+        one pickle, so an algorithm's :class:`EngineInputs`, which its trials share by reference,
+        is pickled once per task, and an objective holding its trial's random source still holds it.
         """
-        config = self.config
+        config, workers = self.config, self.workers
         cells = [(fid, algorithm, trial) for fid in boxes for algorithm in self.inputs
                  for trial in range(config.trials)]
         seeds = [stable_seed(config.base_seed, algorithm, fid, trial)
                  for fid, algorithm, trial in cells]
         rngs = [RandomSource(seed) for seed in seeds]
-        results = _run_split([objective(fid, rng) for (fid, _, _), rng in zip(cells, rngs)],
-                             [boxes[fid] for fid, _, _ in cells],
-                             [self.inputs[algorithm] for _, algorithm, _ in cells], rngs)
+        lists = ([objective(fid, rng) for (fid, _, _), rng in zip(cells, rngs)],
+                 [boxes[fid] for fid, _, _ in cells],
+                 [self.inputs[algorithm] for _, algorithm, _ in cells], rngs)
+        tasks = [tuple(entries[k::workers] for entries in lists) for k in range(workers)]
+        if workers > 1:
+            import multiprocessing
+
+            with multiprocessing.Pool(workers) as pool:
+                shares = pool.starmap(run_trials, tasks, chunksize=1)
+        else:
+            shares = [run_trials(*task) for task in tasks]
+        results = [None] * len(cells)
+        for k, share in enumerate(shares):
+            results[k::workers] = share
         return list(zip(cells, seeds, results))
 
 
 class BenchmarkPlan(_Plan):
-    """A protocol that passed :func:`plan_benchmark`."""
+    """The protocol of ``config``, checked when made; a protocol that cannot run raises first.
+
+    The summary std and the comparison need two trials per cell, ``dim`` must pass
+    :func:`ecsa.benchmarks.check_suite_dim`, which builds no array, and then the settings
+    must pass the shared :class:`_Plan` checks for every cell's fit.
+    """
+
+    def __init__(self, config: ExperimentConfig):
+        if config.trials < 2:
+            raise ValueError(
+                f"bench needs --trials >= 2 for the summary std and compare, got {config.trials}"
+            )
+        benchmarks.check_suite_dim(config.dim)
+        super().__init__(config, config.dim,
+                         len(config.functions) * len(config.algorithms) * config.trials)
 
     def run(self):
         """Run the protocol; returns (rows, traces) in cell order.
@@ -269,25 +264,9 @@ class BenchmarkPlan(_Plan):
         return rows, traces
 
 
-def plan_benchmark(config: ExperimentConfig) -> BenchmarkPlan:
-    """The protocol's :class:`BenchmarkPlan`; a protocol that cannot run raises first.
-
-    The summary std and the comparison need two trials per cell, ``dim`` must pass
-    :func:`ecsa.benchmarks.check_suite_dim`, which builds no array, and the settings
-    must pass :func:`check_settings` there.
-    """
-    if config.trials < 2:
-        raise ValueError(
-            f"bench needs --trials >= 2 for the summary std and compare, got {config.trials}"
-        )
-    benchmarks.check_suite_dim(config.dim)
-    fits = len(config.functions) * len(config.algorithms) * config.trials
-    return BenchmarkPlan(config, config.dim, check_settings(config, config.dim, fits))
-
-
 def run_benchmark(config: ExperimentConfig):
-    """:meth:`BenchmarkPlan.run` of ``plan_benchmark(config)``."""
-    return plan_benchmark(config).run()
+    """:meth:`BenchmarkPlan.run` of ``BenchmarkPlan(config)``."""
+    return BenchmarkPlan(config).run()
 
 
 # -- file output --------------------------------------------------------------
@@ -415,13 +394,14 @@ def _summary_entry(function_id, algorithms, cells):
 def write_benchmark_outputs(rows, traces, out_dir) -> None:
     """``results.csv``, ``summary.csv`` (one row per function: each algorithm's mean and std of
     ``best_fitness``, empty where it did not run) and :func:`write_traces` under ``traces/``."""
+    functions, algorithms, cells = _cells(rows)
+    columns = ["function", *(name for name, _, _ in _arm_columns(algorithms))]
+    # rows summarize refuses raise here, before any file is written
+    summary = [_summary_entry(f, algorithms, cells) for f in functions]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_table(out_dir / "results.csv", RESULT_FIELDS,
                  ([row[name] for name in RESULT_FIELDS] for row in rows))
-    functions, algorithms, cells = _cells(rows)
-    columns = ["function", *(name for name, _, _ in _arm_columns(algorithms))]
-    summary = (_summary_entry(f, algorithms, cells) for f in functions)
     _write_table(out_dir / "summary.csv", columns,
                  ([entry.get(c, "") for c in columns] for entry in summary))
     write_traces(traces, out_dir / "traces")
@@ -505,7 +485,11 @@ class AllocationReport:
 
 
 class AllocationPlan(_Plan):
-    """Allocation fits that passed :func:`plan_allocation`."""
+    """The allocation fits of ``config`` at the decision dimension ``dim``, an integer >= 1,
+    checked when made for ``len(config.algorithms) * config.trials`` fits."""
+
+    def __init__(self, config: ExperimentConfig, dim: int):
+        super().__init__(config, checked_int("dim", dim, 1), len(config.algorithms) * config.trials)
 
     def run(self, instance: AllocationInstance) -> dict:
         """Run the discretized optimizer over the unit cube of area scores for every configured
@@ -557,16 +541,9 @@ class AllocationPlan(_Plan):
         return reports
 
 
-def plan_allocation(config: ExperimentConfig, dim: int) -> AllocationPlan:
-    """The :class:`AllocationPlan` of :func:`check_settings` for ``len(config.algorithms) *
-    config.trials`` fits at the decision dimension ``dim``."""
-    fits = len(config.algorithms) * config.trials
-    return AllocationPlan(config, dim, check_settings(config, dim, fits))
-
-
 def run_allocation(instance: AllocationInstance, config: ExperimentConfig) -> dict:
-    """:meth:`AllocationPlan.run` of ``plan_allocation(config, instance.decision_dim)``."""
-    return plan_allocation(config, instance.decision_dim).run(instance)
+    """:meth:`AllocationPlan.run` of ``AllocationPlan(config, instance.decision_dim)``."""
+    return AllocationPlan(config, instance.decision_dim).run(instance)
 
 
 def write_allocation_outputs(instance, report: AllocationReport, out_dir) -> None:

@@ -20,7 +20,7 @@ from ecsa.allocation import AllocationObjective
 from ecsa.benchmarks import FUNCTION_IDS, BenchmarkObjective
 from ecsa import experiments
 from ecsa.cli import bench, main
-from ecsa.experiments import ALGORITHMS, ExperimentConfig, plan_benchmark
+from ecsa.experiments import ALGORITHMS, BenchmarkPlan, ExperimentConfig
 from ecsa.optimizer import stack_bytes
 
 
@@ -97,6 +97,14 @@ class TestScheduleCommand:
         assert bench_result.exit_code == 1
         assert message in bench_result.output
 
+    @pytest.mark.parametrize("iters", [-1, -2])
+    def test_negative_iters_is_a_usage_error(self, runner, iters):
+        # the flag is --iters; the table never reaches the estimator's iterations check
+        result = runner.invoke(main, ["schedule", "--iters", str(iters)])
+        assert result.exit_code == 2 and result.stdout == ""
+        assert result.output.endswith(f"Error: --iters must be >= 0, got {iters}\n")
+        assert "iterations" not in result.output
+
     def test_table_beyond_memory_fails_before_any_row(self, runner, monkeypatch):
         # the table's first allocation used to raise numpy's _ArrayMemoryError
         iters = 10**15
@@ -167,6 +175,17 @@ class TestBenchCommand:
         assert (tmp_path / "default" / "results.csv").read_bytes() == (
             tmp_path / "named" / "results.csv"
         ).read_bytes()
+
+    def test_running_line_counts_the_plan_s_fits(self, runner, tmp_path):
+        settings = dict(functions="F1,F2,F3", algorithms="ecsa", trials=3, population=4,
+                        iterations=2)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["bench", *(f"--{name}={value}" for name, value in
+                                                 settings.items()), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        fits = BenchmarkPlan(ExperimentConfig(**settings)).fits
+        assert fits == 3 * 1 * 3
+        assert result.stderr.splitlines()[0] == f"running {fits} optimization runs -> {out}"
 
     def test_invalid_function_fails_before_running(self, runner, tmp_path):
         result = runner.invoke(
@@ -324,7 +343,7 @@ class TestBenchCommand:
         evaluate_many.assert_not_called()
         assert not out.exists()
         # random initialization needs no table
-        plan_benchmark(ExperimentConfig(functions="F1", algorithms="csa", dim=1112, trials=2))
+        BenchmarkPlan(ExperimentConfig(functions="F1", algorithms="csa", dim=1112, trials=2))
 
     @pytest.mark.parametrize("flags, flag", [
         (["--trials", "1", "--functions", "F99", "--dim", "3"], "--functions"),
@@ -390,7 +409,6 @@ class TestConfigTypes:
 
     @settings(max_examples=150, deadline=None)
     @given(field_and(wrong_values))
-    # t0 and pa_min used to pass check_benchmark for csa, and functions=5 raised a TypeError
     @example(("t0", "x"))
     @example(("pa_min", True))
     @example(("functions", 5))
@@ -651,13 +669,13 @@ class TestAllocateCommand:
     def test_blocked_output_directory_fails_before_any_fit(self, runner, tmp_path):
         # every fit used to run first, then writing ended in a NotADirectoryError
         (tmp_path / "afile").touch()
-        with mock.patch("ecsa.experiments._run_split") as run_split:
+        with mock.patch("ecsa.experiments.run_trials") as fits:
             result = runner.invoke(main, ["allocate", "--synthetic", "--trials", "2",
                                           "--out", str(tmp_path / "afile" / "sub")])
         assert result.exit_code == 1
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "Error: output directory not writable:" in result.output
-        run_split.assert_not_called()
+        fits.assert_not_called()
 
     def test_malformed_instance_fails_cleanly(self, runner, tmp_path):
         path = tmp_path / "instance.json"
@@ -739,12 +757,12 @@ class TestAllocateCommand:
         monkeypatch.chdir(tmp_path)
         Path("a.csv").touch()
         Path("i.json").write_text("{}")
-        with mock.patch("ecsa.experiments._run_split") as run_split:
+        with mock.patch("ecsa.experiments.run_trials") as fits:
             result = runner.invoke(main, ["allocate", *flags, "--out", "la"])
         assert result.exit_code == 2
         assert result.output.startswith("Usage:")
         assert result.output.endswith(f"Error: {message}\n")
-        run_split.assert_not_called()
+        fits.assert_not_called()
         assert not Path("la").exists()
 
     def test_requires_exactly_one_source(self, runner):
@@ -788,11 +806,11 @@ class TestOnePreflightPerCommand:
 
     @pytest.fixture
     def builds(self):
-        """``(checks, builds)``: ``check_settings`` and each estimator's ``engine_inputs``,
+        """``(checks, builds)``: the plan constructor and each estimator's ``engine_inputs``,
         csa's then ecsa's, wrapped to count their calls."""
         with contextlib.ExitStack() as stack:
             checks = stack.enter_context(mock.patch.object(
-                experiments, "check_settings", wraps=experiments.check_settings))
+                experiments._Plan, "__init__", autospec=True, side_effect=experiments._Plan.__init__))
             yield checks, [stack.enter_context(mock.patch.object(
                 cls, "engine_inputs", autospec=True, side_effect=cls.engine_inputs))
                 for cls in (ecsa.CuckooSearch, ecsa.EnhancedCuckooSearch)]
@@ -944,8 +962,6 @@ class TestSizePreflight:
         assert result.exit_code == 0, result.output
 
     def test_unallocatable_dim_fails_before_any_spec(self, runner, tmp_path):
-        # check_benchmark used to build every function's box first, and numpy's
-        # _ArrayMemoryError ("Unable to allocate 7.11 PiB") ended in a traceback
         dim, out = 10**15, tmp_path / "out"
         result = runner.invoke(main, ["bench", "--functions", "F1", "--trials", "2",
                                       "--algorithms", "csa", "--dim", str(dim), "--out", str(out)])

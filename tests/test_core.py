@@ -72,12 +72,12 @@ def _take(count):
 
 def _bench(**settings):
     # a harness setting must be rejected before any fit
-    with mock.patch("ecsa.experiments._run_split") as run_split:
+    with mock.patch("ecsa.experiments.run_trials") as fits:
         try:
             run_benchmark(ExperimentConfig(
                 **dict(functions="F1", trials=2, population=4, iterations=3) | settings))
         finally:
-            run_split.assert_not_called()
+            fits.assert_not_called()
 
 
 def _allocate(**settings):

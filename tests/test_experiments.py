@@ -18,13 +18,12 @@ from hypothesis import strategies as st
 from ecsa.experiments import (
     ALGORITHMS,
     COMPARISON_FIELDS,
+    AllocationPlan,
+    BenchmarkPlan,
     ExperimentConfig,
     _write_table,
-    check_settings,
     compare_rows,
     comparison_table,
-    plan_allocation,
-    plan_benchmark,
     read_results_csv,
     run_allocation,
     run_benchmark,
@@ -80,71 +79,114 @@ def tiny_config(**overrides):
 
 
 class TestOneSettingsBuild:
-    """The runners run on the :class:`EngineInputs` ``check_settings`` returns, built once."""
+    """The runners run on the :class:`EngineInputs` their plan holds, built once."""
 
     @pytest.fixture
-    def spies(self, monkeypatch):
-        """``(builds, checked, split)``: each estimator's counted ``engine_inputs``, every
-        ``check_settings`` result, and ``_run_split``, wrapped to record its calls."""
+    def spies(self):
+        """``(builds, cells, fits)``: each estimator's counted ``engine_inputs``, and
+        ``_Plan._run_cells``, whose first argument is the plan, and ``run_trials``, both
+        wrapped to record their calls."""
         from ecsa import experiments
 
-        check_settings, checked = experiments.check_settings, []
-
-        def recording(*args):
-            checked.append(check_settings(*args))
-            return checked[-1]
-
-        monkeypatch.setattr(experiments, "check_settings", recording)
-        with mock.patch.object(experiments, "_run_split", wraps=experiments._run_split) as split, \
+        with mock.patch.object(experiments._Plan, "_run_cells", autospec=True,
+                               side_effect=experiments._Plan._run_cells) as cells, \
+                mock.patch.object(experiments, "run_trials", wraps=experiments.run_trials) as fits, \
                 mock.patch.object(CuckooSearch, "engine_inputs", autospec=True,
                                   side_effect=CuckooSearch.engine_inputs) as csa, \
                 mock.patch.object(EnhancedCuckooSearch, "engine_inputs", autospec=True,
                                   side_effect=EnhancedCuckooSearch.engine_inputs) as ecsa:
-            yield (csa, ecsa), checked, split
+            yield (csa, ecsa), cells, fits
 
     def test_benchmark_builds_each_algorithm_once(self, spies):
         # run_benchmark used to build every algorithm's settings again after the check
-        builds, checked, split = spies
+        builds, cells, fits = spies
         run_benchmark(tiny_config())
         assert [build.call_count for build in builds] == [1, 1]
-        (settings,) = checked
-        (call,) = split.call_args_list
+        (plan,) = [call.args[0] for call in cells.call_args_list]
+        (call,) = fits.call_args_list
         # the cells run csa's two trials, then ecsa's
         assert [id(entry) for entry in call.args[2]] == [
-            id(settings[algorithm]) for algorithm in ("csa", "csa", "ecsa", "ecsa")
+            id(plan.inputs[algorithm]) for algorithm in ("csa", "csa", "ecsa", "ecsa")
         ]
 
     def test_allocation_builds_its_algorithm_once(self, spies):
         # one run_allocation call builds each configured algorithm once
-        builds, checked, split = spies
+        builds, cells, fits = spies
         run_allocation(synth_instance(3, 2, seed=1), tiny_config(trials=3, iterations=3))
         assert [build.call_count for build in builds] == [1, 1]
-        (settings,) = checked
-        (call,) = split.call_args_list
-        assert list(settings) == ["csa", "ecsa"]
+        (plan,) = [call.args[0] for call in cells.call_args_list]
+        (call,) = fits.call_args_list
+        assert list(plan.inputs) == ["csa", "ecsa"]
         assert [id(entry) for entry in call.args[2]] == [
-            id(settings[algorithm]) for algorithm in ["csa"] * 3 + ["ecsa"] * 3
+            id(plan.inputs[algorithm]) for algorithm in ["csa"] * 3 + ["ecsa"] * 3
         ]
 
 
 class TestPlans:
-    """A plan holds what its pre-flight checked, and runs only what it was checked for."""
+    """A plan checks itself when made, and runs only what it was checked for."""
 
     def test_plan_holds_the_checked_inputs_in_run_order(self):
-        plan = plan_benchmark(tiny_config(algorithms="ecsa,csa"))
+        plan = BenchmarkPlan(tiny_config(algorithms="ecsa,csa"))
         assert plan.config.algorithms == ("ecsa", "csa")
         assert list(plan.inputs) == list(ALGORITHMS)
         with pytest.raises(TypeError):
             plan.inputs["csa"] = plan.inputs["ecsa"]
 
     def test_allocation_plan_runs_only_at_its_dimension(self):
-        from ecsa import experiments
-
-        plan = plan_allocation(tiny_config(), 6)
-        with mock.patch.object(experiments, "_run_split") as split:
+        plan = AllocationPlan(tiny_config(), 6)
+        with mock.patch("ecsa.experiments.run_trials") as fits:
             with pytest.raises(ValueError, match="dim=6, but the instance's decision dimension is 9"):
                 plan.run(synth_instance(3, 3))
-        split.assert_not_called()
+        fits.assert_not_called()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"trials": 1}, "^bench needs --trials >= 2 for the summary std and compare, got 1$"),
+        ({"dim": 1}, "^benchmark functions require dim >= 2, got 1$"),
+    ], ids=["one_trial", "dim_1"])
+    def test_benchmark_plan_cannot_be_made_unchecked(self, overrides, message):
+        with mock.patch("ecsa.experiments.run_trials") as fits:
+            with pytest.raises(ValueError, match=message):
+                BenchmarkPlan(ExperimentConfig(**overrides)).run()
+        fits.assert_not_called()
+
+    @pytest.mark.parametrize("make", [lambda: BenchmarkPlan(tiny_config()),
+                                      lambda: AllocationPlan(tiny_config(), 6)],
+                             ids=["benchmark", "allocation"])
+    def test_plan_is_read_only(self, make):
+        plan = make()
+        for name in ("config", "dim", "fits", "workers", "inputs", "run"):
+            before = getattr(plan, name)
+            with pytest.raises(AttributeError, match=f"^a plan is read-only: cannot set {name}$"):
+                setattr(plan, name, None)
+            assert getattr(plan, name) == before
+
+    @pytest.mark.parametrize("dim, message", [
+        (0, "dim must be >= 1, got 0"), (-5, "dim must be >= 1, got -5"),
+        (2.5, "dim must be an integer, got 2.5"), (True, "dim must be an integer, got True"),
+    ])
+    @pytest.mark.parametrize("algorithms", ["csa", "csa,ecsa"])
+    def test_allocation_plan_needs_a_positive_integer_dim(self, dim, message, algorithms):
+        # dim 0 used to raise ZeroDivisionError, and a csa plan accepted -5 and 2.5
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AllocationPlan(tiny_config(algorithms=algorithms), dim)
+
+    def test_plan_counts_its_fits(self):
+        assert BenchmarkPlan(tiny_config(functions="F1,F2,F3")).fits == 3 * 2 * 2
+        assert AllocationPlan(tiny_config(trials=5), 6).fits == 2 * 5
+        # the memory pre-flight counts every algorithm's fits
+        with pytest.raises(ValueError, match=r"^2000000000000000 fits of population=50 "):
+            AllocationPlan(ExperimentConfig(trials=10**15), 6)
+
+    def test_plan_runs_on_the_pool_it_counted(self, monkeypatch, pool_tasks):
+        # the memory pre-flight counts the stacks of plan.workers workers; a
+        # worker count changed after planning must not change the pool that runs
+        monkeypatch.setenv("ECSA_WORKERS", "3")
+        plan = BenchmarkPlan(tiny_config(population=4, iterations=2))
+        monkeypatch.setenv("ECSA_WORKERS", "two")  # not read again
+        rows, _ = plan.run()
+        assert len(rows) == plan.fits == 4
+        assert plan.workers == 3
+        assert [len(tasks) for tasks in pool_tasks] == [3]
 
 
 class TestConfig:
@@ -179,13 +221,13 @@ class TestConfig:
 
     @pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig), ids=lambda f: f.name)
     def test_every_setting_reaches_its_estimator(self, field):
-        # check_settings matches config fields to estimator parameters by
-        # name, so a renamed field would silently fall back to its default
+        # a plan matches config fields to estimator parameters by name, so
+        # a renamed field would silently fall back to its default
         if field.name in ("functions", "algorithms", "trials", "base_seed", "dim"):
             return
         # a changed value that every estimator still accepts
         value = field.default + 1 if isinstance(field.default, int) else field.default * 0.9
-        settings = check_settings(ExperimentConfig(**{field.name: value}), 2, 1)
+        settings = AllocationPlan(ExperimentConfig(**{field.name: value}), 2).inputs
 
         def engine(inputs):
             return inputs.population, inputs.pa.tolist(), inputs.alpha.tolist(), inputs.init
@@ -208,10 +250,10 @@ class TestRunBenchmark:
 
     def test_single_trial_rejected_before_any_fit(self):
         # summarize needs two values per cell; this used to fail only after every fit
-        with mock.patch("ecsa.experiments._run_split") as run_split:
+        with mock.patch("ecsa.experiments.run_trials") as fits:
             with pytest.raises(ValueError, match="needs --trials >= 2 .* got 1"):
                 run_benchmark(tiny_config(trials=1))
-        run_split.assert_not_called()
+        fits.assert_not_called()
 
     def test_rows_sorted_and_reproducible(self):
         rows_a, _ = run_benchmark(tiny_config())
@@ -270,9 +312,9 @@ class TestRunBenchmark:
         needed = 2 * stack_bytes(2, 4, 15, 2) + 3 * (8 * (2 + 15) + experiments._FIT_BYTES)
         monkeypatch.setattr(experiments, "physical_memory", lambda: needed - 1)
         with pytest.raises(ValueError, match=f"need about {needed} bytes"):
-            experiments.plan_benchmark(config)
+            experiments.BenchmarkPlan(config)
         monkeypatch.setattr(experiments, "physical_memory", lambda: needed)
-        experiments.plan_benchmark(config)
+        experiments.BenchmarkPlan(config)
 
     def test_worker_count_falls_back_to_cpu_count(self, monkeypatch):
         # where the OS has no affinity call the pool takes os.cpu_count(), and 1 if that is unknown
@@ -340,6 +382,22 @@ class TestRunBenchmark:
         cell = [r["best_fitness"] for r in rows if r["algorithm"] == "csa"]
         assert float(summary[0]["csa_mean"]) == pytest.approx(np.mean(cell), rel=1e-12)
         assert float(summary[0]["csa_std"]) == pytest.approx(np.std(cell, ddof=1), rel=1e-12)
+
+    def test_rows_summarize_refuses_leave_no_file(self, tmp_path):
+        # one trial per cell used to leave a full results.csv and a header-only summary.csv
+        from ecsa import BenchmarkObjective, RandomSource, run_trials
+        from ecsa.benchmarks import get_spec
+
+        spec = get_spec("F1", 2)
+        inputs = CuckooSearch(population=4, iterations=3).engine_inputs()
+        (trace,) = run_trials([BenchmarkObjective(spec)], [spec.box], [inputs], [RandomSource(7)])
+        rows = [dict(function="F1", algorithm="csa", trial=0, seed=7,
+                     best_fitness=trace.best_fitness, evaluations=trace.evaluations)]
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(ValueError, match="^summarize needs at least 2 values, got 1$"):
+            write_benchmark_outputs(rows, {("F1", "csa", 0): trace.best_fitness_per_iteration}, out)
+        assert list(out.iterdir()) == []
 
 
 class TestTableWriter:
@@ -553,9 +611,9 @@ class TestAllocationExperiment:
 
         instance = synth_instance(5, 3, seed=4)
         config = tiny_config(trials=3, iterations=8, population=5)
-        with mock.patch.object(experiments, "_run_split", wraps=experiments._run_split) as split:
+        with mock.patch.object(experiments, "run_trials", wraps=experiments.run_trials) as fits:
             reports = run_allocation(instance, config)
-        (call,) = split.call_args_list
+        (call,) = fits.call_args_list
         assert [len(entries) for entries in call.args] == [6] * 4
         assert list(reports) == ["csa", "ecsa"]
         for algorithm, report in reports.items():

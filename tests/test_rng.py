@@ -103,6 +103,9 @@ class TestHelpers:
             with pytest.raises(TypeError, match="^seed must be an integer, got "):
                 RandomSource(seed)
 
+    def test_repr_names_the_reduced_seed(self):
+        assert repr(RandomSource(2**64 + 5)) == "RandomSource(seed=5)"
+
     def test_stable_seed_is_process_independent(self):
         # sha256-based: a fixed expected value guards against hash() creep
         assert stable_seed(0, "ecsa", "F1", 0) == stable_seed(0, "ecsa", "F1", 0)
