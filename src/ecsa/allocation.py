@@ -105,7 +105,7 @@ def load_instance(path) -> AllocationInstance:
     with open(path, encoding="utf-8-sig") as handle:
         try:
             payload = json.load(handle)
-        except ValueError as exc:  # invalid JSON or text that is not UTF-8
+        except (ValueError, RecursionError) as exc:  # invalid JSON, too deep, or not UTF-8
             raise ValueError(f"{path}: not valid JSON ({exc})")
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object with blocks and areas sections, "
@@ -128,6 +128,8 @@ def load_instance_csv(blocks_path, areas_path) -> AllocationInstance:
                 return list(reader)
             except UnicodeDecodeError as exc:
                 raise ValueError(f"{path}: not UTF-8 text ({exc})")
+            except csv.Error as exc:  # the DictReader's own line count lags a record behind
+                raise ValueError(f"{path}: line {reader.reader.line_num}: {exc}")
 
     return instance_from_records(read(blocks_path), read(areas_path))
 

@@ -20,10 +20,6 @@ import numpy as np
 from .core import SearchBox, checked_int
 from .rng import RandomSource
 
-UNIMODAL_IDS = ("F1", "F2", "F3", "F4", "F5", "F6", "F7")
-MULTIMODAL_IDS = ("F8", "F9", "F10", "F11", "F12", "F13")
-FUNCTION_IDS = UNIMODAL_IDS + MULTIMODAL_IDS
-
 DEFAULT_DIM = 15
 
 SCHWEFEL_ARGMIN = 420.9687
@@ -39,7 +35,7 @@ class ObjectiveSpec:
     dim: int
     box: SearchBox
     known_optimum_value: float
-    known_optimizer: np.ndarray | None
+    known_optimizer: np.ndarray
     stochastic: bool = False
 
 
@@ -93,12 +89,13 @@ def _f11(X):
     return -(X * np.sin(np.sqrt(np.abs(X)))).sum(axis=1)
 
 
-def _penalty(X, a, k, m):
-    over = X > a
-    under = X < -a
+def _penalty(X):
+    """The penalized functions' boundary term: the sum of ``100 (|x| - 5)**4`` over ``|x| > 5``."""
+    over = X > 5.0
+    under = X < -5.0
     out = np.zeros_like(X)
-    out[over] = k * (X[over] - a) ** m
-    out[under] = k * (-X[under] - a) ** m
+    out[over] = 100.0 * (X[over] - 5.0) ** 4
+    out[under] = 100.0 * (-X[under] - 5.0) ** 4
     return out.sum(axis=1)
 
 
@@ -108,31 +105,36 @@ def _f12(X):
     total = 10.0 * np.sin(np.pi * y[:, 0]) ** 2
     total += ((y[:, :-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * y[:, 1:]) ** 2)).sum(axis=1)
     total += (y[:, -1] - 1.0) ** 2
-    return np.pi / d * total + _penalty(X, 5.0, 100.0, 4)
+    return np.pi / d * total + _penalty(X)
 
 
 def _f13(X):
     total = np.sin(3.0 * np.pi * X[:, 0]) ** 2
     total += ((X[:, :-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * X[:, 1:]) ** 2)).sum(axis=1)
     total += (X[:, -1] - 1.0) ** 2 * (1.0 + np.sin(2.0 * np.pi * X[:, -1]) ** 2)
-    return 0.1 * total + _penalty(X, 5.0, 100.0, 4)
+    return 0.1 * total + _penalty(X)
 
 
+# id: (name, box half-width, kernel, optimizer coordinate, optimum per dimension, group)
 _DEFINITIONS = {
-    "F1": ("Sphere", 100.0, _f1),
-    "F2": ("Schwefel 2.22", 10.0, _f2),
-    "F3": ("Schwefel 1.20", 100.0, _f3),
-    "F4": ("Schwefel 2.21", 100.0, _f4),
-    "F5": ("Rosenbrock", 30.0, _f5),
-    "F6": ("Step", 100.0, _f6),
-    "F7": ("Quartic Noise", 1.28, _f7),
-    "F8": ("Rastrigin", 5.12, _f8),
-    "F9": ("Ackley", 32.0, _f9),
-    "F10": ("Griewank", 600.0, _f10),
-    "F11": ("Schwefel", 500.0, _f11),
-    "F12": ("Generalized Penalized 1", 50.0, _f12),
-    "F13": ("Generalized Penalized 2", 50.0, _f13),
+    "F1": ("Sphere", 100.0, _f1, 0.0, 0.0, "unimodal"),
+    "F2": ("Schwefel 2.22", 10.0, _f2, 0.0, 0.0, "unimodal"),
+    "F3": ("Schwefel 1.20", 100.0, _f3, 0.0, 0.0, "unimodal"),
+    "F4": ("Schwefel 2.21", 100.0, _f4, 0.0, 0.0, "unimodal"),
+    "F5": ("Rosenbrock", 30.0, _f5, 1.0, 0.0, "unimodal"),
+    "F6": ("Step", 100.0, _f6, 0.0, 0.0, "unimodal"),
+    "F7": ("Quartic Noise", 1.28, _f7, 0.0, 0.0, "unimodal"),
+    "F8": ("Rastrigin", 5.12, _f8, 0.0, 0.0, "multimodal"),
+    "F9": ("Ackley", 32.0, _f9, 0.0, 0.0, "multimodal"),
+    "F10": ("Griewank", 600.0, _f10, 0.0, 0.0, "multimodal"),
+    "F11": ("Schwefel", 500.0, _f11, SCHWEFEL_ARGMIN, SCHWEFEL_OPTIMUM_PER_DIM, "multimodal"),
+    "F12": ("Generalized Penalized 1", 50.0, _f12, -1.0, 0.0, "multimodal"),
+    "F13": ("Generalized Penalized 2", 50.0, _f13, 1.0, 0.0, "multimodal"),
 }
+
+FUNCTION_IDS = tuple(_DEFINITIONS)
+UNIMODAL_IDS, MULTIMODAL_IDS = (tuple(fid for fid, row in _DEFINITIONS.items() if row[5] == group)
+                                for group in ("unimodal", "multimodal"))
 
 
 def check_suite_dim(dim: int) -> None:
@@ -153,22 +155,14 @@ def get_spec(function_id: str, dim: int = DEFAULT_DIM) -> ObjectiveSpec:
     if function_id not in _DEFINITIONS:
         raise ValueError(f"unknown benchmark function {function_id!r}")
     check_suite_dim(dim)
-    name, half_width, _ = _DEFINITIONS[function_id]
-    box = SearchBox.cube(dim, -half_width, half_width)
-    optimizer = {
-        "F5": np.ones(dim),
-        "F11": np.full(dim, SCHWEFEL_ARGMIN),
-        "F12": -np.ones(dim),
-        "F13": np.ones(dim),
-    }.get(function_id, np.zeros(dim))
-    optimum = SCHWEFEL_OPTIMUM_PER_DIM * dim if function_id == "F11" else 0.0
+    name, half_width, _, coordinate, optimum_per_dim, _ = _DEFINITIONS[function_id]
     return ObjectiveSpec(
         id=function_id,
         name=name,
         dim=dim,
-        box=box,
-        known_optimum_value=optimum,
-        known_optimizer=optimizer,
+        box=SearchBox.cube(dim, -half_width, half_width),
+        known_optimum_value=optimum_per_dim * dim,
+        known_optimizer=np.full(dim, coordinate),
         stochastic=function_id == "F7",
     )
 

@@ -26,12 +26,12 @@ _BLOCK = 1024
 
 
 class _ErrorBoundary(click.Group):
-    """The CLI's one error boundary: a ``ValueError`` from any command exits 1 with its message."""
+    """The CLI's one error boundary: a ``ValueError`` or ``OSError`` exits 1 with its message."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise click.ClickException(str(exc)) from exc
 
 
@@ -47,7 +47,7 @@ def _load_config(ctx, param, config_path) -> dict:
         return {}
     try:
         config_data = json.loads(Path(config_path).read_text(encoding="utf-8-sig"))
-    except (OSError, ValueError) as exc:  # ValueError: invalid JSON or text that is not UTF-8
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON, too deep, or not UTF-8
         raise click.ClickException(f"cannot read config file: {exc}")
     if not isinstance(config_data, dict):
         raise click.ClickException("config file must hold a JSON object")

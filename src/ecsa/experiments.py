@@ -344,6 +344,8 @@ def read_results_csv(path):
                 rows.append(row)
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+        except csv.Error as exc:  # the DictReader's own line count lags a record behind
+            raise ValueError(f"{path}: line {reader.reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no result rows")
     return rows

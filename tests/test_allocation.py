@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 import re
@@ -146,6 +147,24 @@ class TestLoadValidate:
         areas.write_text("id,x,y\na0,0,0\n")
         with pytest.raises(ValueError, match="id,x,y"):
             load_instance_csv(blocks, areas)
+
+    def test_csv_field_beyond_the_limit_names_its_line(self, tmp_path):
+        # the csv module's own error used to escape the loader
+        blocks = tmp_path / "blocks.csv"
+        blocks.write_text(f"id,x,y\nb0,0,0\nb1,{'1' * (csv.field_size_limit() + 1)},0\n")
+        areas = tmp_path / "areas.csv"
+        areas.write_text("id,x,y\na0,0,0\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{blocks}: line 3: field larger than field limit ({csv.field_size_limit()})")):
+            load_instance_csv(blocks, areas)
+
+    def test_json_nested_too_deep_is_not_valid_json(self, tmp_path):
+        # json.load's RecursionError used to escape the loader
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: not valid JSON (maximum recursion depth exceeded")):
+            load_instance(path)
 
     def test_distance_recomputable_from_coordinates(self):
         instance = synth_instance(12, 4, seed=9)

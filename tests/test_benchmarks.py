@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecsa import RandomSource, evaluate_many, suite
 from ecsa.benchmarks import (
@@ -122,6 +124,24 @@ ORACLES = {
 }
 
 
+# each function's box half-width, optimizer coordinate and group, written out apart from the module
+SUITE_FACTS = {
+    "F1": (100.0, 0.0, "unimodal"),
+    "F2": (10.0, 0.0, "unimodal"),
+    "F3": (100.0, 0.0, "unimodal"),
+    "F4": (100.0, 0.0, "unimodal"),
+    "F5": (30.0, 1.0, "unimodal"),
+    "F6": (100.0, 0.0, "unimodal"),
+    "F7": (1.28, 0.0, "unimodal"),
+    "F8": (5.12, 0.0, "multimodal"),
+    "F9": (32.0, 0.0, "multimodal"),
+    "F10": (600.0, 0.0, "multimodal"),
+    "F11": (500.0, 420.9687, "multimodal"),
+    "F12": (50.0, -1.0, "multimodal"),
+    "F13": (50.0, 1.0, "multimodal"),
+}
+
+
 class TestSuite:
     def test_thirteen_functions(self):
         specs = suite()
@@ -159,6 +179,32 @@ class TestSuite:
 
     def test_only_f7_stochastic(self):
         assert [s.id for s in suite() if s.stochastic] == ["F7"]
+
+    @settings(deadline=None)
+    @given(st.sampled_from(sorted(SUITE_FACTS)), st.integers(2, 1111))
+    def test_facts_hold_at_every_dimension(self, function_id, dim):
+        half_width, coordinate, _ = SUITE_FACTS[function_id]
+        spec = get_spec(function_id, dim)
+        assert (spec.id, spec.dim) == (function_id, dim)
+        assert np.array_equal(spec.box.lower, np.full(dim, -half_width))
+        assert np.array_equal(spec.box.upper, np.full(dim, half_width))
+        assert spec.known_optimizer.dtype == np.float64
+        assert np.array_equal(spec.known_optimizer, np.full(dim, coordinate))
+        assert np.all(spec.box.lower <= spec.known_optimizer)
+        assert np.all(spec.known_optimizer <= spec.box.upper)
+        if function_id == "F11":
+            assert spec.known_optimum_value == SCHWEFEL_OPTIMUM_PER_DIM * dim
+        else:
+            assert spec.known_optimum_value == 0.0
+            assert math.copysign(1.0, spec.known_optimum_value) == 1.0
+        assert spec.stochastic == (function_id == "F7")
+
+    def test_groups(self):
+        assert UNIMODAL_IDS == ("F1", "F2", "F3", "F4", "F5", "F6", "F7")
+        assert MULTIMODAL_IDS == ("F8", "F9", "F10", "F11", "F12", "F13")
+        assert FUNCTION_IDS == UNIMODAL_IDS + MULTIMODAL_IDS
+        assert {fid: facts[2] for fid, facts in SUITE_FACTS.items()} == (
+            dict.fromkeys(UNIMODAL_IDS, "unimodal") | dict.fromkeys(MULTIMODAL_IDS, "multimodal"))
 
 
 class TestKnownOptima:

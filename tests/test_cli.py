@@ -1,5 +1,6 @@
 import codecs
 import contextlib
+import csv
 import json
 import os
 import subprocess
@@ -895,6 +896,65 @@ class TestEncoding:
             assignment = (tmp_path / "ascii" / "assignment_ecsa.csv").read_text(encoding="utf-8")
             assert "\nBlöck,a0," in assignment
             assert written_files(tmp_path / "ascii") == written_files(tmp_path / "utf8")
+
+
+# a field one character longer than the csv module accepts
+LONG_FIELD = "x" * (csv.field_size_limit() + 1)
+
+
+class TestUnreadableInputs:
+    """An input the readers cannot take exits 1 with one ``Error:`` line that names the file."""
+
+    def assert_one_error_line(self, result, out):
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        lines = result.output.splitlines()
+        assert lines[-1].startswith("Error:") and len(lines) == 1, result.output
+        assert not out.exists()
+        return lines[-1]
+
+    @pytest.mark.parametrize("source", ["results", "instance", "blocks"])
+    def test_directory_as_input_file(self, runner, tmp_path, source):
+        # each used to end in an IsADirectoryError traceback
+        areas = tmp_path / "areas.csv"
+        areas.write_text(AREAS_CSV)
+        out = tmp_path / "out"
+        args = {"results": ["compare", "--results", str(tmp_path)],
+                "instance": ["allocate", "--instance", str(tmp_path)],
+                "blocks": ["allocate", "--blocks", str(tmp_path), "--areas", str(areas)]}[source]
+        line = self.assert_one_error_line(runner.invoke(main, [*args, "--out", str(out)]), out)
+        assert line.startswith("Error: [Errno ") and line.endswith(f": {str(tmp_path)!r}")
+
+    @pytest.mark.parametrize("source", ["results", "blocks"])
+    def test_field_beyond_the_csv_limit(self, runner, tmp_path, source):
+        # the csv module's own error used to end the command with a traceback
+        path = tmp_path / f"{source}.csv"
+        if source == "results":
+            rows = RESULTS.splitlines() + [f"F1,csa,{trial},1,0.5,20" for trial in range(2, 6)]
+            path.write_text("\n".join(rows + [f"F2,csa,0,1,{LONG_FIELD},20"]) + "\n")
+            args, number = ["compare", "--results", str(path)], 10
+        else:
+            (tmp_path / "areas.csv").write_text(AREAS_CSV)
+            path.write_text(f"id,x,y\nb0,0.0,0.0\nb1,{LONG_FIELD},0.0\n")
+            args, number = ["allocate", "--blocks", str(path),
+                            "--areas", str(tmp_path / "areas.csv")], 3
+        out = tmp_path / "out"
+        line = self.assert_one_error_line(runner.invoke(main, [*args, "--out", str(out)]), out)
+        assert line == (f"Error: {path}: line {number}: "
+                        f"field larger than field limit ({csv.field_size_limit()})")
+
+    @pytest.mark.parametrize("command", ["bench", "allocate"])
+    def test_json_nested_too_deep(self, runner, tmp_path, command):
+        # a RecursionError traceback used to end both commands
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        out = tmp_path / "out"
+        if command == "bench":
+            args, start = ["bench", "--config", str(path)], "Error: cannot read config file: "
+        else:
+            args, start = ["allocate", "--instance", str(path)], f"Error: {path}: not valid JSON ("
+        line = self.assert_one_error_line(runner.invoke(main, [*args, "--out", str(out)]), out)
+        assert line.startswith(start + "maximum recursion depth exceeded")
 
 
 class TestSizePreflight:

@@ -5,6 +5,7 @@ import multiprocessing
 import multiprocessing.pool
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from ecsa.experiments import (
     ALGORITHMS,
     COMPARISON_FIELDS,
+    RESULT_FIELDS,
     AllocationPlan,
     BenchmarkPlan,
     ExperimentConfig,
@@ -429,6 +431,16 @@ class TestCompare:
         write_comparison_csv(comparison, tmp_path / "comparison.csv")
         text = comparison_table(comparison)
         assert "F1" in text and "winner" in text
+
+    def test_field_beyond_the_csv_limit_names_its_line(self, tmp_path):
+        # the csv module's own error used to escape, although a malformed file raises ValueError
+        path = tmp_path / "results.csv"
+        rows = [",".join(RESULT_FIELDS)] + [f"F1,csa,{trial},1,0.5,20" for trial in range(8)]
+        long_field = "x" * (csv.field_size_limit() + 1)
+        path.write_text("\n".join(rows + [f"F1,ecsa,0,1,{long_field},20"]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line 10: field larger than field limit ({csv.field_size_limit()})")):
+            read_results_csv(path)
 
     def test_identical_samples_comparable(self):
         rows = []
